@@ -11,8 +11,9 @@
 // The workload mirrors the simulator's check-in/backoff churn: constant
 // pending size (512), deterministic cyclic delays of 1.0–4.75 s, every pop
 // immediately rescheduling its event.  Constant occupancy keeps the
-// calendar between its resize thresholds and the wheel's rings periodic, so
-// the numbers reflect the per-event cost, not resize amortization.
+// calendar between its resize thresholds, so the numbers reflect the
+// per-event cost, not resize amortization.  The heap rows are the
+// reference the calendar is measured against.
 
 #include <benchmark/benchmark.h>
 
@@ -58,8 +59,8 @@ void BM_EventSchedule(benchmark::State& state) {
   ReschedulerCtx ctx{&q};
   q.set_dispatcher(&reschedule_dispatch, &ctx);
   seed_queue_pod(q);
-  // Warm past the wheel's level-1 ring revolution / the calendar's final
-  // ring width so bucket capacities reach their periodic high-water marks.
+  // Warm past the calendar's final ring width so bucket capacities reach
+  // their periodic high-water marks.
   for (int i = 0; i < kWarmupPops; ++i) q.step();
   for (auto _ : state) {
     benchmark::DoNotOptimize(q.step());
@@ -69,7 +70,6 @@ void BM_EventSchedule(benchmark::State& state) {
 BENCHMARK(BM_EventSchedule)
     ->Arg(static_cast<int>(EventQueueBackend::kHeap))
     ->Arg(static_cast<int>(EventQueueBackend::kCalendar))
-    ->Arg(static_cast<int>(EventQueueBackend::kWheel))
     ->Unit(benchmark::kNanosecond);
 
 /// The same cycle through the legacy closure API (pool slot + std::function
@@ -95,7 +95,6 @@ void BM_EventScheduleClosure(benchmark::State& state) {
 BENCHMARK(BM_EventScheduleClosure)
     ->Arg(static_cast<int>(EventQueueBackend::kHeap))
     ->Arg(static_cast<int>(EventQueueBackend::kCalendar))
-    ->Arg(static_cast<int>(EventQueueBackend::kWheel))
     ->Unit(benchmark::kNanosecond);
 
 /// Cold bulk load: push kPending fresh events into an empty queue and drain
@@ -119,7 +118,6 @@ void BM_EventBulkLoadDrain(benchmark::State& state) {
 BENCHMARK(BM_EventBulkLoadDrain)
     ->Arg(static_cast<int>(EventQueueBackend::kHeap))
     ->Arg(static_cast<int>(EventQueueBackend::kCalendar))
-    ->Arg(static_cast<int>(EventQueueBackend::kWheel))
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

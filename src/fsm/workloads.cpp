@@ -722,124 +722,4 @@ void SecAggFloodWorkload::check_quiesce(std::uint64_t step,
   }
 }
 
-// ---------------------------------------------------------------------------
-// EventQueueChurnWorkload
-// ---------------------------------------------------------------------------
-
-EventQueueChurnWorkload::EventQueueChurnWorkload(
-    std::size_t actors, sim::EventQueueBackend backend)
-    : queue_(backend) {
-  (void)actors;  // all bookkeeping is atomic totals
-}
-
-void EventQueueChurnWorkload::schedule_one(StepContext& ctx, double delay) {
-  // Delays live on a 0.25 s grid and now() is frozen while actors run (pops
-  // happen only at quiesce), so equal-time collisions across actors are
-  // common — exactly the case the (time, tie_key) order must survive.  The
-  // tie key is the actor id: the documented schedule-race-independent
-  // ordering among simultaneous events.
-  const std::uint64_t key = ctx.actor;
-  scheduled_.fetch_add(1, std::memory_order_relaxed);
-  queue_.schedule_at(
-      queue_.now() + delay, key, [this, key](double t) {
-        popped_.fetch_add(1, std::memory_order_relaxed);
-        // Runs only on the quiesce thread's drain, single file.
-        if (t < last_pop_time_ ||
-            (t == last_pop_time_ && key < last_pop_key_)) {
-          order_violations_.fetch_add(1, std::memory_order_relaxed);
-        }
-        last_pop_time_ = t;
-        last_pop_key_ = key;
-      });
-}
-
-std::vector<StateDef> EventQueueChurnWorkload::states() {
-  const auto transitions = menu({{"near", 4.0},
-                                 {"far", 1.5},
-                                 {"burst", 1.5},
-                                 {"inspect", 1.0}});
-  std::vector<StateDef> states;
-
-  states.push_back({"near",
-                    [this](StepContext& ctx) {
-                      const double delay =
-                          0.25 * static_cast<double>(
-                                     1 + ctx.rng().uniform_int(16));
-                      schedule_one(ctx, delay);
-                    },
-                    transitions});
-
-  // Far-future events force the calendar backend through its sparse-year
-  // jump and resize paths, and the wheel backend through its coarse levels
-  // and cascades.
-  states.push_back({"far",
-                    [this](StepContext& ctx) {
-                      const double delay =
-                          64.0 + 0.25 * static_cast<double>(
-                                            ctx.rng().uniform_int(512));
-                      schedule_one(ctx, delay);
-                    },
-                    transitions});
-
-  states.push_back({"burst",
-                    [this](StepContext& ctx) {
-                      const double delay =
-                          0.25 * static_cast<double>(
-                                     1 + ctx.rng().uniform_int(8));
-                      for (int i = 0; i < 8; ++i) schedule_one(ctx, delay);
-                    },
-                    transitions});
-
-  states.push_back(
-      {"inspect",
-       [this](StepContext& ctx) {
-         // scheduled_ is incremented before the enqueue, so pending can
-         // never exceed it even mid-race; pops only happen at quiesce.
-         ctx.check(queue_.pending() <=
-                       scheduled_.load(std::memory_order_relaxed),
-                   "pending() exceeds the number of schedule calls");
-         ctx.check(queue_.now() >= 0.0, "clock ran backwards below zero");
-       },
-       transitions});
-
-  return states;
-}
-
-void EventQueueChurnWorkload::check_quiesce(std::uint64_t step,
-                                            InvariantCollector& invariants) {
-  // Past-timestamp enforcement holds on every backend (the clock only moves
-  // at pops, so after the first drain now() is strictly positive).
-  if (queue_.now() > 0.5) {
-    bool threw = false;
-    try {
-      queue_.schedule_at(queue_.now() - 0.5, [](double) {});
-    } catch (const std::invalid_argument&) {
-      threw = true;
-    }
-    if (!threw) {
-      invariants.fail(name(), 0, step,
-                      "schedule_at accepted a past timestamp");
-    }
-  }
-
-  while (queue_.step()) {
-  }
-
-  if (order_violations_.load(std::memory_order_relaxed) != 0) {
-    invariants.fail(name(), 0, step,
-                    "drain popped events out of (time, tie_key) order");
-  }
-  const std::uint64_t scheduled = scheduled_.load(std::memory_order_relaxed);
-  const std::uint64_t popped = popped_.load(std::memory_order_relaxed);
-  if (scheduled != popped) {
-    invariants.fail(name(), 0, step,
-                    "event conservation broke at quiesce: scheduled " +
-                        std::to_string(scheduled) + " != popped " +
-                        std::to_string(popped));
-  }
-  if (!queue_.empty() || queue_.pending() != 0) {
-    invariants.fail(name(), 0, step, "queue not empty after a full drain");
-  }
-}
-
 }  // namespace papaya::fsm

@@ -17,9 +17,6 @@
 //                              straggler storms)
 //   SecAggFloodWorkload        accept/reject accounting under malformed
 //                              floods (pairs with byzantine scenarios)
-//   EventQueueChurnWorkload    (time, tie_key, seq) total order and
-//                              schedule/pop conservation on sim::EventQueue,
-//                              per backend (heap and calendar)
 
 #include <atomic>
 #include <cstdint>
@@ -34,7 +31,6 @@
 #include "fl/session.hpp"
 #include "fl/sharded_agg.hpp"
 #include "fsm/workload.hpp"
-#include "sim/event_queue.hpp"
 #include "util/sync.hpp"
 
 namespace papaya::fsm {
@@ -194,37 +190,6 @@ class SecAggFloodWorkload final : public Workload {
   std::atomic<std::uint64_t> valid_{0};
   std::atomic<std::uint64_t> malformed_{0};
   std::atomic<std::uint64_t> finalized_{0};
-};
-
-/// Concurrent scheduling churn against one sim::EventQueue, parameterized
-/// by backend so the calendar queue faces the same interleavings as the
-/// reference heap (and the TSan leg sees both).  Actors hammer the
-/// thread-safe scheduling surface — near/far/equal-time bursts with
-/// per-actor tie keys — while pops happen only at quiesce (step() is
-/// single-driver by contract).  Invariants: a quiesce drain pops in the
-/// documented ascending (time, tie_key) order, schedule_at rejects past
-/// timestamps, and scheduled == popped with the queue empty after a drain.
-class EventQueueChurnWorkload final : public Workload {
- public:
-  EventQueueChurnWorkload(std::size_t actors, sim::EventQueueBackend backend);
-
-  std::string name() const override { return "event_queue_churn"; }
-  std::string initial_state() const override { return "near"; }
-  std::vector<StateDef> states() override;
-  void check_quiesce(std::uint64_t step,
-                     InvariantCollector& invariants) override;
-
- private:
-  void schedule_one(StepContext& ctx, double delay);
-
-  sim::EventQueue queue_;
-  std::atomic<std::uint64_t> scheduled_{0};
-  std::atomic<std::uint64_t> popped_{0};
-  std::atomic<std::uint64_t> order_violations_{0};
-  /// Drain cursor — touched only by event functions, which run solely on
-  /// the quiesce thread (actors never pump the queue).
-  double last_pop_time_ = -1.0;
-  std::uint64_t last_pop_key_ = 0;
 };
 
 }  // namespace papaya::fsm

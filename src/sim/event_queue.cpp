@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #ifdef __linux__
@@ -28,34 +25,6 @@ std::size_t next_pow2(std::size_t n) {
 
 }  // namespace
 
-EventQueueBackend event_queue_backend_from_env(EventQueueBackend fallback) {
-  const char* env = std::getenv("PAPAYA_EVENT_QUEUE");
-  if (env == nullptr || *env == '\0') return fallback;
-  if (std::strcmp(env, "heap") == 0) return EventQueueBackend::kHeap;
-  if (std::strcmp(env, "calendar") == 0) return EventQueueBackend::kCalendar;
-  if (std::strcmp(env, "wheel") == 0) return EventQueueBackend::kWheel;
-  throw std::invalid_argument(
-      std::string("PAPAYA_EVENT_QUEUE: unknown backend '") + env +
-      "' (expected 'heap', 'calendar' or 'wheel')");
-}
-
-EventQueue::EventQueue()
-    : EventQueue(event_queue_backend_from_env(EventQueueBackend::kHeap)) {}
-
-// The explicit ctor honours the requested backend verbatim — no env
-// override.  The env knob acts at the config layer (normalize_config) and
-// on default construction; code that names a backend explicitly (the
-// heap/calendar/wheel differential tests, the FSM churn workload) must get
-// exactly that backend or the comparisons it makes become vacuous.
-EventQueue::EventQueue(EventQueueBackend backend) : backend_(backend) {}
-
-void EventQueue::insert_sorted(std::vector<Event>& bucket, Event e) {
-  const auto pos = std::upper_bound(
-      bucket.begin(), bucket.end(), e,
-      [](const Event& a, const Event& b) { return earlier(a, b); });
-  bucket.insert(pos, e);
-}
-
 // ---------------------------------------------------------------------------
 // Calendar backend
 // ---------------------------------------------------------------------------
@@ -77,7 +46,7 @@ void EventQueue::Calendar::push(Event e) {
   // current minimum (any t >= the last pop is valid, and the cursor sits at
   // the minimum's home, not at now's).  Without the pull-back such an event
   // is stranded — the year scan never looks behind the cursor, so it would
-  // pop arbitrarily late.  The wheel's hint update is this same rule.
+  // pop arbitrarily late.
   cursor_ = std::min(cursor_, v);
   std::uint32_t node;
   if (!free_.empty()) {
@@ -244,189 +213,40 @@ void EventQueue::Calendar::rebuild(std::size_t min_buckets) {
 }
 
 // ---------------------------------------------------------------------------
-// Wheel backend
-// ---------------------------------------------------------------------------
-
-EventQueue::Wheel::Wheel() : slots_(kLevels * kSlots) {}
-
-void EventQueue::Wheel::place(Event e) {
-  const std::uint64_t v = tick_of(e.time);
-  // Events may legitimately tick before base_: base_ jumps ahead of now()
-  // when a coarse bucket cascades, and a later schedule_at(now + small) is
-  // still valid.  They park in level 0, where the hint + qualification
-  // scan finds them regardless of distance.
-  const std::uint64_t d = v >= base_ ? v - base_ : 0;
-  int level = 0;
-  while (level < kLevels - 1 &&
-         d >= (std::uint64_t{1} << (kSlotBits * (level + 1)))) {
-    ++level;
-  }
-  if (d >= (std::uint64_t{1} << (kSlotBits * kLevels))) {
-    insert_sorted(overflow_, e);
-    return;
-  }
-  const std::uint64_t index = v >> (kSlotBits * static_cast<unsigned>(level));
-  insert_sorted(bucket_at(level, index), e);
-  ++level_size_[static_cast<std::size_t>(level)];
-  hint_[static_cast<std::size_t>(level)] =
-      std::min(hint_[static_cast<std::size_t>(level)], index);
-}
-
-void EventQueue::Wheel::push(Event e) {
-  place(e);
-  ++size_;
-  min_cached_ = false;
-}
-
-std::uint64_t EventQueue::Wheel::level_min_index(int level) {
-  const unsigned shift = kSlotBits * static_cast<unsigned>(level);
-  auto& hint = hint_[static_cast<std::size_t>(level)];
-  // Fast path: one slot revolution forward from the hint, accepting the
-  // first front whose *home* index is the scanned index — the calendar's
-  // year-scan qualification, which makes ring collisions (two indices 256
-  // apart sharing a slot) harmless.  The hint is maintained as a lower
-  // bound on the level's minimum index, so the first qualifying front is
-  // the level minimum: bucket fronts are bucket minima (sorted buckets)
-  // and home index is monotone in time.
-  for (std::uint64_t j = 0; j < kSlots; ++j) {
-    const std::uint64_t u = hint + j;
-    const std::vector<Event>& b = bucket_at(level, u);
-    if (!b.empty() && (tick_of(b.front().time) >> shift) == u) {
-      hint = u;
-      return u;
-    }
-  }
-  // Sparse revolution: the minimum lives more than 256 indices past the
-  // hint.  Direct min over the level's 256 fronts is still exact.
-  const std::vector<Event>* best = nullptr;
-  for (std::size_t s = 0; s < kSlots; ++s) {
-    const std::vector<Event>& b =
-        slots_[static_cast<std::size_t>(level) * kSlots + s];
-    if (b.empty()) continue;
-    if (best == nullptr || earlier(b.front(), best->front())) best = &b;
-  }
-  const std::uint64_t u = tick_of(best->front().time) >> shift;
-  hint = u;
-  return u;
-}
-
-void EventQueue::Wheel::cascade(int level, std::uint64_t index) {
-  if (level == kLevels) {
-    // Overflow prefix: everything homed at the front's 2^32-tick window
-    // drops into the wheel proper.
-    const std::uint64_t u = tick_of(overflow_.front().time) >>
-                            (kSlotBits * static_cast<unsigned>(kLevels));
-    base_ = std::max(base_, u << (kSlotBits * static_cast<unsigned>(kLevels)));
-    std::size_t n = 0;
-    while (n < overflow_.size() &&
-           (tick_of(overflow_[n].time) >>
-            (kSlotBits * static_cast<unsigned>(kLevels))) == u) {
-      ++n;
-    }
-    for (std::size_t i = 0; i < n; ++i) place(overflow_[i]);
-    overflow_.erase(overflow_.begin(),
-                    overflow_.begin() + static_cast<std::ptrdiff_t>(n));
-    return;
-  }
-  // Advancing base_ to the bucket's window start before re-placing
-  // guarantees strict progress: every re-placed event has
-  // tick - base_ < 256^level and therefore lands at a finer level.
-  const unsigned shift = kSlotBits * static_cast<unsigned>(level);
-  base_ = std::max(base_, index << shift);
-  std::vector<Event>& b = bucket_at(level, index);
-  // Home index is monotone in time and the bucket is sorted, so the events
-  // homed at `index` form a prefix (the rest are a ring collision, 256
-  // indices later).
-  std::size_t n = 0;
-  while (n < b.size() && (tick_of(b[n].time) >> shift) == index) ++n;
-  for (std::size_t i = 0; i < n; ++i) place(b[i]);
-  b.erase(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(n));
-  level_size_[static_cast<std::size_t>(level)] -= n;
-}
-
-std::uint64_t EventQueue::Wheel::locate_min() {
-  if (min_cached_) return cached_min_;
-  for (;;) {
-    int best_level = -1;
-    std::uint64_t best_index = 0;
-    const Event* best = nullptr;
-    for (int level = 0; level < kLevels; ++level) {
-      if (level_size_[static_cast<std::size_t>(level)] == 0) continue;
-      const std::uint64_t u = level_min_index(level);
-      const Event& front = bucket_at(level, u).front();
-      if (best == nullptr || earlier(front, *best)) {
-        best = &front;
-        best_level = level;
-        best_index = u;
-      }
-    }
-    if (!overflow_.empty() &&
-        (best == nullptr || earlier(overflow_.front(), *best))) {
-      best_level = kLevels;
-    }
-    if (best_level == 0) {
-      min_cached_ = true;
-      cached_min_ = best_index;
-      return best_index;
-    }
-    // The minimum sits in a coarse bucket (or the overflow list): cascade
-    // it one granularity step and look again.  Each iteration strictly
-    // lowers the minimum's level, so this loop runs at most kLevels times.
-    cascade(best_level, best_index);
-  }
-}
-
-double EventQueue::Wheel::min_time() {
-  return bucket_at(0, locate_min()).front().time;
-}
-
-EventQueue::Event EventQueue::Wheel::pop_min() {
-  std::vector<Event>& b = bucket_at(0, locate_min());
-  Event e = b.front();
-  b.erase(b.begin());
-  --level_size_[0];
-  --size_;
-  base_ = std::max(base_, tick_of(e.time));
-  min_cached_ = false;
-  return e;
-}
-
-// ---------------------------------------------------------------------------
 // EventQueue
 // ---------------------------------------------------------------------------
 
-void EventQueue::push_locked(Event e) {
-  switch (backend_) {
-    case EventQueueBackend::kHeap: heap_.push(e); break;
-    case EventQueueBackend::kCalendar: calendar_.push(e); break;
-    case EventQueueBackend::kWheel: wheel_.push(e); break;
+void EventQueue::push(Event e) {
+  if (backend_ == EventQueueBackend::kCalendar) {
+    calendar_.push(e);
+  } else {
+    heap_.push(e);
   }
 }
 
-EventQueue::Event EventQueue::pop_locked() {
-  switch (backend_) {
-    case EventQueueBackend::kHeap: {
-      Event e = heap_.top();
-      heap_.pop();
-      return e;
-    }
-    case EventQueueBackend::kCalendar: return calendar_.pop_min();
-    case EventQueueBackend::kWheel: return wheel_.pop_min();
-  }
-  return {};  // unreachable
+EventQueue::Event EventQueue::pop() {
+  if (backend_ == EventQueueBackend::kCalendar) return calendar_.pop_min();
+  Event e = heap_.top();
+  heap_.pop();
+  return e;
 }
 
-double EventQueue::top_time_locked() {
-  switch (backend_) {
-    case EventQueueBackend::kHeap: return heap_.top().time;
-    case EventQueueBackend::kCalendar: return calendar_.min_time();
-    case EventQueueBackend::kWheel: return wheel_.min_time();
+double EventQueue::top_time() {
+  return backend_ == EventQueueBackend::kCalendar ? calendar_.min_time()
+                                                  : heap_.top().time;
+}
+
+void EventQueue::check_time(double when) const {
+  // One guard for past and non-finite times: `when < now_` alone is false
+  // for NaN, which would break the heap's strict weak ordering and make
+  // the calendar's time/width conversion undefined (as would +-inf).
+  if (!(std::isfinite(when) && when >= now_)) {
+    throw std::invalid_argument(
+        "EventQueue: cannot schedule in the past or at a non-finite time");
   }
-  return 0.0;  // unreachable
 }
 
 void EventQueue::set_dispatcher(EventDispatchFn fn, void* ctx) {
-  util::LockGuard lock(mutex_);
   dispatcher_ = fn;
   dispatcher_ctx_ = ctx;
 }
@@ -450,26 +270,14 @@ void EventQueue::schedule_event_at(double when, std::uint64_t tie_key,
     throw std::invalid_argument(
         "EventQueue: kind 0 is reserved for pooled closures");
   }
-  util::LockGuard lock(mutex_);
-  if (when < now_) {
-    throw std::invalid_argument("EventQueue: cannot schedule in the past");
-  }
-  push_locked({when, tie_key, (next_seq_++ << 8) | kind, entity, payload});
+  check_time(when);
+  push({when, tie_key, (next_seq_++ << 8) | kind, entity, payload});
 }
 
 void EventQueue::schedule_event_in(double delay, std::uint64_t tie_key,
                                    EventKind kind, std::uint32_t entity,
                                    std::uint32_t payload) {
-  if (kind == kClosureKind) {
-    throw std::invalid_argument(
-        "EventQueue: kind 0 is reserved for pooled closures");
-  }
-  util::LockGuard lock(mutex_);
-  if (delay < 0.0) {
-    throw std::invalid_argument("EventQueue: cannot schedule in the past");
-  }
-  push_locked(
-      {now_ + delay, tie_key, (next_seq_++ << 8) | kind, entity, payload});
+  schedule_event_at(now_ + delay, tie_key, kind, entity, payload);
 }
 
 void EventQueue::schedule_at(double when, EventFn fn) {
@@ -477,77 +285,49 @@ void EventQueue::schedule_at(double when, EventFn fn) {
 }
 
 void EventQueue::schedule_in(double delay, EventFn fn) {
-  schedule_in(delay, /*tie_key=*/0, std::move(fn));
+  schedule_at(now_ + delay, /*tie_key=*/0, std::move(fn));
 }
 
 void EventQueue::schedule_at(double when, std::uint64_t tie_key, EventFn fn) {
-  util::LockGuard lock(mutex_);
-  // Validate before acquiring a pool slot so a past-time throw leaks
-  // nothing.
-  if (when < now_) {
-    throw std::invalid_argument("EventQueue: cannot schedule in the past");
-  }
+  // Validate before acquiring a pool slot so a rejected time leaks nothing.
+  check_time(when);
   const std::uint32_t slot = acquire_closure_slot(std::move(fn));
-  push_locked({when, tie_key, (next_seq_++ << 8) | kClosureKind, 0, slot});
+  push({when, tie_key, (next_seq_++ << 8) | kClosureKind, 0, slot});
 }
 
 void EventQueue::schedule_in(double delay, std::uint64_t tie_key, EventFn fn) {
-  util::LockGuard lock(mutex_);
-  if (delay < 0.0) {
-    throw std::invalid_argument("EventQueue: cannot schedule in the past");
-  }
-  const std::uint32_t slot = acquire_closure_slot(std::move(fn));
-  push_locked(
-      {now_ + delay, tie_key, (next_seq_++ << 8) | kClosureKind, 0, slot});
+  schedule_at(now_ + delay, tie_key, std::move(fn));
 }
 
 bool EventQueue::step() {
-  Event e;
-  EventFn fn;
-  EventDispatchFn dispatch = nullptr;
-  void* ctx = nullptr;
-  {
-    util::LockGuard lock(mutex_);
-    if (size_locked() == 0) return false;
-    e = pop_locked();
-    now_ = e.time;
-    ++processed_;
-    if (kind_of(e) == kClosureKind) {
-      // Move the closure out and recycle its slot before unlocking: the
-      // closure may schedule more events, and a fresh schedule_at must be
-      // free to reuse the slot immediately.
-      fn = std::move(closure_pool_[e.payload]);
-      closure_pool_[e.payload] = nullptr;
-      free_closure_slots_.push_back(e.payload);
-    } else {
-      dispatch = dispatcher_;
-      ctx = dispatcher_ctx_;
-      if (dispatch == nullptr) {
-        throw std::logic_error(
-            "EventQueue: popped a POD event with no dispatcher registered");
-      }
-    }
-  }
-  // Event code runs outside the lock — it may schedule more events.
-  if (dispatch != nullptr) {
-    dispatch(ctx, kind_of(e), e.entity, e.payload, e.time);
-  } else {
+  if (empty()) return false;
+  const Event e = pop();
+  now_ = e.time;
+  ++processed_;
+  if (kind_of(e) == kClosureKind) {
+    // Move the closure out and recycle its slot before running it: the
+    // closure may schedule more events, and a fresh schedule_at must be
+    // free to reuse the slot immediately.
+    EventFn fn = std::move(closure_pool_[e.payload]);
+    closure_pool_[e.payload] = nullptr;
+    free_closure_slots_.push_back(e.payload);
     fn(e.time);
+    return true;
   }
+  if (dispatcher_ == nullptr) {
+    throw std::logic_error(
+        "EventQueue: popped a POD event with no dispatcher registered");
+  }
+  dispatcher_(dispatcher_ctx_, kind_of(e), e.entity, e.payload, e.time);
   return true;
 }
 
 void EventQueue::run_until(double until, const std::function<bool()>& stop) {
-  for (;;) {
-    {
-      util::LockGuard lock(mutex_);
-      if (size_locked() == 0 || top_time_locked() > until) break;
-    }
+  while (!empty() && top_time() <= until) {
     if (stop && stop()) return;
     step();
   }
   if (stop && stop()) return;
-  util::LockGuard lock(mutex_);
   if (now_ < until) now_ = until;
 }
 

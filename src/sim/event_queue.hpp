@@ -9,13 +9,10 @@
 // Pop order is a documented *total* order: (time, tie_key, seq), ascending.
 // `seq` is the per-queue arrival number, so same-time same-key events pop
 // FIFO — the historical behaviour, unchanged for every caller of the
-// two-argument schedule_at/schedule_in (tie_key 0).  Arrival order is only
-// well-defined within one thread, though: when several threads schedule
-// equal-time events concurrently, their seq interleaving is a race, and
-// before the tie key existed the pop order was too.  Schedulers that need a
-// schedule-independent order pass an explicit `tie_key` (an entity id, an
-// actor index) and the pop order at that timestamp becomes a pure function
-// of the keys.
+// two-argument schedule_at/schedule_in (tie_key 0).  Schedulers that need
+// an order independent of scheduling order pass an explicit `tie_key` (an
+// entity id, an actor index) and the pop order at that timestamp becomes a
+// pure function of the keys.
 //
 // The queued record is a 32-byte POD (`kEventRecordBytes`): time, tie key,
 // and a packed seq+kind word, plus a 32-bit entity id and a 32-bit scalar
@@ -37,65 +34,41 @@
 //     std::function's inline storage); the queued record stores the slot
 //     index in `payload` under the reserved kind 0.
 //
-// Three backends implement the same pop-order contract behind one API:
+// Two backends implement the same pop-order contract behind one API:
 //
-//   kHeap      std::priority_queue.  O(log n) per op; the historical
-//              default and the reference for the differential tests.
-//   kCalendar  calendar queue (Brown, CACM 1988).  Amortized O(1) per op:
-//              a power-of-two ring of buckets each spanning `width` seconds
-//              of virtual time; push links an event into bucket
-//              floor(time/width) mod N, pop scans forward from a cursor and
-//              takes the minimum of the first bucket holding an event in
-//              its current "year" window.  Events live in one flat
+//   kCalendar  calendar queue (Brown, CACM 1988), the default.  Amortized
+//              O(1) per op: a power-of-two ring of buckets each spanning
+//              `width` seconds of virtual time; push links an event into
+//              bucket floor(time/width) mod N, pop scans forward from a
+//              cursor and takes the minimum of the first bucket holding an
+//              event in its current "year" window.  Events live in one flat
 //              free-list slab (intrusive u32 chains, 4 bytes of ring state
 //              per bucket) so push/pop never allocate.  The ring
 //              doubles/halves (rebuilding width from the live event span)
 //              when the event count crosses 2N / N/4, so bucket occupancy
 //              stays O(1).
-//   kWheel     hierarchical timing wheel (Varghese & Lauck, SOSP 1987).
-//              4 levels x 256 slots over a fixed 2^-10 s tick; level L
-//              spans 256^L ticks per slot, so the wheel covers ~2^32 ticks
-//              (~48 days of virtual time) before spilling to a sorted
-//              overflow list.  Pushes append into the slot of the event's
-//              tick at the coarsest level that still resolves it; pops
-//              cascade the minimum's coarse bucket down one level at a time
-//              until the minimum sits in level 0.  No width estimation and
-//              no global rebuilds — the tick is a power of two, so bucket
-//              indexing is exact in floating point — at the cost of a
-//              fixed granularity the calendar tunes adaptively.
+//   kHeap      std::priority_queue.  O(log n) per op; kept only as the
+//              reference the differential tests hold the calendar to.
 //
-// Because schedule_at enforces when >= now(), equal-time events always
-// share a bucket on every backend, and every backend selects within a
-// bucket by the full (time, tie_key, seq) comparator — the wheel keeps its
-// buckets sorted, the calendar walks its unsorted chains for the exact
-// minimum — so pop order is *identical* across the three backends, event
-// for event (proven by differential tests and the end-to-end trajectory
-// equality in tests/scale_test.cpp).
+// Because scheduling enforces when >= now(), equal-time events always
+// share a bucket, and the calendar selects within a bucket by the full
+// (time, tie_key, seq) comparator — it walks its unsorted chains for the
+// exact minimum — so pop order is *identical* across the two backends,
+// event for event (proven by differential tests and the end-to-end
+// trajectory equality in tests/scale_test.cpp).
 //
-// The backend is chosen per queue at construction.  The PAPAYA_EVENT_QUEUE
-// environment variable ("heap" / "calendar" / "wheel") overrides the
-// *default*: it is consulted by the default ctor and by FlSimulator's
-// config normalization, so whole test suites and benches can be rerun on
-// another backend without an edit.  The explicit EventQueue(backend) ctor
-// honours its argument verbatim — differential tests that pin backends
-// must mean what they say even under the env knob.
-//
-// Thread safety: schedule_* and the inspectors may be called concurrently
-// from any thread (internal lock, an independent root in the util/sync.hpp
-// hierarchy — held only around queue bookkeeping, never while an event
-// function or the dispatcher runs).  step()/run_until() are single-driver:
-// exactly one thread may pump the queue, as event code runs outside the
-// lock.  set_dispatcher must happen before the first step that pops a
-// dispatched event (in practice: at simulator construction).
+// Thread safety: none.  The queue is single-threaded by contract: every
+// call — scheduling, inspection, step()/run_until(), set_dispatcher —
+// comes from the one thread that pumps it, including calls made from
+// inside event code.  The simulator is the only production caller and
+// never touches its queue from another thread.
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <queue>
 #include <type_traits>
 #include <vector>
-
-#include "util/sync.hpp"
 
 namespace papaya::sim {
 
@@ -107,21 +80,15 @@ using EventKind = std::uint8_t;
 
 /// Per-queue dispatcher for POD events: a plain function pointer (no
 /// std::function — the dispatcher itself must not be a hidden allocation)
-/// invoked outside the queue lock for every popped event with kind != 0.
+/// invoked for every popped event with kind != 0.
 using EventDispatchFn = void (*)(void* ctx, EventKind kind,
                                  std::uint32_t entity, std::uint32_t payload,
                                  double now);
 
 enum class EventQueueBackend {
-  kHeap,      ///< std::priority_queue, O(log n) — historical default
-  kCalendar,  ///< calendar queue, amortized O(1) — million-device runs
-  kWheel,     ///< hierarchical timing wheel, amortized O(1), fixed tick
+  kHeap,      ///< std::priority_queue, O(log n) — differential-test oracle
+  kCalendar,  ///< calendar queue, amortized O(1) — the default
 };
-
-/// Resolve the backend: PAPAYA_EVENT_QUEUE=heap|calendar|wheel wins when
-/// set (anything else throws — a typo must not silently fall back),
-/// otherwise `fallback` is returned unchanged.
-EventQueueBackend event_queue_backend_from_env(EventQueueBackend fallback);
 
 class EventQueue {
  public:
@@ -132,9 +99,9 @@ class EventQueue {
   /// Reserved kind for the pooled-closure fallback path.
   static constexpr EventKind kClosureKind = 0;
 
-  /// Default: heap unless PAPAYA_EVENT_QUEUE overrides.
-  EventQueue();
-  explicit EventQueue(EventQueueBackend backend);
+  explicit EventQueue(
+      EventQueueBackend backend = EventQueueBackend::kCalendar)
+      : backend_(backend) {}
 
   EventQueueBackend backend() const { return backend_; }
 
@@ -144,14 +111,15 @@ class EventQueue {
   void set_dispatcher(EventDispatchFn fn, void* ctx);
 
   /// Hot path: schedule a POD event — no allocation, ever.  `kind` must
-  /// not be kClosureKind (0), `when < now()` throws std::invalid_argument
-  /// on every backend: a past timestamp would pop "before" the current
-  /// time and silently corrupt clock monotonicity (and the calendar/wheel
-  /// bucket-window math additionally relies on queued times never
-  /// preceding the last pop).
+  /// not be kClosureKind (0).  Unless `when` is finite and >= now(), throws
+  /// std::invalid_argument and enqueues nothing: a past timestamp would pop
+  /// "before" the current time and silently corrupt clock monotonicity, a
+  /// NaN breaks the comparator's strict weak ordering, and the calendar's
+  /// bucket math is undefined for non-finite times.
   void schedule_event_at(double when, std::uint64_t tie_key, EventKind kind,
                          std::uint32_t entity, std::uint32_t payload);
-  /// Same, `delay` seconds after now() (negative delay throws).
+  /// Same, `delay` seconds after now() (the resulting time is checked the
+  /// same way, so a negative or non-finite delay throws).
   void schedule_event_in(double delay, std::uint64_t tie_key, EventKind kind,
                          std::uint32_t entity, std::uint32_t payload);
 
@@ -162,28 +130,19 @@ class EventQueue {
   void schedule_in(double delay, EventFn fn);
 
   /// Same, with an explicit tie key: equal-time events pop in ascending
-  /// `tie_key` order regardless of which thread scheduled them first.
+  /// `tie_key` order regardless of which was scheduled first.
   void schedule_at(double when, std::uint64_t tie_key, EventFn fn);
   void schedule_in(double delay, std::uint64_t tie_key, EventFn fn);
 
-  double now() const {
-    util::LockGuard lock(mutex_);
-    return now_;
-  }
-  bool empty() const {
-    util::LockGuard lock(mutex_);
-    return size_locked() == 0;
-  }
+  double now() const { return now_; }
+  bool empty() const { return pending() == 0; }
   std::size_t pending() const {
-    util::LockGuard lock(mutex_);
-    return size_locked();
+    return backend_ == EventQueueBackend::kCalendar ? calendar_.size()
+                                                    : heap_.size();
   }
   /// Events popped (run) so far — the denominator for events/sec reporting
   /// in bench_macro_population.
-  std::uint64_t events_processed() const {
-    util::LockGuard lock(mutex_);
-    return processed_;
-  }
+  std::uint64_t events_processed() const { return processed_; }
 
   /// Pop and run the next event.  Returns false when the queue is empty.
   bool step();
@@ -224,10 +183,8 @@ class EventQueue {
       return earlier(b, a);
     }
   };
-  static void insert_sorted(std::vector<Event>& bucket, Event e);
 
-  /// Brown's calendar queue.  Not internally locked — EventQueue's mutex
-  /// covers it.
+  /// Brown's calendar queue.
   ///
   /// Storage is an intrusive free-list slab, not a vector-of-vectors: all
   /// events live in one flat Node array and each ring bucket is a 4-byte
@@ -287,95 +244,24 @@ class EventQueue {
     std::size_t min_ring_ = 0;       ///< ring index of the min's bucket
   };
 
-  /// Hierarchical timing wheel.  Not internally locked — EventQueue's
-  /// mutex covers it.  kLevels wheels of kSlots sorted buckets over a
-  /// fixed power-of-two tick: level L's slot spans 256^L ticks, an event
-  /// parks at the coarsest level that still distinguishes it from the
-  /// current base tick, and pop cascades the minimum's coarse bucket down
-  /// (strictly one level or more per cascade) until the minimum sits in
-  /// level 0.  Every bucket is sorted by the full event order and the
-  /// per-level minimum is found with the same home-index qualification
-  /// trick as the calendar's year scan, so pop order is exact.
-  class Wheel {
-   public:
-    Wheel();
-    void push(Event e);
-    Event pop_min();  ///< requires !empty()
-    /// Time of the minimum event (requires !empty()).  Caches the located
-    /// minimum, so the pop that follows is O(1).
-    double min_time();
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
-
-   private:
-    static constexpr int kLevels = 4;
-    static constexpr std::uint64_t kSlotBits = 8;
-    static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
-    /// Seconds per level-0 tick.  A power of two, so time/kTick is an
-    /// exact binary scaling — bucket indexing can never round differently
-    /// between push and scan.  2^-10 s ≈ 1 ms resolves distinct check-in
-    /// staggers at 10M devices; 2^32 ticks ≈ 48.5 days of horizon.
-    static constexpr double kTick = 0x1p-10;
-
-    static std::uint64_t tick_of(double time) {
-      return static_cast<std::uint64_t>(time * (1.0 / kTick));
-    }
-    std::vector<Event>& bucket_at(int level, std::uint64_t index) {
-      return slots_[static_cast<std::size_t>(level) * kSlots +
-                    (index & (kSlots - 1))];
-    }
-    void place(Event e);
-    /// Global index of level `level`'s minimum bucket (requires
-    /// level_size_[level] != 0).
-    std::uint64_t level_min_index(int level);
-    /// Cascade bucket `index` of `level` (or the overflow prefix when
-    /// level == kLevels): re-place every event homed at `index` into
-    /// strictly finer levels.
-    void cascade(int level, std::uint64_t index);
-    /// Locate the global minimum, cascading until it sits in level 0.
-    /// Returns the level-0 global index; caches the result.
-    std::uint64_t locate_min();
-
-    std::vector<std::vector<Event>> slots_;  // kLevels * kSlots buckets
-    std::vector<Event> overflow_;            // sorted; > 2^32 ticks out
-    std::array<std::size_t, kLevels> level_size_{};
-    /// Per-level lower bound on the minimum's global index — scan start.
-    /// Init 0 (trivially a lower bound); pushes clamp it down, successful
-    /// scans raise it to the found minimum.
-    std::array<std::uint64_t, kLevels> hint_{};
-    std::uint64_t base_ = 0;  ///< leveling base tick; monotone
-    std::size_t size_ = 0;
-    bool min_cached_ = false;
-    std::uint64_t cached_min_ = 0;  ///< level-0 global index when cached
-  };
-
-  std::size_t size_locked() const PAPAYA_REQUIRES(mutex_) {
-    switch (backend_) {
-      case EventQueueBackend::kHeap: return heap_.size();
-      case EventQueueBackend::kCalendar: return calendar_.size();
-      case EventQueueBackend::kWheel: return wheel_.size();
-    }
-    return 0;  // unreachable
-  }
-  void push_locked(Event e) PAPAYA_REQUIRES(mutex_);
-  Event pop_locked() PAPAYA_REQUIRES(mutex_);
-  double top_time_locked() PAPAYA_REQUIRES(mutex_);  ///< requires non-empty
+  /// Throws std::invalid_argument unless `when` is finite and >= now_.
+  void check_time(double when) const;
+  void push(Event e);
+  Event pop();
+  double top_time();  ///< requires non-empty
   /// Park `fn` in the closure pool, reusing a free slot when one exists.
-  std::uint32_t acquire_closure_slot(EventFn fn) PAPAYA_REQUIRES(mutex_);
+  std::uint32_t acquire_closure_slot(EventFn fn);
 
   const EventQueueBackend backend_;
-  mutable util::Mutex mutex_;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_
-      PAPAYA_GUARDED_BY(mutex_);
-  Calendar calendar_ PAPAYA_GUARDED_BY(mutex_);
-  Wheel wheel_ PAPAYA_GUARDED_BY(mutex_);
-  std::vector<EventFn> closure_pool_ PAPAYA_GUARDED_BY(mutex_);
-  std::vector<std::uint32_t> free_closure_slots_ PAPAYA_GUARDED_BY(mutex_);
-  EventDispatchFn dispatcher_ PAPAYA_GUARDED_BY(mutex_) = nullptr;
-  void* dispatcher_ctx_ PAPAYA_GUARDED_BY(mutex_) = nullptr;
-  double now_ PAPAYA_GUARDED_BY(mutex_) = 0.0;
-  std::uint64_t next_seq_ PAPAYA_GUARDED_BY(mutex_) = 0;
-  std::uint64_t processed_ PAPAYA_GUARDED_BY(mutex_) = 0;
+  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  Calendar calendar_;
+  std::vector<EventFn> closure_pool_;
+  std::vector<std::uint32_t> free_closure_slots_;
+  EventDispatchFn dispatcher_ = nullptr;
+  void* dispatcher_ctx_ = nullptr;
+  double now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t processed_ = 0;
 };
 
 }  // namespace papaya::sim

@@ -52,9 +52,6 @@ SimulationConfig normalize_config(SimulationConfig cfg) {
     cfg.task.pipelined_clients = true;
     cfg.rng_streams = RngStreamMode::kPerEntity;
   }
-  // Resolve the event-queue backend once, here, so config_.event_queue and
-  // the queue actually constructed always agree (PAPAYA_EVENT_QUEUE wins).
-  cfg.event_queue = event_queue_backend_from_env(cfg.event_queue);
   return cfg;
 }
 

@@ -87,12 +87,11 @@ struct SimulationConfig {
   std::size_t num_selectors = 2;
   std::uint64_t seed = 1;
 
-  /// Event-queue backend (sim/event_queue.hpp): the binary heap (default),
-  /// the amortized-O(1) calendar queue for million-device populations, or
-  /// the hierarchical timing wheel.  Pop order is identical across all
-  /// three, so this is a pure perf knob; the PAPAYA_EVENT_QUEUE env var
-  /// overrides it (resolved at construction).
-  EventQueueBackend event_queue = EventQueueBackend::kHeap;
+  /// Event-queue backend (sim/event_queue.hpp): the amortized-O(1)
+  /// calendar queue, or the binary heap the differential tests use as the
+  /// reference.  Pop order is identical on both, so no trajectory depends
+  /// on this field.
+  EventQueueBackend event_queue = EventQueueBackend::kCalendar;
 
   /// Streaming-metrics memory policy.  Defaults keep the historical
   /// unlimited recording; million-device runs set caps so results stay

@@ -9,7 +9,7 @@
 //      (allocations must not scale with events processed);
 //   3. the enum-dispatch refactor of FlSimulator preserved trajectories
 //      bit-for-bit: the fig9-style async config reproduces fingerprints
-//      captured from the pre-refactor closure scheduler, on all three
+//      captured from the pre-refactor closure scheduler, on both
 //      backends.
 //
 // This file owns the binary-wide operator new/delete replacement, so it
@@ -68,8 +68,7 @@ void record_dispatch(void* ctx, EventKind kind, std::uint32_t entity,
 
 TEST(EventEngine, EveryKindRoundTripsThroughDispatchOnEveryBackend) {
   for (const auto backend :
-       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar,
-        EventQueueBackend::kWheel}) {
+       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
     EventQueue q(backend);
     std::vector<Recorded> seen;
     q.set_dispatcher(&record_dispatch, &seen);
@@ -95,8 +94,7 @@ TEST(EventEngine, PodAndClosureEventsInterleaveInArrivalOrder) {
   // The pooled-closure fallback shares the (time, tie_key, seq) order with
   // POD events: at one timestamp, mixed-API events pop in schedule order.
   for (const auto backend :
-       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar,
-        EventQueueBackend::kWheel}) {
+       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
     EventQueue q(backend);
     std::vector<int> order;
     struct Ctx {
@@ -174,8 +172,7 @@ void reschedule_dispatch(void* ctx, EventKind kind, std::uint32_t entity,
 
 TEST(EventEngine, PodSteadyStateSchedulingIsAllocationFree) {
   for (const auto backend :
-       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar,
-        EventQueueBackend::kWheel}) {
+       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
     EventQueue q(backend);
     ReschedulerCtx ctx{&q};
     q.set_dispatcher(&reschedule_dispatch, &ctx);
@@ -184,10 +181,9 @@ TEST(EventEngine, PodSteadyStateSchedulingIsAllocationFree) {
       q.schedule_event_at(0.01 * static_cast<double>(i), i,
                           static_cast<EventKind>(1 + i % 5), i, i);
     }
-    // Warm-up: long enough that the wheel's level-1 ring (256 slots x
-    // 0.25 s) and the calendar's post-rebuild ring both complete several
-    // full revolutions, so every bucket has been stretched to its periodic
-    // peak occupancy.
+    // Warm-up: long enough that the calendar's post-rebuild ring completes
+    // several full revolutions, so every bucket has been stretched to its
+    // periodic peak occupancy.
     for (int i = 0; i < 60000; ++i) {
       ASSERT_TRUE(q.step());
     }
@@ -208,8 +204,7 @@ TEST(EventEngine, ClosurePoolSteadyStateIsAllocationFree) {
   // small closure (within std::function's inline storage) must not touch
   // the allocator once the pool is warm.
   for (const auto backend :
-       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar,
-        EventQueueBackend::kWheel}) {
+       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
     EventQueue q(backend);
     std::uint64_t pops = 0;
     std::function<void(double)> resched = [&](double) {
@@ -364,10 +359,9 @@ TEST(EventEngine, DispatchTableReproducesPreRefactorFig9Fingerprints) {
   // Golden constants captured from the pre-refactor closure scheduler
   // (identical there on heap and calendar).  The enum dispatch table keeps
   // the exact scheduling call order, so seq assignment — and with it every
-  // pop, draw, and model float — must be unchanged, on all three backends.
+  // pop, draw, and model float — must be unchanged, on both backends.
   for (const auto backend :
-       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar,
-        EventQueueBackend::kWheel}) {
+       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
     SimulationConfig cfg = fig9_like_config();
     cfg.event_queue = backend;
     FlSimulator simulator(cfg);

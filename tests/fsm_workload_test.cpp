@@ -108,35 +108,6 @@ TEST(FsmWorkload, SecAggUnderByzantineFlood) {
   EXPECT_GT(workload.malformed_submitted(), 0u);
 }
 
-TEST(FsmWorkload, EventQueueChurnOnAllBackends) {
-  if (!workload_selected("event_queue_churn")) GTEST_SKIP();
-  // Same interleaving pressure against the reference heap, the calendar
-  // backend, and the timing wheel: whichever one the ctest leg runs under
-  // (TSan included), all three must keep the (time, tie_key) drain order
-  // and event conservation.
-  StragglerStormScenario::Config storm_config;
-  storm_config.begin_step = 20;
-  storm_config.end_step = 120;
-  storm_config.every_kth_actor = 2;
-  storm_config.yields = 8;
-  StragglerStormScenario storm(storm_config);
-  for (const auto backend :
-       {sim::EventQueueBackend::kHeap, sim::EventQueueBackend::kCalendar,
-        sim::EventQueueBackend::kWheel}) {
-    const HarnessOptions options = defaults(505, 4, 160, 40, &storm);
-    EventQueueChurnWorkload workload(options.actors, backend);
-    const HarnessResult result = run_workload(workload, options);
-    EXPECT_TRUE(result.ok())
-        << "backend="
-        << (backend == sim::EventQueueBackend::kHeap       ? "heap"
-            : backend == sim::EventQueueBackend::kCalendar ? "calendar"
-                                                           : "wheel")
-        << "\n"
-        << result.summary();
-    EXPECT_EQ(result.steps_run, options.steps);
-  }
-}
-
 // ---------------------------------------------------- harness meta-tests --
 
 TEST(FsmWorkload, SameSeedReplaysByteIdenticalStepLog) {

@@ -171,26 +171,23 @@ TEST(ScaleSimulator, LazyPopulationReproducesEagerTrajectoryBitForBit) {
 TEST(ScaleSimulator, O1BackendsReproduceHeapTrajectoryBitForBit) {
   // Same documented total order, same pops, same everything — on a full
   // deployment including the legacy-stream golden config, not just on the
-  // synthetic differential churn in sim_test.cpp.  Both amortized-O(1)
-  // backends (calendar and timing wheel) are held to the heap reference.
+  // synthetic differential churn in sim_test.cpp.  The amortized-O(1)
+  // calendar is held to the heap reference.
   SimulationConfig cfg = scale_config();
   cfg.event_queue = EventQueueBackend::kHeap;
   FlSimulator heap(cfg);
   const auto a = heap.run();
   EXPECT_GT(a.events_processed, 0u);
 
-  for (const auto backend :
-       {EventQueueBackend::kCalendar, EventQueueBackend::kWheel}) {
-    cfg.event_queue = backend;
-    FlSimulator other(cfg);
-    const auto b = other.run();
-    EXPECT_EQ(a.final_model, b.final_model);
-    EXPECT_DOUBLE_EQ(a.end_time_s, b.end_time_s);
-    EXPECT_EQ(a.server_steps, b.server_steps);
-    EXPECT_EQ(a.participations_started, b.participations_started);
-    EXPECT_EQ(a.loss_curve.times, b.loss_curve.times);
-    EXPECT_EQ(a.events_processed, b.events_processed);
-  }
+  cfg.event_queue = EventQueueBackend::kCalendar;
+  FlSimulator calendar(cfg);
+  const auto b = calendar.run();
+  EXPECT_EQ(a.final_model, b.final_model);
+  EXPECT_DOUBLE_EQ(a.end_time_s, b.end_time_s);
+  EXPECT_EQ(a.server_steps, b.server_steps);
+  EXPECT_EQ(a.participations_started, b.participations_started);
+  EXPECT_EQ(a.loss_curve.times, b.loss_curve.times);
+  EXPECT_EQ(a.events_processed, b.events_processed);
 }
 
 TEST(ScaleSimulator, SummaryMatchesFullRecordsExactly) {

@@ -6,9 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
-#include <thread>
+#include <limits>
+#include <numeric>
 
 #include "sim/event_queue.hpp"
 #include "sim/fl_simulator.hpp"
@@ -109,49 +109,41 @@ TEST(EventQueue, FifoHoldsWhenSimultaneousEventsScheduleMore) {
 
 TEST(EventQueue, TieKeyOrdersEqualTimeEventsBeforeArrival) {
   // The documented total order is (time, tie_key, seq): at one timestamp,
-  // tie keys sort before arrival order.
-  EventQueue q;
-  std::vector<int> order;
-  for (int key = 4; key >= 0; --key) {
-    q.schedule_at(1.0, static_cast<std::uint64_t>(key),
-                  [&order, key](double) { order.push_back(key); });
-  }
-  q.schedule_in(1.0, 5, [&order](double) { order.push_back(5); });
-  while (q.step()) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(EventQueue, EqualTimePopOrderIsScheduleRaceIndependent) {
-  // Regression: equal-time events scheduled concurrently from different
-  // threads used to pop in seq order — i.e. in whatever order the two
-  // threads won the scheduling race, a different order every run.  With
-  // explicit tie keys the pop order at a timestamp is a pure function of
-  // the keys, whatever the arrival interleaving was.
-  for (int trial = 0; trial < 20; ++trial) {
-    EventQueue q;
-    constexpr int kPerThread = 16;
+  // tie keys sort before arrival order, so the pop order depends only on
+  // the keys — whatever order they were scheduled in.
+  for (const auto backend :
+       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
+    EventQueue q(backend);
     std::vector<int> order;
-    // The recording lambdas only run in the single-threaded pump below, so
-    // capturing `order` from both scheduling threads is race-free.
-    auto schedule_keys = [&](int first_key) {
-      for (int i = 0; i < kPerThread; ++i) {
-        const int key = first_key + 2 * i;
-        q.schedule_at(1.0, static_cast<std::uint64_t>(key),
-                      [&order, key](double) { order.push_back(key); });
-      }
-    };
-    std::thread even([&] { schedule_keys(0); });
-    std::thread odd([&] { schedule_keys(1); });
-    even.join();
-    odd.join();
+    for (int key = 4; key >= 0; --key) {
+      q.schedule_at(1.0, static_cast<std::uint64_t>(key),
+                    [&order, key](double) { order.push_back(key); });
+    }
+    q.schedule_in(1.0, 5, [&order](double) { order.push_back(5); });
     while (q.step()) {
     }
-    std::vector<int> expected(2 * kPerThread);
-    for (int i = 0; i < 2 * kPerThread; ++i) {
-      expected[static_cast<std::size_t>(i)] = i;
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+
+    util::Rng rng(0x71e5ULL);
+    constexpr int kKeys = 32;
+    std::vector<int> expected(kKeys);
+    std::iota(expected.begin(), expected.end(), 0);
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<int> keys = expected;
+      for (std::size_t i = keys.size() - 1; i > 0; --i) {
+        std::swap(keys[i], keys[rng.uniform_int(i + 1)]);
+      }
+      EventQueue shuffled(backend);
+      std::vector<int> popped;
+      for (const int key : keys) {
+        shuffled.schedule_at(2.0, static_cast<std::uint64_t>(key),
+                             [&popped, key](double) { popped.push_back(key); });
+      }
+      while (shuffled.step()) {
+      }
+      ASSERT_EQ(popped, expected)
+          << "backend " << static_cast<int>(backend) << " trial " << trial;
     }
-    ASSERT_EQ(order, expected) << "trial " << trial;
   }
 }
 
@@ -195,42 +187,41 @@ TEST(EventQueue, RunUntilOnEmptyQueueAdvancesToDeadline) {
 
 // ------------------------------------------- Calendar backend equivalence --
 
-TEST(EventQueue, BackendFromEnvParsesAndRejects) {
-  unsetenv("PAPAYA_EVENT_QUEUE");
-  EXPECT_EQ(event_queue_backend_from_env(EventQueueBackend::kHeap),
-            EventQueueBackend::kHeap);
-  EXPECT_EQ(event_queue_backend_from_env(EventQueueBackend::kCalendar),
-            EventQueueBackend::kCalendar);
-  setenv("PAPAYA_EVENT_QUEUE", "calendar", 1);
-  EXPECT_EQ(event_queue_backend_from_env(EventQueueBackend::kHeap),
-            EventQueueBackend::kCalendar);
+TEST(EventQueue, CalendarIsTheDefaultBackend) {
   EXPECT_EQ(EventQueue{}.backend(), EventQueueBackend::kCalendar);
-  setenv("PAPAYA_EVENT_QUEUE", "heap", 1);
-  EXPECT_EQ(event_queue_backend_from_env(EventQueueBackend::kCalendar),
-            EventQueueBackend::kHeap);
-  setenv("PAPAYA_EVENT_QUEUE", "wheel", 1);
-  EXPECT_EQ(event_queue_backend_from_env(EventQueueBackend::kHeap),
-            EventQueueBackend::kWheel);
-  EXPECT_EQ(EventQueue{}.backend(), EventQueueBackend::kWheel);
-  setenv("PAPAYA_EVENT_QUEUE", "splay", 1);
-  EXPECT_THROW(event_queue_backend_from_env(EventQueueBackend::kHeap),
-               std::invalid_argument);
-  unsetenv("PAPAYA_EVENT_QUEUE");
-  EXPECT_EQ(EventQueue{}.backend(), EventQueueBackend::kHeap);
+  EXPECT_EQ(SimulationConfig{}.event_queue, EventQueueBackend::kCalendar);
 }
 
 TEST(EventQueue, SchedulingInThePastThrowsOnEveryBackend) {
+  // Past and non-finite times are rejected alike.  NaN needs its own case:
+  // `when < now` is false for it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   for (const auto backend :
-       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar,
-        EventQueueBackend::kWheel}) {
+       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
     EventQueue q(backend);
     q.schedule_at(5.0, [](double) {});
     q.step();
-    EXPECT_THROW(q.schedule_at(1.0, [](double) {}), std::invalid_argument);
-    EXPECT_THROW(q.schedule_in(-1.0, [](double) {}), std::invalid_argument);
+    for (const double when : {1.0, nan, inf}) {
+      EXPECT_THROW(q.schedule_at(when, [](double) {}), std::invalid_argument)
+          << when;
+      EXPECT_THROW(q.schedule_event_at(when, 0, EventKind{1}, 0, 0),
+                   std::invalid_argument)
+          << when;
+    }
+    for (const double delay : {-1.0, nan, inf}) {
+      EXPECT_THROW(q.schedule_in(delay, [](double) {}), std::invalid_argument)
+          << delay;
+      EXPECT_THROW(q.schedule_event_in(delay, 0, EventKind{1}, 0, 0),
+                   std::invalid_argument)
+          << delay;
+    }
     // The rejected calls must not have half-enqueued anything.
     EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.pending(), 0u);
     EXPECT_DOUBLE_EQ(q.now(), 5.0);
+    EXPECT_FALSE(q.step());
+    EXPECT_EQ(q.events_processed(), 1u);
   }
 }
 
@@ -273,8 +264,7 @@ void expect_pop_sequence_matches_heap(EventQueueBackend candidate) {
           case 2:  // mid-range
             delay = rng.uniform(0.0, 64.0);
             break;
-          case 3:  // far future: sparse-year jumps, resizes, wheel
-                   // level promotions
+          case 3:  // far future: sparse-year jumps and resizes
             delay = 256.0 + rng.uniform(0.0, 4096.0);
             break;
         }
@@ -301,48 +291,6 @@ void expect_pop_sequence_matches_heap(EventQueueBackend candidate) {
 
 TEST(EventQueue, CalendarPopSequenceMatchesHeapUnderRandomChurn) {
   expect_pop_sequence_matches_heap(EventQueueBackend::kCalendar);
-}
-
-TEST(EventQueue, WheelPopSequenceMatchesHeapUnderRandomChurn) {
-  expect_pop_sequence_matches_heap(EventQueueBackend::kWheel);
-}
-
-// The O(1) backends face the same concurrency contract as the heap:
-// equal-time events scheduled from racing threads pop in tie-key order,
-// not arrival order.  (This is also the TSan hammer for each backend's
-// scheduling path.)
-void expect_equal_time_order_race_independent(EventQueueBackend backend) {
-  for (int trial = 0; trial < 20; ++trial) {
-    EventQueue q(backend);
-    constexpr int kPerThread = 16;
-    std::vector<int> order;
-    auto schedule_keys = [&](int first_key) {
-      for (int i = 0; i < kPerThread; ++i) {
-        const int key = first_key + 2 * i;
-        q.schedule_at(1.0, static_cast<std::uint64_t>(key),
-                      [&order, key](double) { order.push_back(key); });
-      }
-    };
-    std::thread even([&] { schedule_keys(0); });
-    std::thread odd([&] { schedule_keys(1); });
-    even.join();
-    odd.join();
-    while (q.step()) {
-    }
-    std::vector<int> expected(2 * kPerThread);
-    for (int i = 0; i < 2 * kPerThread; ++i) {
-      expected[static_cast<std::size_t>(i)] = i;
-    }
-    ASSERT_EQ(order, expected) << "trial " << trial;
-  }
-}
-
-TEST(EventQueue, CalendarEqualTimePopOrderIsScheduleRaceIndependent) {
-  expect_equal_time_order_race_independent(EventQueueBackend::kCalendar);
-}
-
-TEST(EventQueue, WheelEqualTimePopOrderIsScheduleRaceIndependent) {
-  expect_equal_time_order_race_independent(EventQueueBackend::kWheel);
 }
 
 TEST(EventQueue, CalendarSurvivesResizeChurn) {
@@ -477,53 +425,6 @@ TEST(EventQueue, CalendarBucketEdgeRoundingCannotSplitPushFromScan) {
   for (std::size_t i = 0; i < times.size(); ++i) {
     ASSERT_DOUBLE_EQ(popped[i], times[i]) << "at pop " << i;
   }
-}
-
-TEST(EventQueue, WheelSurvivesCascadeAndOverflowChurn) {
-  // Wheel-specific shapes: far-future events beyond the 2^32-tick horizon
-  // (the sorted overflow list), coarse-level promotions that cascade back
-  // down as the clock advances, equal-tick collisions inside one level-0
-  // bucket, and near/far interleaving that exercises the post-cascade
-  // "schedule before base" clamp.  Order must stay the full documented
-  // total order throughout.
-  EventQueue q(EventQueueBackend::kWheel);
-  util::Rng rng(0x8ee1ULL);
-  double last = -1.0;
-  std::size_t popped = 0;
-  std::function<void(double)> check = [&](double t) {
-    EXPECT_GE(t, last);
-    last = t;
-    ++popped;
-    if (popped % 7 == 0) {
-      // Events scheduling events just above now: lands before base_ after
-      // a cascade jumped it ahead.
-      q.schedule_at(t + 0.0001, [&](double u) {
-        EXPECT_GE(u, last);
-        last = u;
-        ++popped;
-      });
-    }
-  };
-  std::size_t scheduled = 0;
-  for (int wave = 0; wave < 3; ++wave) {
-    for (int i = 0; i < 500; ++i) {
-      double delay = 0.0;
-      switch (rng.uniform_int(4)) {
-        case 0: delay = rng.uniform(0.0, 0.01); break;        // level 0
-        case 1: delay = rng.uniform(0.0, 50.0); break;        // mid levels
-        case 2: delay = 1e5 + rng.uniform(0.0, 1e5); break;   // level 3
-        case 3: delay = 5e6 + rng.uniform(0.0, 1e6); break;   // overflow
-      }
-      q.schedule_at(q.now() + delay, check);
-      ++scheduled;
-    }
-    for (int i = 0; i < 400 && q.step(); ++i) {
-    }
-  }
-  while (q.step()) {
-  }
-  EXPECT_GE(popped, scheduled);
-  EXPECT_EQ(q.events_processed(), popped);
 }
 
 // -------------------------------------------------------------- Population --
