@@ -7,11 +7,93 @@ namespace papaya::crypto {
 
 namespace {
 
+using u128 = unsigned __int128;
+
 int hex_val(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
   throw std::invalid_argument("BigUInt::from_hex: invalid hex digit");
+}
+
+// out[0..n] = in[0..n) << s for 0 <= s < 64.  The s == 0 case is split out
+// so no limb is ever shifted by 64.
+void shift_left_limbs(const std::uint64_t* in, std::size_t n, unsigned s,
+                      std::uint64_t* out) {
+  if (s == 0) {
+    std::copy_n(in, n, out);
+    out[n] = 0;
+    return;
+  }
+  out[n] = in[n - 1] >> (64 - s);
+  for (std::size_t i = n - 1; i > 0; --i) {
+    out[i] = (in[i] << s) | (in[i - 1] >> (64 - s));
+  }
+  out[0] = in[0] << s;
+}
+
+// -m^-1 mod 2^64 for odd m0, by Newton iteration: m0 is its own inverse mod
+// 8, and each step doubles the number of correct low bits (3 -> 96).
+std::uint64_t neg_inverse(std::uint64_t m0) {
+  std::uint64_t x = m0;
+  for (int i = 0; i < 5; ++i) x *= 2 - m0 * x;
+  return 0 - x;
+}
+
+// Montgomery multiplication, CIOS form (Koc, Acar & Kaliski 1996):
+// out = a * b * R^-1 mod m with R = 2^(64n), for n-limb a, b < m and odd m.
+// `t` is n + 2 limbs of scratch.  `out` may alias `a` or `b`: both are read
+// only before it is written.
+void mont_mul(const std::uint64_t* a, const std::uint64_t* b,
+              const std::uint64_t* m, std::uint64_t m_inv, std::size_t n,
+              std::uint64_t* t, std::uint64_t* out) {
+  std::fill_n(t, n + 2, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t carry = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const u128 s = static_cast<u128>(a[j]) * b[i] + t[j] + carry;
+      t[j] = static_cast<std::uint64_t>(s);
+      carry = static_cast<std::uint64_t>(s >> 64);
+    }
+    u128 s = static_cast<u128>(t[n]) + carry;
+    t[n] = static_cast<std::uint64_t>(s);
+    t[n + 1] = static_cast<std::uint64_t>(s >> 64);
+
+    // Add q*m, with q chosen so the low limb cancels, and drop that limb.
+    const std::uint64_t q = t[0] * m_inv;
+    s = static_cast<u128>(q) * m[0] + t[0];
+    carry = static_cast<std::uint64_t>(s >> 64);
+    for (std::size_t j = 1; j < n; ++j) {
+      s = static_cast<u128>(q) * m[j] + t[j] + carry;
+      t[j - 1] = static_cast<std::uint64_t>(s);
+      carry = static_cast<std::uint64_t>(s >> 64);
+    }
+    s = static_cast<u128>(t[n]) + carry;
+    t[n - 1] = static_cast<std::uint64_t>(s);
+    t[n] = t[n + 1] + static_cast<std::uint64_t>(s >> 64);
+  }
+
+  // t < 2m: at most one subtraction brings it below m.
+  bool at_least_m = t[n] != 0;
+  if (!at_least_m) {
+    at_least_m = true;
+    for (std::size_t j = n; j-- > 0;) {
+      if (t[j] != m[j]) {
+        at_least_m = t[j] > m[j];
+        break;
+      }
+    }
+  }
+  if (!at_least_m) {
+    std::copy_n(t, n, out);
+    return;
+  }
+  std::uint64_t borrow = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const u128 d = static_cast<u128>(t[j]) - m[j] - borrow;
+    out[j] = static_cast<std::uint64_t>(d);
+    borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+  }
 }
 
 }  // namespace
@@ -197,21 +279,87 @@ std::pair<BigUInt, BigUInt> BigUInt::divmod(const BigUInt& divisor) const {
   }
   if (*this < divisor) return {BigUInt(), *this};
 
-  // Schoolbook binary long division: O(bits * limbs).  Fast enough for DH at
-  // simulation scale; not intended for production cryptography.
-  const std::size_t shift = bit_length() - divisor.bit_length();
-  BigUInt remainder = *this;
+  const std::size_t n = divisor.limbs_.size();
+  const std::size_t m = limbs_.size() - n;
   BigUInt quotient;
-  quotient.limbs_.assign(shift / 64 + 1, 0);
-  BigUInt shifted = divisor << shift;
-  for (std::size_t i = shift + 1; i-- > 0;) {
-    if (remainder >= shifted) {
-      remainder = remainder - shifted;
-      quotient.limbs_[i / 64] |= 1ULL << (i % 64);
+  quotient.limbs_.assign(m + 1, 0);
+
+  if (n == 1) {
+    // Short division by a single limb.
+    const std::uint64_t d = divisor.limbs_[0];
+    std::uint64_t r = 0;
+    for (std::size_t i = limbs_.size(); i-- > 0;) {
+      const u128 cur = (static_cast<u128>(r) << 64) | limbs_[i];
+      quotient.limbs_[i] = static_cast<std::uint64_t>(cur / d);
+      r = static_cast<std::uint64_t>(cur % d);
     }
-    shifted = shifted >> 1;
+    quotient.trim();
+    return {quotient, BigUInt(r)};
+  }
+
+  // Knuth, TAOCP Vol. 2, 4.3.1, Algorithm D over 64-bit limbs.  Variable
+  // time, which is fine for simulation; not intended for production
+  // cryptography.
+  // D1: normalise so the divisor's top limb has its high bit set.
+  const unsigned s =
+      static_cast<unsigned>(__builtin_clzll(divisor.limbs_.back()));
+  std::vector<std::uint64_t> v(n + 1);
+  std::vector<std::uint64_t> u(limbs_.size() + 1);
+  shift_left_limbs(divisor.limbs_.data(), n, s, v.data());
+  shift_left_limbs(limbs_.data(), limbs_.size(), s, u.data());
+  const std::uint64_t v_top = v[n - 1];
+  const std::uint64_t v_next = v[n - 2];
+
+  for (std::size_t j = m + 1; j-- > 0;) {
+    // D3: estimate q from the top two limbs; the loop makes it exact or one
+    // too large.
+    const u128 top = (static_cast<u128>(u[j + n]) << 64) | u[j + n - 1];
+    u128 q_hat = top / v_top;
+    u128 r_hat = top % v_top;
+    while (q_hat >> 64 != 0 ||
+           q_hat * v_next > ((r_hat << 64) | u[j + n - 2])) {
+      --q_hat;
+      r_hat += v_top;
+      if (r_hat >> 64 != 0) break;
+    }
+
+    // D4: u[j..j+n] -= q_hat * v.
+    std::uint64_t mul_carry = 0;
+    std::uint64_t borrow = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const u128 p = q_hat * v[i] + mul_carry;
+      mul_carry = static_cast<std::uint64_t>(p >> 64);
+      const u128 d = static_cast<u128>(u[i + j]) -
+                     static_cast<std::uint64_t>(p) - borrow;
+      u[i + j] = static_cast<std::uint64_t>(d);
+      borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+    }
+    const u128 d = static_cast<u128>(u[j + n]) - mul_carry - borrow;
+    u[j + n] = static_cast<std::uint64_t>(d);
+
+    // D5/D6: if that went negative, q_hat was one too large; add v back.
+    if ((d >> 64) != 0) {
+      --q_hat;
+      std::uint64_t carry = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const u128 sum = static_cast<u128>(u[i + j]) + v[i] + carry;
+        u[i + j] = static_cast<std::uint64_t>(sum);
+        carry = static_cast<std::uint64_t>(sum >> 64);
+      }
+      u[j + n] += carry;  // the carry out cancels the borrow
+    }
+    quotient.limbs_[j] = static_cast<std::uint64_t>(q_hat);
+  }
+
+  // D8: the remainder is u[0..n) shifted back down.
+  BigUInt remainder;
+  remainder.limbs_.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    remainder.limbs_[i] =
+        s == 0 ? u[i] : (u[i] >> s) | (u[i + 1] << (64 - s));
   }
   quotient.trim();
+  remainder.trim();
   return {quotient, remainder};
 }
 
@@ -221,15 +369,68 @@ BigUInt BigUInt::mulmod(const BigUInt& other, const BigUInt& m) const {
 
 BigUInt BigUInt::powmod(const BigUInt& exp, const BigUInt& m) const {
   if (m.is_zero()) throw std::domain_error("BigUInt: powmod modulus zero");
-  BigUInt base = *this % m;
-  BigUInt result(1);
-  result = result % m;  // handles m == 1
-  const std::size_t nbits = exp.bit_length();
-  for (std::size_t i = nbits; i-- > 0;) {
-    result = result.mulmod(result, m);
-    if (exp.bit(i)) result = result.mulmod(base, m);
+  if (exp.is_zero()) return BigUInt(1) % m;
+  const BigUInt base = *this % m;
+
+  if (!m.bit(0)) {
+    // Montgomery needs an odd modulus; even ones (tests only) take
+    // square-and-multiply over mulmod.
+    BigUInt result(1);
+    for (std::size_t i = exp.bit_length(); i-- > 0;) {
+      result = result.mulmod(result, m);
+      if (exp.bit(i)) result = result.mulmod(base, m);
+    }
+    return result;
   }
-  return result;
+
+  // 4-bit fixed-window exponentiation over Montgomery multiplication.
+  const std::size_t n = m.limbs_.size();
+  const std::uint64_t m_inv = neg_inverse(m.limbs_[0]);
+  const std::uint64_t* mod = m.limbs_.data();
+  // One allocation of n-limb buffers: table[k] = base^k * R mod m for
+  // k = 1..15 (table[0] holds a plain 1 for the conversion out), the
+  // accumulator, and mont_mul's n + 2 limbs of scratch.
+  std::vector<std::uint64_t> scratch(16 * n + n + (n + 2), 0);
+  std::uint64_t* table = scratch.data();
+  std::uint64_t* acc = table + 16 * n;
+  std::uint64_t* t = acc + n;
+  const auto entry = [&](std::size_t k) { return table + k * n; };
+  entry(0)[0] = 1;
+
+  // Into Montgomery form: base * R = mont_mul(base, R^2 mod m).
+  BigUInt r_squared;
+  r_squared.limbs_.assign(2 * n + 1, 0);
+  r_squared.limbs_.back() = 1;
+  r_squared = r_squared % m;
+  std::copy(r_squared.limbs_.begin(), r_squared.limbs_.end(), acc);
+  std::copy(base.limbs_.begin(), base.limbs_.end(), entry(1));
+  mont_mul(entry(1), acc, mod, m_inv, n, t, entry(1));
+  for (std::size_t k = 2; k < 16; ++k) {
+    mont_mul(entry(k - 1), entry(1), mod, m_inv, n, t, entry(k));
+  }
+
+  // Windows never straddle a limb because 4 divides 64.
+  const auto window = [&](std::size_t w) {
+    const std::size_t bit = 4 * w;
+    return static_cast<std::size_t>((exp.limbs_[bit / 64] >> (bit % 64)) & 0xf);
+  };
+  std::size_t w = (exp.bit_length() - 1) / 4;
+  std::copy_n(entry(window(w)), n, acc);
+  while (w-- > 0) {
+    for (int i = 0; i < 4; ++i) {
+      mont_mul(acc, acc, mod, m_inv, n, t, acc);
+    }
+    if (const std::size_t k = window(w); k != 0) {
+      mont_mul(acc, entry(k), mod, m_inv, n, t, acc);
+    }
+  }
+
+  // Out of Montgomery form: multiply by 1.
+  mont_mul(acc, entry(0), mod, m_inv, n, t, acc);
+  BigUInt out;
+  out.limbs_.assign(acc, acc + n);
+  out.trim();
+  return out;
 }
 
 }  // namespace papaya::crypto

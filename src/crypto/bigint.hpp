@@ -51,14 +51,18 @@ class BigUInt {
   BigUInt operator<<(std::size_t bits) const;
   BigUInt operator>>(std::size_t bits) const;
 
-  /// {quotient, remainder} by binary long division.
+  /// {quotient, remainder} by Knuth's Algorithm D over 64-bit limbs (short
+  /// division for a one-limb divisor).
   std::pair<BigUInt, BigUInt> divmod(const BigUInt& divisor) const;
   BigUInt operator%(const BigUInt& m) const { return divmod(m).second; }
   BigUInt operator/(const BigUInt& m) const { return divmod(m).first; }
 
   /// (this * other) mod m.
   BigUInt mulmod(const BigUInt& other, const BigUInt& m) const;
-  /// this^exp mod m by square-and-multiply.
+  /// this^exp mod m.  An odd modulus (every DH group, the Shamir prime)
+  /// takes 4-bit fixed-window exponentiation over Montgomery multiplication;
+  /// an even one takes square-and-multiply over mulmod.  Variable time: fine
+  /// for simulation, not intended for production cryptography.
   BigUInt powmod(const BigUInt& exp, const BigUInt& m) const;
 
   /// Uniform value in [0, bound) from a caller-supplied byte source

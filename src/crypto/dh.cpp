@@ -6,7 +6,7 @@ namespace papaya::crypto {
 
 const DhParams& DhParams::simulation256() {
   // Largest prime below 2^256 (p = 2^256 - 189), generator 5.  Chosen for
-  // simulation speed; see header comment.
+  // simulation speed; not a safe prime (see header comment).
   static const DhParams params{
       BigUInt::from_hex(
           "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff43"),
@@ -54,7 +54,10 @@ BigUInt dh_shared_element(const DhParams& params, const BigUInt& private_key,
   if (peer_public.is_zero() || peer_public >= params.p) {
     throw std::invalid_argument("dh_shared_element: public key out of range");
   }
-  if (peer_public == BigUInt(1)) {
+  // SP 800-56A Rev. 3 5.6.2.3 range check, 2 <= y <= p - 2: 1 and p - 1
+  // generate subgroups of order 1 and 2, so the shared element would be a
+  // public value.
+  if (peer_public == BigUInt(1) || peer_public == params.p - BigUInt(1)) {
     throw std::invalid_argument("dh_shared_element: degenerate public key");
   }
   return peer_public.powmod(private_key, params.p);

@@ -7,10 +7,15 @@
 // which clients will claim them; a client completes the exchange with a
 // single *completing message* (Fig. 16 steps 1–3).
 //
-// Group choice: a 256-bit safe-prime group is the default so that
+// Group choice: the 256-bit prime 2^256 - 189 is the default so that
 // laptop-scale simulations with thousands of clients stay fast; the RFC 3526
-// 1536-bit MODP group is available for protocol-fidelity tests.  Neither is a
-// statement about production parameter sizes.
+// 1536-bit MODP group (a safe prime) is available for protocol-fidelity
+// tests.  Neither is a statement about production parameter sizes.  The
+// default is not a safe prime: p - 1 = 2 * 3 * 29 * c with c a composite
+// 249-bit number, so Z_p* has small subgroups of order 2, 3 and 29.  The
+// public-key range check in dh_shared_element (2 <= y <= p - 2) excludes
+// only the order-1 and order-2 elements; it is partial validation, not a
+// subgroup-membership check.
 
 #include <cstdint>
 
@@ -27,7 +32,8 @@ struct DhParams {
   BigUInt g;
   std::size_t byte_width() const { return (p.bit_length() + 7) / 8; }
 
-  /// 256-bit safe prime group — simulation default.
+  /// 256-bit prime group (p = 2^256 - 189, not a safe prime) — simulation
+  /// default.
   static const DhParams& simulation256();
   /// RFC 3526 group 5 (1536-bit MODP) — protocol-fidelity testing.
   static const DhParams& rfc3526_1536();
@@ -53,7 +59,8 @@ class DhRandom {
 /// Generate a keypair: private key uniform in [2, p-2].
 DhKeyPair dh_generate(const DhParams& params, DhRandom& random);
 
-/// Compute the raw shared group element peer_public^private mod p.
+/// Compute the raw shared group element peer_public^private mod p.  Throws
+/// std::invalid_argument unless 2 <= peer_public <= p - 2.
 BigUInt dh_shared_element(const DhParams& params, const BigUInt& private_key,
                           const BigUInt& peer_public);
 

@@ -161,12 +161,14 @@ ParallelAggregator::Reduced ParallelAggregator::reduce_and_reset_sums() {
   // lands intact in the *next* buffer instead of being folded into an
   // accumulator that this reduce already summed-and-reset.  The same
   // handshake is the happens-before edge that makes the strategies' plain
-  // thread-local state safe to merge here.
+  // thread-local state safe to merge here.  Waiting for !paused_ as well
+  // admits one reducer at a time: two would merge the same accumulators and
+  // count their updates twice.
   {
     util::LockGuard lock(queue_mutex_);
     drained_cv_.wait(queue_mutex_, lock, [this] {
       queue_mutex_.assert_held();
-      return queue_.empty() && inflight_ == 0;
+      return !paused_ && queue_.empty() && inflight_ == 0;
     });
     paused_ = true;
   }
@@ -185,7 +187,8 @@ ParallelAggregator::Reduced ParallelAggregator::reduce_and_reset_sums() {
     util::LockGuard lock(queue_mutex_);
     paused_ = false;
   }
-  queue_cv_.notify_all();  // wake workers for anything enqueued mid-reduce
+  queue_cv_.notify_all();    // wake workers for anything enqueued mid-reduce
+  drained_cv_.notify_all();  // and any reducer waiting its turn
   return out;
 }
 

@@ -31,7 +31,9 @@
 // reduce_and_reset() is safe against concurrent enqueue(): the reduce
 // quiesces the pool (drains, then pauses workers under the queue lock) so an
 // update enqueued mid-reduce lands in the *next* buffer instead of being
-// folded into an accumulator that was already summed-and-reset.
+// folded into an accumulator that was already summed-and-reset.  Concurrent
+// reduces take turns on the same pause flag, so each update is counted by
+// exactly one of them.
 
 #include <array>
 #include <atomic>
@@ -143,7 +145,7 @@ class ParallelAggregator {
   bool stopping_ PAPAYA_GUARDED_BY(queue_mutex_) = false;
   /// True while reduce_and_reset() reads/resets the accumulators; workers
   /// leave the queue untouched so mid-reduce enqueues survive into the next
-  /// buffer.
+  /// buffer, and other reducers wait their turn.
   bool paused_ PAPAYA_GUARDED_BY(queue_mutex_) = false;
 
   std::vector<std::thread> workers_;

@@ -60,12 +60,13 @@ TsaAccept TrustedSecureAggregator::admit_contribution(
   if (index >= private_keys_.size()) return TsaAccept::kIndexUnknown;
   if (index_consumed_[index]) return TsaAccept::kIndexConsumed;
 
-  crypto::BigUInt client_public;
-  try {
-    client_public = crypto::BigUInt::from_bytes(completing_message);
-  } catch (const std::exception&) {
+  // Honest clients send exactly byte_width() bytes; any other length is
+  // malformed, even when it parses to the same integer.
+  if (completing_message.size() != dh_.byte_width()) {
     return TsaAccept::kBadPublicKey;
   }
+  const crypto::BigUInt client_public =
+      crypto::BigUInt::from_bytes(completing_message);
 
   crypto::Digest key;
   try {

@@ -268,9 +268,10 @@ TEST(BigUInt, MultiplicationKnownProduct) {
 
 TEST(BigUInt, DivmodIdentityProperty) {
   // Property: for random a, b != 0: a == (a/b)*b + (a%b) and a%b < b.
+  // Divisors span one limb (short division) up to six, dividends up to 12.
   util::Rng rng(99);
-  for (int iter = 0; iter < 200; ++iter) {
-    Bytes ab(1 + rng.uniform_int(24)), bb(1 + rng.uniform_int(12));
+  for (int iter = 0; iter < 500; ++iter) {
+    Bytes ab(1 + rng.uniform_int(96)), bb(1 + rng.uniform_int(48));
     for (auto& x : ab) x = static_cast<std::uint8_t>(rng.uniform_int(256));
     for (auto& x : bb) x = static_cast<std::uint8_t>(rng.uniform_int(256));
     const BigUInt a = BigUInt::from_bytes(ab);
@@ -280,6 +281,19 @@ TEST(BigUInt, DivmodIdentityProperty) {
     EXPECT_EQ(q * b + r, a);
     EXPECT_LT(r, b);
   }
+}
+
+TEST(BigUInt, DivmodAddBackBranch) {
+  // Algorithm D's quotient estimate from the top two limbs is one too large
+  // here, so the multiply-subtract goes negative and v is added back.
+  // Random inputs reach that branch with probability about 2^-63 per limb.
+  const BigUInt a = BigUInt::from_hex(
+      "7fffffffffffffff800000000000000000000000000000000000000000000000");
+  const BigUInt b = BigUInt::from_hex(
+      "800000000000000000000000000000000000000000000001");
+  const auto [q, r] = a.divmod(b);
+  EXPECT_EQ(q.to_hex(), "fffffffffffffffe");
+  EXPECT_EQ(r.to_hex(), "7fffffffffffffffffffffffffffffff0000000000000002");
 }
 
 TEST(BigUInt, DivisionByZeroThrows) {
@@ -298,6 +312,15 @@ TEST(BigUInt, PowmodFermatLittleTheorem) {
   for (std::uint64_t a : {2ULL, 3ULL, 999999ULL}) {
     EXPECT_EQ(BigUInt(a).powmod(p - BigUInt(1), p), BigUInt(1));
   }
+  // The primes the library reduces by: Shamir's 2^130 - 5, the default DH
+  // group's 2^256 - 189, and the RFC 3526 1536-bit MODP prime.
+  const BigUInt one(1);
+  for (const BigUInt& q : {(one << 130) - BigUInt(5), DhParams::simulation256().p,
+                           DhParams::rfc3526_1536().p}) {
+    for (const BigUInt& a : {BigUInt(2), BigUInt(3), q - BigUInt(2)}) {
+      EXPECT_EQ(a.powmod(q - one, q), one) << "p = " << q.to_hex();
+    }
+  }
 }
 
 TEST(BigUInt, PowmodMatchesSmallIntegers) {
@@ -311,6 +334,53 @@ TEST(BigUInt, PowmodMatchesSmallIntegers) {
     for (std::uint64_t i = 0; i < exp; ++i) expected = expected * base % mod;
     EXPECT_EQ(BigUInt(base).powmod(BigUInt(exp), BigUInt(mod)),
               BigUInt(expected));
+  }
+}
+
+TEST(BigUInt, PowmodMatchesSquareAndMultiplyReference) {
+  // Differential check against the textbook algorithm over mulmod, on odd
+  // (Montgomery) and even moduli of 1-24 limbs, with bases up to twice the
+  // modulus width so base >= m is common.
+  const auto reference = [](const BigUInt& base, const BigUInt& exp,
+                            const BigUInt& m) {
+    BigUInt result = BigUInt(1) % m;
+    const BigUInt b = base % m;
+    for (std::size_t i = exp.bit_length(); i-- > 0;) {
+      result = result.mulmod(result, m);
+      if (exp.bit(i)) result = result.mulmod(b, m);
+    }
+    return result;
+  };
+  util::Rng rng(101);
+  const auto random_value = [&](std::size_t max_bytes) {
+    Bytes bytes(1 + rng.uniform_int(max_bytes));
+    for (auto& x : bytes) x = static_cast<std::uint8_t>(rng.uniform_int(256));
+    return BigUInt::from_bytes(bytes);
+  };
+  for (int iter = 0; iter < 300; ++iter) {
+    BigUInt m = random_value(8 * 24);
+    if (m.is_zero()) m = BigUInt(1);
+    // Force each parity half the time.
+    if (iter % 2 == 0 && !m.bit(0)) m = m + BigUInt(1);
+    if (iter % 2 == 1 && m.bit(0)) m = m + BigUInt(1);
+    const BigUInt base = random_value(16 * 24);
+    const BigUInt exp = random_value(40);
+    EXPECT_EQ(base.powmod(exp, m), reference(base, exp, m))
+        << "base=" << base.to_hex() << " exp=" << exp.to_hex()
+        << " m=" << m.to_hex();
+  }
+  // Edge cases: m = 1, exp = 0, base = 0, base = m, base a multiple of m.
+  const BigUInt p = DhParams::simulation256().p;
+  const BigUInt even = p + BigUInt(1);
+  for (const BigUInt& m : {BigUInt(1), BigUInt(2), BigUInt(3), p, even}) {
+    for (const BigUInt& base :
+         {BigUInt(0), BigUInt(1), BigUInt(7), m, m * BigUInt(5) + BigUInt(2)}) {
+      for (const BigUInt& exp : {BigUInt(0), BigUInt(1), BigUInt(2), p}) {
+        EXPECT_EQ(base.powmod(exp, m), reference(base, exp, m))
+            << "base=" << base.to_hex() << " exp=" << exp.to_hex()
+            << " m=" << m.to_hex();
+      }
+    }
   }
 }
 
@@ -368,6 +438,11 @@ TEST(Dh, RejectsDegeneratePublicKeys) {
                std::invalid_argument);
   EXPECT_THROW(dh_shared_element(params, kp.private_key, params.p),
                std::invalid_argument);
+  // p - 1 has order 2: the shared element would be 1 or p - 1, a public
+  // value, so the derived channel key would be guessable.
+  EXPECT_THROW(
+      dh_shared_element(params, kp.private_key, params.p - BigUInt(1)),
+      std::invalid_argument);
 }
 
 TEST(Dh, DerivedKeysDependOnLabel) {

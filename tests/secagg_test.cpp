@@ -381,6 +381,41 @@ TEST(Protocol, SeedReplayUnderDifferentIndexRejected) {
             TsaAccept::kDecryptionFailed);
 }
 
+TEST(Protocol, BadPublicKeyRejectedWithoutConsumingIndex) {
+  // Completing messages the TSA must refuse before any decryption: the
+  // degenerate values 0 and 1, the order-2 element p - 1, the out-of-range
+  // p, and an honest message with a zero byte prefixed (same integer, wrong
+  // length).  None may consume the index or count as accepted.
+  const std::size_t length = 8;
+  ProtocolWorld world(length, 1, 4);
+  const auto c = world.client_contribution(0, std::vector<float>(length, 0.5f));
+  ASSERT_TRUE(c.has_value());
+  const std::size_t width = world.dh.byte_width();
+  util::Bytes zero_prefixed{0};
+  zero_prefixed.insert(zero_prefixed.end(), c->completing_message.begin(),
+                       c->completing_message.end());
+  const std::vector<util::Bytes> bad = {
+      crypto::BigUInt(0).to_bytes(width),
+      crypto::BigUInt(1).to_bytes(width),
+      (world.dh.p - crypto::BigUInt(1)).to_bytes(width),
+      world.dh.p.to_bytes(width),
+      zero_prefixed,
+  };
+  for (const util::Bytes& message : bad) {
+    EXPECT_EQ(world.tsa->process_contribution(c->message_index, message,
+                                              c->sealed_seed, c->message_index),
+              TsaAccept::kBadPublicKey)
+        << util::to_hex(message);
+    EXPECT_EQ(world.tsa->accepted_count(), 0u);
+  }
+  // The honest completing message can still claim the index.
+  EXPECT_EQ(world.tsa->process_contribution(c->message_index,
+                                            c->completing_message,
+                                            c->sealed_seed, c->message_index),
+            TsaAccept::kAccepted);
+  EXPECT_EQ(world.tsa->accepted_count(), 1u);
+}
+
 TEST(Protocol, UnknownIndexRejected) {
   const std::size_t length = 8;
   ProtocolWorld world(length, 1, 4);
