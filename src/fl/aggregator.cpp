@@ -166,9 +166,12 @@ ReportResult Aggregator::client_report(const std::string& task,
                                        const util::Bytes& serialized_update,
                                        double now) {
   auto& ts = state(task);
+  // Only the header is needed here; the shard worker decodes the delta.  It
+  // is read before any counter moves, so a malformed report that throws
+  // leaves the task's stats and active set as they were.
+  const UpdateHeader header = UpdateHeader::read(serialized_update);
   ++ts.stats.updates_received;
 
-  ModelUpdate header = ModelUpdate::deserialize(serialized_update);
   const auto it = ts.active.find(header.client_id);
   if (it == ts.active.end()) {
     // Not active: previously aborted (over-selection / staleness) or never

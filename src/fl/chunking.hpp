@@ -42,6 +42,15 @@ struct UploadChunk {
 };
 
 /// CRC-32 (IEEE 802.3, reflected) over a byte span.
+///
+/// On x86-64 (GCC or Clang) a CPU with PCLMULQDQ folds inputs of 64 bytes
+/// or more with carry-less multiplies (Gopal et al., Intel 2009): four
+/// 128-bit lanes per 64-byte block, then one lane per 16-byte block, and
+/// the table loop for the last 128 bits and the < 16-byte tail.  The CPU
+/// check runs once, on first use; shorter inputs, other CPUs and other
+/// compilers run the byte-at-a-time table loop.  Both paths compute the
+/// same CRC for every input, so no stored value or chunk stream depends on
+/// which one ran.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 /// The CRC a well-formed chunk carries: CRC-32 over the chunk's framing

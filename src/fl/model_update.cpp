@@ -1,6 +1,7 @@
 #include "fl/model_update.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace papaya::fl {
 
@@ -14,13 +15,30 @@ util::Bytes ModelUpdate::serialize() const {
 }
 
 ModelUpdate ModelUpdate::deserialize(const util::Bytes& bytes) {
-  util::ByteReader r(bytes);
+  const UpdateHeader header = UpdateHeader::read(bytes);
+  // The delta decodes from its length prefix, the header's last field.
+  const auto delta = std::span<const std::uint8_t>(bytes).subspan(
+      UpdateHeader::kBytes - sizeof(std::uint64_t));
   ModelUpdate out;
-  out.client_id = r.u64();
-  out.initial_version = r.u64();
-  out.num_examples = r.u64();
-  out.delta = r.floats();
+  out.client_id = header.client_id;
+  out.initial_version = header.initial_version;
+  out.num_examples = header.num_examples;
+  out.delta = util::ByteReader(delta).floats();
   return out;
+}
+
+UpdateHeader UpdateHeader::read(std::span<const std::uint8_t> bytes) {
+  util::ByteReader r(bytes);
+  UpdateHeader header;
+  header.client_id = r.u64();
+  header.initial_version = r.u64();
+  header.num_examples = r.u64();
+  header.delta_size = r.u64();
+  // Division form, as in ByteReader::floats: a hostile count cannot overflow.
+  if (header.delta_size > r.remaining() / 4) {
+    throw std::out_of_range("ModelUpdate: truncated delta");
+  }
+  return header;
 }
 
 const char* to_string(StalenessScheme scheme) {

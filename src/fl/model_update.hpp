@@ -7,6 +7,7 @@
 // where s = version_at_upload - version_at_download.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -27,6 +28,23 @@ struct ModelUpdate {
   /// until a worker deserializes them, Sec. 6.3).
   util::Bytes serialize() const;
   static ModelUpdate deserialize(const util::Bytes& bytes);
+};
+
+/// The fixed-size head of ModelUpdate's wire format: the three scalar fields
+/// and the delta's length prefix, 32 bytes in all.
+struct UpdateHeader {
+  static constexpr std::size_t kBytes = 4 * sizeof(std::uint64_t);
+
+  std::uint64_t client_id = 0;
+  std::uint64_t initial_version = 0;
+  std::size_t num_examples = 0;
+  std::uint64_t delta_size = 0;
+
+  /// Reads a serialized update's header without decoding its delta.  Throws
+  /// std::out_of_range when the bytes end before the header or before the
+  /// `delta_size` floats it declares, the check ModelUpdate::deserialize
+  /// applies, so a header that reads cleanly heads a decodable update.
+  static UpdateHeader read(std::span<const std::uint8_t> bytes);
 };
 
 /// Staleness down-weighting families.  The paper (App. E.2) uses the

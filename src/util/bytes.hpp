@@ -77,6 +77,9 @@ class ByteWriter {
     for (float x : v) f32(x);
   }
 
+  /// Pre-size for a message of known length, so no write reallocates.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   const Bytes& data() const& { return buf_; }
   Bytes take() && { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }

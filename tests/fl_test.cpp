@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <set>
@@ -23,6 +24,7 @@
 #include "fl/sharded_agg.hpp"
 #include "ml/dataset.hpp"
 #include "ml/math.hpp"
+#include "util/rng.hpp"
 
 namespace papaya::fl {
 namespace {
@@ -40,6 +42,30 @@ TEST(ModelUpdate, SerializationRoundTrip) {
   EXPECT_EQ(back.initial_version, 7u);
   EXPECT_EQ(back.num_examples, 13u);
   EXPECT_EQ(back.delta, u.delta);
+}
+
+TEST(ModelUpdate, HeaderReadMatchesDeserializeAndRejectsTruncation) {
+  ModelUpdate u;
+  u.client_id = 42;
+  u.initial_version = 7;
+  u.num_examples = 13;
+  u.delta = {1.0f, -2.5f, 0.0f};
+  util::Bytes bytes = u.serialize();
+  const UpdateHeader header = UpdateHeader::read(bytes);
+  EXPECT_EQ(header.client_id, 42u);
+  EXPECT_EQ(header.initial_version, 7u);
+  EXPECT_EQ(header.num_examples, 13u);
+  EXPECT_EQ(header.delta_size, 3u);
+  // Wherever the bytes end early, both readers refuse them.
+  for (std::size_t cut = 1; cut <= bytes.size(); ++cut) {
+    const util::Bytes prefix(bytes.begin(),
+                             bytes.end() - static_cast<std::ptrdiff_t>(cut));
+    EXPECT_THROW(UpdateHeader::read(prefix), std::out_of_range) << cut;
+    EXPECT_THROW(ModelUpdate::deserialize(prefix), std::out_of_range) << cut;
+  }
+  // A count no payload could hold is refused without overflowing.
+  for (std::size_t b = 24; b < 32; ++b) bytes[b] = 0xff;
+  EXPECT_THROW(UpdateHeader::read(bytes), std::out_of_range);
 }
 
 TEST(ModelUpdate, StalenessWeightFollowsPaperFormula) {
@@ -613,6 +639,33 @@ TEST(Aggregator, UnknownTaskThrows) {
   EXPECT_THROW(agg.client_join("nope", 1, 0.0), std::out_of_range);
 }
 
+TEST(Aggregator, MalformedReportThrowsWithoutMovingCounters) {
+  Aggregator agg("a");
+  agg.assign_task(async_task(10, 2), std::vector<float>(4, 0.0f), {});
+  ASSERT_TRUE(agg.client_join("lm", 1, 0.0).accepted);
+  const auto counters = [&] {
+    const TaskStats& s = agg.stats("lm");
+    return std::array{s.updates_received, s.updates_applied,
+                      s.updates_discarded, s.server_steps,
+                      s.clients_aborted,   s.clients_failed};
+  };
+  const auto before = counters();
+
+  const util::Bytes honest = update_from(1, 0);
+  const util::Bytes truncated(honest.begin(), honest.end() - 3);
+  const util::Bytes header_only(honest.begin(), honest.begin() + 10);
+  for (const util::Bytes* bad : {&truncated, &header_only}) {
+    EXPECT_THROW(agg.client_report("lm", *bad, 1.0), std::out_of_range);
+    EXPECT_EQ(counters(), before);
+    EXPECT_EQ(agg.active_clients("lm"), 1u);
+  }
+
+  EXPECT_EQ(agg.client_report("lm", honest, 1.0).outcome,
+            ReportOutcome::kAccepted);
+  EXPECT_EQ(agg.stats("lm").updates_received, 1u);
+  EXPECT_EQ(agg.active_clients("lm"), 0u);
+}
+
 // ------------------------------------------------------------- Coordinator --
 
 TEST(Coordinator, PlacesTaskOnLeastLoadedAggregator) {
@@ -913,6 +966,68 @@ TEST(Chunking, ChunkSerializationRoundTrip) {
   EXPECT_EQ(back.total, 7u);
   EXPECT_EQ(back.payload, chunk.payload);
   EXPECT_EQ(back.crc, chunk.crc);
+}
+
+/// CRC-32 register update one bit at a time, straight from the reflected
+/// polynomial: an oracle shared with neither the table nor the fold.
+std::uint32_t crc32_bitwise(std::uint32_t crc,
+                            std::span<const std::uint8_t> data) {
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0xedb88320u : 0u);
+    }
+  }
+  return crc;
+}
+
+TEST(Chunking, Crc32MatchesBitwiseReference) {
+  util::Rng rng(15);
+  util::Bytes buffer(70'000 + 16);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.next());
+  const std::span<const std::uint8_t> all(buffer);
+  const auto matches = [&](std::size_t offset, std::size_t length) {
+    const auto data = all.subspan(offset, length);
+    return crc32(data) == (crc32_bitwise(0xffffffffu, data) ^ 0xffffffffu);
+  };
+  // Every length through the short-input loop (< 64), the fold's entry, its
+  // 16-byte loop and every tail, at every start alignment.
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 600; ++length) {
+      ASSERT_TRUE(matches(offset, length))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+  for (int i = 0; i < 300; ++i) {
+    const std::size_t offset = rng.uniform_int(16);
+    const std::size_t length = rng.uniform_int(70'001);
+    ASSERT_TRUE(matches(offset, length))
+        << "offset " << offset << ", length " << length;
+  }
+}
+
+TEST(Chunking, ChunkCrcMatchesBitwiseReference) {
+  // The reference runs over the 16 framing bytes, then over the payload from
+  // the register the framing left, as chunk_crc's payload pass does.
+  util::Rng rng(16);
+  for (int i = 0; i < 200; ++i) {
+    UploadChunk chunk;
+    chunk.session_id = rng.next();
+    chunk.index = static_cast<std::uint32_t>(rng.next());
+    chunk.total = static_cast<std::uint32_t>(rng.next());
+    chunk.payload.resize(rng.uniform_int(8'193));
+    for (auto& b : chunk.payload) b = static_cast<std::uint8_t>(rng.next());
+    util::ByteWriter framing;
+    framing.u64(chunk.session_id);
+    framing.u32(chunk.index);
+    framing.u32(chunk.total);
+    const std::uint32_t expected =
+        crc32_bitwise(crc32_bitwise(0xffffffffu, framing.data()),
+                      chunk.payload) ^
+        0xffffffffu;
+    ASSERT_EQ(chunk_crc(chunk), expected)
+        << "chunk " << i << ", payload " << chunk.payload.size();
+  }
 }
 
 // ---------------------------------------------------- Weighting ablations --
