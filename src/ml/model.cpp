@@ -38,15 +38,330 @@ void check_token(std::int32_t t, std::size_t vocab) {
 // MLP n-gram language model.
 // Parameter layout (flat): E[V*De] | W1[H*(C*De)] | b1[H] | W2[V*H] | b2[V].
 // ---------------------------------------------------------------------------
+struct MlpLayout {
+  explicit MlpLayout(const LmConfig& cfg)
+      : w1(cfg.vocab_size * cfg.embed_dim),
+        b1(w1 + cfg.hidden_dim * cfg.context * cfg.embed_dim),
+        w2(b1 + cfg.hidden_dim),
+        b2(w2 + cfg.vocab_size * cfg.hidden_dim),
+        size(b2 + cfg.vocab_size) {}
+  std::size_t w1, b1, w2, b2, size;  // E starts at 0
+};
+
+// MlpLm::loss runs the predictions of a batch kBlock at a time: it gathers a
+// block's context embeddings, runs the forward pass for every prediction in
+// the block, then the backward pass.  The six products vectorize across
+// independent outputs and never along a reduction, so every value is
+// bit-identical to running one prediction at a time through matvec,
+// matvec_transposed and outer_accumulate:
+//   - a hidden unit or logit sums its row in column order from +0.0f;
+//   - a W1, b1, W2 or b2 gradient element sums over predictions in order;
+//   - an embedding-gradient row takes its additions in (prediction, context
+//     slot) order;
+//   - the loss sums in double, in prediction order.
+// The parameters do not change during one call, so running a block forward
+// and then backward changes no value.  tanh and exp stay scalar libm calls;
+// a vector version would round differently.  No build of this code may
+// enable FMA: the compiler would contract a*b+c and change the bits.
+
+/// Vector widths pad to this many floats, a multiple of every Isa's width.
+constexpr std::size_t kLanes = 8;
+/// Predictions per block; a multiple of kTileRows.
+constexpr std::size_t kBlock = 32;
+/// A register tile is kTileRows output rows by up to kTileVecs vectors.
+constexpr std::size_t kTileRows = 4;
+constexpr std::size_t kTileVecs = 3;
+
+constexpr std::size_t pad_lanes(std::size_t n) {
+  return (n + kLanes - 1) / kLanes * kLanes;
+}
+
+/// 16-byte vectors: SSE2 on every x86-64 CPU, generic code elsewhere.
+struct PortableIsa {
+  typedef float Vec __attribute__((vector_size(16)));
+};
+
+/// c[r][j] (+)= sum over k, in order, of a(r, k) * b[k][j], for r < rows and
+/// j < cols.  a(r, k) = a[r * a_row + k * a_k] is read one scalar at a time,
+/// so either operand order works; rows of b and c are contiguous.  rows is a
+/// multiple of kTileRows and cols a multiple of kLanes.
+struct Product {
+  const float* a;
+  std::size_t a_row, a_k;
+  const float* b;
+  std::size_t b_row;
+  float* c;
+  std::size_t c_row;
+  std::size_t rows, cols, depth;
+  bool accumulate;  // start from c rather than from +0.0f
+};
+
+/// One kTileRows x NV-vector tile of a Product, held in registers while it
+/// runs over the whole depth.  Each lane is one output with its own chain.
+template <class Isa, std::size_t NV>
+[[gnu::always_inline]] inline void product_tile(const Product& p,
+                                                std::size_t r0,
+                                                std::size_t j0) {
+  using Vec = typename Isa::Vec;
+  constexpr std::size_t W = sizeof(Vec) / sizeof(float);
+  // Loads and stores go through one local each, which the compiler turns
+  // into a register move; memcpy straight into acc[r][j] would keep the
+  // whole tile in memory.
+  Vec acc[kTileRows][NV];
+  for (std::size_t r = 0; r < kTileRows; ++r) {
+    for (std::size_t j = 0; j < NV; ++j) {
+      Vec v{};
+      if (p.accumulate) {
+        std::memcpy(&v, p.c + (r0 + r) * p.c_row + j0 + j * W, sizeof v);
+      }
+      acc[r][j] = v;
+    }
+  }
+  const float* a = p.a + r0 * p.a_row;
+  const float* b = p.b + j0;
+  for (std::size_t k = 0; k < p.depth; ++k, a += p.a_k, b += p.b_row) {
+    Vec bv[NV];
+    for (std::size_t j = 0; j < NV; ++j) {
+      Vec v;
+      std::memcpy(&v, b + j * W, sizeof v);
+      bv[j] = v;
+    }
+    for (std::size_t r = 0; r < kTileRows; ++r) {
+      const float s = a[r * p.a_row];
+      // vector * scalar broadcasts s; a braced {s, s, ...} does not.
+      for (std::size_t j = 0; j < NV; ++j) acc[r][j] += bv[j] * s;
+    }
+  }
+  for (std::size_t r = 0; r < kTileRows; ++r) {
+    for (std::size_t j = 0; j < NV; ++j) {
+      const Vec v = acc[r][j];
+      std::memcpy(p.c + (r0 + r) * p.c_row + j0 + j * W, &v, sizeof v);
+    }
+  }
+}
+
+template <class Isa>
+[[gnu::always_inline]] inline void run_product(const Product& p) {
+  static_assert(kTileVecs == 3, "the switch below covers 1 and 2 vectors");
+  constexpr std::size_t W = sizeof(typename Isa::Vec) / sizeof(float);
+  for (std::size_t r0 = 0; r0 < p.rows; r0 += kTileRows) {
+    std::size_t j0 = 0;
+    for (; j0 + kTileVecs * W <= p.cols; j0 += kTileVecs * W) {
+      product_tile<Isa, kTileVecs>(p, r0, j0);
+    }
+    switch ((p.cols - j0) / W) {
+      case 2: product_tile<Isa, 2>(p, r0, j0); break;
+      case 1: product_tile<Isa, 1>(p, r0, j0); break;
+      default: break;
+    }
+  }
+}
+
+/// The whole loss computation, instantiated once per Isa and inlined into
+/// that Isa's entry point so it compiles under the entry point's target.
+template <class Isa>
+[[gnu::always_inline]] inline double mlp_loss_kernel(
+    const LmConfig& cfg, std::span<const float> params,
+    std::span<const Sequence> batch, std::span<float> grad) {
+  if (!grad.empty()) std::fill(grad.begin(), grad.end(), 0.0f);
+  const std::size_t n_pred = LanguageModel::num_predictions(batch);
+  if (n_pred == 0) return 0.0;
+  const float inv_n = 1.0f / static_cast<float>(n_pred);
+  const bool backward = !grad.empty();
+
+  const MlpLayout at(cfg);
+  const std::size_t V = cfg.vocab_size, De = cfg.embed_dim,
+                    H = cfg.hidden_dim, C = cfg.context, K = C * De;
+  const std::size_t Vp = pad_lanes(V), Hp = pad_lanes(H), Kp = pad_lanes(K);
+  const float* embed = params.data();
+  const float* w1 = params.data() + at.w1;
+  const float* b1 = params.data() + at.b1;
+  const float* w2 = params.data() + at.w2;
+  const float* b2 = params.data() + at.b2;
+
+  // Zero-padded weight copies: transposed for the forward products,
+  // row-major for the backward ones.  Padded lanes are computed but never
+  // read back.
+  std::vector<float> w1t(K * Hp), w2t(H * Vp);
+  for (std::size_t i = 0; i < H; ++i) {
+    for (std::size_t k = 0; k < K; ++k) w1t[k * Hp + i] = w1[i * K + k];
+  }
+  for (std::size_t v = 0; v < V; ++v) {
+    for (std::size_t i = 0; i < H; ++i) w2t[i * Vp + v] = w2[v * H + i];
+  }
+  // Block scratch, one row per prediction: x holds the context embeddings,
+  // h the hidden layer, dl the logits and then their gradient.
+  std::vector<float> x(kBlock * Kp), h(kBlock * Hp), dl(kBlock * Vp);
+  std::vector<std::int32_t> ctx(kBlock * C), target(kBlock);
+
+  // Backward only.  The W1 and W2 gradients accumulate in g1 and g2, laid
+  // out like w1r and w2r with the rows padded too, so every tile is whole;
+  // they reach `grad` at the end.  dh and dx are a block's hidden and input
+  // gradients.
+  std::vector<float> w1r, w2r, g1, g2, dh, dx;
+  if (backward) {
+    w1r.resize(H * Kp);
+    w2r.resize(V * Hp);
+    for (std::size_t i = 0; i < H; ++i) {
+      std::copy_n(w1 + i * K, K, w1r.data() + i * Kp);
+    }
+    for (std::size_t v = 0; v < V; ++v) {
+      std::copy_n(w2 + v * H, H, w2r.data() + v * Hp);
+    }
+    g1.resize(Hp * Kp);
+    g2.resize(Vp * Hp);
+    dh.resize(kBlock * Hp);
+    dx.resize(kBlock * Kp);
+  }
+
+  double total_loss = 0.0;
+  // The next prediction is batch[seq][t]; seq skips sequences shorter than 2.
+  std::size_t seq = 0, t = 1;
+  while (batch[seq].size() < 2) ++seq;
+  while (true) {
+    // Gather the next block.  Context window [t-C, t), padded on the left
+    // with the sequence's first token.
+    std::size_t nb = 0;
+    for (; nb < kBlock && seq < batch.size(); ++nb) {
+      const Sequence& s = batch[seq];
+      target[nb] = s[t];
+      check_token(target[nb], V);
+      for (std::size_t j = 0; j < C; ++j) {
+        const std::int32_t tok = t + j >= C ? s[t + j - C] : s[0];
+        check_token(tok, V);
+        ctx[nb * C + j] = tok;
+        std::memcpy(x.data() + nb * Kp + j * De,
+                    embed + static_cast<std::size_t>(tok) * De,
+                    De * sizeof(float));
+      }
+      if (++t == s.size()) {
+        t = 1;
+        do ++seq; while (seq < batch.size() && batch[seq].size() < 2);
+      }
+    }
+    if (nb == 0) break;
+    const std::size_t rows = (nb + kTileRows - 1) / kTileRows * kTileRows;
+
+    // Forward.  Rows past nb hold stale inputs; their outputs go unread.
+    run_product<Isa>({x.data(), Kp, 1, w1t.data(), Hp, h.data(), Hp, rows, Hp,
+                      K, false});
+    for (std::size_t p = 0; p < nb; ++p) {
+      float* hp = h.data() + p * Hp;
+      for (std::size_t i = 0; i < H; ++i) hp[i] = std::tanh(hp[i] + b1[i]);
+    }
+    run_product<Isa>({h.data(), Hp, 1, w2t.data(), Vp, dl.data(), Vp, rows,
+                      Vp, H, false});
+    for (std::size_t p = 0; p < nb; ++p) {
+      float* l = dl.data() + p * Vp;
+      for (std::size_t v = 0; v < V; ++v) l[v] += b2[v];
+      // log_sum_exp and the softmax share m, every exp(l - m) and the sum.
+      float m = l[0];
+      for (std::size_t v = 1; v < V; ++v) {
+        if (m < l[v]) m = l[v];
+      }
+      const auto tv = static_cast<std::size_t>(target[p]);
+      const float logit_target = l[tv];
+      float sum = 0.0f;
+      for (std::size_t v = 0; v < V; ++v) {
+        l[v] = std::exp(l[v] - m);
+        sum += l[v];
+      }
+      const float lse = m + std::log(sum);
+      total_loss += lse - logit_target;
+      if (!backward) continue;
+      // dlogits = softmax - onehot(target), scaled by 1/n_pred.
+      for (std::size_t v = 0; v < V; ++v) l[v] /= sum;
+      l[tv] -= 1.0f;
+      for (std::size_t v = 0; v < V; ++v) l[v] *= inv_n;
+    }
+    if (!backward) continue;
+
+    // Backward.
+    run_product<Isa>({dl.data(), 1, Vp, h.data(), Hp, g2.data(), Hp, Vp, Hp,
+                      nb, true});
+    float* gb2 = grad.data() + at.b2;
+    for (std::size_t p = 0; p < nb; ++p) {
+      for (std::size_t v = 0; v < V; ++v) gb2[v] += dl[p * Vp + v];
+    }
+    run_product<Isa>({dl.data(), Vp, 1, w2r.data(), Hp, dh.data(), Hp, rows,
+                      Hp, V, false});
+    for (std::size_t p = 0; p < nb; ++p) {
+      float* dhp = dh.data() + p * Hp;
+      const float* hp = h.data() + p * Hp;
+      // tanh_derivative_from_output, inline.
+      for (std::size_t i = 0; i < H; ++i) dhp[i] *= 1.0f - hp[i] * hp[i];
+    }
+    run_product<Isa>({dh.data(), 1, Hp, x.data(), Kp, g1.data(), Kp, Hp, Kp,
+                      nb, true});
+    float* gb1 = grad.data() + at.b1;
+    for (std::size_t p = 0; p < nb; ++p) {
+      for (std::size_t i = 0; i < H; ++i) gb1[i] += dh[p * Hp + i];
+    }
+    run_product<Isa>({dh.data(), Hp, 1, w1r.data(), Kp, dx.data(), Kp, rows,
+                      Kp, H, false});
+    for (std::size_t p = 0; p < nb; ++p) {
+      for (std::size_t j = 0; j < C; ++j) {
+        float* ge = grad.data() + static_cast<std::size_t>(ctx[p * C + j]) * De;
+        const float* dxj = dx.data() + p * Kp + j * De;
+        for (std::size_t d = 0; d < De; ++d) ge[d] += dxj[d];
+      }
+    }
+  }
+
+  if (backward) {
+    for (std::size_t i = 0; i < H; ++i) {
+      std::copy_n(g1.data() + i * Kp, K, grad.data() + at.w1 + i * K);
+    }
+    for (std::size_t v = 0; v < V; ++v) {
+      std::copy_n(g2.data() + v * Hp, H, grad.data() + at.w2 + v * H);
+    }
+  }
+  return total_loss / static_cast<double>(n_pred);
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define PAPAYA_MLP_AVX2 1
+
+/// 32-byte vectors.  The target adds AVX2 and not FMA (see above).
+struct Avx2Isa {
+  typedef float Vec __attribute__((vector_size(32)));
+};
+
+__attribute__((target("avx2"))) double mlp_loss_avx2(
+    const LmConfig& cfg, std::span<const float> params,
+    std::span<const Sequence> batch, std::span<float> grad) {
+  return mlp_loss_kernel<Avx2Isa>(cfg, params, batch, grad);
+}
+
+bool cpu_has_avx2() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+  }();
+  return has;
+}
+#endif  // x86-64
+
+}  // namespace
+
+namespace detail {
+
+/// The portable build of MlpLm::loss.  Not in a header: tests/ml_test.cpp
+/// declares it so that CI checks this build on AVX2 machines too.
+double mlp_loss_portable(const LmConfig& cfg, std::span<const float> params,
+                         std::span<const Sequence> batch,
+                         std::span<float> grad) {
+  return mlp_loss_kernel<PortableIsa>(cfg, params, batch, grad);
+}
+
+}  // namespace detail
+
+namespace {
+
 class MlpLm final : public LanguageModel {
  public:
   MlpLm(const LmConfig& cfg, util::Rng& rng) : cfg_(cfg) {
-    offsets_.embed = 0;
-    offsets_.w1 = offsets_.embed + cfg.vocab_size * cfg.embed_dim;
-    offsets_.b1 = offsets_.w1 + cfg.hidden_dim * cfg.context * cfg.embed_dim;
-    offsets_.w2 = offsets_.b1 + cfg.hidden_dim;
-    offsets_.b2 = offsets_.w2 + cfg.vocab_size * cfg.hidden_dim;
-    params_.resize(offsets_.b2 + cfg.vocab_size);
+    params_.resize(MlpLayout(cfg).size);
     init_params(params_, rng);
   }
 
@@ -59,82 +374,10 @@ class MlpLm final : public LanguageModel {
     if (!grad.empty() && grad.size() != params_.size()) {
       throw std::invalid_argument("MlpLm::loss: gradient buffer size mismatch");
     }
-    if (!grad.empty()) std::fill(grad.begin(), grad.end(), 0.0f);
-
-    const std::size_t n_pred = num_predictions(batch);
-    if (n_pred == 0) return 0.0;
-    const float inv_n = 1.0f / static_cast<float>(n_pred);
-
-    const std::size_t V = cfg_.vocab_size, De = cfg_.embed_dim,
-                      H = cfg_.hidden_dim, C = cfg_.context;
-    const std::span<const float> embed(params_.data() + offsets_.embed, V * De);
-    const std::span<const float> w1(params_.data() + offsets_.w1, H * C * De);
-    const std::span<const float> b1(params_.data() + offsets_.b1, H);
-    const std::span<const float> w2(params_.data() + offsets_.w2, V * H);
-    const std::span<const float> b2(params_.data() + offsets_.b2, V);
-
-    std::vector<float> x(C * De), h(H), logits(V), dh(H), dx(C * De);
-    double total_loss = 0.0;
-
-    for (const auto& seq : batch) {
-      if (seq.size() < 2) continue;
-      for (std::size_t t = 1; t < seq.size(); ++t) {
-        const std::int32_t target = seq[t];
-        check_token(target, V);
-        // Build the context window [t-C, t), padding on the left with the
-        // first token of the sequence.
-        std::array<std::int32_t, 64> ctx{};
-        if (C > ctx.size()) throw std::invalid_argument("context too large");
-        for (std::size_t j = 0; j < C; ++j) {
-          const std::ptrdiff_t idx =
-              static_cast<std::ptrdiff_t>(t) - static_cast<std::ptrdiff_t>(C) +
-              static_cast<std::ptrdiff_t>(j);
-          ctx[j] = idx >= 0 ? seq[static_cast<std::size_t>(idx)] : seq[0];
-          check_token(ctx[j], V);
-        }
-        for (std::size_t j = 0; j < C; ++j) {
-          std::memcpy(x.data() + j * De,
-                      embed.data() + static_cast<std::size_t>(ctx[j]) * De,
-                      De * sizeof(float));
-        }
-
-        matvec(w1, x, h, H, C * De);
-        for (std::size_t i = 0; i < H; ++i) h[i] = std::tanh(h[i] + b1[i]);
-        matvec(w2, h, logits, V, H);
-        for (std::size_t i = 0; i < V; ++i) logits[i] += b2[i];
-
-        const float lse = log_sum_exp(logits);
-        total_loss += lse - logits[static_cast<std::size_t>(target)];
-
-        if (grad.empty()) continue;
-
-        // dlogits = softmax - onehot(target), scaled by 1/n_pred.
-        softmax_in_place(logits);
-        logits[static_cast<std::size_t>(target)] -= 1.0f;
-        for (auto& v : logits) v *= inv_n;
-
-        const std::span<float> g_embed(grad.data() + offsets_.embed, V * De);
-        const std::span<float> g_w1(grad.data() + offsets_.w1, H * C * De);
-        const std::span<float> g_b1(grad.data() + offsets_.b1, H);
-        const std::span<float> g_w2(grad.data() + offsets_.w2, V * H);
-        const std::span<float> g_b2(grad.data() + offsets_.b2, V);
-
-        outer_accumulate(g_w2, logits, h, 1.0f, V, H);
-        axpy(g_b2, logits, 1.0f);
-        matvec_transposed(w2, logits, dh, V, H);
-        for (std::size_t i = 0; i < H; ++i) {
-          dh[i] *= tanh_derivative_from_output(h[i]);
-        }
-        outer_accumulate(g_w1, dh, x, 1.0f, H, C * De);
-        axpy(g_b1, dh, 1.0f);
-        matvec_transposed(w1, dh, dx, H, C * De);
-        for (std::size_t j = 0; j < C; ++j) {
-          float* ge = g_embed.data() + static_cast<std::size_t>(ctx[j]) * De;
-          for (std::size_t d = 0; d < De; ++d) ge[d] += dx[j * De + d];
-        }
-      }
-    }
-    return total_loss / static_cast<double>(n_pred);
+#ifdef PAPAYA_MLP_AVX2
+    if (cpu_has_avx2()) return mlp_loss_avx2(cfg_, params_, batch, grad);
+#endif
+    return detail::mlp_loss_portable(cfg_, params_, batch, grad);
   }
 
   std::unique_ptr<LanguageModel> clone() const override {
@@ -142,11 +385,7 @@ class MlpLm final : public LanguageModel {
   }
 
  private:
-  struct Offsets {
-    std::size_t embed, w1, b1, w2, b2;
-  };
   LmConfig cfg_;
-  Offsets offsets_{};
   std::vector<float> params_;
 };
 

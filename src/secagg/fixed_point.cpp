@@ -21,8 +21,10 @@ FixedPointParams FixedPointParams::for_budget(double per_update_magnitude,
 
 std::uint32_t encode_value(double v, const FixedPointParams& params) {
   const double scaled = std::nearbyint(v * params.scale);
-  if (scaled >= static_cast<double>(1ULL << 31) ||
-      scaled < -static_cast<double>(1ULL << 31)) {
+  // Written as "not inside the range" so that NaN, which compares false
+  // both ways, is rejected too rather than reaching the integer cast.
+  if (!(scaled >= -static_cast<double>(1ULL << 31) &&
+        scaled < static_cast<double>(1ULL << 31))) {
     throw std::range_error("fixed_point: value exceeds representable range");
   }
   // Two's-complement mapping of [-2^31, 2^31) onto Z_{2^32}.

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "ml/dataset.hpp"
 #include "ml/math.hpp"
@@ -14,6 +19,14 @@
 #include "util/stats.hpp"
 
 namespace papaya::ml {
+namespace detail {
+// The portable build of MlpLm::loss (src/ml/model.cpp); MlpLm::loss itself
+// takes the AVX2 build on CPUs that have it.
+double mlp_loss_portable(const LmConfig& cfg, std::span<const float> params,
+                         std::span<const Sequence> batch,
+                         std::span<float> grad);
+}  // namespace detail
+
 namespace {
 
 // ------------------------------------------------------------------ Math --
@@ -105,6 +118,125 @@ TEST(MlpLm, GradientsMatchFiniteDifferences) {
   auto model = make_mlp_lm(cfg, rng);
   const auto batch = tiny_batch();
   check_gradients(*model, batch, 2e-2);
+}
+
+// ------------------------------------------------------ MLP kernel oracle --
+
+/// MlpLm::loss as it was before the block kernel: one prediction at a time
+/// through the public math kernels, over the flat parameter layout
+/// E[V*De] | W1[H*(C*De)] | b1[H] | W2[V*H] | b2[V].  The block kernel must
+/// match it bit for bit.
+double mlp_loss_reference(const LmConfig& cfg, std::span<const float> params,
+                          std::span<const Sequence> batch,
+                          std::span<float> grad) {
+  if (!grad.empty()) std::fill(grad.begin(), grad.end(), 0.0f);
+  const std::size_t n_pred = LanguageModel::num_predictions(batch);
+  if (n_pred == 0) return 0.0;
+  const float inv_n = 1.0f / static_cast<float>(n_pred);
+
+  const std::size_t V = cfg.vocab_size, De = cfg.embed_dim,
+                    H = cfg.hidden_dim, C = cfg.context;
+  const std::size_t o_w1 = V * De, o_b1 = o_w1 + H * C * De, o_w2 = o_b1 + H,
+                    o_b2 = o_w2 + V * H;
+  const auto embed = params.subspan(0, V * De);
+  const auto w1 = params.subspan(o_w1, H * C * De);
+  const auto b1 = params.subspan(o_b1, H);
+  const auto w2 = params.subspan(o_w2, V * H);
+  const auto b2 = params.subspan(o_b2, V);
+
+  std::vector<float> x(C * De), h(H), logits(V), dh(H), dx(C * De);
+  std::vector<std::int32_t> ctx(C);
+  double total_loss = 0.0;
+  for (const auto& seq : batch) {
+    if (seq.size() < 2) continue;
+    for (std::size_t t = 1; t < seq.size(); ++t) {
+      const std::int32_t target = seq[t];
+      for (std::size_t j = 0; j < C; ++j) {
+        ctx[j] = t + j >= C ? seq[t + j - C] : seq[0];
+        std::copy_n(embed.data() + static_cast<std::size_t>(ctx[j]) * De, De,
+                    x.data() + j * De);
+      }
+      matvec(w1, x, h, H, C * De);
+      for (std::size_t i = 0; i < H; ++i) h[i] = std::tanh(h[i] + b1[i]);
+      matvec(w2, h, logits, V, H);
+      for (std::size_t i = 0; i < V; ++i) logits[i] += b2[i];
+
+      const float lse = log_sum_exp(logits);
+      total_loss += lse - logits[static_cast<std::size_t>(target)];
+      if (grad.empty()) continue;
+
+      softmax_in_place(logits);
+      logits[static_cast<std::size_t>(target)] -= 1.0f;
+      for (auto& v : logits) v *= inv_n;
+
+      const auto g_embed = grad.subspan(0, V * De);
+      const auto g_w1 = grad.subspan(o_w1, H * C * De);
+      const auto g_b1 = grad.subspan(o_b1, H);
+      const auto g_w2 = grad.subspan(o_w2, V * H);
+      const auto g_b2 = grad.subspan(o_b2, V);
+      outer_accumulate(g_w2, logits, h, 1.0f, V, H);
+      axpy(g_b2, logits, 1.0f);
+      matvec_transposed(w2, logits, dh, V, H);
+      for (std::size_t i = 0; i < H; ++i) {
+        dh[i] *= tanh_derivative_from_output(h[i]);
+      }
+      outer_accumulate(g_w1, dh, x, 1.0f, H, C * De);
+      axpy(g_b1, dh, 1.0f);
+      matvec_transposed(w1, dh, dx, H, C * De);
+      for (std::size_t j = 0; j < C; ++j) {
+        float* ge = g_embed.data() + static_cast<std::size_t>(ctx[j]) * De;
+        for (std::size_t d = 0; d < De; ++d) ge[d] += dx[j * De + d];
+      }
+    }
+  }
+  return total_loss / static_cast<double>(n_pred);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(MlpLm, BlockKernelMatchesPerExampleReferenceBitForBit) {
+  // Random shapes, including sequences shorter than the context, saturated
+  // tanh (weights x20) and repeated context tokens (tokens from {0, 1}).
+  // Both builds of the kernel run: MlpLm::loss dispatches to the widest one
+  // the CPU has, and the portable one is called directly.
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 600; ++trial) {
+    LmConfig cfg;
+    cfg.vocab_size = 2 + rng.uniform_int(90);
+    cfg.embed_dim = 1 + rng.uniform_int(20);
+    cfg.hidden_dim = 1 + rng.uniform_int(40);
+    cfg.context = 1 + rng.uniform_int(6);
+    auto model = make_mlp_lm(cfg, rng);
+    if (trial % 3 == 0) {
+      for (auto& p : model->params()) p *= 20.0f;
+    }
+    const std::uint64_t vocab = trial % 4 == 1 ? 2 : cfg.vocab_size;
+    std::vector<Sequence> batch(rng.uniform_int(40));
+    for (auto& seq : batch) {
+      seq.resize(rng.uniform_int(22));
+      for (auto& tok : seq) tok = static_cast<std::int32_t>(rng.uniform_int(vocab));
+    }
+
+    std::vector<float> want(model->num_params());
+    const double want_loss = mlp_loss_reference(cfg, model->params(), batch, want);
+    const std::string where = "trial " + std::to_string(trial);
+
+    std::vector<float> got(model->num_params(), -1.0f);
+    EXPECT_TRUE(same_bits(model->loss(batch, got), want_loss)) << where;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+        << where;
+    EXPECT_TRUE(same_bits(model->loss(batch, {}), want_loss)) << where;
+
+    std::fill(got.begin(), got.end(), -1.0f);
+    EXPECT_TRUE(same_bits(
+        detail::mlp_loss_portable(cfg, model->params(), batch, got), want_loss))
+        << where;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+        << where;
+    EXPECT_TRUE(same_bits(
+        detail::mlp_loss_portable(cfg, model->params(), batch, {}), want_loss))
+        << where;
+  }
 }
 
 TEST(LstmLm, GradientsMatchFiniteDifferences) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <span>
 
@@ -86,8 +87,11 @@ TEST(FixedPoint, AdditionHomomorphismProperty) {
 
 TEST(FixedPoint, OutOfRangeEncodeThrows) {
   FixedPointParams params;  // scale 2^16: max ~ 32767
-  EXPECT_THROW(encode_value(1e6, params), std::range_error);
-  EXPECT_THROW(encode_value(-1e6, params), std::range_error);
+  for (const double v : {1e6, -1e6, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(encode_value(v, params), std::range_error) << v;
+  }
 }
 
 TEST(FixedPoint, BudgetLeavesHeadroom) {
