@@ -64,13 +64,16 @@ struct MlpLayout {
 // a vector version would round differently.  No build of this code may
 // enable FMA: the compiler would contract a*b+c and change the bits.
 
-/// Vector widths pad to this many floats, a multiple of every Isa's width.
+/// Output widths pad to a multiple of this many floats, which is a multiple
+/// of every Isa's vector width.
 constexpr std::size_t kLanes = 8;
 /// Predictions per block; a multiple of kTileRows.
 constexpr std::size_t kBlock = 32;
 /// A register tile is kTileRows output rows by up to kTileVecs vectors.
 constexpr std::size_t kTileRows = 4;
 constexpr std::size_t kTileVecs = 3;
+static_assert(kBlock % kTileRows == 0 && kLanes % kTileRows == 0,
+              "every product's rows must split into whole tiles");
 
 constexpr std::size_t pad_lanes(std::size_t n) {
   return (n + kLanes - 1) / kLanes * kLanes;
@@ -83,8 +86,8 @@ struct PortableIsa {
 
 /// c[r][j] (+)= sum over k, in order, of a(r, k) * b[k][j], for r < rows and
 /// j < cols.  a(r, k) = a[r * a_row + k * a_k] is read one scalar at a time,
-/// so either operand order works; rows of b and c are contiguous.  rows is a
-/// multiple of kTileRows and cols a multiple of kLanes.
+/// so `a` may be stored either way round; rows of b and c are contiguous.
+/// rows is a multiple of kTileRows and cols a multiple of kLanes.
 struct Product {
   const float* a;
   std::size_t a_row, a_k;
