@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "secagg/boundary.hpp"
+#include "secagg/secagg_batch.hpp"
 #include "secagg/secagg_client.hpp"
 #include "secagg/secagg_server.hpp"
 #include "secagg/tsa.hpp"
@@ -43,7 +44,7 @@ double async_secagg_transfer_ms(std::size_t k) {
 
   secagg::TrustedSecureAggregator tsa(dh, params, k, platform, binary, 7);
   const secagg::QuoteExpectations expectations{params.hash(dh), log.snapshot()};
-  secagg::SecureAggregationSession session(tsa, kMeasuredLength, k);
+  secagg::BatchedSecureAggregationSession session(tsa, kMeasuredLength, k);
 
   const std::vector<float> update(kMeasuredLength, 0.01f);
   const auto proof = log.prove_inclusion(0);
@@ -55,7 +56,7 @@ double async_secagg_transfer_ms(std::size_t k) {
       std::fprintf(stderr, "client %zu aborted unexpectedly\n", c);
       return -1.0;
     }
-    session.accept(*contribution);
+    session.accept_batch({&*contribution, 1});
   }
   (void)session.finalize();
 

@@ -11,12 +11,16 @@
 //   6. the server recovers ONLY the sum -- and a tampering attempt is shown
 //      to be rejected.
 //
+// Exits non-zero if the tampered seed is accepted or the recovered sum
+// misses the true sum by more than the fixed-point resolution.
+//
 //   $ ./secure_aggregation
 
+#include <cmath>
 #include <cstdio>
 
+#include "secagg/secagg_batch.hpp"
 #include "secagg/secagg_client.hpp"
-#include "secagg/secagg_server.hpp"
 #include "util/rng.hpp"
 
 int main() {
@@ -52,10 +56,11 @@ int main() {
       secagg::FixedPointParams::for_budget(1.0, num_clients);
   const secagg::QuoteExpectations expectations{params.hash(dh),
                                                log.snapshot()};
-  secagg::SecureAggregationSession session(tsa, model_size, num_clients);
+  secagg::BatchedSecureAggregationSession session(tsa, model_size,
+                                                  num_clients);
 
   util::Rng rng(5);
-  std::vector<float> true_sum(model_size, 0.0f);
+  std::vector<double> true_sum(model_size, 0.0);
   for (std::uint64_t c = 0; c < num_clients; ++c) {
     std::vector<float> update(model_size);
     for (auto& v : update) v = static_cast<float>(rng.uniform(-0.5, 0.5));
@@ -70,7 +75,9 @@ int main() {
                   static_cast<unsigned long long>(c));
       return 1;
     }
-    const secagg::TsaAccept verdict = session.accept(*contribution);
+    // Each upload is handed to the TSA on its own: a batch of one.
+    const secagg::TsaAccept verdict =
+        session.accept_batch({&*contribution, 1}).front();
     std::printf("client %llu: quote verified, masked update uploaded "
                 "(TSA verdict: %s)\n",
                 static_cast<unsigned long long>(c),
@@ -79,30 +86,37 @@ int main() {
   }
 
   // --- A tampering attempt: the server flips a bit in a sealed seed.
+  bool ok = true;
   {
     secagg::SecAggClient attacker_view(dh, fp, 77);
     auto contribution = attacker_view.prepare_contribution(
         platform, expectations, tsa.initial_messages().at(num_clients),
         log.prove_inclusion(leaf), std::vector<float>(model_size, 0.1f));
     contribution->sealed_seed.ciphertext[20] ^= 0x01;
-    const auto verdict = tsa.process_contribution(
-        contribution->message_index, contribution->completing_message,
-        contribution->sealed_seed, contribution->message_index);
+    const secagg::TsaAccept verdict =
+        session.accept_batch({&*contribution, 1}).front();
+    ok = verdict == secagg::TsaAccept::kDecryptionFailed;
     std::printf("tampered seed ciphertext: TSA verdict = %s\n",
-                verdict == secagg::TsaAccept::kDecryptionFailed
-                    ? "decryption failed (rejected)"
-                    : "UNEXPECTEDLY ACCEPTED");
+                ok ? "decryption failed (rejected)" : "UNEXPECTEDLY ACCEPTED");
   }
 
   // --- Steps 5-6: unmask at the goal; the server learns only the sum.
-  const auto sum = session.finalize_decoded(fp);
+  const auto sum = session.finalize();
   if (!sum) {
     std::printf("TSA refused to release (below threshold?)\n");
     return 1;
   }
+  // Each client's encoding rounds by at most half the resolution 1/scale.
+  const double tolerance = static_cast<double>(num_clients) / fp.scale;
   std::printf("\n%-6s %-12s %-12s\n", "idx", "secure sum", "true sum");
   for (std::size_t i = 0; i < model_size; ++i) {
-    std::printf("%-6zu %-12.5f %-12.5f\n", i, (*sum)[i], true_sum[i]);
+    const double secure = secagg::decode_value((*sum)[i], fp);
+    std::printf("%-6zu %-12.5f %-12.5f\n", i, secure, true_sum[i]);
+    if (std::abs(secure - true_sum[i]) > tolerance) {
+      std::printf("idx %zu: secure sum misses the true sum by more than %g\n",
+                  i, tolerance);
+      ok = false;
+    }
   }
   std::printf("\nboundary traffic into TSA: %llu bytes over %llu calls "
               "(model is %zu bytes x %zu clients = %zu bytes that did NOT "
@@ -110,5 +124,5 @@ int main() {
               static_cast<unsigned long long>(tsa.boundary().bytes_in()),
               static_cast<unsigned long long>(tsa.boundary().calls()),
               model_size * 4, num_clients, model_size * 4 * num_clients);
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -71,7 +71,7 @@ void Aggregator::assign_task(const TaskConfig& config,
     ts.secure = std::make_unique<SecureBufferManager>(
         config.model_size, config.aggregation_goal,
         std::hash<std::string>{}(config.name) ^ 0x5ecULL,
-        config.aggregation_batch_size, config.aggregation_strategy);
+        config.aggregation_batch_size);
   }
   tasks_.insert_or_assign(config.name, std::move(ts));
 }
@@ -280,23 +280,23 @@ ReportResult Aggregator::client_report_secure(const std::string& task,
 
   const double weight = secure_update_weight(task, report.num_examples);
   const SecureSubmitOutcome outcome = ts.secure->submit(report, weight);
-  if (outcome != SecureSubmitOutcome::kAccepted &&
-      outcome != SecureSubmitOutcome::kBuffered) {
-    // Tampered/replayed/epoch-expired contributions are dropped; the client
-    // slot is freed so a replacement can be selected.
-    ts.active.erase(it);
-    ++ts.stats.updates_discarded;
-    return {ReportOutcome::kRejectedUnknown, false, {}};
-  }
   ts.active.erase(it);
-  if (ts.config.mode == TrainingMode::kSync) ++ts.completed_this_round;
-  ++ts.buffered;
+  const bool admitted = outcome == SecureSubmitOutcome::kAccepted ||
+                        outcome == SecureSubmitOutcome::kBuffered;
+  if (admitted) {
+    if (ts.config.mode == TrainingMode::kSync) ++ts.completed_this_round;
+    ++ts.buffered;
+  } else {
+    // Tampered/replayed/malformed/epoch-expired contributions are dropped;
+    // the client slot is freed so a replacement can be selected.
+    ++ts.stats.updates_discarded;
+  }
 
-  // Batched mode: this submit may have flushed buffered reports, whose TSA
-  // rejections only surface now.  Un-count them the way a synchronous
-  // kTsaRejected never counted: as discarded, not buffered, and not
-  // completing a SyncFL slot — so the round's demand frees up and a
-  // replacement client can be selected, exactly as in per-update mode.
+  // This submit may have flushed earlier reports, which were counted as
+  // buffered when they returned kBuffered and whose TSA rejections only
+  // surface now.  Un-count them the way a returned kTsaRejected never
+  // counted: as discarded, not buffered, and not completing a SyncFL slot —
+  // so the round's demand frees up and a replacement client can be selected.
   if (const std::size_t rejected = ts.secure->take_rejected(); rejected > 0) {
     ts.stats.updates_discarded += rejected;
     ts.buffered -= std::min(ts.buffered, rejected);
@@ -304,6 +304,7 @@ ReportResult Aggregator::client_report_secure(const std::string& task,
       ts.completed_this_round -= std::min(ts.completed_this_round, rejected);
     }
   }
+  if (!admitted) return {ReportOutcome::kRejectedUnknown, false, {}};
 
   ReportResult result{ReportOutcome::kAccepted, false, {}};
   if (ts.secure->goal_reached()) {

@@ -15,13 +15,11 @@ std::size_t messages_per_epoch(std::size_t goal) { return 2 * goal + 4; }
 
 SecureBufferManager::SecureBufferManager(std::size_t model_size,
                                          std::size_t goal, std::uint64_t seed,
-                                         std::size_t batch_size,
-                                         AggStrategy strategy)
+                                         std::size_t batch_size)
     : model_size_(model_size),
       goal_(goal),
       seed_(seed),
       batch_size_(batch_size == 0 ? 1 : batch_size),
-      strategy_(valid_agg_strategy(strategy) ? strategy : AggStrategy::kAuto),
       platform_(seed ^ 0x5ec9ULL),
       binary_measurement_(
           crypto::Sha256::hash(std::string("papaya-tsa-trusted-binary-v1"))) {
@@ -40,17 +38,8 @@ void SecureBufferManager::rotate_epoch() {
       crypto::DhParams::simulation256(),
       secagg::SecAggParams{model_size_, goal_}, messages_per_epoch(goal_),
       platform_, binary_measurement_, seed_ ^ (epoch_ * 0x9e37ULL));
-  if (batch_size_ > 1) {
-    batched_session_ = std::make_unique<secagg::BatchedSecureAggregationSession>(
-        *tsa_, model_size_, goal_);
-    session_.reset();
-  } else {
-    session_ = std::make_unique<secagg::SecureAggregationSession>(
-        *tsa_, model_size_, goal_);
-    batched_session_.reset();
-  }
-  pending_.clear();
-  pending_weights_.clear();
+  session_ = std::make_unique<secagg::BatchedSecureAggregationSession>(
+      *tsa_, model_size_, goal_);
   next_message_ = 0;
   accepted_ = 0;
   weight_sum_ = 0.0;
@@ -105,61 +94,40 @@ SecureSubmitOutcome SecureBufferManager::submit(const SecureReport& report,
     ++wrong_epoch_total_;
     return SecureSubmitOutcome::kWrongEpoch;
   }
-  if (batch_size_ <= 1) {
-    const secagg::TsaAccept verdict = session_->accept(report.contribution);
-    if (verdict != secagg::TsaAccept::kAccepted) {
-      ++rejected_total_;
-      return SecureSubmitOutcome::kTsaRejected;
-    }
-    ++accepted_;
-    ++accepted_total_;
-    weight_sum_ += weight;
-    return SecureSubmitOutcome::kAccepted;
+  // accept_batch throws on a wrong length, which would strand every report
+  // pending beside this one; refuse it before it is buffered.
+  if (report.contribution.masked_update.size() != model_size_) {
+    ++rejected_total_;
+    return SecureSubmitOutcome::kMalformed;
   }
-  // Batched mode: buffer, and flush when the strategy's threshold is
-  // reached or when the flush could complete the aggregation goal.  The
-  // goal condition makes forward progress independent of the threshold: the
-  // epoch finalizes after the same accepted contribution as per-update mode
-  // would, and the aggregate is bit-identical at any flush point.
   pending_.push_back(report.contribution);
   pending_weights_.push_back(weight);
-  if (pending_.size() >= flush_threshold() ||
-      accepted_ + pending_.size() >= goal_) {
-    flush_pending();
+  // Flush when the batch is full or when the flush could complete the
+  // aggregation goal.  The goal condition makes forward progress independent
+  // of the batch size: the epoch finalizes after the same accepted
+  // contribution at any batch size, and the aggregate is bit-identical.
+  if (pending_.size() < batch_size_ && accepted_ + pending_.size() < goal_) {
+    return SecureSubmitOutcome::kBuffered;
   }
-  return SecureSubmitOutcome::kBuffered;
-}
-
-std::size_t SecureBufferManager::flush_threshold() const {
-  if (batch_size_ <= 1) return 1;  // sequential session: per-update verdicts
-  switch (strategy_) {
-    case AggStrategy::kLocked:
-      return 1;  // conservative baseline: surface TSA verdicts per submit
-    case AggStrategy::kMorsel:
-      return goal_;  // maximal deferral: one boundary crossing per buffer
-    case AggStrategy::kAuto:
-    case AggStrategy::kStriped:
-      break;
-  }
-  return batch_size_;  // the configured batch, as before the strategy layer
-}
-
-void SecureBufferManager::flush_pending() {
-  if (pending_.empty()) return;
   const std::vector<secagg::TsaAccept> verdicts =
-      batched_session_->accept_batch(pending_);
+      session_->accept_batch(pending_);
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
     if (verdicts[i] == secagg::TsaAccept::kAccepted) {
       ++accepted_;
       ++accepted_total_;
       weight_sum_ += pending_weights_[i];
     } else {
-      ++rejected_unclaimed_;
       ++rejected_total_;
+      // The last verdict is this report's and is returned below; earlier
+      // reports already returned kBuffered and learn theirs here.
+      if (i + 1 < verdicts.size()) ++rejected_unclaimed_;
     }
   }
   pending_.clear();
   pending_weights_.clear();
+  return verdicts.back() == secagg::TsaAccept::kAccepted
+             ? SecureSubmitOutcome::kAccepted
+             : SecureSubmitOutcome::kTsaRejected;
 }
 
 std::size_t SecureBufferManager::take_rejected() {
@@ -171,10 +139,7 @@ std::size_t SecureBufferManager::take_rejected() {
 
 std::optional<std::vector<float>> SecureBufferManager::finalize_mean() {
   util::LockGuard lock(mutex_);
-  if (batch_size_ > 1) flush_pending();
-  const auto decoded = batch_size_ > 1
-                           ? batched_session_->finalize_decoded(fixed_point_)
-                           : session_->finalize_decoded(fixed_point_);
+  const auto decoded = session_->finalize_decoded(fixed_point_);
   if (!decoded) return std::nullopt;
   std::vector<float> mean = *decoded;
   if (weight_sum_ > 0.0) {

@@ -21,11 +21,9 @@
 #include <optional>
 #include <vector>
 
-#include "fl/agg_strategy.hpp"
 #include "util/sync.hpp"
 #include "secagg/secagg_batch.hpp"
 #include "secagg/secagg_client.hpp"
-#include "secagg/secagg_server.hpp"
 #include "secagg/tsa.hpp"
 
 namespace papaya::fl {
@@ -54,9 +52,9 @@ struct SecureReport {
 
 enum class SecureSubmitOutcome {
   kAccepted,
-  kBuffered,       ///< batched mode: admitted, TSA verdict lands at flush
+  kBuffered,       ///< admitted, TSA verdict lands at a later flush
   kWrongEpoch,     ///< prepared against an already-released masking epoch
-  kExhausted,      ///< no initial messages left in this epoch
+  kMalformed,      ///< masked update of the wrong length; never buffered
   kTsaRejected,    ///< TSA refused (tampered/replayed/bad key)
 };
 
@@ -64,25 +62,15 @@ enum class SecureSubmitOutcome {
 class SecureBufferManager {
  public:
   /// `goal` is the aggregation goal; each epoch pre-generates enough initial
-  /// messages for the goal plus in-flight overshoot.  `batch_size` > 1
-  /// switches the TSA hand-off to the batched pipeline: reports are buffered
-  /// and flushed `batch_size` at a time (or as soon as the flush could reach
-  /// the goal) through BatchedSecureAggregationSession — one TSA boundary
-  /// crossing, multi-stream mask expansion, and one blocked fold per batch.
-  /// The accepted set and the unmasked aggregate are bit-identical to
-  /// per-update mode; only when verdicts surface changes (kBuffered now,
-  /// rejections via take_rejected() after the flush).
-  ///
-  /// `strategy` (the task's aggregation strategy) tunes how aggressively
-  /// batched drains defer the TSA boundary crossing — legal precisely
-  /// because batched ≡ per-update is proven bit-identical, so the flush
-  /// point is pure amortization policy: kLocked flushes per submit (the
-  /// conservative baseline), kMorsel defers maximally (up to the goal, one
-  /// crossing per buffer), kAuto/kStriped flush at the configured
-  /// `batch_size`.  Ignored when batch_size <= 1 (sequential session).
+  /// messages for the goal plus in-flight overshoot.  Reports are buffered
+  /// and flushed through BatchedSecureAggregationSession — one TSA boundary
+  /// crossing, multi-stream mask expansion, and one blocked fold per flush —
+  /// when `batch_size` of them are pending or as soon as the pending ones
+  /// could complete the goal.  `batch_size` 1 (or 0) flushes every report
+  /// on its own submit.  The accepted set and the unmasked aggregate do not
+  /// depend on `batch_size`; only when verdicts surface does.
   SecureBufferManager(std::size_t model_size, std::size_t goal,
-                      std::uint64_t seed, std::size_t batch_size = 1,
-                      AggStrategy strategy = AggStrategy::kAuto);
+                      std::uint64_t seed, std::size_t batch_size = 1);
 
   /// Server -> client: upload configuration for the current epoch.  Each
   /// call consumes one initial message (they are single-use).  Returns
@@ -90,13 +78,16 @@ class SecureBufferManager {
   /// epoch).
   std::optional<SecureUploadConfig> next_upload_config();
 
-  /// Client -> server: submit a secure report.  In batched mode an admitted
-  /// report returns kBuffered; its TSA verdict is decided at the next flush
-  /// (pending-full, or the flush could reach the goal).
+  /// Client -> server: submit a secure report.  A report that triggers a
+  /// flush returns its own TSA verdict (kAccepted or kTsaRejected); one that
+  /// stays pending returns kBuffered, and its verdict is decided by a later
+  /// submit's flush.  A wrong-length masked update is refused up front
+  /// (kMalformed), so it can never reach, and wedge, a flush.
   SecureSubmitOutcome submit(const SecureReport& report, double weight);
 
-  /// Reports rejected by the TSA during batched flushes since the last call
-  /// (the deferred analogue of a synchronous kTsaRejected).  Resets on read.
+  /// Earlier reports that a later submit's flush rejected, since the last
+  /// call (the deferred analogue of a returned kTsaRejected).  Resets on
+  /// read.
   std::size_t take_rejected();
 
   std::size_t accepted_count() const {
@@ -115,11 +106,6 @@ class SecureBufferManager {
     util::LockGuard lock(mutex_);
     return epoch_;
   }
-  std::size_t batch_size() const { return batch_size_; }
-
-  /// Pending contributions that trigger a batched flush (strategy-tuned;
-  /// see the constructor).  Exposed so tests can pin the policy table.
-  std::size_t flush_threshold() const;
 
   /// Cumulative accounting across every epoch this manager has run, taken
   /// in one lock hold (test hook: the FSM harness and the SecAgg flood
@@ -130,8 +116,8 @@ class SecureBufferManager {
   /// leak buffered slots.
   struct Accounting {
     std::uint64_t submitted = 0;    ///< every submit() call
-    std::uint64_t accepted = 0;     ///< TSA-accepted (sequential + flushes)
-    std::uint64_t rejected = 0;     ///< TSA-rejected (sequential + flushes)
+    std::uint64_t accepted = 0;     ///< TSA-accepted at a flush
+    std::uint64_t rejected = 0;     ///< TSA-rejected at a flush, or malformed
     std::uint64_t wrong_epoch = 0;  ///< bounced at the epoch check
     std::uint64_t pending = 0;      ///< buffered, verdict not yet decided
     std::uint64_t pending_weight_slots = 0;  ///< must equal `pending`
@@ -144,7 +130,9 @@ class SecureBufferManager {
   Accounting accounting() const;
 
   /// Unmask, decode, divide by the accumulated weight sum, rotate to a new
-  /// epoch.  Returns nullopt if the TSA refuses (below goal).
+  /// epoch.  Returns nullopt if the TSA refuses (below goal).  Nothing is
+  /// flushed here: reports stay pending only while they cannot complete the
+  /// goal, so a flush could not turn a refusal into a release.
   std::optional<std::vector<float>> finalize_mean();
 
   /// Client-side helper: scale by `weight`, verify the attestation against
@@ -165,9 +153,6 @@ class SecureBufferManager {
 
  private:
   void rotate_epoch() PAPAYA_REQUIRES(mutex_);
-  /// Batched mode: push every pending contribution through the TSA in one
-  /// batch, crediting accepted weights and recording rejections.
-  void flush_pending() PAPAYA_REQUIRES(mutex_);
 
   // Immutable after construction (no guard needed): configuration, the
   // attestation platform, and the verifiable log (appended only in the
@@ -176,7 +161,6 @@ class SecureBufferManager {
   std::size_t goal_;
   std::uint64_t seed_;
   std::size_t batch_size_;
-  AggStrategy strategy_ = AggStrategy::kAuto;
 
   secagg::SimulatedEnclavePlatform platform_;
   crypto::Digest binary_measurement_{};
@@ -192,15 +176,12 @@ class SecureBufferManager {
   std::uint64_t epoch_ PAPAYA_GUARDED_BY(mutex_) = 0;
   std::unique_ptr<secagg::TrustedSecureAggregator> tsa_
       PAPAYA_GUARDED_BY(mutex_);
-  /// Exactly one of the two sessions is live per epoch: sequential when
-  /// batch_size_ <= 1, batched otherwise.
-  std::unique_ptr<secagg::SecureAggregationSession> session_
+  std::unique_ptr<secagg::BatchedSecureAggregationSession> session_
       PAPAYA_GUARDED_BY(mutex_);
-  std::unique_ptr<secagg::BatchedSecureAggregationSession> batched_session_
-      PAPAYA_GUARDED_BY(mutex_);
-  /// Batched mode: admitted contributions awaiting a flush (contiguous, so
-  /// a flush hands the whole pending run to accept_batch as one span), with
-  /// their weights alongside.
+  /// Admitted contributions awaiting a flush (contiguous, so a flush hands
+  /// the whole pending run to accept_batch as one span), with their weights
+  /// alongside.  Empty whenever the epoch rotates: a release needs the goal,
+  /// and reports that could complete the goal are flushed at once.
   std::vector<secagg::ClientContribution> pending_ PAPAYA_GUARDED_BY(mutex_);
   std::vector<double> pending_weights_ PAPAYA_GUARDED_BY(mutex_);
   std::size_t rejected_unclaimed_ PAPAYA_GUARDED_BY(mutex_) = 0;
@@ -209,7 +190,7 @@ class SecureBufferManager {
   double weight_sum_ PAPAYA_GUARDED_BY(mutex_) = 0.0;
   /// Cumulative accounting (never reset by epoch rotation; see Accounting).
   /// rejected_total_ is separate from rejected_unclaimed_, which resets on
-  /// take_rejected() and counts only deferred batched verdicts.
+  /// take_rejected() and counts only deferred verdicts.
   std::uint64_t submitted_total_ PAPAYA_GUARDED_BY(mutex_) = 0;
   std::uint64_t accepted_total_ PAPAYA_GUARDED_BY(mutex_) = 0;
   std::uint64_t rejected_total_ PAPAYA_GUARDED_BY(mutex_) = 0;

@@ -61,13 +61,15 @@ struct TaskConfig {
   AggStrategy aggregation_strategy = AggStrategy::kAuto;
 
   /// Server-side aggregation batch size.  Under SecAgg, contributions are
-  /// buffered and handed to the TSA in batches of this size
-  /// (BatchedSecureAggregationSession: one boundary crossing, multi-stream
-  /// mask expansion, one blocked fold per batch); on the plaintext path each
+  /// buffered and flushed to the TSA through BatchedSecureAggregationSession
+  /// (one boundary crossing, multi-stream mask expansion, one blocked fold
+  /// per flush) once this many are pending, or sooner when the pending ones
+  /// could complete the aggregation goal; on the plaintext path each
   /// aggregation-shard worker drains up to this many queued updates per
-  /// wakeup.  1 (or 0, normalized to 1) keeps per-update processing.  The
-  /// aggregate is bit-identical either way — Z_{2^32} (and float fold order
-  /// per worker) is unchanged; only the amortization changes.
+  /// wakeup.  1 (or 0, normalized to 1) hands each update over on its own.
+  /// The aggregate is bit-identical at any batch size — Z_{2^32} sums (and
+  /// float fold order per worker) are unchanged; only the amortization, and
+  /// when a deferred TSA verdict surfaces, change.
   std::size_t aggregation_batch_size = 1;
 
   /// Pipelined client runtime (Sec. 6.1): overlap local training,

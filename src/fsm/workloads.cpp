@@ -611,8 +611,7 @@ SecAggFloodWorkload::SecAggFloodWorkload(std::size_t actors)
     : SecAggFloodWorkload(actors, Config()) {}
 
 SecAggFloodWorkload::SecAggFloodWorkload(std::size_t actors, Config config)
-    : manager_(config.model_size, config.goal, config.seed, config.batch_size,
-               fl::AggStrategy::kAuto),
+    : manager_(config.model_size, config.goal, config.seed, config.batch_size),
       model_size_(config.model_size),
       goal_(config.goal) {
   (void)actors;
@@ -642,19 +641,32 @@ std::vector<StateDef> SecAggFloodWorkload::states() {
          ctx.check(report.has_value(),
                    "prepare_report refused a fresh upload config");
          if (!report) return;
-         if (byzantine) {
-           // Malformed contribution: corrupt the sealed seed so the TSA's
-           // authenticated decryption must refuse it.
+         // Malformed contributions alternate by step: on even steps a
+         // corrupt sealed seed, which the TSA's authenticated decryption
+         // must refuse; on odd steps a masked update one word short or
+         // long, which submit() must refuse before it is buffered.
+         const bool wrong_length = byzantine && ctx.step % 2 == 1;
+         if (wrong_length) {
+           report->contribution.masked_update.resize(
+               ctx.step % 4 == 1 ? model_size_ - 1 : model_size_ + 1);
+           wrong_length_.fetch_add(1, std::memory_order_relaxed);
+         } else if (byzantine) {
            auto& ciphertext = report->contribution.sealed_seed.ciphertext;
            if (!ciphertext.empty()) {
              ciphertext[ctx.rng().uniform_int(ciphertext.size())] ^= 1;
            }
-           malformed_.fetch_add(1, std::memory_order_relaxed);
-         } else {
-           valid_.fetch_add(1, std::memory_order_relaxed);
          }
-         manager_.submit(*report, /*weight=*/1.0);
+         (byzantine ? malformed_ : valid_)
+             .fetch_add(1, std::memory_order_relaxed);
+         const fl::SecureSubmitOutcome outcome =
+             manager_.submit(*report, /*weight=*/1.0);
          submitted_.fetch_add(1, std::memory_order_relaxed);
+         ctx.check(!byzantine || outcome != fl::SecureSubmitOutcome::kAccepted,
+                   "a malformed contribution was accepted");
+         ctx.check(!wrong_length ||
+                       outcome == fl::SecureSubmitOutcome::kMalformed ||
+                       outcome == fl::SecureSubmitOutcome::kWrongEpoch,
+                   "a wrong-length masked update was not refused at submit");
        },
        transitions});
 
@@ -716,9 +728,12 @@ void SecAggFloodWorkload::check_quiesce(std::uint64_t step,
         "accepted count exceeds valid submissions: a malformed contribution "
         "was accepted (accepted-set drift)");
   }
-  if (acct.pending > goal_) {
+  // Reports stay pending only while they cannot complete the goal; that is
+  // what lets finalize_mean() release without flushing.
+  if (acct.pending > 0 && acct.accepted_this_epoch + acct.pending >= goal_) {
     invariants.fail(name(), 0, step,
-                    "pending buffer exceeded the aggregation goal");
+                    "pending reports could complete the goal but were not "
+                    "flushed");
   }
 }
 

@@ -155,12 +155,12 @@ class ShardedAggWorkload final : public Workload {
   std::atomic<std::uint64_t> reduced_weight_units_{0};
 };
 
-/// Contribute/finalize/claim/probe churn against one batched
-/// SecureBufferManager, with the scenario flipping contributions malformed
-/// (tampered sealed seeds).  Invariants, via accounting(): every submission
-/// is accepted, rejected, wrong-epoch, or pending (no drift); pending slots
-/// always pair with weight slots (no leak); malformed contributions are
-/// never accepted.
+/// Contribute/finalize/claim/probe churn against one SecureBufferManager,
+/// with the scenario flipping contributions malformed (tampered sealed
+/// seeds, or masked updates of the wrong length).  Invariants, via
+/// accounting(): every submission is accepted, rejected, wrong-epoch, or
+/// pending (no drift); pending slots always pair with weight slots (no
+/// leak); malformed contributions are never accepted.
 class SecAggFloodWorkload final : public Workload {
  public:
   struct Config {
@@ -181,6 +181,9 @@ class SecAggFloodWorkload final : public Workload {
 
   std::uint64_t valid_submitted() const { return valid_.load(); }
   std::uint64_t malformed_submitted() const { return malformed_.load(); }
+  std::uint64_t wrong_length_submitted() const {
+    return wrong_length_.load();
+  }
 
  private:
   fl::SecureBufferManager manager_;
@@ -189,6 +192,7 @@ class SecAggFloodWorkload final : public Workload {
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> valid_{0};
   std::atomic<std::uint64_t> malformed_{0};
+  std::atomic<std::uint64_t> wrong_length_{0};
   std::atomic<std::uint64_t> finalized_{0};
 };
 

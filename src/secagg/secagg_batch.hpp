@@ -1,21 +1,20 @@
 #pragma once
-// Batched untrusted-server side of Asynchronous SecAgg (Fig. 16 steps 5, 7,
-// 8), amortizing the per-update crypto control path across a whole batch of
-// contributions.
+// Untrusted-server side of Asynchronous SecAgg (Fig. 16 steps 5, 7, 8).
 //
-// SecureAggregationSession pays the full control path K times: one TSA
-// boundary crossing, one DH key recovery, one sealed-seed decrypt, one
-// scalar mask expansion, and one full-vector fold per accept() call.  This
-// session accepts a std::span of contributions instead: the TSA verifies
-// the batch in one crossing, expands all accepted masks with the
-// multi-stream ChaCha20 path, and the server folds all accepted masked
-// updates into the running sum with one cache-blocked reduction.
+// The server incrementally aggregates *masked* updates (it never sees a
+// plaintext update), forwards each client's sealed seed to the TSA, and once
+// the aggregation goal is reached asks the TSA for the unmasking vector and
+// subtracts it.  Contributions arrive as a std::span, so a batch pays the
+// control path once: one TSA boundary crossing, mask expansion with the
+// multi-stream ChaCha20 path, and one cache-blocked fold of all accepted
+// masked updates into the running sum.  A span of one is the per-update
+// case.
 //
-// Semantics are preserved exactly.  Z_{2^32} addition is associative and
-// commutative, so the batched fold is bit-identical to the sequential one;
-// a rejected contribution discards only itself (its verdict slot says why);
-// and accepted counts, index consumption, and release behaviour match what
-// K sequential accept() calls would have produced.
+// The result does not depend on the split.  Z_{2^32} addition is
+// associative and commutative, so any split of the same contribution stream
+// yields the same masked sum; a rejected contribution discards only itself
+// (its verdict slot says why); and accepted counts, index consumption and
+// release behaviour follow the stream order, not the batch boundaries.
 
 #include <optional>
 #include <vector>
@@ -26,21 +25,23 @@
 
 namespace papaya::secagg {
 
-/// Batch-mode counterpart of SecureAggregationSession: same protocol role,
-/// same TSA, but contributions arrive aggregation-pipeline batches at a
-/// time (size chosen by the serving layer, e.g. TaskConfig batch size).
+/// One secure-aggregation session on the untrusted server, bound to a TSA
+/// instance.  Incremental: contributions arrive whenever clients finish,
+/// with no inter-client coordination, in batches whose size the serving
+/// layer chooses (TaskConfig::aggregation_batch_size).
 class BatchedSecureAggregationSession {
  public:
   BatchedSecureAggregationSession(TrustedSecureAggregator& tsa,
                                   std::size_t vector_length,
                                   std::size_t aggregation_goal);
 
-  /// Step 5, batched: verdicts[i] is exactly what a sequential accept of
-  /// batch[i] would have returned (duplicate indices within the batch
-  /// resolve in batch order).  Accepted masked updates are folded into the
-  /// running sum with one blocked reduction; rejected ones are discarded
-  /// individually.  Throws if any contribution has the wrong vector length
-  /// (checked up front, before anything is processed).
+  /// Step 5: fold a batch of masked updates into the running sum and
+  /// forward the clients' TSA-destined material in one crossing.
+  /// verdicts[i] is the TSA's verdict on batch[i] (duplicate indices resolve
+  /// in stream order).  Accepted masked updates are folded with one blocked
+  /// reduction; a rejected one is discarded, since an update the TSA cannot
+  /// unmask would poison the aggregate.  Throws if any contribution has the
+  /// wrong vector length (checked up front, before anything is processed).
   std::vector<TsaAccept> accept_batch(
       std::span<const ClientContribution> batch);
 
@@ -48,10 +49,12 @@ class BatchedSecureAggregationSession {
   bool goal_reached() const { return accepted_ >= goal_; }
 
   /// The running masked sum (exposed so equivalence tests can compare the
-  /// batched fold bit-for-bit against the sequential session's).
+  /// blocked fold bit-for-bit against a reference sum).
   const GroupVec& masked_sum() const { return masked_sum_; }
 
-  /// Steps 7–8: identical to SecureAggregationSession::finalize().
+  /// Steps 7–8: request the unmasking vector and recover the plaintext sum
+  /// of group elements.  Returns nullopt if the TSA refuses (threshold not
+  /// met or already released).
   std::optional<GroupVec> finalize();
 
   /// Convenience: finalize and decode to floats.

@@ -4,42 +4,6 @@
 
 namespace papaya::secagg {
 
-SecureAggregationSession::SecureAggregationSession(TrustedSecureAggregator& tsa,
-                                                   std::size_t vector_length,
-                                                   std::size_t aggregation_goal)
-    : tsa_(tsa), masked_sum_(vector_length, 0), goal_(aggregation_goal) {
-  if (aggregation_goal == 0) {
-    throw std::invalid_argument("SecureAggregationSession: goal must be > 0");
-  }
-}
-
-TsaAccept SecureAggregationSession::accept(const ClientContribution& c) {
-  if (c.masked_update.size() != masked_sum_.size()) {
-    throw std::invalid_argument("SecureAggregationSession: wrong update size");
-  }
-  const TsaAccept verdict = tsa_.process_contribution(
-      c.message_index, c.completing_message, c.sealed_seed,
-      /*sequence=*/c.message_index);
-  if (verdict == TsaAccept::kAccepted) {
-    add_in_place(masked_sum_, c.masked_update);
-    ++accepted_;
-  }
-  return verdict;
-}
-
-std::optional<GroupVec> SecureAggregationSession::finalize() {
-  const auto mask_sum = tsa_.request_unmask();
-  if (!mask_sum) return std::nullopt;
-  return unmask(masked_sum_, *mask_sum);
-}
-
-std::optional<std::vector<float>> SecureAggregationSession::finalize_decoded(
-    const FixedPointParams& fp) {
-  const auto sum = finalize();
-  if (!sum) return std::nullopt;
-  return decode(*sum, fp);
-}
-
 NaiveTeeAggregator::NaiveTeeAggregator(std::size_t vector_length,
                                        std::size_t threshold)
     : sum_(vector_length, 0), threshold_(threshold) {}

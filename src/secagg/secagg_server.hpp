@@ -1,57 +1,16 @@
 #pragma once
-// Untrusted-server side of Asynchronous SecAgg (Fig. 16 steps 5, 7, 8) and
-// the naive TEE-aggregation baseline it is compared against in Fig. 6.
-//
-// The server incrementally aggregates *masked* updates (it never sees a
-// plaintext update), forwards each client's sealed seed to the TSA, and once
-// the aggregation goal is reached asks the TSA for the unmasking vector and
-// subtracts it.
+// The naive TEE-aggregation baseline that Asynchronous SecAgg is compared
+// against in Fig. 6.  The untrusted-server side of the protocol itself is
+// BatchedSecureAggregationSession (secagg_batch.hpp).
 
+#include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
-#include "secagg/fixed_point.hpp"
-#include "secagg/secagg_client.hpp"
-#include "secagg/tsa.hpp"
+#include "secagg/boundary.hpp"
+#include "secagg/group.hpp"
 
 namespace papaya::secagg {
-
-/// One secure-aggregation session on the untrusted server, bound to a TSA
-/// instance.  Incremental: contributions arrive whenever clients finish,
-/// with no inter-client coordination.
-class SecureAggregationSession {
- public:
-  SecureAggregationSession(TrustedSecureAggregator& tsa,
-                           std::size_t vector_length,
-                           std::size_t aggregation_goal);
-
-  /// Step 5: fold one masked update into the running sum and forward the
-  /// client's TSA-destined material.  Returns the TSA's verdict; on any
-  /// non-accepted verdict the masked update is discarded too (an update the
-  /// TSA cannot unmask would poison the aggregate).
-  TsaAccept accept(const ClientContribution& contribution);
-
-  std::size_t accepted_count() const { return accepted_; }
-  bool goal_reached() const { return accepted_ >= goal_; }
-
-  /// The running masked sum (exposed so equivalence tests can compare the
-  /// sequential fold bit-for-bit against the batched session's).
-  const GroupVec& masked_sum() const { return masked_sum_; }
-
-  /// Steps 7–8: request the unmasking vector and recover the plaintext sum
-  /// of group elements.  Returns nullopt if the TSA refuses (threshold not
-  /// met or already released).
-  std::optional<GroupVec> finalize();
-
-  /// Convenience: finalize and decode to floats.
-  std::optional<std::vector<float>> finalize_decoded(const FixedPointParams& fp);
-
- private:
-  TrustedSecureAggregator& tsa_;
-  GroupVec masked_sum_;
-  std::size_t goal_;
-  std::size_t accepted_ = 0;
-};
 
 /// Baseline for Fig. 6: naive TEE aggregation.  Every client's *entire
 /// encrypted update* crosses the boundary into the enclave, which decrypts

@@ -92,31 +92,11 @@ TsaAccept TrustedSecureAggregator::admit_contribution(
   return TsaAccept::kAccepted;
 }
 
-TsaAccept TrustedSecureAggregator::process_contribution(
-    std::uint64_t index, std::span<const std::uint8_t> completing_message,
-    const crypto::SealedBox& sealed_seed, std::uint64_t sequence) {
-  // Everything entering the enclave is metered: index + completing message +
-  // sealed seed in; a one-byte status out.
-  boundary_.record_call(
-      sizeof(index) + completing_message.size() + sealed_seed.ciphertext.size(),
-      1);
-
-  Seed seed{};
-  const TsaAccept verdict =
-      admit_contribution(index, completing_message, sealed_seed, sequence, seed);
-  if (verdict != TsaAccept::kAccepted) return verdict;
-
-  // Re-generate the client's mask from the seed and fold it in.
-  crypto::MaskPrng prng(seed);
-  for (auto& e : mask_sum_) e += prng.next_u32();
-  return TsaAccept::kAccepted;
-}
-
 std::vector<TsaAccept> TrustedSecureAggregator::process_contributions(
     std::span<const ContributionRef> batch) {
-  // One boundary crossing for the whole batch: the summed inputs in, one
-  // status byte per contribution out.  This is the control-path
-  // amortization the batched pipeline exists for.
+  // Everything entering the enclave is metered, in one boundary crossing
+  // for the whole batch: index + completing message + sealed seed per
+  // contribution in, one status byte per contribution out.
   std::uint64_t bytes_in = 0;
   for (const ContributionRef& c : batch) {
     bytes_in += sizeof(c.index) + c.completing_message.size() +

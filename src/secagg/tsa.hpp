@@ -71,16 +71,10 @@ class TrustedSecureAggregator {
     return initial_messages_;
   }
 
-  /// Step 6: process one client's completing message + encrypted seed.
-  /// `sequence` is the sequence number the client sealed the seed under
-  /// (the protocol uses the initial-message index).
-  TsaAccept process_contribution(std::uint64_t index,
-                                 std::span<const std::uint8_t> completing_message,
-                                 const crypto::SealedBox& sealed_seed,
-                                 std::uint64_t sequence);
-
-  /// A borrowed view of one contribution's TSA-destined material, for the
-  /// batched entry point below.
+  /// A borrowed view of one contribution's TSA-destined material: the
+  /// client's completing message and encrypted seed.  `sequence` is the
+  /// sequence number the client sealed the seed under (the protocol uses
+  /// the initial-message index).
   struct ContributionRef {
     std::uint64_t index = 0;
     std::span<const std::uint8_t> completing_message;
@@ -88,16 +82,16 @@ class TrustedSecureAggregator {
     std::uint64_t sequence = 0;
   };
 
-  /// Batched step 6: process a whole batch in one boundary crossing.  The
+  /// Step 6: process a batch of contributions in one boundary crossing.  The
   /// control path (index bookkeeping, DH key recovery, seed decryption) runs
-  /// per contribution in batch order — so duplicate indices within a batch
-  /// resolve exactly as sequential calls would — and then all accepted
-  /// seeds' masks are expanded with the multi-stream ChaCha20 path and
-  /// folded into the running mask sum in one cache-blocked pass.
-  /// verdicts[i] is bit-for-bit what process_contribution(batch[i]) would
-  /// have returned, and the mask sum is identical (Z_{2^32} addition
-  /// commutes); only the boundary meter differs: one call, with the batch's
-  /// summed input bytes and one status byte out per contribution.
+  /// per contribution in batch order, so a duplicate index is rejected the
+  /// same way whether its first use arrived in this batch or an earlier one.
+  /// Then all accepted seeds' masks are expanded with the multi-stream
+  /// ChaCha20 path and folded into the running mask sum in one cache-blocked
+  /// pass; Z_{2^32} addition commutes, so the verdicts and the mask sum do
+  /// not depend on how contributions are split into batches.  The boundary
+  /// meter records one call per batch: the summed input bytes in, one
+  /// status byte out per contribution.
   std::vector<TsaAccept> process_contributions(
       std::span<const ContributionRef> batch);
 
@@ -114,8 +108,8 @@ class TrustedSecureAggregator {
  private:
   /// Control path for one contribution: index bookkeeping, DH key recovery,
   /// seed decryption.  On kAccepted the index is consumed, accepted_ is
-  /// incremented, and `seed` holds the decrypted mask seed — the caller
-  /// folds the mask (scalar per-update, or batched multi-stream).
+  /// incremented, and `seed` holds the decrypted mask seed, which
+  /// process_contributions then expands and folds.
   TsaAccept admit_contribution(std::uint64_t index,
                                std::span<const std::uint8_t> completing_message,
                                const crypto::SealedBox& sealed_seed,

@@ -3,8 +3,8 @@
 // three fold backends (locked / morsel / striped), exactness across
 // mid-stream strategy switches (the conservation hammer), registration-time
 // validation of TaskConfig::aggregator_shards and ::aggregation_strategy,
-// SecAgg flush-threshold policy, simulator-level strategy equivalence, and
-// the skewed-update-size graceful-degradation sweep.
+// simulator-level strategy equivalence, and the skewed-update-size
+// graceful-degradation sweep.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "fl/coordinator.hpp"
 #include "fl/model_update.hpp"
 #include "fl/parallel_agg.hpp"
-#include "fl/secure_buffer.hpp"
 #include "fl/sharded_agg.hpp"
 #include "sim/fl_simulator.hpp"
 
@@ -479,31 +478,6 @@ TEST(AggStrategyValidation, CoordinatorRejectsAtSubmitAndClampsAtAdopt) {
   coordinator.submit_task(config, std::vector<float>(8, 0.0f), {});
   EXPECT_EQ(coordinator.task_strategy("t2"), AggStrategy::kMorsel);
   EXPECT_EQ(agg.task_strategy("t2"), AggStrategy::kMorsel);
-}
-
-// ------------------------------------------------- SecAgg flush thresholds --
-
-TEST(AggStrategyValidation, SecureBufferFlushThresholdFollowsStrategy) {
-  // Strategy-controlled batch-drain deferral (legal because batched ≡
-  // per-update is bit-identical; the threshold is pure amortization
-  // policy).
-  const std::size_t model = 4, goal = 10, seed = 1;
-  EXPECT_EQ(SecureBufferManager(model, goal, seed, 4, AggStrategy::kLocked)
-                .flush_threshold(),
-            1u);
-  EXPECT_EQ(SecureBufferManager(model, goal, seed, 4, AggStrategy::kMorsel)
-                .flush_threshold(),
-            goal);
-  EXPECT_EQ(SecureBufferManager(model, goal, seed, 4, AggStrategy::kAuto)
-                .flush_threshold(),
-            4u);
-  EXPECT_EQ(SecureBufferManager(model, goal, seed, 4, AggStrategy::kStriped)
-                .flush_threshold(),
-            4u);
-  // Sequential session ignores the strategy.
-  EXPECT_EQ(SecureBufferManager(model, goal, seed, 1, AggStrategy::kMorsel)
-                .flush_threshold(),
-            1u);
 }
 
 // ------------------------------------------------- Simulator equivalence --

@@ -1193,22 +1193,31 @@ TEST(SecureBuffer, WeightedMeanMatchesPlaintext) {
 }
 
 TEST(SecureBuffer, TamperedContributionRejectedAndSlotFreed) {
-  Aggregator agg("a");
-  auto cfg = async_task(5, 2, 4);
-  cfg.secagg_enabled = true;
-  agg.assign_task(cfg, std::vector<float>(4, 0.0f), {});
-  agg.client_join("lm", 1, 0.0);
-  const auto upload = agg.secure_upload_config("lm");
-  ASSERT_TRUE(upload.has_value());
-  auto report = SecureBufferManager::prepare_report(
-      agg.secure_platform("lm"), *upload, 1, 0, 10, 1.0,
-      std::vector<float>(4, 0.1f), 1);
-  ASSERT_TRUE(report.has_value());
-  report->contribution.sealed_seed.ciphertext[16] ^= 1;
-  const auto result = agg.client_report_secure("lm", *report, 1.0);
-  EXPECT_EQ(result.outcome, ReportOutcome::kRejectedUnknown);
-  EXPECT_EQ(agg.active_clients("lm"), 0u);  // slot freed for replacement
-  EXPECT_GE(agg.client_demand("lm"), 1);
+  // A tampered sealed seed (refused by the TSA) and a masked update of the
+  // wrong length (refused at submit) are both discarded.
+  for (const bool wrong_length : {false, true}) {
+    Aggregator agg("a");
+    auto cfg = async_task(5, 2, 4);
+    cfg.secagg_enabled = true;
+    agg.assign_task(cfg, std::vector<float>(4, 0.0f), {});
+    agg.client_join("lm", 1, 0.0);
+    const auto upload = agg.secure_upload_config("lm");
+    ASSERT_TRUE(upload.has_value());
+    auto report = SecureBufferManager::prepare_report(
+        agg.secure_platform("lm"), *upload, 1, 0, 10, 1.0,
+        std::vector<float>(4, 0.1f), 1);
+    ASSERT_TRUE(report.has_value());
+    if (wrong_length) {
+      report->contribution.masked_update.pop_back();
+    } else {
+      report->contribution.sealed_seed.ciphertext[16] ^= 1;
+    }
+    const auto result = agg.client_report_secure("lm", *report, 1.0);
+    EXPECT_EQ(result.outcome, ReportOutcome::kRejectedUnknown);
+    EXPECT_EQ(agg.active_clients("lm"), 0u);  // slot freed for replacement
+    EXPECT_GE(agg.client_demand("lm"), 1);
+    EXPECT_EQ(agg.stats("lm").updates_discarded, 1u);
+  }
 }
 
 TEST(SecureBuffer, BatchedModeMatchesPerUpdateBitForBit) {
@@ -1219,10 +1228,20 @@ TEST(SecureBuffer, BatchedModeMatchesPerUpdateBitForBit) {
   SecureBufferManager per_update(kModelSize, kGoal, 1234, /*batch_size=*/1);
   SecureBufferManager batched(kModelSize, kGoal, 1234, /*batch_size=*/3);
 
+  using Outcome = SecureSubmitOutcome;
+  // Five reports: four good, the third tampered (TSA-rejected).  At batch 3
+  // the third report's submit flushes the first three and returns its own
+  // verdict; the fifth flushes the last two because they reach the goal.
+  const std::vector<Outcome> per_update_outcomes{
+      Outcome::kAccepted, Outcome::kAccepted, Outcome::kTsaRejected,
+      Outcome::kAccepted, Outcome::kAccepted};
+  const std::vector<Outcome> batched_outcomes{
+      Outcome::kBuffered, Outcome::kBuffered, Outcome::kTsaRejected,
+      Outcome::kBuffered, Outcome::kAccepted};
   std::optional<std::vector<float>> per_update_mean, batched_mean;
   for (auto* manager : {&per_update, &batched}) {
-    const bool is_batched = manager->batch_size() > 1;
-    // Five reports: four good, the third tampered (TSA-rejected).
+    const bool is_batched = manager == &batched;
+    std::vector<Outcome> outcomes;
     for (std::uint64_t id = 1; id <= 5; ++id) {
       const auto upload = manager->next_upload_config();
       ASSERT_TRUE(upload.has_value());
@@ -1232,17 +1251,13 @@ TEST(SecureBuffer, BatchedModeMatchesPerUpdateBitForBit) {
           manager->platform(), *upload, id, 0, 5, /*weight=*/1.0, delta, id);
       ASSERT_TRUE(report.has_value());
       if (id == 3) report->contribution.sealed_seed.ciphertext[4] ^= 1;
-      const auto outcome = manager->submit(*report, 1.0);
-      if (is_batched) {
-        EXPECT_EQ(outcome, SecureSubmitOutcome::kBuffered);
-      } else {
-        EXPECT_EQ(outcome, id == 3 ? SecureSubmitOutcome::kTsaRejected
-                                   : SecureSubmitOutcome::kAccepted);
-      }
+      outcomes.push_back(manager->submit(*report, 1.0));
       if (manager->goal_reached()) break;
     }
+    EXPECT_EQ(outcomes, is_batched ? batched_outcomes : per_update_outcomes);
     EXPECT_EQ(manager->accepted_count(), kGoal);
-    EXPECT_EQ(manager->take_rejected(), is_batched ? 1u : 0u);
+    // The rejected report learned its verdict from its own submit.
+    EXPECT_EQ(manager->take_rejected(), 0u);
     (is_batched ? batched_mean : per_update_mean) = manager->finalize_mean();
   }
   ASSERT_TRUE(per_update_mean.has_value());
@@ -1253,7 +1268,7 @@ TEST(SecureBuffer, BatchedModeMatchesPerUpdateBitForBit) {
 TEST(SecureBuffer, BatchedFlushTriggersAtGoalRegardlessOfBatchSize) {
   // Batch size larger than the goal: the goal-could-complete condition must
   // flush early so the epoch finalizes after the same contributions as
-  // per-update mode would.
+  // per-update mode would.  The submit that flushes returns its own verdict.
   constexpr std::size_t kModelSize = 4, kGoal = 2;
   SecureBufferManager manager(kModelSize, kGoal, 55, /*batch_size=*/16);
   for (std::uint64_t id = 1; id <= kGoal; ++id) {
@@ -1263,13 +1278,71 @@ TEST(SecureBuffer, BatchedFlushTriggersAtGoalRegardlessOfBatchSize) {
         manager.platform(), *upload, id, 0, 5, 1.0,
         std::vector<float>(kModelSize, 0.5f), id);
     ASSERT_TRUE(report.has_value());
-    EXPECT_EQ(manager.submit(*report, 1.0), SecureSubmitOutcome::kBuffered);
+    EXPECT_EQ(manager.submit(*report, 1.0),
+              id < kGoal ? SecureSubmitOutcome::kBuffered
+                         : SecureSubmitOutcome::kAccepted);
   }
   EXPECT_EQ(manager.pending_count(), 0u);  // flushed by the goal condition
   EXPECT_TRUE(manager.goal_reached());
   const auto mean = manager.finalize_mean();
   ASSERT_TRUE(mean.has_value());
   for (const float v : *mean) EXPECT_NEAR(v, 0.5f, 1e-3f);
+}
+
+TEST(SecureBuffer, MalformedLengthIsRefusedWithoutWedgingTheEpoch) {
+  // accept_batch throws on a masked update of the wrong length.  Buffered,
+  // one would make every later flush throw and the epoch would never
+  // release; so submit() refuses it up front, at every batch size, and
+  // counts it as rejected.
+  constexpr std::size_t kModelSize = 6, kGoal = 3;
+  for (const std::size_t batch_size : {1UL, 4UL}) {
+    SecureBufferManager manager(kModelSize, kGoal, 4321, batch_size);
+    std::uint64_t id = 0;
+    const auto next_report = [&] {
+      const auto upload = manager.next_upload_config();
+      EXPECT_TRUE(upload.has_value());
+      ++id;
+      auto report = SecureBufferManager::prepare_report(
+          manager.platform(), *upload, id, 0, 5, 1.0,
+          std::vector<float>(kModelSize, 0.5f), id);
+      EXPECT_TRUE(report.has_value());
+      return *report;
+    };
+
+    // One honest report first, so at batch 4 the malformed ones arrive
+    // while a report is pending beside them.
+    EXPECT_EQ(manager.submit(next_report(), 1.0),
+              batch_size == 1 ? SecureSubmitOutcome::kAccepted
+                              : SecureSubmitOutcome::kBuffered)
+        << "batch " << batch_size;
+    for (const std::size_t length : {kModelSize - 1, kModelSize + 1}) {
+      SecureReport bad = next_report();
+      bad.contribution.masked_update.resize(length);
+      EXPECT_EQ(manager.submit(bad, 1.0), SecureSubmitOutcome::kMalformed)
+          << "batch " << batch_size << ", length " << length;
+    }
+    // The honest reports still reach the goal and release their mean.
+    for (std::size_t i = 1; i < kGoal; ++i) {
+      const SecureSubmitOutcome outcome = manager.submit(next_report(), 1.0);
+      EXPECT_NE(outcome, SecureSubmitOutcome::kTsaRejected);
+      EXPECT_NE(outcome, SecureSubmitOutcome::kMalformed);
+    }
+    ASSERT_TRUE(manager.goal_reached()) << "batch " << batch_size;
+    const auto mean = manager.finalize_mean();
+    ASSERT_TRUE(mean.has_value()) << "batch " << batch_size;
+    for (const float v : *mean) EXPECT_NEAR(v, 0.5f, 1e-3f);
+
+    const auto acct = manager.accounting();
+    EXPECT_EQ(acct.submitted, kGoal + 2);
+    EXPECT_EQ(acct.accepted, kGoal);
+    EXPECT_EQ(acct.rejected, 2u);
+    EXPECT_EQ(acct.pending, 0u);
+    EXPECT_EQ(acct.submitted,
+              acct.accepted + acct.rejected + acct.wrong_epoch + acct.pending);
+    EXPECT_EQ(acct.epochs_released, 1u);
+    // submit() returned both refusals; none is left to claim.
+    EXPECT_EQ(manager.take_rejected(), 0u);
+  }
 }
 
 TEST(SecureBuffer, BatchedRejectionFreesSyncRoundSlot) {
@@ -1319,6 +1392,48 @@ TEST(SecureBuffer, BatchedRejectionFreesSyncRoundSlot) {
   const auto result = agg.client_report_secure("lm", *report, 1.0);
   EXPECT_TRUE(result.server_stepped);
   EXPECT_EQ(agg.model_version("lm"), 1u);
+}
+
+TEST(SecureBuffer, FlushRejectingItsSubmitterUncountsEarlierRejections) {
+  // A flush can reject the report whose submit triggered it and earlier
+  // buffered reports at once.  The submitter learns its verdict directly;
+  // the earlier ones must be un-counted in the same call, not left for the
+  // next submit, so the round's demand frees up for both replacements.
+  Aggregator agg("a");
+  TaskConfig cfg;
+  cfg.name = "lm";
+  cfg.mode = TrainingMode::kSync;
+  cfg.concurrency = 4;
+  cfg.aggregation_goal = 4;
+  cfg.model_size = 4;
+  cfg.secagg_enabled = true;
+  cfg.aggregation_batch_size = 3;
+  cfg.example_weighting = false;
+  agg.assign_task(cfg, std::vector<float>(4, 0.0f), {});
+
+  for (std::uint64_t c = 1; c <= 3; ++c) {
+    ASSERT_TRUE(agg.client_join("lm", c, 0.0).accepted);
+  }
+  // Reports 1 and 3 are tampered; report 3's submit flushes all three.
+  std::vector<ReportOutcome> outcomes;
+  for (std::uint64_t c = 1; c <= 3; ++c) {
+    const auto upload = agg.secure_upload_config("lm");
+    ASSERT_TRUE(upload.has_value());
+    auto report = SecureBufferManager::prepare_report(
+        agg.secure_platform("lm"), *upload, c, 0, 10, 1.0,
+        std::vector<float>(4, 0.25f), c);
+    ASSERT_TRUE(report.has_value());
+    if (c != 2) report->contribution.sealed_seed.ciphertext[7] ^= 1;
+    outcomes.push_back(agg.client_report_secure("lm", *report, 1.0).outcome);
+  }
+  EXPECT_EQ(outcomes, (std::vector<ReportOutcome>{
+                          ReportOutcome::kAccepted, ReportOutcome::kAccepted,
+                          ReportOutcome::kRejectedUnknown}));
+  // Both rejections are discarded now; one completion stands, so demand is
+  // concurrency - completed - active = 4 - 1 - 0 = 3.
+  EXPECT_EQ(agg.stats("lm").updates_discarded, 2u);
+  EXPECT_EQ(agg.client_demand("lm"), 3);
+  EXPECT_EQ(agg.model_version("lm"), 0u);
 }
 
 TEST(SecureBuffer, BatchedEndToEndThroughAggregator) {

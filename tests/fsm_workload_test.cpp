@@ -98,14 +98,22 @@ TEST(FsmWorkload, SecAggUnderByzantineFlood) {
   flood_config.probability = 0.45;
   ByzantineFloodScenario flood(flood_config);
   const HarnessOptions options = defaults(404, 3, 60, 20, &flood);
-  SecAggFloodWorkload workload(options.actors);
-  const HarnessResult result = run_workload(workload, options);
-  EXPECT_TRUE(result.ok()) << result.summary();
-  EXPECT_EQ(result.steps_run, options.steps);
-  // The flood must actually have exercised both paths, or the accounting
-  // invariants were vacuous.
-  EXPECT_GT(workload.valid_submitted(), 0u);
-  EXPECT_GT(workload.malformed_submitted(), 0u);
+  // Batch 1 flushes every report on its own submit; batch 3 defers verdicts.
+  for (const std::size_t batch_size : {1UL, 3UL}) {
+    SecAggFloodWorkload::Config config;
+    config.batch_size = batch_size;
+    SecAggFloodWorkload workload(options.actors, config);
+    const HarnessResult result = run_workload(workload, options);
+    EXPECT_TRUE(result.ok()) << "batch " << batch_size << ": "
+                             << result.summary();
+    EXPECT_EQ(result.steps_run, options.steps);
+    // The flood must actually have exercised every path, or the accounting
+    // invariants were vacuous.
+    EXPECT_GT(workload.valid_submitted(), 0u);
+    EXPECT_GT(workload.malformed_submitted(),
+              workload.wrong_length_submitted());
+    EXPECT_GT(workload.wrong_length_submitted(), 0u);
+  }
 }
 
 // ---------------------------------------------------- harness meta-tests --

@@ -6,8 +6,8 @@
 
 #include <cmath>
 
+#include "secagg/secagg_batch.hpp"
 #include "secagg/secagg_client.hpp"
-#include "secagg/secagg_server.hpp"
 #include "sim/fl_simulator.hpp"
 #include "util/stats.hpp"
 
@@ -188,7 +188,7 @@ TEST(Integration, SecAggAggregateMatchesPlaintextAggregate) {
   secagg::TrustedSecureAggregator tsa(dh, params, n_clients + 2, platform,
                                       binary, 3);
   secagg::QuoteExpectations expectations{params.hash(dh), log.snapshot()};
-  secagg::SecureAggregationSession session(tsa, model_size, n_clients);
+  secagg::BatchedSecureAggregationSession session(tsa, model_size, n_clients);
 
   util::Rng rng(17);
   std::vector<float> plaintext_sum(model_size, 0.0f);
@@ -202,7 +202,8 @@ TEST(Integration, SecAggAggregateMatchesPlaintextAggregate) {
         platform, expectations, tsa.initial_messages().at(c),
         log.prove_inclusion(0), delta);
     ASSERT_TRUE(contribution.has_value());
-    ASSERT_EQ(session.accept(*contribution), secagg::TsaAccept::kAccepted);
+    ASSERT_EQ(session.accept_batch({&*contribution, 1}).front(),
+              secagg::TsaAccept::kAccepted);
   }
 
   const auto secure_sum = session.finalize_decoded(fp);

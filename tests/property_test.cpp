@@ -22,8 +22,8 @@
 #include "ml/model.hpp"
 #include "secagg/fixed_point.hpp"
 #include "secagg/otp.hpp"
+#include "secagg/secagg_batch.hpp"
 #include "secagg/secagg_client.hpp"
-#include "secagg/secagg_server.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -161,7 +161,7 @@ TEST_P(SecAggSweep, SecureSumEqualsPlaintextSum) {
                                       binary, 17);
   const secagg::QuoteExpectations expectations{params.hash(dh),
                                                log.snapshot()};
-  secagg::SecureAggregationSession session(tsa, length, goal);
+  secagg::BatchedSecureAggregationSession session(tsa, length, goal);
 
   util::Rng rng(31 + goal);
   std::vector<double> expected(length, 0.0);
@@ -176,7 +176,8 @@ TEST_P(SecAggSweep, SecureSumEqualsPlaintextSum) {
         platform, expectations, tsa.initial_messages().at(c),
         log.prove_inclusion(0), update);
     ASSERT_TRUE(contribution.has_value());
-    ASSERT_EQ(session.accept(*contribution), secagg::TsaAccept::kAccepted);
+    ASSERT_EQ(session.accept_batch({&*contribution, 1}).front(),
+              secagg::TsaAccept::kAccepted);
   }
   const auto sum = session.finalize_decoded(fp);
   ASSERT_TRUE(sum.has_value());

@@ -8,10 +8,12 @@
 //
 // Malformed contributions are tampered *clones* of honestly prepared
 // reports: flipping one sealed-seed ciphertext byte breaks the TSA's
-// authenticated decryption (kDecryptionFailed), and a clone submitted after
-// its original bounces off the consumed index (kIndexConsumed) — so the
-// flood costs one cheap copy per malformed submission instead of a fresh DH
-// handshake, which is what makes a 10k-contribution flood affordable.
+// authenticated decryption (kDecryptionFailed), a clone submitted after its
+// original bounces off the consumed index (kIndexConsumed), and a clone
+// whose masked update is a word short or long is refused at submit, before
+// it is buffered (kMalformed) — so the flood costs one cheap copy per
+// malformed submission instead of a fresh DH handshake, which is what makes
+// a 10k-contribution flood affordable.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "fl/agg_strategy.hpp"
 #include "fl/secure_buffer.hpp"
 
 namespace papaya::fl {
@@ -37,17 +38,32 @@ SecureReport tampered_clone(const SecureReport& report, std::size_t flip) {
   return clone;
 }
 
+SecureReport wrong_length_clone(const SecureReport& report, std::size_t j) {
+  SecureReport clone = report;
+  clone.contribution.masked_update.resize(j % 2 == 0 ? kModelSize - 1
+                                                     : kModelSize + 1);
+  return clone;
+}
+
 TEST(SecAggFlood, TenThousandMalformedSubmissionsCannotDriftAccounting) {
   constexpr std::size_t kMalformedTarget = 10000;
   SecureBufferManager manager(kModelSize, kGoal, /*seed=*/0xf100d,
-                              /*batch_size=*/4, AggStrategy::kAuto);
+                              /*batch_size=*/4);
   const std::vector<float> delta(kModelSize, 0.5f);
 
   std::uint64_t valid = 0;
   std::uint64_t malformed = 0;
   std::uint64_t replayed = 0;
-  std::uint64_t claimed = 0;
+  std::uint64_t wrong_length = 0;
+  std::uint64_t returned = 0;  // rejections a submit() returned itself
+  std::uint64_t claimed = 0;   // rejections take_rejected() reported later
   std::uint64_t epochs = 0;
+  const auto submit = [&](const SecureReport& report) {
+    const SecureSubmitOutcome outcome = manager.submit(report, 1.0);
+    returned += outcome == SecureSubmitOutcome::kTsaRejected ||
+                outcome == SecureSubmitOutcome::kMalformed;
+    return outcome;
+  };
 
   while (malformed + replayed < kMalformedTarget) {
     ++epochs;
@@ -65,23 +81,30 @@ TEST(SecAggFlood, TenThousandMalformedSubmissionsCannotDriftAccounting) {
     }
 
     // Interleave: a burst of tampered clones before each honest submit
-    // (kDecryptionFailed), the honest submit, a burst after it plus one
-    // pristine replay (kIndexConsumed).  ~1k malformed per epoch keeps the
-    // epoch count (and with it the DH handshake cost, the expensive part
-    // under TSan) low while still crossing plenty of epoch boundaries.
+    // (kDecryptionFailed), the honest submit, a burst of wrong-length clones
+    // (kMalformed), a burst of tampered clones plus one pristine replay
+    // (kIndexConsumed).  ~1k malformed per epoch keeps the epoch count (and
+    // with it the DH handshake cost, the expensive part under TSan) low
+    // while still crossing plenty of epoch boundaries.
     const std::size_t burst = (kMalformedTarget / 10) / (2 * kGoal);
+    constexpr std::size_t kWrongLengthBurst = 5;
     for (const auto& report : honest) {
       for (std::size_t j = 0; j < burst; ++j) {
-        manager.submit(tampered_clone(report, j), 1.0);
+        submit(tampered_clone(report, j));
         ++malformed;
       }
-      ASSERT_NE(manager.submit(report, 1.0), SecureSubmitOutcome::kWrongEpoch);
+      ASSERT_NE(submit(report), SecureSubmitOutcome::kWrongEpoch);
       ++valid;
+      for (std::size_t j = 0; j < kWrongLengthBurst; ++j) {
+        ASSERT_EQ(submit(wrong_length_clone(report, j)),
+                  SecureSubmitOutcome::kMalformed);
+        ++wrong_length;
+      }
       for (std::size_t j = 0; j < burst; ++j) {
-        manager.submit(tampered_clone(report, j), 1.0);
+        submit(tampered_clone(report, j));
         ++malformed;
       }
-      manager.submit(report, 1.0);  // replay of an already-used index
+      submit(report);  // replay of an already-used index
       ++replayed;
     }
 
@@ -96,27 +119,30 @@ TEST(SecAggFlood, TenThousandMalformedSubmissionsCannotDriftAccounting) {
     claimed += manager.take_rejected();
   }
 
+  const std::uint64_t rejected = malformed + replayed + wrong_length;
   const auto acct = manager.accounting();
-  EXPECT_EQ(acct.submitted, valid + malformed + replayed);
+  EXPECT_EQ(acct.submitted, valid + rejected);
   EXPECT_EQ(acct.accepted, valid);
-  EXPECT_EQ(acct.rejected, malformed + replayed);
+  EXPECT_EQ(acct.rejected, rejected);
   EXPECT_EQ(acct.wrong_epoch, 0u);
   EXPECT_EQ(acct.pending, 0u);  // no buffered-slot leak across 10k rejects
   EXPECT_EQ(acct.pending_weight_slots, 0u);
   EXPECT_EQ(acct.epochs_released, epochs);
   EXPECT_EQ(acct.submitted,
             acct.accepted + acct.rejected + acct.wrong_epoch + acct.pending);
-  // Every deferred rejection was claimable exactly once.
-  EXPECT_EQ(claimed + manager.take_rejected(), malformed + replayed);
+  // Every rejection was reported exactly once: by the submit() that decided
+  // it, or later by take_rejected().
+  EXPECT_EQ(returned + claimed + manager.take_rejected(), rejected);
   EXPECT_GE(malformed + replayed, kMalformedTarget);
 }
 
 TEST(SecAggFlood, ConcurrentFloodPreservesConservation) {
-  // Four attacker threads flood tampered clones while an honest thread
-  // submits real contributions and finalizes whenever the goal is reached.
+  // Four attacker threads flood tampered and wrong-length clones while an
+  // honest thread submits real contributions and finalizes whenever the
+  // goal is reached.
   // Interleavings vary run to run; the conservation identities may not.
   SecureBufferManager manager(kModelSize, kGoal, /*seed=*/0xf200d,
-                              /*batch_size=*/3, AggStrategy::kAuto);
+                              /*batch_size=*/3);
   const std::vector<float> delta(kModelSize, 0.25f);
 
   // One honestly prepared report per attacker to clone from (epoch 1).
@@ -140,7 +166,9 @@ TEST(SecAggFlood, ConcurrentFloodPreservesConservation) {
   for (std::size_t a = 0; a < seeds.size(); ++a) {
     attackers.emplace_back([&, a] {
       for (std::size_t j = 0; j < kPerAttacker; ++j) {
-        manager.submit(tampered_clone(seeds[a], j), 1.0);
+        manager.submit(j % 4 == 3 ? wrong_length_clone(seeds[a], j)
+                                  : tampered_clone(seeds[a], j),
+                       1.0);
         submitted.fetch_add(1, std::memory_order_relaxed);
       }
     });

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <span>
 
 #include "secagg/attestation.hpp"
@@ -263,10 +264,31 @@ struct ProtocolWorld {
   }
 };
 
+// One contribution through the session, as a span of one.
+TsaAccept accept_one(BatchedSecureAggregationSession& session,
+                     const ClientContribution& c) {
+  return session.accept_batch(std::span<const ClientContribution>(&c, 1))
+      .front();
+}
+
+// One contribution's TSA-destined material through the TSA's step-6 entry,
+// as a span of one.
+TsaAccept process_one(TrustedSecureAggregator& tsa, std::uint64_t index,
+                      std::span<const std::uint8_t> completing_message,
+                      const crypto::SealedBox& sealed_seed,
+                      std::uint64_t sequence) {
+  const TrustedSecureAggregator::ContributionRef ref{
+      index, completing_message, &sealed_seed, sequence};
+  return tsa.process_contributions(
+                std::span<const TrustedSecureAggregator::ContributionRef>(
+                    &ref, 1))
+      .front();
+}
+
 TEST(Protocol, EndToEndSumMatchesPlaintextSum) {
   const std::size_t length = 32, n = 5;
   ProtocolWorld world(length, n, 16);
-  SecureAggregationSession session(*world.tsa, length, n);
+  BatchedSecureAggregationSession session(*world.tsa, length, n);
 
   util::Rng rng(5);
   std::vector<float> expected(length, 0.0f);
@@ -278,7 +300,7 @@ TEST(Protocol, EndToEndSumMatchesPlaintextSum) {
     }
     const auto contribution = world.client_contribution(c, update);
     ASSERT_TRUE(contribution.has_value());
-    EXPECT_EQ(session.accept(*contribution), TsaAccept::kAccepted);
+    EXPECT_EQ(accept_one(session, *contribution), TsaAccept::kAccepted);
   }
   EXPECT_TRUE(session.goal_reached());
   const auto sum = session.finalize_decoded(world.fp);
@@ -307,13 +329,13 @@ TEST(Protocol, MaskedUpdateDoesNotRevealPlaintext) {
 TEST(Protocol, ThresholdEnforcedBeforeRelease) {
   const std::size_t length = 8;
   ProtocolWorld world(length, 3, 8);
-  SecureAggregationSession session(*world.tsa, length, 3);
+  BatchedSecureAggregationSession session(*world.tsa, length, 3);
 
   const std::vector<float> update(length, 0.1f);
   for (std::uint64_t c = 0; c < 2; ++c) {
     const auto contribution = world.client_contribution(c, update);
     ASSERT_TRUE(contribution.has_value());
-    session.accept(*contribution);
+    accept_one(session, *contribution);
   }
   // Below threshold: the TSA must refuse and stay live.
   EXPECT_FALSE(session.finalize().has_value());
@@ -321,27 +343,26 @@ TEST(Protocol, ThresholdEnforcedBeforeRelease) {
 
   const auto third = world.client_contribution(2, update);
   ASSERT_TRUE(third.has_value());
-  session.accept(*third);
+  accept_one(session, *third);
   EXPECT_TRUE(session.finalize().has_value());
 }
 
 TEST(Protocol, OneShotRelease) {
   const std::size_t length = 8;
   ProtocolWorld world(length, 1, 4);
-  SecureAggregationSession session(*world.tsa, length, 1);
+  BatchedSecureAggregationSession session(*world.tsa, length, 1);
   const auto c = world.client_contribution(0, std::vector<float>(length, 0.5f));
   ASSERT_TRUE(c.has_value());
-  session.accept(*c);
+  accept_one(session, *c);
   EXPECT_TRUE(session.finalize().has_value());
   // Second unmask request must be ignored (Fig. 16 step 7), and further
   // contributions are rejected.
   EXPECT_FALSE(world.tsa->request_unmask().has_value());
   const auto late = world.client_contribution(1, std::vector<float>(length, 0.5f));
   ASSERT_TRUE(late.has_value());
-  EXPECT_EQ(world.tsa->process_contribution(late->message_index,
-                                            late->completing_message,
-                                            late->sealed_seed,
-                                            late->message_index),
+  EXPECT_EQ(process_one(*world.tsa, late->message_index,
+                        late->completing_message, late->sealed_seed,
+                        late->message_index),
             TsaAccept::kReleased);
 }
 
@@ -350,13 +371,11 @@ TEST(Protocol, ReplayedIndexRejected) {
   ProtocolWorld world(length, 4, 8);
   const auto c = world.client_contribution(0, std::vector<float>(length, 0.5f));
   ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(world.tsa->process_contribution(c->message_index,
-                                            c->completing_message,
-                                            c->sealed_seed, c->message_index),
+  EXPECT_EQ(process_one(*world.tsa, c->message_index, c->completing_message,
+                        c->sealed_seed, c->message_index),
             TsaAccept::kAccepted);
-  EXPECT_EQ(world.tsa->process_contribution(c->message_index,
-                                            c->completing_message,
-                                            c->sealed_seed, c->message_index),
+  EXPECT_EQ(process_one(*world.tsa, c->message_index, c->completing_message,
+                        c->sealed_seed, c->message_index),
             TsaAccept::kIndexConsumed);
 }
 
@@ -366,9 +385,8 @@ TEST(Protocol, TamperedSeedCiphertextRejected) {
   auto c = world.client_contribution(0, std::vector<float>(length, 0.5f));
   ASSERT_TRUE(c.has_value());
   c->sealed_seed.ciphertext[15] ^= 0x01;
-  EXPECT_EQ(world.tsa->process_contribution(c->message_index,
-                                            c->completing_message,
-                                            c->sealed_seed, c->message_index),
+  EXPECT_EQ(process_one(*world.tsa, c->message_index, c->completing_message,
+                        c->sealed_seed, c->message_index),
             TsaAccept::kDecryptionFailed);
   EXPECT_EQ(world.tsa->accepted_count(), 0u);
 }
@@ -380,8 +398,8 @@ TEST(Protocol, SeedReplayUnderDifferentIndexRejected) {
   ProtocolWorld world(length, 2, 8);
   const auto c = world.client_contribution(0, std::vector<float>(length, 0.5f));
   ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(world.tsa->process_contribution(/*index=*/1, c->completing_message,
-                                            c->sealed_seed, /*sequence=*/1),
+  EXPECT_EQ(process_one(*world.tsa, /*index=*/1, c->completing_message,
+                        c->sealed_seed, /*sequence=*/1),
             TsaAccept::kDecryptionFailed);
 }
 
@@ -406,16 +424,15 @@ TEST(Protocol, BadPublicKeyRejectedWithoutConsumingIndex) {
       zero_prefixed,
   };
   for (const util::Bytes& message : bad) {
-    EXPECT_EQ(world.tsa->process_contribution(c->message_index, message,
-                                              c->sealed_seed, c->message_index),
+    EXPECT_EQ(process_one(*world.tsa, c->message_index, message, c->sealed_seed,
+                          c->message_index),
               TsaAccept::kBadPublicKey)
         << util::to_hex(message);
     EXPECT_EQ(world.tsa->accepted_count(), 0u);
   }
   // The honest completing message can still claim the index.
-  EXPECT_EQ(world.tsa->process_contribution(c->message_index,
-                                            c->completing_message,
-                                            c->sealed_seed, c->message_index),
+  EXPECT_EQ(process_one(*world.tsa, c->message_index, c->completing_message,
+                        c->sealed_seed, c->message_index),
             TsaAccept::kAccepted);
   EXPECT_EQ(world.tsa->accepted_count(), 1u);
 }
@@ -425,8 +442,8 @@ TEST(Protocol, UnknownIndexRejected) {
   ProtocolWorld world(length, 1, 4);
   const auto c = world.client_contribution(0, std::vector<float>(length, 0.5f));
   ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(world.tsa->process_contribution(/*index=*/99, c->completing_message,
-                                            c->sealed_seed, 99),
+  EXPECT_EQ(process_one(*world.tsa, /*index=*/99, c->completing_message,
+                        c->sealed_seed, 99),
             TsaAccept::kIndexUnknown);
 }
 
@@ -481,7 +498,7 @@ TEST(Protocol, DropoutsDoNotBlockOthers) {
   // the two arrivals still works — no recovery round needed.
   const std::size_t length = 16;
   ProtocolWorld world(length, 2, 8);
-  SecureAggregationSession session(*world.tsa, length, 2);
+  BatchedSecureAggregationSession session(*world.tsa, length, 2);
 
   std::vector<float> expected(length, 0.0f);
   for (std::uint64_t c : {0ULL, 2ULL}) {
@@ -489,7 +506,7 @@ TEST(Protocol, DropoutsDoNotBlockOthers) {
     for (std::size_t i = 0; i < length; ++i) expected[i] += update[i];
     const auto contribution = world.client_contribution(c, update);
     ASSERT_TRUE(contribution.has_value());
-    EXPECT_EQ(session.accept(*contribution), TsaAccept::kAccepted);
+    EXPECT_EQ(accept_one(session, *contribution), TsaAccept::kAccepted);
   }
   const auto sum = session.finalize_decoded(world.fp);
   ASSERT_TRUE(sum.has_value());
@@ -498,7 +515,7 @@ TEST(Protocol, DropoutsDoNotBlockOthers) {
   }
 }
 
-// ------------------------------------- Batched vs sequential equivalence --
+// ----------------------------------------------- Batch-split equivalence --
 
 // A contribution list with mixed verdicts, in a deliberate order: a valid
 // one, a tampered sealed seed (kDecryptionFailed), more valid ones with a
@@ -542,39 +559,43 @@ const std::vector<TsaAccept> kMixedVerdicts{
 TEST(BatchedSession, BitIdenticalToSequentialUnderMixedVerdicts) {
   const std::size_t length = 700;  // not a ChaCha20 block multiple
   const std::size_t goal = 5;
-  ProtocolWorld seq_world(length, goal, 8);
-  const auto contributions = mixed_contributions(seq_world, length);
+  ProtocolWorld reference_world(length, goal, 8);
+  const auto contributions = mixed_contributions(reference_world, length);
 
-  SecureAggregationSession sequential(*seq_world.tsa, length, goal);
-  std::vector<TsaAccept> seq_verdicts;
-  for (const auto& c : contributions) {
-    seq_verdicts.push_back(sequential.accept(c));
+  // The sequential reference: the accepted masked updates added one at a
+  // time, in stream order.
+  GroupVec expected_masked_sum(length, 0);
+  for (std::size_t i = 0; i < contributions.size(); ++i) {
+    if (kMixedVerdicts[i] == TsaAccept::kAccepted) {
+      add_in_place(expected_masked_sum, contributions[i].masked_update);
+    }
   }
-  EXPECT_EQ(seq_verdicts, kMixedVerdicts);
-  const auto seq_sum = sequential.finalize();
-  ASSERT_TRUE(seq_sum.has_value());
 
-  // Batch sizes 1, K, and K+1 (a final short batch / one oversized span).
+  // Batch sizes 1, 3, K, and K+1 (a final short batch / one oversized span).
+  std::optional<GroupVec> first_release;
   for (const std::size_t batch_size :
-       {1UL, contributions.size(), contributions.size() + 1}) {
+       {1UL, 3UL, contributions.size(), contributions.size() + 1}) {
     ProtocolWorld world(length, goal, 8);
-    BatchedSecureAggregationSession batched(*world.tsa, length, goal);
+    BatchedSecureAggregationSession session(*world.tsa, length, goal);
     std::vector<TsaAccept> verdicts;
     for (std::size_t base = 0; base < contributions.size();
          base += batch_size) {
       const std::size_t n = std::min(batch_size, contributions.size() - base);
-      const auto part = batched.accept_batch(
+      const auto part = session.accept_batch(
           std::span<const ClientContribution>(&contributions[base], n));
       verdicts.insert(verdicts.end(), part.begin(), part.end());
     }
-    EXPECT_EQ(verdicts, seq_verdicts) << "batch size " << batch_size;
-    EXPECT_EQ(batched.accepted_count(), sequential.accepted_count());
-    EXPECT_TRUE(batched.goal_reached());
-    // The running masked sum and the released aggregate are bit-identical.
-    EXPECT_EQ(batched.masked_sum(), sequential.masked_sum());
-    const auto batched_sum = batched.finalize();
-    ASSERT_TRUE(batched_sum.has_value());
-    EXPECT_EQ(*batched_sum, *seq_sum) << "batch size " << batch_size;
+    EXPECT_EQ(verdicts, kMixedVerdicts) << "batch size " << batch_size;
+    EXPECT_EQ(session.accepted_count(), goal);
+    EXPECT_TRUE(session.goal_reached());
+    // The running masked sum matches the reference, and the released
+    // aggregate is the same for every split.
+    EXPECT_EQ(session.masked_sum(), expected_masked_sum)
+        << "batch size " << batch_size;
+    const auto release = session.finalize();
+    ASSERT_TRUE(release.has_value());
+    if (!first_release) first_release = release;
+    EXPECT_EQ(*release, *first_release) << "batch size " << batch_size;
   }
 }
 
@@ -649,8 +670,8 @@ TEST(Boundary, AsyncSecAggTrafficIsConstantPerClientInModelSize) {
         world.client_contribution(0, std::vector<float>(length, 0.1f));
     ASSERT_TRUE(c.has_value());
     const std::uint64_t before = world.tsa->boundary().bytes_in();
-    world.tsa->process_contribution(c->message_index, c->completing_message,
-                                    c->sealed_seed, c->message_index);
+    process_one(*world.tsa, c->message_index, c->completing_message,
+                c->sealed_seed, c->message_index);
     const std::uint64_t per_client = world.tsa->boundary().bytes_in() - before;
     EXPECT_LT(per_client, 256u) << "model length " << length;
   }
