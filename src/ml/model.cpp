@@ -3,10 +3,16 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
 #include "ml/math.hpp"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define PAPAYA_MLP_X86 1
+#include <immintrin.h>
+#endif
 
 namespace papaya::ml {
 
@@ -60,8 +66,13 @@ struct MlpLayout {
 //     slot) order;
 //   - the loss sums in double, in prediction order.
 // The parameters do not change during one call, so running a block forward
-// and then backward changes no value.  tanh and exp stay scalar libm calls;
-// a vector version would round differently.  No build of this code may
+// and then backward changes no value.  On x86-64, tanh and exp run a vector
+// at a time through lane-wise ports of the algorithms glibc runs (up to
+// glibc 2.40; see "tanh and exp a vector at a time"), so they return
+// std::tanh's and std::exp's bits; the exp port runs only where glibc
+// selects its fused build of expf, on CPUs with FMA and AVX2.  Elsewhere
+// they stay scalar libm calls: another target's libm may be compiled with
+// contraction, which no port here follows.  No build of the kernel may
 // enable FMA: the compiler would contract a*b+c and change the bits.
 
 /// Output widths pad to a multiple of this many floats, which is a multiple
@@ -82,6 +93,7 @@ constexpr std::size_t pad_lanes(std::size_t n) {
 /// 16-byte vectors: SSE2 on every x86-64 CPU, generic code elsewhere.
 struct PortableIsa {
   typedef float Vec __attribute__((vector_size(16)));
+  typedef std::int32_t IVec __attribute__((vector_size(16)));
 };
 
 /// c[r][j] (+)= sum over k, in order, of a(r, k) * b[k][j], for r < rows and
@@ -158,6 +170,186 @@ template <class Isa>
       default: break;
     }
   }
+}
+
+#ifdef PAPAYA_MLP_X86
+// ---------------------------------------------------------------------------
+// tanh and exp a vector at a time, on x86-64.  A lane that performs libm's
+// IEEE operations in libm's order rounds exactly as libm does, so these
+// ports of glibc's own algorithms return std::tanh's and std::exp's bits on
+// every float input.  They follow glibc up to 2.40 (2.41 replaced tanhf
+// with a correctly rounded one); tests/libm_lanes_sweep.cpp checks all 2^32
+// inputs against the libm it runs on.
+// ---------------------------------------------------------------------------
+
+/// True if any lane of the comparison result m is set.
+template <class IVec>
+[[gnu::always_inline]] inline bool any_lane(const IVec& m) {
+  std::uint64_t words[sizeof m / sizeof(std::uint64_t)];
+  std::memcpy(words, &m, sizeof m);
+  std::uint64_t any = 0;
+  for (const std::uint64_t w : words) any |= w;
+  return any != 0;
+}
+
+/// x[i] = std::tanh(x[i]) for i < n, a multiple of the vector width.  This is
+/// fdlibm's tanhf and the expm1f it calls, as glibc builds them (scalar SSE,
+/// no FMA; expm1f with the 5-term polynomial Q1..Q5), with each branch turned
+/// into a lane select.  A vector holding ±inf or NaN goes to std::tanh whole.
+template <class Isa>
+[[gnu::always_inline]] inline void tanh_lanes(float* x, std::size_t n) {
+  using Vec = typename Isa::Vec;
+  using IVec = typename Isa::IVec;
+  constexpr std::size_t W = sizeof(Vec) / sizeof(float);
+  constexpr float ln2_hi = 6.9313812256e-01f, ln2_lo = 9.0580006145e-06f,
+                  invln2 = 1.4426950216e+00f, Q1 = -3.3333335072e-02f,
+                  Q2 = 1.5873016091e-03f, Q3 = -7.9365076090e-05f,
+                  Q4 = 4.0082177293e-06f, Q5 = -2.0109921195e-07f;
+  const Vec one = Vec{} + 1.0f, two = Vec{} + 2.0f;
+  for (std::size_t j = 0; j < n; j += W) {
+    Vec v;
+    std::memcpy(&v, x + j, sizeof v);
+    const IVec ix = reinterpret_cast<IVec>(v) & 0x7fffffff;
+    if (any_lane(ix >= 0x7f800000)) {
+      for (std::size_t i = j; i < j + W; ++i) x[i] = std::tanh(x[i]);
+      continue;
+    }
+    const IVec tiny = ix < 0x24000000;  // |x| < 2^-55, ±0 too: x*(1+x)
+    const IVec huge = ix >= 0x41b00000;  // |x| >= 22: ±1
+    const IVec ge1 = ix >= 0x3f800000;   // |x| >= 1
+    // tanhf calls expm1f(2|x|) for |x| >= 1 and expm1f(-2|x|) below.  A lane
+    // that never calls it gets 1, so k's float-to-int conversion below
+    // stays in range.
+    const Vec ax = reinterpret_cast<Vec>(ix);
+    Vec a = ge1 ? ax + ax : -(ax + ax);
+    a = tiny | huge ? one : a;
+
+    // expm1f(a) for a in (-2, 0) or [2, 44), the arguments tanhf passes;
+    // expm1f's k = 1 branch and its cases for |a| >= 27 ln2 never run for
+    // them.  Reduce a = k*ln2 + r, with r = hi - lo carrying the correction
+    // c: k = 0 for |a| <= ln2/2, ±1 below 1.5*ln2, else a/ln2 rounded.
+    const IVec hx = reinterpret_cast<IVec>(a) & 0x7fffffff;
+    const IVec neg = a < 0.0f;
+    IVec k = __builtin_convertvector(invln2 * a + (neg ? -one : one) * 0.5f,
+                                     IVec);
+    k = hx < 0x3f851592 ? (neg | 1) : k;
+    k &= hx > 0x3eb17218;
+    const Vec kf = __builtin_convertvector(k, Vec);
+    const Vec hi = a - kf * ln2_hi;
+    const Vec lo = kf * ln2_lo;
+    const Vec r = hi - lo;
+    const Vec c = (hi - r) - lo;
+    const Vec hfx = 0.5f * r;
+    const Vec hxs = r * hfx;
+    const Vec r1 =
+        1.0f + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+    const Vec tt = 3.0f - r1 * hfx;
+    const Vec e = hxs * ((r1 - tt) / (6.0f - r * tt));
+    const Vec ek = r * (e - c) - c - hxs;
+    // Other k: y, then y * 2^k as fdlibm does it, by adding k to y's
+    // exponent field; 2^-k is built the same way.
+    const IVec k23 = k << 23;
+    const Vec p2 = reinterpret_cast<Vec>((0x7f << 23) - k23);
+    const IVec far = (k <= -2) | (k > 56);
+    Vec y = k < 23 ? (1.0f - p2) - (ek - r) : r - (ek + p2) + 1.0f;
+    y = far ? 1.0f - (ek - r) : y;
+    y = reinterpret_cast<Vec>(reinterpret_cast<IVec>(y) + k23);
+    Vec t = far ? y - 1.0f : y;
+    t = k == -1 ? 0.5f * (r - ek) - 0.5f : t;
+    t = k == 0 ? r - (r * e - hxs) : t;
+    t = hx < 0x33000000 ? a : t;  // |a| < 2^-25: expm1f(a) = a
+
+    // tanhf: 1 - 2/(t+2) for |x| >= 1, -t/(t+2) below.
+    const Vec q = (ge1 ? two : -t) / (t + 2.0f);
+    Vec z = ge1 ? 1.0f - q : q;
+    z = huge ? one : z;
+    z = reinterpret_cast<IVec>(v) < 0 ? -z : z;
+    z = tiny ? v * (1.0f + v) : z;
+    std::memcpy(x + j, &z, sizeof z);
+  }
+}
+
+/// x[i] = std::exp(x[i]) for i < n, on a CPU with FMA and AVX2.  glibc's
+/// expf then runs the build of its code (EXP2F_TABLE_BITS 5, a cubic in
+/// double) that its compiler contracted: kd = InvLn2N*x + shift,
+/// r = InvLn2N*x - kd and the three polynomial steps are each one FMA.  The
+/// port spells those as FMA intrinsics; any other a*b+c written here would
+/// be contracted too, so there is none.  A vector with a lane at |x| >= 88,
+/// ±inf or NaN goes to std::exp whole: that is glibc's special path
+/// (overflow, underflow, errno), which is not ported.
+__attribute__((target("avx2,fma"))) void exp_fma_lanes(float* x,
+                                                        std::size_t n) {
+  // glibc's __exp2f_data.tab: bits(2^(i/32)) - (i << 47).
+  static constexpr long long kTab[32] = {
+      0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+      0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+      0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+      0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+      0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+      0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+      0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+      0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+      0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+      0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+      0x3fefa4afa2a490da, 0x3fefd0765b6e4540};
+  const __m256d inv_ln2_n = _mm256_set1_pd(0x1.71547652b82fep+5);
+  const __m256d shift = _mm256_set1_pd(0x1.8p+52);
+  const __m256d c0 = _mm256_set1_pd(0x1.c6af84b912394p-20);
+  const __m256d c1 = _mm256_set1_pd(0x1.ebfce50fac4f3p-13);
+  const __m256d c2 = _mm256_set1_pd(0x1.62e42ff0c52d6p-6);
+  const __m256d one = _mm256_set1_pd(1.0);
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 v = _mm256_loadu_ps(x + j);
+    const __m256i ax = _mm256_and_si256(_mm256_castps_si256(v),
+                                        _mm256_set1_epi32(0x7fffffff));
+    const __m256i special =
+        _mm256_cmpgt_epi32(ax, _mm256_set1_epi32(0x42afffff));
+    if (!_mm256_testz_si256(special, special)) {
+      for (std::size_t i = j; i < j + 8; ++i) x[i] = std::exp(x[i]);
+      continue;
+    }
+    __m128 half[2];
+    for (int h = 0; h < 2; ++h) {
+      const __m256d xd = _mm256_cvtps_pd(h == 0 ? _mm256_castps256_ps128(v)
+                                                : _mm256_extractf128_ps(v, 1));
+      __m256d kd = _mm256_fmadd_pd(inv_ln2_n, xd, shift);
+      const __m256i ki = _mm256_castpd_si256(kd);
+      kd = _mm256_sub_pd(kd, shift);
+      const __m256d r = _mm256_fmsub_pd(inv_ln2_n, xd, kd);
+      // s = 2^(k/32): tab[k % 32] with k added to its exponent.
+      const __m256i t = _mm256_i64gather_epi64(
+          kTab, _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
+      const __m256d s =
+          _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64(ki, 47)));
+      const __m256d z = _mm256_fmadd_pd(c0, r, c1);
+      const __m256d r2 = _mm256_mul_pd(r, r);
+      __m256d y = _mm256_fmadd_pd(c2, r, one);
+      y = _mm256_fmadd_pd(z, r2, y);
+      half[h] = _mm256_cvtpd_ps(_mm256_mul_pd(y, s));
+    }
+    _mm256_storeu_ps(x + j, _mm256_set_m128(half[1], half[0]));
+  }
+  for (; j < n; ++j) x[j] = std::exp(x[j]);
+}
+
+/// glibc's own selector for its fused build of expf.  (A glibc.cpu.hwcaps
+/// tunable that hides FMA or AVX2 from glibc does not hide it from this.)
+bool cpu_has_fma_avx2() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("fma") && __builtin_cpu_supports("avx2");
+  }();
+  return has;
+}
+#endif  // PAPAYA_MLP_X86
+
+/// x[i] = std::exp(x[i]) for i < n.
+inline void exp_in_place(float* x, std::size_t n) {
+#ifdef PAPAYA_MLP_X86
+  if (cpu_has_fma_avx2()) return exp_fma_lanes(x, n);
+#endif
+  for (std::size_t i = 0; i < n; ++i) x[i] = std::exp(x[i]);
 }
 
 /// The whole loss computation, instantiated once per Isa and inlined into
@@ -250,7 +442,12 @@ template <class Isa>
                       K, false});
     for (std::size_t p = 0; p < nb; ++p) {
       float* hp = h.data() + p * Hp;
+#ifdef PAPAYA_MLP_X86
+      for (std::size_t i = 0; i < H; ++i) hp[i] += b1[i];
+      tanh_lanes<Isa>(hp, Hp);
+#else
       for (std::size_t i = 0; i < H; ++i) hp[i] = std::tanh(hp[i] + b1[i]);
+#endif
     }
     run_product<Isa>({h.data(), Hp, 1, w2t.data(), Vp, dl.data(), Vp, rows,
                       Vp, H, false});
@@ -264,11 +461,10 @@ template <class Isa>
       }
       const auto tv = static_cast<std::size_t>(target[p]);
       const float logit_target = l[tv];
+      for (std::size_t v = 0; v < V; ++v) l[v] -= m;
+      exp_in_place(l, V);
       float sum = 0.0f;
-      for (std::size_t v = 0; v < V; ++v) {
-        l[v] = std::exp(l[v] - m);
-        sum += l[v];
-      }
+      for (std::size_t v = 0; v < V; ++v) sum += l[v];
       const float lse = m + std::log(sum);
       total_loss += lse - logit_target;
       if (!backward) continue;
@@ -322,12 +518,11 @@ template <class Isa>
   return total_loss / static_cast<double>(n_pred);
 }
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define PAPAYA_MLP_AVX2 1
-
+#ifdef PAPAYA_MLP_X86
 /// 32-byte vectors.  The target adds AVX2 and not FMA (see above).
 struct Avx2Isa {
   typedef float Vec __attribute__((vector_size(32)));
+  typedef std::int32_t IVec __attribute__((vector_size(32)));
 };
 
 __attribute__((target("avx2"))) double mlp_loss_avx2(
@@ -343,7 +538,7 @@ bool cpu_has_avx2() {
   }();
   return has;
 }
-#endif  // x86-64
+#endif  // PAPAYA_MLP_X86
 
 }  // namespace
 
@@ -356,6 +551,20 @@ double mlp_loss_portable(const LmConfig& cfg, std::span<const float> params,
                          std::span<float> grad) {
   return mlp_loss_kernel<PortableIsa>(cfg, params, batch, grad);
 }
+
+#ifdef PAPAYA_MLP_X86
+// The ports the kernel builds run, over whole arrays.  Not in a header:
+// tests/ml_test.cpp and tests/libm_lanes_sweep.cpp declare them to check
+// them against libm.  n is a multiple of 8; tanh_avx2 needs an AVX2 CPU and
+// exp_fma one with FMA and AVX2.
+void tanh_portable(float* x, std::size_t n) { tanh_lanes<PortableIsa>(x, n); }
+
+__attribute__((target("avx2"))) void tanh_avx2(float* x, std::size_t n) {
+  tanh_lanes<Avx2Isa>(x, n);
+}
+
+void exp_fma(float* x, std::size_t n) { exp_fma_lanes(x, n); }
+#endif  // PAPAYA_MLP_X86
 
 }  // namespace detail
 
@@ -377,7 +586,7 @@ class MlpLm final : public LanguageModel {
     if (!grad.empty() && grad.size() != params_.size()) {
       throw std::invalid_argument("MlpLm::loss: gradient buffer size mismatch");
     }
-#ifdef PAPAYA_MLP_AVX2
+#ifdef PAPAYA_MLP_X86
     if (cpu_has_avx2()) return mlp_loss_avx2(cfg_, params_, batch, grad);
 #endif
     return detail::mlp_loss_portable(cfg_, params_, batch, grad);

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,6 +27,13 @@ namespace detail {
 double mlp_loss_portable(const LmConfig& cfg, std::span<const float> params,
                          std::span<const Sequence> batch,
                          std::span<float> grad);
+#if defined(__x86_64__)
+// The kernel's tanh and exp ports (src/ml/model.cpp): tanh at 4 and 8 lanes
+// and glibc's fused expf.  n is a multiple of 8.
+void tanh_portable(float* x, std::size_t n);
+void tanh_avx2(float* x, std::size_t n);
+void exp_fma(float* x, std::size_t n);
+#endif
 }  // namespace detail
 
 namespace {
@@ -77,6 +86,96 @@ TEST(Math, ClipNormScalesDownOnly) {
   clip_norm(x, 1.0f);
   EXPECT_NEAR(norm(x), 1.0f, 1e-6);
 }
+
+// ------------------------------------------------- tanh and exp ports --
+//
+// The kernel's ports of glibc's tanhf and expf must return libm's bits.
+// These tests check a sample of the float inputs; tests/libm_lanes_sweep.cpp
+// checks all 2^32 of them.
+
+#if defined(__x86_64__)
+
+std::uint32_t bits_of(float x) {
+  std::uint32_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+/// Expects each of `ports` to return libm's bits on every float bit pattern
+/// at a prime stride; on ±256 ulps around each of `thresholds` and around
+/// its negation; and on ±0, subnormals, ±inf and NaN payloads.
+void expect_ports_match_libm(
+    const std::vector<void (*)(float*, std::size_t)>& ports,
+    float (*libm)(float), std::initializer_list<float> thresholds) {
+  std::vector<std::uint32_t> bits;
+  for (std::uint64_t b = 0; b <= UINT32_MAX; b += 509) {
+    bits.push_back(static_cast<std::uint32_t>(b));
+  }
+  for (const std::uint32_t b : {0x00000000u, 0x00000001u, 0x00000002u,
+                                0x003fffffu, 0x00400000u, 0x007fffffu,
+                                0x7f800000u, 0x7f800001u, 0x7fa00000u,
+                                0x7fc00000u, 0x7fc00001u, 0x7fffffffu}) {
+    bits.push_back(b);
+    bits.push_back(b | 0x80000000u);
+  }
+  for (const float t : thresholds) {
+    for (const std::uint32_t b : {bits_of(t), bits_of(-t)}) {
+      for (std::uint32_t d = 0; d <= 512; ++d) bits.push_back(b - 256 + d);
+    }
+  }
+  bits.resize((bits.size() + 7) / 8 * 8);
+
+  // A chunk at a time, so that no buffer outgrows the cache.
+  constexpr std::size_t kChunk = 1 << 14;
+  std::vector<float> in(kChunk), want(kChunk), out(kChunk);
+  std::size_t mismatches = 0;
+  for (std::size_t c = 0; c < bits.size(); c += kChunk) {
+    const std::size_t n = std::min(kChunk, bits.size() - c);
+    std::memcpy(in.data(), bits.data() + c, n * sizeof(float));
+    for (std::size_t i = 0; i < n; ++i) want[i] = libm(in[i]);
+    for (const auto port : ports) {
+      std::copy_n(in.begin(), n, out.begin());
+      port(out.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (bits_of(want[i]) == bits_of(out[i])) continue;
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << std::hexfloat << "x = " << in[i] << ": port "
+                        << out[i] << ", libm " << want[i];
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << bits.size() << " inputs";
+}
+
+TEST(VecMath, TanhMatchesLibmBitForBit) {
+  __builtin_cpu_init();
+  std::vector<void (*)(float*, std::size_t)> ports = {detail::tanh_portable};
+  if (__builtin_cpu_supports("avx2")) ports.push_back(detail::tanh_avx2);
+  // tanhf branches at |x| = 22, 2^-55 and 1.  expm1f(±2|x|) branches at
+  // |2x| = 27 ln2, ln2/2, 1.5 ln2 and 2^-25 and where k reaches 23 and 57;
+  // k steps to -3 at |2x| = 2.5 ln2.
+  expect_ports_match_libm(
+      ports, [](float x) { return std::tanh(x); },
+      {22.0f, 0x1p-55f, 1.0f, 0x1.2b7088p+3f, 0x1.62e430p-3f, 0x1.0a2b24p-1f,
+       0x1p-26f, 0x1.bb9d3cp-1f, 0x1.f310e4p+2f, 0x1.394d72p+4f});
+}
+
+TEST(VecMath, ExpMatchesLibmBitForBit) {
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("fma") || !__builtin_cpu_supports("avx2")) {
+    GTEST_SKIP() << "glibc runs its unfused expf here; so does the kernel";
+  }
+  // expf leaves its main path at |x| = 88 and overflows or underflows past
+  // the next three.  The last two are the only inputs on which glibc's
+  // unfused build of expf differs from its fused one.
+  expect_ports_match_libm(
+      {detail::exp_fma}, [](float x) { return std::exp(x); },
+      {88.0f, 0x1.62e42ep+6f, 0x1.9fe368p+6f, 0x1.9d1d9ep+6f, 0x1.04845ep+5f,
+       0x1.f8cbb2p+5f});
+}
+
+#endif  // __x86_64__
 
 // -------------------------------------------------------- Gradient checks --
 
@@ -197,17 +296,28 @@ bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; 
 TEST(MlpLm, BlockKernelMatchesPerExampleReferenceBitForBit) {
   // Random shapes, including sequences shorter than the context, saturated
   // tanh (weights x20) and repeated context tokens (tokens from {0, 1}).
-  // Both builds of the kernel run: MlpLm::loss dispatches to the widest one
-  // the CPU has, and the portable one is called directly.
+  // Trials 600 on add two families: weights x300, so logit spreads pass 104
+  // and exp vectors go to libm whole; and W1 = b1 = 0, so every tanh input
+  // is ±0.  Both builds of the kernel run: MlpLm::loss dispatches to the
+  // widest one the CPU has, and the portable one is called directly.
   util::Rng rng(2024);
-  for (int trial = 0; trial < 600; ++trial) {
+  for (int trial = 0; trial < 680; ++trial) {
     LmConfig cfg;
     cfg.vocab_size = 2 + rng.uniform_int(90);
     cfg.embed_dim = 1 + rng.uniform_int(20);
     cfg.hidden_dim = 1 + rng.uniform_int(40);
     cfg.context = 1 + rng.uniform_int(6);
     auto model = make_mlp_lm(cfg, rng);
-    if (trial % 3 == 0) {
+    if (trial >= 600 && trial % 2 == 0) {
+      for (auto& p : model->params()) p *= 300.0f;
+    } else if (trial >= 600) {
+      // W1 | b1 follow E in the layout.
+      const std::size_t w1 = cfg.vocab_size * cfg.embed_dim;
+      const std::size_t w1_b1 =
+          cfg.hidden_dim * (cfg.context * cfg.embed_dim + 1);
+      std::fill_n(model->params().begin() + static_cast<std::ptrdiff_t>(w1),
+                  w1_b1, 0.0f);
+    } else if (trial % 3 == 0) {
       for (auto& p : model->params()) p *= 20.0f;
     }
     const std::uint64_t vocab = trial % 4 == 1 ? 2 : cfg.vocab_size;
