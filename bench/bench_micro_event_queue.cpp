@@ -3,10 +3,7 @@
 // executes hundreds of millions of times per run.
 //
 // BM_EventSchedule measures the POD event record (32 bytes, zero-alloc:
-// tests/event_engine_test.cpp proves the allocation count) on each backend;
-// BM_EventScheduleClosure runs the identical workload through the pooled
-// std::function fallback so the dispatch-table win is a visible row pair in
-// BENCH_micro_event_queue.json.
+// tests/event_engine_test.cpp proves the allocation count) on each backend.
 //
 // The workload mirrors the simulator's check-in/backoff churn: constant
 // pending size (512), deterministic cyclic delays of 1.0–4.75 s, every pop
@@ -32,7 +29,7 @@ constexpr std::uint32_t kPending = 512;
 constexpr int kWarmupPops = 60000;
 
 struct ReschedulerCtx {
-  EventQueue* q;
+  EventQueue* q = nullptr;
   std::uint64_t pops = 0;
 };
 
@@ -55,9 +52,9 @@ void seed_queue_pod(EventQueue& q) {
 /// reschedule it.  One item == one full event lifetime.
 void BM_EventSchedule(benchmark::State& state) {
   const auto backend = static_cast<EventQueueBackend>(state.range(0));
-  EventQueue q(backend);
-  ReschedulerCtx ctx{&q};
-  q.set_dispatcher(&reschedule_dispatch, &ctx);
+  ReschedulerCtx ctx;
+  EventQueue q(&reschedule_dispatch, &ctx, backend);
+  ctx.q = &q;
   seed_queue_pod(q);
   // Warm past the calendar's final ring width so bucket capacities reach
   // their periodic high-water marks.
@@ -72,31 +69,6 @@ BENCHMARK(BM_EventSchedule)
     ->Arg(static_cast<int>(EventQueueBackend::kCalendar))
     ->Unit(benchmark::kNanosecond);
 
-/// The same cycle through the legacy closure API (pool slot + std::function
-/// move per event) — the baseline the POD record replaced.
-void BM_EventScheduleClosure(benchmark::State& state) {
-  const auto backend = static_cast<EventQueueBackend>(state.range(0));
-  EventQueue q(backend);
-  std::uint64_t pops = 0;
-  std::function<void(double)> resched = [&](double) {
-    const double delay = 1.0 + 0.25 * static_cast<double>(pops % 16);
-    ++pops;
-    q.schedule_in(delay, [&](double t) { resched(t); });
-  };
-  for (std::uint32_t i = 0; i < kPending; ++i) {
-    q.schedule_at(0.01 * static_cast<double>(i), [&](double t) { resched(t); });
-  }
-  for (int i = 0; i < kWarmupPops; ++i) q.step();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(q.step());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventScheduleClosure)
-    ->Arg(static_cast<int>(EventQueueBackend::kHeap))
-    ->Arg(static_cast<int>(EventQueueBackend::kCalendar))
-    ->Unit(benchmark::kNanosecond);
-
 /// Cold bulk load: push kPending fresh events into an empty queue and drain
 /// them — the shape of simulator start-up (every device's first check-in)
 /// and of calendar resize storms.
@@ -104,10 +76,8 @@ void BM_EventBulkLoadDrain(benchmark::State& state) {
   const auto backend = static_cast<EventQueueBackend>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    EventQueue q(backend);
-    ReschedulerCtx ctx{&q};  // dispatch target only; never reschedules here
-    q.set_dispatcher(
-        [](void*, EventKind, std::uint32_t, std::uint32_t, double) {}, &ctx);
+    EventQueue q([](void*, EventKind, std::uint32_t, std::uint32_t, double) {},
+                 nullptr, backend);
     state.ResumeTiming();
     seed_queue_pod(q);
     while (q.step()) {

@@ -196,6 +196,15 @@ ReportResult Aggregator::client_report(const std::string& task,
     return {ReportOutcome::kDiscardedStale, false, {}};
   }
 
+  if (header.delta_size != ts.config.model_size) {
+    // A delta of the wrong length can never fold.  Refuse it here, as the
+    // secure path refuses a malformed contribution, so it neither counts
+    // toward the goal nor closes a SyncFL round; the slot frees up.
+    ts.active.erase(it);
+    ++ts.stats.updates_discarded;
+    return {ReportOutcome::kRejectedUnknown, false, {}};
+  }
+
   ts.active.erase(it);
   if (ts.config.mode == TrainingMode::kSync) ++ts.completed_this_round;
 

@@ -34,7 +34,10 @@ enum class ReportOutcome {
   kAccepted,              ///< update buffered (counts toward the goal)
   kDiscardedOverSelection,///< SyncFL: round already closed; update discarded
   kDiscardedStale,        ///< AsyncFL: staleness above the configured max
-  kRejectedUnknown,       ///< client not in the active set (aborted/expired)
+  /// Client not in the active set (aborted/expired), or a malformed report
+  /// it made: a plaintext delta whose length is not the task's model size,
+  /// or a masked contribution the secure path refused.
+  kRejectedUnknown,
   kRejectedTimeout,       ///< report arrived after the client's deadline
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #ifdef __linux__
 #include <sys/mman.h>
@@ -216,6 +215,14 @@ void EventQueue::Calendar::rebuild(std::size_t min_buckets) {
 // EventQueue
 // ---------------------------------------------------------------------------
 
+EventQueue::EventQueue(EventDispatchFn dispatch, void* ctx,
+                       EventQueueBackend backend)
+    : backend_(backend), dispatcher_(dispatch), dispatcher_ctx_(ctx) {
+  if (dispatch == nullptr) {
+    throw std::invalid_argument("EventQueue: null dispatcher");
+  }
+}
+
 void EventQueue::push(Event e) {
   if (backend_ == EventQueueBackend::kCalendar) {
     calendar_.push(e);
@@ -246,30 +253,9 @@ void EventQueue::check_time(double when) const {
   }
 }
 
-void EventQueue::set_dispatcher(EventDispatchFn fn, void* ctx) {
-  dispatcher_ = fn;
-  dispatcher_ctx_ = ctx;
-}
-
-std::uint32_t EventQueue::acquire_closure_slot(EventFn fn) {
-  if (!free_closure_slots_.empty()) {
-    const std::uint32_t slot = free_closure_slots_.back();
-    free_closure_slots_.pop_back();
-    closure_pool_[slot] = std::move(fn);
-    return slot;
-  }
-  const std::uint32_t slot = static_cast<std::uint32_t>(closure_pool_.size());
-  closure_pool_.push_back(std::move(fn));
-  return slot;
-}
-
 void EventQueue::schedule_event_at(double when, std::uint64_t tie_key,
                                    EventKind kind, std::uint32_t entity,
                                    std::uint32_t payload) {
-  if (kind == kClosureKind) {
-    throw std::invalid_argument(
-        "EventQueue: kind 0 is reserved for pooled closures");
-  }
   check_time(when);
   push({when, tie_key, (next_seq_++ << 8) | kind, entity, payload});
 }
@@ -280,55 +266,28 @@ void EventQueue::schedule_event_in(double delay, std::uint64_t tie_key,
   schedule_event_at(now_ + delay, tie_key, kind, entity, payload);
 }
 
-void EventQueue::schedule_at(double when, EventFn fn) {
-  schedule_at(when, /*tie_key=*/0, std::move(fn));
-}
-
-void EventQueue::schedule_in(double delay, EventFn fn) {
-  schedule_at(now_ + delay, /*tie_key=*/0, std::move(fn));
-}
-
-void EventQueue::schedule_at(double when, std::uint64_t tie_key, EventFn fn) {
-  // Validate before acquiring a pool slot so a rejected time leaks nothing.
-  check_time(when);
-  const std::uint32_t slot = acquire_closure_slot(std::move(fn));
-  push({when, tie_key, (next_seq_++ << 8) | kClosureKind, 0, slot});
-}
-
-void EventQueue::schedule_in(double delay, std::uint64_t tie_key, EventFn fn) {
-  schedule_at(now_ + delay, tie_key, std::move(fn));
-}
-
 bool EventQueue::step() {
   if (empty()) return false;
   const Event e = pop();
   now_ = e.time;
   ++processed_;
-  if (kind_of(e) == kClosureKind) {
-    // Move the closure out and recycle its slot before running it: the
-    // closure may schedule more events, and a fresh schedule_at must be
-    // free to reuse the slot immediately.
-    EventFn fn = std::move(closure_pool_[e.payload]);
-    closure_pool_[e.payload] = nullptr;
-    free_closure_slots_.push_back(e.payload);
-    fn(e.time);
-    return true;
-  }
-  if (dispatcher_ == nullptr) {
-    throw std::logic_error(
-        "EventQueue: popped a POD event with no dispatcher registered");
-  }
   dispatcher_(dispatcher_ctx_, kind_of(e), e.entity, e.payload, e.time);
   return true;
 }
 
 void EventQueue::run_until(double until, const std::function<bool()>& stop) {
+  // A NaN deadline compares false against every time, so it would run
+  // nothing and return as if the deadline had passed.
+  if (std::isnan(until)) {
+    throw std::invalid_argument("EventQueue: run_until deadline is NaN");
+  }
   while (!empty() && top_time() <= until) {
     if (stop && stop()) return;
     step();
   }
   if (stop && stop()) return;
-  if (now_ < until) now_ = until;
+  // +inf is no deadline: the clock stays finite so scheduling still works.
+  if (now_ < until && std::isfinite(until)) now_ = until;
 }
 
 }  // namespace papaya::sim

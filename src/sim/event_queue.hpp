@@ -8,31 +8,20 @@
 //
 // Pop order is a documented *total* order: (time, tie_key, seq), ascending.
 // `seq` is the per-queue arrival number, so same-time same-key events pop
-// FIFO — the historical behaviour, unchanged for every caller of the
-// two-argument schedule_at/schedule_in (tie_key 0).  Schedulers that need
-// an order independent of scheduling order pass an explicit `tie_key` (an
-// entity id, an actor index) and the pop order at that timestamp becomes a
-// pure function of the keys.
+// FIFO.  Schedulers that need an order independent of scheduling order
+// pass an explicit `tie_key` (an entity id, an actor index) and the pop
+// order at that timestamp becomes a pure function of the keys.
 //
 // The queued record is a 32-byte POD (`kEventRecordBytes`): time, tie key,
 // and a packed seq+kind word, plus a 32-bit entity id and a 32-bit scalar
 // payload.  Million-device runs schedule tens of millions of events; at
-// that scale the event record *is* the queue's memory footprint, and a
-// type-erased std::function payload (32 bytes of inline storage plus a
-// heap-allocated closure for anything capturing more than one pointer)
-// dominated both bytes/event and allocator time.  Two scheduling surfaces
-// sit on the slim record:
-//
-//   - schedule_event_at/in: the hot path.  The caller registers one
-//     dispatcher (set_dispatcher) per queue — a plain function pointer plus
-//     context — and schedules (kind, entity, payload) triples.  Nothing is
-//     allocated per event, ever (verified by tests/event_engine_test.cpp).
-//   - schedule_at/in (EventFn): the historical closure API, kept for tests,
-//     examples and cold paths.  The closure parks in a pooled slot table
-//     (slots are recycled through a free list, so steady-state closure
-//     traffic allocates only when the closure itself captures too much for
-//     std::function's inline storage); the queued record stores the slot
-//     index in `payload` under the reserved kind 0.
+// that scale the event record *is* the queue's memory footprint, so the
+// queue stores no closures.  It has one scheduling surface: the owner
+// passes its dispatcher — a plain function pointer plus context — to the
+// constructor and schedules (kind, entity, payload) triples with
+// schedule_event_at/in; every popped event goes to that dispatcher.
+// Nothing is allocated per event, ever (verified by
+// tests/event_engine_test.cpp).
 //
 // Two backends implement the same pop-order contract behind one API:
 //
@@ -58,10 +47,10 @@
 // trajectory equality in tests/scale_test.cpp).
 //
 // Thread safety: none.  The queue is single-threaded by contract: every
-// call — scheduling, inspection, step()/run_until(), set_dispatcher —
-// comes from the one thread that pumps it, including calls made from
-// inside event code.  The simulator is the only production caller and
-// never touches its queue from another thread.
+// call — scheduling, inspection, step()/run_until() — comes from the one
+// thread that pumps it, including calls made from inside the dispatcher.
+// The simulator is the only production caller and never touches its queue
+// from another thread.
 
 #include <cstddef>
 #include <cstdint>
@@ -72,15 +61,13 @@
 
 namespace papaya::sim {
 
-using EventFn = std::function<void(double now)>;
-
-/// Event kind tag carried by the POD record.  Kind 0 is reserved for the
-/// pooled-closure fallback; callers of schedule_event_* use 1..255.
+/// Event kind tag carried by the POD record; the owner assigns all 256
+/// values.
 using EventKind = std::uint8_t;
 
-/// Per-queue dispatcher for POD events: a plain function pointer (no
-/// std::function — the dispatcher itself must not be a hidden allocation)
-/// invoked for every popped event with kind != 0.
+/// Per-queue dispatcher: a plain function pointer (no std::function — the
+/// dispatcher itself must not be a hidden allocation) invoked for every
+/// popped event.
 using EventDispatchFn = void (*)(void* ctx, EventKind kind,
                                  std::uint32_t entity, std::uint32_t payload,
                                  double now);
@@ -96,43 +83,27 @@ class EventQueue {
   /// queue memory as pending * kEventRecordBytes; the static_assert below
   /// keeps the record honest.
   static constexpr std::size_t kEventRecordBytes = 32;
-  /// Reserved kind for the pooled-closure fallback path.
-  static constexpr EventKind kClosureKind = 0;
 
-  explicit EventQueue(
-      EventQueueBackend backend = EventQueueBackend::kCalendar)
-      : backend_(backend) {}
+  /// Every popped event goes to `dispatch(ctx, kind, entity, payload,
+  /// time)`.  A null `dispatch` throws std::invalid_argument: a queue with
+  /// nowhere to send an event could only drop it.
+  EventQueue(EventDispatchFn dispatch, void* ctx,
+             EventQueueBackend backend = EventQueueBackend::kCalendar);
 
   EventQueueBackend backend() const { return backend_; }
 
-  /// Register the dispatcher for POD events.  One per queue; popping a
-  /// kind != 0 event with no dispatcher registered throws std::logic_error
-  /// from step() — a silent drop would corrupt the simulation.
-  void set_dispatcher(EventDispatchFn fn, void* ctx);
-
-  /// Hot path: schedule a POD event — no allocation, ever.  `kind` must
-  /// not be kClosureKind (0).  Unless `when` is finite and >= now(), throws
-  /// std::invalid_argument and enqueues nothing: a past timestamp would pop
-  /// "before" the current time and silently corrupt clock monotonicity, a
-  /// NaN breaks the comparator's strict weak ordering, and the calendar's
-  /// bucket math is undefined for non-finite times.
+  /// Schedule an event — no allocation, ever.  Unless `when` is finite and
+  /// >= now(), throws std::invalid_argument and enqueues nothing: a past
+  /// timestamp would pop "before" the current time and silently corrupt
+  /// clock monotonicity, a NaN breaks the comparator's strict weak
+  /// ordering, and the calendar's bucket math is undefined for non-finite
+  /// times.
   void schedule_event_at(double when, std::uint64_t tie_key, EventKind kind,
                          std::uint32_t entity, std::uint32_t payload);
   /// Same, `delay` seconds after now() (the resulting time is checked the
   /// same way, so a negative or non-finite delay throws).
   void schedule_event_in(double delay, std::uint64_t tie_key, EventKind kind,
                          std::uint32_t entity, std::uint32_t payload);
-
-  /// Schedule `fn` at absolute time `when` (the pooled-closure fallback;
-  /// same past-time contract as schedule_event_at).
-  void schedule_at(double when, EventFn fn);
-  /// Schedule `fn` after `delay` seconds (negative delay throws).
-  void schedule_in(double delay, EventFn fn);
-
-  /// Same, with an explicit tie key: equal-time events pop in ascending
-  /// `tie_key` order regardless of which was scheduled first.
-  void schedule_at(double when, std::uint64_t tie_key, EventFn fn);
-  void schedule_in(double delay, std::uint64_t tie_key, EventFn fn);
 
   double now() const { return now_; }
   bool empty() const { return pending() == 0; }
@@ -144,19 +115,21 @@ class EventQueue {
   /// in bench_macro_population.
   std::uint64_t events_processed() const { return processed_; }
 
-  /// Pop and run the next event.  Returns false when the queue is empty.
+  /// Pop and dispatch the next event.  Returns false when the queue is empty.
   bool step();
 
   /// Run until the queue empties, `until` is reached, or `stop` returns
-  /// true (checked between events).
+  /// true (checked between events).  Unless `stop` ended the run, the clock
+  /// then moves up to `until`.  A +inf `until` is no deadline: the clock
+  /// stays at the last event, never at infinity.  A NaN `until` throws
+  /// std::invalid_argument before anything runs.
   void run_until(double until, const std::function<bool()>& stop = nullptr);
 
  private:
   // The queued record.  `seq_kind` packs the 56-bit arrival number above
   // the 8-bit kind: seqs are unique per queue, so comparing seq_kind is
   // exactly comparing seq (the kind bits can never break a tie), and 2^56
-  // events is ~2000 years of popping at the 10M-device rate.  `payload`
-  // holds the closure-pool slot index when kind == kClosureKind.
+  // events is ~2000 years of popping at the 10M-device rate.
   struct Event {
     double time;
     std::uint64_t tie_key;   // caller-chosen order among simultaneous events
@@ -249,16 +222,12 @@ class EventQueue {
   void push(Event e);
   Event pop();
   double top_time();  ///< requires non-empty
-  /// Park `fn` in the closure pool, reusing a free slot when one exists.
-  std::uint32_t acquire_closure_slot(EventFn fn);
 
   const EventQueueBackend backend_;
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
   Calendar calendar_;
-  std::vector<EventFn> closure_pool_;
-  std::vector<std::uint32_t> free_closure_slots_;
-  EventDispatchFn dispatcher_ = nullptr;
-  void* dispatcher_ctx_ = nullptr;
+  const EventDispatchFn dispatcher_;
+  void* const dispatcher_ctx_;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;

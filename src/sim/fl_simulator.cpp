@@ -61,7 +61,7 @@ FlSimulator::FlSimulator(SimulationConfig config)
     : config_(normalize_config(std::move(config))),
       streams_(config_.seed, config_.rng_streams,
                /*dense_entities=*/config_.population.num_devices),
-      queue_(config_.event_queue) {
+      queue_(&FlSimulator::dispatch_event, this, config_.event_queue) {
   // The POD event record addresses devices with 32 bits; a population past
   // that bound would silently alias entities.
   if (config_.population.num_devices >
@@ -69,7 +69,6 @@ FlSimulator::FlSimulator(SimulationConfig config)
     throw std::invalid_argument(
         "FlSimulator: population exceeds the 32-bit event entity space");
   }
-  queue_.set_dispatcher(&FlSimulator::dispatch_event, this);
   corpus_ = std::make_unique<ml::FederatedCorpus>(config_.corpus, config_.seed);
   population_ = std::make_unique<DevicePopulation>(config_.population);
   network_ = std::make_unique<NetworkModel>(config_.network);

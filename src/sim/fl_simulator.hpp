@@ -203,12 +203,10 @@ class FlSimulator {
   // in a map).
   static constexpr std::uint32_t kNoParticipation = ~std::uint32_t{0};
 
-  /// Event kinds for the POD scheduling path (sim/event_queue.hpp).  Every
-  /// recurring simulation event is one of these — scheduled as a
-  /// (kind, device, generation) triple, no closure, no allocation — and
-  /// dispatch_event below is the queue's single dispatcher.  Kind 0 is the
-  /// queue's reserved pooled-closure kind; the simulator itself schedules
-  /// no closures on its hot path.
+  /// Event kinds for the queue (sim/event_queue.hpp).  Every simulation
+  /// event is one of these — scheduled as a (kind, device, generation)
+  /// triple, no closure, no allocation — and dispatch_event below is the
+  /// dispatcher the queue is constructed with.
   enum class SimEvent : EventKind {
     kCheckIn = 1,           ///< entity = device
     kDropout = 2,           ///< entity = device, payload = generation
@@ -218,13 +216,11 @@ class FlSimulator {
     kAggregatorFailure = 6, ///< injected failure (App. E.4)
   };
   /// The queue dispatcher: a plain function pointer (ctx = this) fanning
-  /// out to the handle_* methods.  Runs outside the queue lock, exactly
-  /// like the closures it replaced.
+  /// out to the handle_* methods.
   static void dispatch_event(void* ctx, EventKind kind, std::uint32_t entity,
                              std::uint32_t payload, double now);
-  /// Schedule one POD simulation event `delay` seconds out (tie_key 0 —
-  /// the same FIFO tie-break the closure path used, so the refactor cannot
-  /// reorder simultaneous events).
+  /// Schedule one simulation event `delay` seconds out (tie_key 0: events
+  /// at one time pop in scheduling order).
   void schedule_sim_event_in(double delay, SimEvent kind, std::size_t device,
                              std::uint32_t generation = 0);
 

@@ -1,8 +1,8 @@
 // The event-engine acceptance suite for the POD event record (ISSUE 10):
 //
-//   1. the 32-byte record dispatches through the per-queue dispatcher with
-//      kind/entity/payload intact, in the documented total order, on every
-//      backend, interleaved freely with pooled closures;
+//   1. the 32-byte record dispatches through the dispatcher the queue was
+//      constructed with, kind/entity/payload intact, in the documented
+//      total order, on every backend;
 //   2. steady-state scheduling is allocation-free — proven by a global
 //      operator new/delete counter, not by inspection — at the queue level
 //      (strict zero) and through the simulator's participation hot path
@@ -69,19 +69,18 @@ void record_dispatch(void* ctx, EventKind kind, std::uint32_t entity,
 TEST(EventEngine, EveryKindRoundTripsThroughDispatchOnEveryBackend) {
   for (const auto backend :
        {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
-    EventQueue q(backend);
     std::vector<Recorded> seen;
-    q.set_dispatcher(&record_dispatch, &seen);
-    // All 255 usable kinds, distinct entities and payloads, ascending times.
-    for (unsigned k = 1; k <= 255; ++k) {
+    EventQueue q(&record_dispatch, &seen, backend);
+    // All 256 kinds, distinct entities and payloads, ascending times.
+    for (unsigned k = 0; k <= 255; ++k) {
       q.schedule_event_at(0.5 * static_cast<double>(k), /*tie_key=*/0,
                           static_cast<EventKind>(k), 1000u + k, 7u * k);
     }
     while (q.step()) {
     }
-    ASSERT_EQ(seen.size(), 255u);
-    for (unsigned k = 1; k <= 255; ++k) {
-      const Recorded& r = seen[k - 1];
+    ASSERT_EQ(seen.size(), 256u);
+    for (unsigned k = 0; k <= 255; ++k) {
+      const Recorded& r = seen[k];
       EXPECT_EQ(r.kind, static_cast<EventKind>(k));
       EXPECT_EQ(r.entity, 1000u + k);
       EXPECT_EQ(r.payload, 7u * k);
@@ -90,51 +89,18 @@ TEST(EventEngine, EveryKindRoundTripsThroughDispatchOnEveryBackend) {
   }
 }
 
-TEST(EventEngine, PodAndClosureEventsInterleaveInArrivalOrder) {
-  // The pooled-closure fallback shares the (time, tie_key, seq) order with
-  // POD events: at one timestamp, mixed-API events pop in schedule order.
+TEST(EventEngine, NullDispatcherIsRejectedAtConstruction) {
+  // No queue exists that could pop an event with nowhere to send it.
   for (const auto backend :
        {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
-    EventQueue q(backend);
-    std::vector<int> order;
-    struct Ctx {
-      std::vector<int>* order;
-    } ctx{&order};
-    q.set_dispatcher(
-        [](void* c, EventKind, std::uint32_t entity, std::uint32_t,
-           double) {
-          static_cast<Ctx*>(c)->order->push_back(static_cast<int>(entity));
-        },
-        &ctx);
-    q.schedule_at(1.0, [&order](double) { order.push_back(0); });
-    q.schedule_event_at(1.0, 0, EventKind{9}, 1, 0);
-    q.schedule_at(1.0, [&order](double) { order.push_back(2); });
-    q.schedule_event_at(1.0, 0, EventKind{9}, 3, 0);
-    while (q.step()) {
-    }
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_THROW(EventQueue q(nullptr, nullptr, backend),
+                 std::invalid_argument);
   }
 }
 
-TEST(EventEngine, KindZeroIsReservedAndRejected) {
-  EventQueue q;
-  EXPECT_THROW(q.schedule_event_at(1.0, 0, EventQueue::kClosureKind, 0, 0),
-               std::invalid_argument);
-  EXPECT_THROW(q.schedule_event_in(1.0, 0, EventQueue::kClosureKind, 0, 0),
-               std::invalid_argument);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventEngine, PoppingPodEventWithoutDispatcherThrows) {
-  EventQueue q;
-  q.schedule_event_at(1.0, 0, EventKind{1}, 0, 0);
-  EXPECT_THROW(q.step(), std::logic_error);
-}
-
 TEST(EventEngine, PastTimePodScheduleThrowsAndEnqueuesNothing) {
-  EventQueue q;
   std::vector<Recorded> seen;
-  q.set_dispatcher(&record_dispatch, &seen);
+  EventQueue q(&record_dispatch, &seen);
   q.schedule_event_at(5.0, 0, EventKind{1}, 0, 0);
   ASSERT_TRUE(q.step());
   EXPECT_THROW(q.schedule_event_at(1.0, 0, EventKind{1}, 0, 0),
@@ -153,7 +119,7 @@ TEST(EventEngine, RecordIs32Bytes) {
 // ------------------------------------------------- allocation-free scheduling --
 
 struct ReschedulerCtx {
-  EventQueue* q;
+  EventQueue* q = nullptr;
   std::uint64_t pops = 0;
 };
 
@@ -173,9 +139,9 @@ void reschedule_dispatch(void* ctx, EventKind kind, std::uint32_t entity,
 TEST(EventEngine, PodSteadyStateSchedulingIsAllocationFree) {
   for (const auto backend :
        {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
-    EventQueue q(backend);
-    ReschedulerCtx ctx{&q};
-    q.set_dispatcher(&reschedule_dispatch, &ctx);
+    ReschedulerCtx ctx;
+    EventQueue q(&reschedule_dispatch, &ctx, backend);
+    ctx.q = &q;
     constexpr std::uint32_t kPending = 512;
     for (std::uint32_t i = 0; i < kPending; ++i) {
       q.schedule_event_at(0.01 * static_cast<double>(i), i,
@@ -196,36 +162,6 @@ TEST(EventEngine, PodSteadyStateSchedulingIsAllocationFree) {
         << "backend " << static_cast<int>(backend)
         << " allocated on the steady-state POD scheduling path";
     EXPECT_EQ(q.pending(), kPending);
-  }
-}
-
-TEST(EventEngine, ClosurePoolSteadyStateIsAllocationFree) {
-  // The EventFn fallback recycles pool slots through the free list; a
-  // small closure (within std::function's inline storage) must not touch
-  // the allocator once the pool is warm.
-  for (const auto backend :
-       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
-    EventQueue q(backend);
-    std::uint64_t pops = 0;
-    std::function<void(double)> resched = [&](double) {
-      ++pops;
-      q.schedule_in(2.875, [&](double t) { resched(t); });
-    };
-    for (int i = 0; i < 64; ++i) {
-      q.schedule_at(0.05 * static_cast<double>(i),
-                    [&](double t) { resched(t); });
-    }
-    for (int i = 0; i < 40000; ++i) {
-      ASSERT_TRUE(q.step());
-    }
-    const std::uint64_t before = allocations();
-    for (int i = 0; i < 4000; ++i) {
-      q.step();
-    }
-    const std::uint64_t after = allocations();
-    EXPECT_EQ(after - before, 0u)
-        << "backend " << static_cast<int>(backend)
-        << " allocated on the steady-state closure-pool path";
   }
 }
 

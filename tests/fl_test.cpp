@@ -451,18 +451,46 @@ TEST(Aggregator, ShardedTaskMatchesSinglePipelineStep) {
   }
 }
 
-TEST(Aggregator, ShardedTaskDropsMalformedPerShard) {
-  Aggregator agg("a");
-  TaskConfig cfg = async_task(10, 2);
-  cfg.aggregator_shards = 3;
-  agg.assign_task(cfg, std::vector<float>(4, 0.0f), {});
-  for (std::uint64_t c = 1; c <= 3; ++c) agg.client_join("lm", c, 0.0);
-  // A wrong-sized update still counts toward the goal (the client reported
-  // in time) but must not poison any shard's fold.
-  agg.client_report("lm", update_from(1, 0, /*model_size=*/2), 1.0);
-  const auto r = agg.client_report("lm", update_from(2, 0, 4, 1.0f), 1.0);
-  EXPECT_TRUE(r.server_stepped);
-  for (float v : agg.model("lm")) EXPECT_GT(v, 0.0f);
+TEST(Aggregator, WrongLengthReportIsRefusedAndNeverCountsTowardTheGoal) {
+  // A delta whose length is not the task's model size can never fold.  It
+  // is refused at report time: counted toward the goal and then dropped by
+  // the fold, it would step an async server on fewer than K updates and
+  // close a sync round that aborts the honest clients still running.
+  for (const bool sync : {false, true}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+      SCOPED_TRACE(testing::Message() << (sync ? "sync" : "async") << ", "
+                                      << shards << " shards");
+      Aggregator agg("a");
+      TaskConfig cfg = sync ? sync_task(2, 1.0) : async_task(10, 2);
+      cfg.aggregator_shards = shards;
+      agg.assign_task(cfg, std::vector<float>(4, 0.0f), {.lr = 0.1f});
+      for (std::uint64_t c = 1; c <= 4; ++c) {
+        ASSERT_TRUE(agg.client_join("lm", c, 0.0).accepted);
+      }
+      // Clients 1 and 2 send 3 and 5 floats; 3 and 4 send the model's 4.
+      const std::size_t sizes[] = {3, 5, 4, 4};
+      std::vector<ReportResult> results;
+      for (std::uint64_t c = 1; c <= 4; ++c) {
+        results.push_back(agg.client_report(
+            "lm", update_from(c, 0, sizes[c - 1], 1.0f), 1.0));
+      }
+      for (const std::size_t bad : {0, 1}) {
+        EXPECT_EQ(results[bad].outcome, ReportOutcome::kRejectedUnknown);
+        EXPECT_FALSE(results[bad].server_stepped);
+      }
+      EXPECT_EQ(results[2].outcome, ReportOutcome::kAccepted);
+      EXPECT_FALSE(results[2].server_stepped);
+      EXPECT_EQ(results[3].outcome, ReportOutcome::kAccepted);
+      EXPECT_TRUE(results[3].server_stepped);
+
+      const TaskStats& stats = agg.stats("lm");
+      EXPECT_EQ(stats.server_steps, 1u);
+      EXPECT_EQ(stats.updates_received, 4u);
+      EXPECT_EQ(stats.updates_applied, 2u);
+      EXPECT_EQ(stats.updates_discarded, 2u);
+      for (float v : agg.model("lm")) EXPECT_GT(v, 0.0f);
+    }
+  }
 }
 
 TEST(Aggregator, ServerStepMovesModelInDeltaDirection) {

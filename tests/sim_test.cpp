@@ -22,89 +22,135 @@ namespace {
 
 // ------------------------------------------------------------ Event queue --
 
-TEST(EventQueue, RunsEventsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(3.0, [&](double) { order.push_back(3); });
-  q.schedule_at(1.0, [&](double) { order.push_back(1); });
-  q.schedule_at(2.0, [&](double) { order.push_back(2); });
-  while (q.step()) {
+// A queue whose dispatcher records every pop: the label each event carries
+// in `entity`, and the time it ran.  `react`, when set, runs after the
+// record and may schedule more events.
+struct Recorder {
+  std::vector<int> labels;
+  std::vector<double> times;
+  std::function<void(Recorder&, int label, double now)> react;
+  EventQueue queue;
+
+  Recorder() : queue(&Recorder::dispatch, this) {}
+  explicit Recorder(EventQueueBackend backend)
+      : queue(&Recorder::dispatch, this, backend) {}
+  Recorder(const Recorder&) = delete;
+  Recorder& operator=(const Recorder&) = delete;
+
+  void at(double when, int label, std::uint64_t tie_key = 0) {
+    queue.schedule_event_at(when, tie_key, EventKind{1},
+                            static_cast<std::uint32_t>(label), 0);
   }
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
+  void in(double delay, int label, std::uint64_t tie_key = 0) {
+    queue.schedule_event_in(delay, tie_key, EventKind{1},
+                            static_cast<std::uint32_t>(label), 0);
+  }
+  void drain() {
+    while (queue.step()) {
+    }
+  }
+
+  static void dispatch(void* ctx, EventKind, std::uint32_t entity,
+                       std::uint32_t, double now) {
+    auto& r = *static_cast<Recorder*>(ctx);
+    r.labels.push_back(static_cast<int>(entity));
+    r.times.push_back(now);
+    if (r.react) r.react(r, static_cast<int>(entity), now);
+  }
+};
+
+TEST(EventQueue, RunsEventsInTimeOrder) {
+  Recorder r;
+  r.at(3.0, 3);
+  r.at(1.0, 1);
+  r.at(2.0, 2);
+  r.drain();
+  EXPECT_EQ(r.labels, (std::vector<int>{1, 2, 3}));
+  EXPECT_DOUBLE_EQ(r.queue.now(), 3.0);
 }
 
 TEST(EventQueue, SimultaneousEventsAreFifo) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule_at(1.0, [&order, i](double) { order.push_back(i); });
-  }
-  while (q.step()) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  Recorder r;
+  for (int i = 0; i < 5; ++i) r.at(1.0, i);
+  r.drain();
+  EXPECT_EQ(r.labels, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, EventsCanScheduleMoreEvents) {
-  EventQueue q;
-  int count = 0;
-  std::function<void(double)> tick = [&](double) {
-    if (++count < 10) q.schedule_in(1.0, tick);
+  Recorder r;
+  r.react = [](Recorder& rec, int, double) {
+    if (rec.labels.size() < 10) rec.in(1.0, 0);
   };
-  q.schedule_at(0.0, tick);
-  while (q.step()) {
-  }
-  EXPECT_EQ(count, 10);
-  EXPECT_DOUBLE_EQ(q.now(), 9.0);
+  r.at(0.0, 0);
+  r.drain();
+  EXPECT_EQ(r.labels.size(), 10u);
+  EXPECT_DOUBLE_EQ(r.queue.now(), 9.0);
 }
 
 TEST(EventQueue, RunUntilStopsAtDeadline) {
-  EventQueue q;
-  int ran = 0;
-  q.schedule_at(1.0, [&](double) { ++ran; });
-  q.schedule_at(100.0, [&](double) { ++ran; });
-  q.run_until(10.0);
-  EXPECT_EQ(ran, 1);
-  EXPECT_DOUBLE_EQ(q.now(), 10.0);
-  EXPECT_EQ(q.pending(), 1u);
+  Recorder r;
+  r.at(1.0, 0);
+  r.at(100.0, 1);
+  r.queue.run_until(10.0);
+  EXPECT_EQ(r.labels.size(), 1u);
+  EXPECT_DOUBLE_EQ(r.queue.now(), 10.0);
+  EXPECT_EQ(r.queue.pending(), 1u);
 }
 
 TEST(EventQueue, RunUntilHonoursStopPredicate) {
-  EventQueue q;
-  int ran = 0;
-  bool stop = false;
-  q.schedule_at(1.0, [&](double) {
-    ++ran;
-    stop = true;
-  });
-  q.schedule_at(2.0, [&](double) { ++ran; });
-  q.run_until(10.0, [&] { return stop; });
-  EXPECT_EQ(ran, 1);
+  Recorder r;
+  r.at(1.0, 1);
+  r.at(2.0, 2);
+  r.queue.run_until(10.0, [&r] { return !r.labels.empty(); });
+  EXPECT_EQ(r.labels, (std::vector<int>{1}));
 }
 
-TEST(EventQueue, SchedulingInThePastThrows) {
-  EventQueue q;
-  q.schedule_at(5.0, [](double) {});
-  q.step();
-  EXPECT_THROW(q.schedule_at(1.0, [](double) {}), std::invalid_argument);
-  EXPECT_THROW(q.schedule_in(-1.0, [](double) {}), std::invalid_argument);
+TEST(EventQueue, RunUntilRejectsNanAndNeverMovesTheClockToInfinity) {
+  // A NaN deadline compares false against every event time, so it would
+  // run nothing and return as if the deadline had passed.  A +inf deadline
+  // is no deadline: once the queue empties the clock must stay at the last
+  // event, or every later schedule call would throw.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto backend :
+       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
+    Recorder r(backend);
+    r.at(1.0, 0);
+    EXPECT_THROW(r.queue.run_until(nan), std::invalid_argument);
+    EXPECT_TRUE(r.labels.empty());
+    EXPECT_EQ(r.queue.pending(), 1u);
+    EXPECT_DOUBLE_EQ(r.queue.now(), 0.0);
+
+    r.at(3.0, 1);
+    r.queue.run_until(inf);
+    EXPECT_EQ(r.labels, (std::vector<int>{0, 1}));
+    EXPECT_DOUBLE_EQ(r.queue.now(), 3.0);
+    r.in(2.0, 2);
+    r.queue.run_until(inf);
+    EXPECT_EQ(r.labels, (std::vector<int>{0, 1, 2}));
+    EXPECT_DOUBLE_EQ(r.queue.now(), 5.0);
+
+    // A -inf deadline is already past: nothing runs and the clock stays.
+    r.at(6.0, 3);
+    r.queue.run_until(-inf);
+    EXPECT_EQ(r.queue.pending(), 1u);
+    EXPECT_DOUBLE_EQ(r.queue.now(), 5.0);
+  }
 }
 
 TEST(EventQueue, FifoHoldsWhenSimultaneousEventsScheduleMore) {
   // The closed-loop determinism story leans on the seq tie-break: an event
   // that schedules another event at the *same* timestamp must see it run
   // after every already-queued event at that timestamp.
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(1.0, [&](double now) {
-    order.push_back(0);
-    q.schedule_at(now, [&](double) { order.push_back(2); });
-  });
-  q.schedule_at(1.0, [&](double) { order.push_back(1); });
-  while (q.step()) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_DOUBLE_EQ(q.now(), 1.0);
+  Recorder r;
+  r.react = [](Recorder& rec, int label, double now) {
+    if (label == 0) rec.at(now, 2);
+  };
+  r.at(1.0, 0);
+  r.at(1.0, 1);
+  r.drain();
+  EXPECT_EQ(r.labels, (std::vector<int>{0, 1, 2}));
+  EXPECT_DOUBLE_EQ(r.queue.now(), 1.0);
 }
 
 TEST(EventQueue, TieKeyOrdersEqualTimeEventsBeforeArrival) {
@@ -113,16 +159,13 @@ TEST(EventQueue, TieKeyOrdersEqualTimeEventsBeforeArrival) {
   // the keys — whatever order they were scheduled in.
   for (const auto backend :
        {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
-    EventQueue q(backend);
-    std::vector<int> order;
+    Recorder r(backend);
     for (int key = 4; key >= 0; --key) {
-      q.schedule_at(1.0, static_cast<std::uint64_t>(key),
-                    [&order, key](double) { order.push_back(key); });
+      r.at(1.0, key, static_cast<std::uint64_t>(key));
     }
-    q.schedule_in(1.0, 5, [&order](double) { order.push_back(5); });
-    while (q.step()) {
-    }
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    r.in(1.0, 5, 5);
+    r.drain();
+    EXPECT_EQ(r.labels, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 
     util::Rng rng(0x71e5ULL);
     constexpr int kKeys = 32;
@@ -133,62 +176,56 @@ TEST(EventQueue, TieKeyOrdersEqualTimeEventsBeforeArrival) {
       for (std::size_t i = keys.size() - 1; i > 0; --i) {
         std::swap(keys[i], keys[rng.uniform_int(i + 1)]);
       }
-      EventQueue shuffled(backend);
-      std::vector<int> popped;
+      Recorder shuffled(backend);
       for (const int key : keys) {
-        shuffled.schedule_at(2.0, static_cast<std::uint64_t>(key),
-                             [&popped, key](double) { popped.push_back(key); });
+        shuffled.at(2.0, key, static_cast<std::uint64_t>(key));
       }
-      while (shuffled.step()) {
-      }
-      ASSERT_EQ(popped, expected)
+      shuffled.drain();
+      ASSERT_EQ(shuffled.labels, expected)
           << "backend " << static_cast<int>(backend) << " trial " << trial;
     }
   }
 }
 
 TEST(EventQueue, ScheduleAtNowIsLegalAndRunsThisInstant) {
-  EventQueue q;
-  int ran = 0;
-  q.schedule_at(2.0, [&](double now) {
-    q.schedule_at(now, [&](double) { ++ran; });  // not "the past"
-  });
-  while (q.step()) {
-  }
-  EXPECT_EQ(ran, 1);
+  Recorder r;
+  r.react = [](Recorder& rec, int label, double now) {
+    if (label == 0) rec.at(now, 1);  // not "the past"
+  };
+  r.at(2.0, 0);
+  r.drain();
+  EXPECT_EQ(r.labels, (std::vector<int>{0, 1}));
 }
 
 TEST(EventQueue, RunUntilWithStopAlreadyTrueRunsNothing) {
-  EventQueue q;
-  int ran = 0;
-  q.schedule_at(1.0, [&](double) { ++ran; });
-  q.run_until(10.0, [] { return true; });
-  EXPECT_EQ(ran, 0);
-  EXPECT_DOUBLE_EQ(q.now(), 0.0);  // a stopped clock does not jump ahead
-  EXPECT_EQ(q.pending(), 1u);
+  Recorder r;
+  r.at(1.0, 0);
+  r.queue.run_until(10.0, [] { return true; });
+  EXPECT_TRUE(r.labels.empty());
+  EXPECT_DOUBLE_EQ(r.queue.now(), 0.0);  // a stopped clock does not jump ahead
+  EXPECT_EQ(r.queue.pending(), 1u);
 }
 
 TEST(EventQueue, RunUntilStopMidwayLeavesClockAtLastEvent) {
-  EventQueue q;
-  bool stop = false;
-  q.schedule_at(1.0, [&](double) { stop = true; });
-  q.schedule_at(5.0, [](double) {});
-  q.run_until(10.0, [&] { return stop; });
-  EXPECT_DOUBLE_EQ(q.now(), 1.0);
-  EXPECT_EQ(q.pending(), 1u);
+  Recorder r;
+  r.at(1.0, 0);
+  r.at(5.0, 1);
+  r.queue.run_until(10.0, [&r] { return !r.labels.empty(); });
+  EXPECT_DOUBLE_EQ(r.queue.now(), 1.0);
+  EXPECT_EQ(r.queue.pending(), 1u);
 }
 
 TEST(EventQueue, RunUntilOnEmptyQueueAdvancesToDeadline) {
-  EventQueue q;
-  q.run_until(7.5);
-  EXPECT_DOUBLE_EQ(q.now(), 7.5);
-  EXPECT_TRUE(q.empty());
+  Recorder r;
+  r.queue.run_until(7.5);
+  EXPECT_DOUBLE_EQ(r.queue.now(), 7.5);
+  EXPECT_TRUE(r.queue.empty());
 }
 
 // ------------------------------------------- Calendar backend equivalence --
 
 TEST(EventQueue, CalendarIsTheDefaultBackend) {
-  EXPECT_EQ(EventQueue{}.backend(), EventQueueBackend::kCalendar);
+  EXPECT_EQ(Recorder{}.queue.backend(), EventQueueBackend::kCalendar);
   EXPECT_EQ(SimulationConfig{}.event_queue, EventQueueBackend::kCalendar);
 }
 
@@ -199,29 +236,25 @@ TEST(EventQueue, SchedulingInThePastThrowsOnEveryBackend) {
   const double inf = std::numeric_limits<double>::infinity();
   for (const auto backend :
        {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
-    EventQueue q(backend);
-    q.schedule_at(5.0, [](double) {});
-    q.step();
+    Recorder r(backend);
+    r.at(5.0, 0);
+    r.queue.step();
     for (const double when : {1.0, nan, inf}) {
-      EXPECT_THROW(q.schedule_at(when, [](double) {}), std::invalid_argument)
-          << when;
-      EXPECT_THROW(q.schedule_event_at(when, 0, EventKind{1}, 0, 0),
+      EXPECT_THROW(r.queue.schedule_event_at(when, 0, EventKind{1}, 0, 0),
                    std::invalid_argument)
           << when;
     }
     for (const double delay : {-1.0, nan, inf}) {
-      EXPECT_THROW(q.schedule_in(delay, [](double) {}), std::invalid_argument)
-          << delay;
-      EXPECT_THROW(q.schedule_event_in(delay, 0, EventKind{1}, 0, 0),
+      EXPECT_THROW(r.queue.schedule_event_in(delay, 0, EventKind{1}, 0, 0),
                    std::invalid_argument)
           << delay;
     }
     // The rejected calls must not have half-enqueued anything.
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.pending(), 0u);
-    EXPECT_DOUBLE_EQ(q.now(), 5.0);
-    EXPECT_FALSE(q.step());
-    EXPECT_EQ(q.events_processed(), 1u);
+    EXPECT_TRUE(r.queue.empty());
+    EXPECT_EQ(r.queue.pending(), 0u);
+    EXPECT_DOUBLE_EQ(r.queue.now(), 5.0);
+    EXPECT_FALSE(r.queue.step());
+    EXPECT_EQ(r.queue.events_processed(), 1u);
   }
 }
 
@@ -235,19 +268,12 @@ TEST(EventQueue, SchedulingInThePastThrowsOnEveryBackend) {
 void expect_pop_sequence_matches_heap(EventQueueBackend candidate) {
   util::Rng rng(0xca1e2026ULL);
   for (int trial = 0; trial < 10; ++trial) {
-    EventQueue heap(EventQueueBackend::kHeap);
-    EventQueue other(candidate);
-    std::vector<int> heap_order, other_order;
+    Recorder heap(EventQueueBackend::kHeap);
+    Recorder other(candidate);
     int label = 0;
     auto schedule_both = [&](double delay, std::uint64_t key) {
-      heap.schedule_at(heap.now() + delay, key,
-                       [&heap_order, label](double) {
-                         heap_order.push_back(label);
-                       });
-      other.schedule_at(other.now() + delay, key,
-                        [&other_order, label](double) {
-                          other_order.push_back(label);
-                        });
+      heap.at(heap.queue.now() + delay, label, key);
+      other.at(other.queue.now() + delay, label, key);
       ++label;
     };
     for (int round = 0; round < 50; ++round) {
@@ -274,18 +300,16 @@ void expect_pop_sequence_matches_heap(EventQueueBackend candidate) {
       // the relative delays above land on identical absolute times.
       const int pops = static_cast<int>(rng.uniform_int(6));
       for (int i = 0; i < pops; ++i) {
-        const bool heap_popped = heap.step();
-        ASSERT_EQ(heap_popped, other.step());
+        const bool heap_popped = heap.queue.step();
+        ASSERT_EQ(heap_popped, other.queue.step());
       }
-      ASSERT_DOUBLE_EQ(heap.now(), other.now());
+      ASSERT_DOUBLE_EQ(heap.queue.now(), other.queue.now());
     }
-    while (heap.step()) {
-    }
-    while (other.step()) {
-    }
-    ASSERT_EQ(heap_order, other_order) << "trial " << trial;
-    ASSERT_DOUBLE_EQ(heap.now(), other.now());
-    EXPECT_EQ(heap.events_processed(), other.events_processed());
+    heap.drain();
+    other.drain();
+    ASSERT_EQ(heap.labels, other.labels) << "trial " << trial;
+    ASSERT_DOUBLE_EQ(heap.queue.now(), other.queue.now());
+    EXPECT_EQ(heap.queue.events_processed(), other.queue.events_processed());
   }
 }
 
@@ -297,29 +321,22 @@ TEST(EventQueue, CalendarSurvivesResizeChurn) {
   // Push enough to force doubling resizes, drain to force shrinks, and keep
   // the order invariant throughout.  Times repeat across waves' offsets so
   // bucket occupancy is lumpy.
-  EventQueue q(EventQueueBackend::kCalendar);
+  Recorder r(EventQueueBackend::kCalendar);
   util::Rng rng(77);
-  double last = -1.0;
-  std::size_t popped = 0;
-  std::function<void(double)> check = [&](double t) {
-    EXPECT_GE(t, last);
-    last = t;
-    ++popped;
-  };
   std::size_t scheduled = 0;
   for (int wave = 0; wave < 4; ++wave) {
     for (int i = 0; i < 3000; ++i) {
-      q.schedule_at(q.now() + rng.uniform(0.0, 50.0), check);
+      r.at(r.queue.now() + rng.uniform(0.0, 50.0), 0);
       ++scheduled;
     }
     // Partial drain between waves shrinks the ring again.
-    for (int i = 0; i < 2500 && q.step(); ++i) {
+    for (int i = 0; i < 2500 && r.queue.step(); ++i) {
     }
   }
-  while (q.step()) {
-  }
-  EXPECT_EQ(popped, scheduled);
-  EXPECT_EQ(q.events_processed(), scheduled);
+  r.drain();
+  EXPECT_TRUE(std::is_sorted(r.times.begin(), r.times.end()));
+  EXPECT_EQ(r.times.size(), scheduled);
+  EXPECT_EQ(r.queue.events_processed(), scheduled);
 }
 
 TEST(EventQueue, CalendarGrowBoundaryKeepsOrderAtExactThreshold) {
@@ -329,18 +346,15 @@ TEST(EventQueue, CalendarGrowBoundaryKeepsOrderAtExactThreshold) {
   // the degenerate span that forces the width clamp (hi == lo) down the
   // std::max({1.0, 1e-9, hi * 2^-40}) path.  Pop order must stay the
   // documented tie-key order through every rebuild.
-  EventQueue q(EventQueueBackend::kCalendar);
+  Recorder r(EventQueueBackend::kCalendar);
   constexpr int kEvents = 600;  // crosses 16, 32, 64, 128, 256, 512
-  std::vector<int> order;
   for (int i = kEvents - 1; i >= 0; --i) {
-    q.schedule_at(1000.0, static_cast<std::uint64_t>(i),
-                  [&order, i](double) { order.push_back(i); });
+    r.at(1000.0, i, static_cast<std::uint64_t>(i));
   }
-  while (q.step()) {
-  }
-  ASSERT_EQ(order.size(), static_cast<std::size_t>(kEvents));
+  r.drain();
+  ASSERT_EQ(r.labels.size(), static_cast<std::size_t>(kEvents));
   for (int i = 0; i < kEvents; ++i) {
-    ASSERT_EQ(order[static_cast<std::size_t>(i)], i) << "at pop " << i;
+    ASSERT_EQ(r.labels[static_cast<std::size_t>(i)], i) << "at pop " << i;
   }
 }
 
@@ -354,21 +368,18 @@ TEST(EventQueue, CalendarPushBelowRebuildFloorPullsCursorBack) {
   // the 10M-device seeding loop rebuilds mid-seed, and every later device
   // that drew a check-in below the rebuild-time minimum was stranded —
   // heap and calendar trajectories diverged from the very first pop.
-  EventQueue q(EventQueueBackend::kCalendar);
-  std::vector<double> popped;
-  auto record = [&popped](double t) { popped.push_back(t); };
+  Recorder r(EventQueueBackend::kCalendar);
   // 17 pushes on the initial 8-bucket ring trigger the grow rebuild; the
   // degenerate span (hi == lo == 10) clamps the width to 1.0, anchoring
   // the cursor at virtual bucket 10.
-  for (int i = 0; i < 17; ++i) q.schedule_at(10.0, record);
+  for (int i = 0; i < 17; ++i) r.at(10.0, 0);
   // Home bucket 0 — behind the post-rebuild cursor.  Must still pop first.
-  q.schedule_at(0.5, record);
-  while (q.step()) {
-  }
-  ASSERT_EQ(popped.size(), 18u);
-  EXPECT_DOUBLE_EQ(popped.front(), 0.5);
-  for (std::size_t i = 1; i < popped.size(); ++i) {
-    EXPECT_DOUBLE_EQ(popped[i], 10.0) << "at pop " << i;
+  r.at(0.5, 0);
+  r.drain();
+  ASSERT_EQ(r.times.size(), 18u);
+  EXPECT_DOUBLE_EQ(r.times.front(), 0.5);
+  for (std::size_t i = 1; i < r.times.size(); ++i) {
+    EXPECT_DOUBLE_EQ(r.times[i], 10.0) << "at pop " << i;
   }
 }
 
@@ -378,23 +389,19 @@ TEST(EventQueue, CalendarShrinkBoundaryKeepsOrderAcrossWidthRetune) {
   // rebuild re-tunes the width from the *surviving* (narrow, far-future)
   // span.  The pop order across the shrink — where every surviving event's
   // virtual bucket is recomputed under a new width — must stay global.
-  EventQueue q(EventQueueBackend::kCalendar);
+  Recorder r(EventQueueBackend::kCalendar);
   util::Rng rng(0x5157ULL);
   std::vector<double> times;
   // 200 near events across a wide span (drives width up on grow rebuilds)
   // and 40 far events packed into a 2-second window (the survivors).
   for (int i = 0; i < 200; ++i) times.push_back(rng.uniform(0.0, 5000.0));
   for (int i = 0; i < 40; ++i) times.push_back(9000.0 + rng.uniform(0.0, 2.0));
-  std::vector<double> popped;
-  for (const double t : times) {
-    q.schedule_at(t, [&popped](double at) { popped.push_back(at); });
-  }
-  while (q.step()) {
-  }
+  for (const double t : times) r.at(t, 0);
+  r.drain();
   std::sort(times.begin(), times.end());
-  ASSERT_EQ(popped.size(), times.size());
+  ASSERT_EQ(r.times.size(), times.size());
   for (std::size_t i = 0; i < times.size(); ++i) {
-    ASSERT_DOUBLE_EQ(popped[i], times[i]) << "at pop " << i;
+    ASSERT_DOUBLE_EQ(r.times[i], times[i]) << "at pop " << i;
   }
 }
 
@@ -405,7 +412,7 @@ TEST(EventQueue, CalendarBucketEdgeRoundingCannotSplitPushFromScan) {
   // expression, so an edge-hugger must never qualify in a different bucket
   // than it was inserted into — which would either skip it (hang) or pop
   // it out of order.
-  EventQueue q(EventQueueBackend::kCalendar);
+  Recorder r(EventQueueBackend::kCalendar);
   std::vector<double> times;
   for (int k = 1; k <= 64; ++k) {
     const double edge = static_cast<double>(k);  // initial width_ is 1.0
@@ -414,16 +421,12 @@ TEST(EventQueue, CalendarBucketEdgeRoundingCannotSplitPushFromScan) {
     times.push_back(std::nextafter(edge, 1e9));
     times.push_back(edge * 128.0);  // far enough to cross rebuilt widths
   }
-  std::vector<double> popped;
-  for (const double t : times) {
-    q.schedule_at(t, [&popped](double at) { popped.push_back(at); });
-  }
-  while (q.step()) {
-  }
+  for (const double t : times) r.at(t, 0);
+  r.drain();
   std::sort(times.begin(), times.end());
-  ASSERT_EQ(popped.size(), times.size());
+  ASSERT_EQ(r.times.size(), times.size());
   for (std::size_t i = 0; i < times.size(); ++i) {
-    ASSERT_DOUBLE_EQ(popped[i], times[i]) << "at pop " << i;
+    ASSERT_DOUBLE_EQ(r.times[i], times[i]) << "at pop " << i;
   }
 }
 
