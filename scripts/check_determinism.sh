@@ -2,12 +2,16 @@
 # Determinism gate for the simulator's clock-honesty refactor (run in CI).
 #
 # Runs the fig9 convergence sim and byte-diffs the exported loss-curve
-# trajectories across three invocations:
+# trajectories across four invocations:
 #   1. twice from the same seed              -> must be byte-identical
 #      (run-to-run determinism of the event schedule + RNG streams);
 #   2. once with pipelined_clients toggled   -> must be byte-identical
 #      (the open-loop pipelined latency model is observational: it may not
-#      perturb training dynamics while closed_loop_clients is off).
+#      perturb training dynamics while closed_loop_clients is off);
+#   3. once on one CPU (`taskset -c 0`)      -> must be byte-identical
+#      (the MLP kernel sizes its thread pool from the CPU affinity mask, so
+#      this run trains on the calling thread alone; the split of the work
+#      across threads may not change a bit).
 #
 # Usage: scripts/check_determinism.sh [build-dir]   (default ./build)
 set -euo pipefail
@@ -34,6 +38,10 @@ echo "== run 3 (pipelined_clients toggled, closed loop off)"
 PAPAYA_FIG9_QUICK=1 PAPAYA_FIG9_PIPELINED=1 \
   PAPAYA_FIG9_EXPORT="$workdir/run3.csv" "$BIN" > /dev/null
 
+echo "== run 4 (one CPU in the affinity mask)"
+PAPAYA_FIG9_QUICK=1 PAPAYA_FIG9_EXPORT="$workdir/run4.csv" \
+  taskset -c 0 "$BIN" > /dev/null
+
 fail=0
 if ! cmp -s "$workdir/run1.csv" "$workdir/run2.csv"; then
   echo "FAIL: same-seed reruns exported different trajectories" >&2
@@ -46,6 +54,12 @@ if ! cmp -s "$workdir/run1.csv" "$workdir/run3.csv"; then
   diff "$workdir/run1.csv" "$workdir/run3.csv" | head -10 >&2 || true
   fail=1
 fi
+if ! cmp -s "$workdir/run1.csv" "$workdir/run4.csv"; then
+  echo "FAIL: the one-CPU run exported different trajectories (the MLP" \
+       "kernel's thread count may not change a value)" >&2
+  diff "$workdir/run1.csv" "$workdir/run4.csv" | head -10 >&2 || true
+  fail=1
+fi
 
 lines="$(wc -l < "$workdir/run1.csv")"
 if [ "$lines" -eq 0 ]; then
@@ -54,6 +68,6 @@ if [ "$lines" -eq 0 ]; then
 fi
 
 if [ "$fail" -eq 0 ]; then
-  echo "OK: $lines trajectory points byte-identical across all three runs"
+  echo "OK: $lines trajectory points byte-identical across all four runs"
 fi
 exit "$fail"

@@ -1,13 +1,25 @@
 #include "ml/model.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "ml/math.hpp"
+#include "util/sync.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define PAPAYA_MLP_X86 1
@@ -54,21 +66,23 @@ struct MlpLayout {
   std::size_t w1, b1, w2, b2, size;  // E starts at 0
 };
 
-// MlpLm::loss runs the predictions of a batch kBlock at a time: it gathers a
-// block's context embeddings, runs the forward pass for every prediction in
-// the block, then the backward pass.  The six products vectorize across
-// independent outputs and never along a reduction, so every value is
-// bit-identical to running one prediction at a time through matvec,
-// matvec_transposed and outer_accumulate:
+// MlpLm::loss runs in two phases, each split into parts that run on the
+// calling thread and a small pool of workers (see "The kernel in two
+// phases").  Phase A does each prediction's own work, kBlock predictions at
+// a time: it gathers their context embeddings and runs them forward, then
+// back to the input gradient.  Phase B does the sums over predictions.  The
+// six products vectorize across independent outputs and never along a
+// reduction, so every value is bit-identical to running one prediction at a
+// time through matvec, matvec_transposed and outer_accumulate:
 //   - a hidden unit or logit sums its row in column order from +0.0f;
 //   - a W1, b1, W2 or b2 gradient element sums over predictions in order;
 //   - an embedding-gradient row takes its additions in (prediction, context
 //     slot) order;
 //   - the loss sums in double, in prediction order.
-// The parameters do not change during one call, so running a block forward
-// and then backward changes no value.  On x86-64, tanh and exp run a vector
-// at a time through lane-wise ports of the algorithms glibc runs (up to
-// glibc 2.40; see "tanh and exp a vector at a time"), so they return
+// The parameters do not change during one call, so running every prediction
+// first and summing after changes no value.  On x86-64, tanh and exp run a
+// vector at a time through lane-wise ports of the algorithms glibc runs (up
+// to glibc 2.40; see "tanh and exp a vector at a time"), so they return
 // std::tanh's and std::exp's bits; the exp port runs only where glibc
 // selects its fused build of expf, on CPUs with FMA and AVX2.  Elsewhere
 // they stay scalar libm calls: another target's libm may be compiled with
@@ -108,7 +122,7 @@ struct Product {
   float* c;
   std::size_t c_row;
   std::size_t rows, cols, depth;
-  bool accumulate;  // start from c rather than from +0.0f
+  bool accumulate = false;  // start from c rather than from +0.0f
 };
 
 /// One kTileRows x NV-vector tile of a Product, held in registers while it
@@ -352,171 +366,214 @@ inline void exp_in_place(float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] = std::exp(x[i]);
 }
 
-/// The whole loss computation, instantiated once per Isa and inlined into
-/// that Isa's entry point so it compiles under the entry point's target.
+// ---------------------------------------------------------------------------
+// The kernel in two phases.  Each phase splits into parts, and the parts of
+// one phase run on the calling thread and the pool's workers (KernelPool,
+// below).  A backward call runs both phases once per chunk of at most
+// kChunk predictions, so its buffers stay small.
+//   - Phase A: each prediction's own work.  Part k takes a contiguous run of
+//     kTileRows-row tiles of the chunk's predictions and, kBlock predictions
+//     at a time, gathers their context embeddings, runs both forward
+//     products, tanh, log-sum-exp and the softmax, and stores each
+//     prediction's loss term.  A backward call goes on to dlogits,
+//     dh = dlogits * W2 times tanh', and dx = dh * W1.
+//   - Phase B (backward only): the sums over predictions.  Part k owns whole
+//     rows of the W2 and W1 gradients (with their b2 and b1 entries) and the
+//     embedding-gradient rows of a range of tokens, and adds the chunk's
+//     predictions to them in prediction order.
+// The caller sums the loss terms in prediction order.  So no value depends
+// on how many parts or threads there are.
+// ---------------------------------------------------------------------------
+
+/// Predictions per chunk of a backward call; a multiple of kBlock.
+constexpr std::size_t kChunk = 8 * kBlock;
+
+/// One loss call's shapes and buffers, and the chunk its phases run on.  The
+/// calling thread checks every token and allocates every buffer before a
+/// phase starts, so no part of a phase throws or allocates.
+struct MlpJob {
+  std::size_t V, De, H, C, K, Vp, Hp, Kp;
+  const MlpLayout* at;
+  std::size_t n_pred;
+  std::size_t first, n;  ///< the chunk: predictions [first, first + n)
+  std::size_t parts;
+  float inv_n;
+  bool backward;
+  const float *embed, *b1, *b2;
+  /// Zero-padded weight copies: transposed for the forward products,
+  /// row-major for the backward ones.  Padded lanes are computed but never
+  /// read back.
+  const float *w1t, *w2t, *w1r, *w2r;
+  const std::int32_t* ctx;     ///< C context tokens per prediction
+  const std::int32_t* target;  ///< one per prediction
+  float* terms;                ///< each prediction's loss term
+  /// One row per prediction: x holds the context embeddings, h the hidden
+  /// layer, dl the logits and then their gradient, dh and dx the hidden and
+  /// input gradients.  A backward call keeps a row for every prediction of
+  /// the chunk, padded to whole tiles, for phase B; a forward-only call
+  /// gives each part kBlock rows of x, h and dl.
+  float *x, *h, *dl, *dh, *dx;
+  /// Backward only: the W1 and W2 gradients, laid out like w1r and w2r with
+  /// the rows padded too, so every tile is whole; and the gradient itself.
+  float *g1, *g2, *grad;
+};
+
 template <class Isa>
-[[gnu::always_inline]] inline double mlp_loss_kernel(
-    const LmConfig& cfg, std::span<const float> params,
-    std::span<const Sequence> batch, std::span<float> grad) {
-  if (!grad.empty()) std::fill(grad.begin(), grad.end(), 0.0f);
-  const std::size_t n_pred = LanguageModel::num_predictions(batch);
-  if (n_pred == 0) return 0.0;
-  const float inv_n = 1.0f / static_cast<float>(n_pred);
-  const bool backward = !grad.empty();
-
-  const MlpLayout at(cfg);
-  const std::size_t V = cfg.vocab_size, De = cfg.embed_dim,
-                    H = cfg.hidden_dim, C = cfg.context, K = C * De;
-  const std::size_t Vp = pad_lanes(V), Hp = pad_lanes(H), Kp = pad_lanes(K);
-  const float* embed = params.data();
-  const float* w1 = params.data() + at.w1;
-  const float* b1 = params.data() + at.b1;
-  const float* w2 = params.data() + at.w2;
-  const float* b2 = params.data() + at.b2;
-
-  // Zero-padded weight copies: transposed for the forward products,
-  // row-major for the backward ones.  Padded lanes are computed but never
-  // read back.
-  std::vector<float> w1t(K * Hp), w2t(H * Vp);
-  for (std::size_t i = 0; i < H; ++i) {
-    for (std::size_t k = 0; k < K; ++k) w1t[k * Hp + i] = w1[i * K + k];
-  }
-  for (std::size_t v = 0; v < V; ++v) {
-    for (std::size_t i = 0; i < H; ++i) w2t[i * Vp + v] = w2[v * H + i];
-  }
-  // Block scratch, one row per prediction: x holds the context embeddings,
-  // h the hidden layer, dl the logits and then their gradient.
-  std::vector<float> x(kBlock * Kp), h(kBlock * Hp), dl(kBlock * Vp);
-  std::vector<std::int32_t> ctx(kBlock * C), target(kBlock);
-
-  // Backward only.  The W1 and W2 gradients accumulate in g1 and g2, laid
-  // out like w1r and w2r with the rows padded too, so every tile is whole;
-  // they reach `grad` at the end.  dh and dx are a block's hidden and input
-  // gradients.
-  std::vector<float> w1r, w2r, g1, g2, dh, dx;
-  if (backward) {
-    w1r.resize(H * Kp);
-    w2r.resize(V * Hp);
-    for (std::size_t i = 0; i < H; ++i) {
-      std::copy_n(w1 + i * K, K, w1r.data() + i * Kp);
-    }
-    for (std::size_t v = 0; v < V; ++v) {
-      std::copy_n(w2 + v * H, H, w2r.data() + v * Hp);
-    }
-    g1.resize(Hp * Kp);
-    g2.resize(Vp * Hp);
-    dh.resize(kBlock * Hp);
-    dx.resize(kBlock * Kp);
-  }
-
-  double total_loss = 0.0;
-  // The next prediction is batch[seq][t]; seq skips sequences shorter than 2.
-  std::size_t seq = 0, t = 1;
-  while (batch[seq].size() < 2) ++seq;
-  while (true) {
-    // Gather the next block.  Context window [t-C, t), padded on the left
-    // with the sequence's first token.
-    std::size_t nb = 0;
-    for (; nb < kBlock && seq < batch.size(); ++nb) {
-      const Sequence& s = batch[seq];
-      target[nb] = s[t];
-      check_token(target[nb], V);
-      for (std::size_t j = 0; j < C; ++j) {
-        const std::int32_t tok = t + j >= C ? s[t + j - C] : s[0];
-        check_token(tok, V);
-        ctx[nb * C + j] = tok;
-        std::memcpy(x.data() + nb * Kp + j * De,
-                    embed + static_cast<std::size_t>(tok) * De,
-                    De * sizeof(float));
-      }
-      if (++t == s.size()) {
-        t = 1;
-        do ++seq; while (seq < batch.size() && batch[seq].size() < 2);
-      }
-    }
-    if (nb == 0) break;
+[[gnu::always_inline]] inline void mlp_phase_a(const MlpJob& j,
+                                               std::size_t part) {
+  const std::size_t V = j.V, De = j.De, H = j.H, C = j.C, K = j.K,
+                    Vp = j.Vp, Hp = j.Hp, Kp = j.Kp;
+  // Rows r of the chunk, prediction j.first + r.
+  const std::size_t tiles = (j.n + kTileRows - 1) / kTileRows;
+  const std::size_t begin = tiles * part / j.parts * kTileRows;
+  const std::size_t end =
+      std::min(j.n, tiles * (part + 1) / j.parts * kTileRows);
+  for (std::size_t r0 = begin; r0 < end; r0 += kBlock) {
+    const std::size_t nb = std::min(kBlock, end - r0);
     const std::size_t rows = (nb + kTileRows - 1) / kTileRows * kTileRows;
+    const std::size_t p0 = j.first + r0;
+    const std::size_t row0 = j.backward ? r0 : part * kBlock;
+    float* x = j.x + row0 * Kp;
+    float* h = j.h + row0 * Hp;
+    float* dl = j.dl + row0 * Vp;
 
-    // Forward.  Rows past nb hold stale inputs; their outputs go unread.
-    run_product<Isa>({x.data(), Kp, 1, w1t.data(), Hp, h.data(), Hp, rows, Hp,
-                      K, false});
-    for (std::size_t p = 0; p < nb; ++p) {
-      float* hp = h.data() + p * Hp;
+    // Gather.  Padding rows and columns are zeroed, so the padded outputs
+    // they feed are zero too.
+    for (std::size_t r = 0; r < rows; ++r) {
+      float* xr = x + r * Kp;
+      if (r == nb) {
+        std::fill(xr, x + rows * Kp, 0.0f);
+        break;
+      }
+      for (std::size_t c = 0; c < C; ++c) {
+        const auto tok = static_cast<std::size_t>(j.ctx[(p0 + r) * C + c]);
+        std::memcpy(xr + c * De, j.embed + tok * De, De * sizeof(float));
+      }
+      std::fill(xr + K, xr + Kp, 0.0f);
+    }
+
+    // Forward.
+    run_product<Isa>({x, Kp, 1, j.w1t, Hp, h, Hp, rows, Hp, K});
+    for (std::size_t r = 0; r < nb; ++r) {
+      float* hr = h + r * Hp;
 #ifdef PAPAYA_MLP_X86
-      for (std::size_t i = 0; i < H; ++i) hp[i] += b1[i];
-      tanh_lanes<Isa>(hp, Hp);
+      for (std::size_t i = 0; i < H; ++i) hr[i] += j.b1[i];
+      tanh_lanes<Isa>(hr, Hp);
 #else
-      for (std::size_t i = 0; i < H; ++i) hp[i] = std::tanh(hp[i] + b1[i]);
+      for (std::size_t i = 0; i < H; ++i) hr[i] = std::tanh(hr[i] + j.b1[i]);
 #endif
     }
-    run_product<Isa>({h.data(), Hp, 1, w2t.data(), Vp, dl.data(), Vp, rows,
-                      Vp, H, false});
-    for (std::size_t p = 0; p < nb; ++p) {
-      float* l = dl.data() + p * Vp;
-      for (std::size_t v = 0; v < V; ++v) l[v] += b2[v];
+    run_product<Isa>({h, Hp, 1, j.w2t, Vp, dl, Vp, rows, Vp, H});
+    for (std::size_t r = 0; r < nb; ++r) {
+      float* l = dl + r * Vp;
+      for (std::size_t v = 0; v < V; ++v) l[v] += j.b2[v];
       // log_sum_exp and the softmax share m, every exp(l - m) and the sum.
       float m = l[0];
       for (std::size_t v = 1; v < V; ++v) {
         if (m < l[v]) m = l[v];
       }
-      const auto tv = static_cast<std::size_t>(target[p]);
+      const auto tv = static_cast<std::size_t>(j.target[p0 + r]);
       const float logit_target = l[tv];
       for (std::size_t v = 0; v < V; ++v) l[v] -= m;
       exp_in_place(l, V);
       float sum = 0.0f;
       for (std::size_t v = 0; v < V; ++v) sum += l[v];
       const float lse = m + std::log(sum);
-      total_loss += lse - logit_target;
-      if (!backward) continue;
+      j.terms[p0 + r] = lse - logit_target;
+      if (!j.backward) continue;
       // dlogits = softmax - onehot(target), scaled by 1/n_pred.
       for (std::size_t v = 0; v < V; ++v) l[v] /= sum;
       l[tv] -= 1.0f;
-      for (std::size_t v = 0; v < V; ++v) l[v] *= inv_n;
+      for (std::size_t v = 0; v < V; ++v) l[v] *= j.inv_n;
     }
-    if (!backward) continue;
+    if (!j.backward) continue;
 
-    // Backward.
-    run_product<Isa>({dl.data(), 1, Vp, h.data(), Hp, g2.data(), Hp, Vp, Hp,
-                      nb, true});
-    float* gb2 = grad.data() + at.b2;
-    for (std::size_t p = 0; p < nb; ++p) {
-      for (std::size_t v = 0; v < V; ++v) gb2[v] += dl[p * Vp + v];
-    }
-    run_product<Isa>({dl.data(), Vp, 1, w2r.data(), Hp, dh.data(), Hp, rows,
-                      Hp, V, false});
-    for (std::size_t p = 0; p < nb; ++p) {
-      float* dhp = dh.data() + p * Hp;
-      const float* hp = h.data() + p * Hp;
+    // Back to the input.
+    float* dh = j.dh + r0 * Hp;
+    float* dx = j.dx + r0 * Kp;
+    run_product<Isa>({dl, Vp, 1, j.w2r, Hp, dh, Hp, rows, Hp, V});
+    for (std::size_t r = 0; r < nb; ++r) {
+      float* dhr = dh + r * Hp;
+      const float* hr = h + r * Hp;
       // tanh_derivative_from_output, inline.
-      for (std::size_t i = 0; i < H; ++i) dhp[i] *= 1.0f - hp[i] * hp[i];
+      for (std::size_t i = 0; i < H; ++i) dhr[i] *= 1.0f - hr[i] * hr[i];
     }
-    run_product<Isa>({dh.data(), 1, Hp, x.data(), Kp, g1.data(), Kp, Hp, Kp,
-                      nb, true});
-    float* gb1 = grad.data() + at.b1;
-    for (std::size_t p = 0; p < nb; ++p) {
-      for (std::size_t i = 0; i < H; ++i) gb1[i] += dh[p * Hp + i];
-    }
-    run_product<Isa>({dh.data(), Hp, 1, w1r.data(), Kp, dx.data(), Kp, rows,
-                      Kp, H, false});
-    for (std::size_t p = 0; p < nb; ++p) {
-      for (std::size_t j = 0; j < C; ++j) {
-        float* ge = grad.data() + static_cast<std::size_t>(ctx[p * C + j]) * De;
-        const float* dxj = dx.data() + p * Kp + j * De;
-        for (std::size_t d = 0; d < De; ++d) ge[d] += dxj[d];
-      }
-    }
+    run_product<Isa>({dh, Hp, 1, j.w1r, Kp, dx, Kp, rows, Kp, H});
   }
-
-  if (backward) {
-    for (std::size_t i = 0; i < H; ++i) {
-      std::copy_n(g1.data() + i * Kp, K, grad.data() + at.w1 + i * K);
-    }
-    for (std::size_t v = 0; v < V; ++v) {
-      std::copy_n(g2.data() + v * Hp, H, grad.data() + at.w2 + v * H);
-    }
-  }
-  return total_loss / static_cast<double>(n_pred);
 }
+
+template <class Isa>
+[[gnu::always_inline]] inline void mlp_phase_b(const MlpJob& j,
+                                               std::size_t part) {
+  const std::size_t V = j.V, De = j.De, H = j.H, C = j.C, K = j.K,
+                    Vp = j.Vp, Hp = j.Hp, Kp = j.Kp, n = j.n;
+  // The chunk's sums continue the previous chunks'; the last chunk's go out
+  // to grad.
+  const bool more = j.first > 0;
+  const bool last = j.first + n == j.n_pred;
+  // The part's output rows: a contiguous run of the W2 gradient's row tiles
+  // followed by the W1 gradient's.
+  const std::size_t t2 = Vp / kTileRows, tiles = t2 + Hp / kTileRows;
+  const std::size_t first = tiles * part / j.parts;
+  const std::size_t end = tiles * (part + 1) / j.parts;
+  if (first < t2) {
+    const std::size_t r0 = first * kTileRows;
+    const std::size_t r1 = std::min(end, t2) * kTileRows;
+    run_product<Isa>({j.dl + r0, 1, Vp, j.h, Hp, j.g2 + r0 * Hp, Hp, r1 - r0,
+                      Hp, n, more});
+    const std::size_t v1 = std::min(r1, V);
+    float* gb2 = j.grad + j.at->b2;
+    for (std::size_t p = 0; p < n; ++p) {
+      for (std::size_t v = r0; v < v1; ++v) gb2[v] += j.dl[p * Vp + v];
+    }
+    for (std::size_t v = r0; last && v < v1; ++v) {
+      std::copy_n(j.g2 + v * Hp, H, j.grad + j.at->w2 + v * H);
+    }
+  }
+  if (end > t2) {
+    const std::size_t r0 = (std::max(first, t2) - t2) * kTileRows;
+    const std::size_t r1 = (end - t2) * kTileRows;
+    run_product<Isa>({j.dh + r0, 1, Hp, j.x, Kp, j.g1 + r0 * Kp, Kp, r1 - r0,
+                      Kp, n, more});
+    const std::size_t i1 = std::min(r1, H);
+    float* gb1 = j.grad + j.at->b1;
+    for (std::size_t p = 0; p < n; ++p) {
+      for (std::size_t i = r0; i < i1; ++i) gb1[i] += j.dh[p * Hp + i];
+    }
+    for (std::size_t i = r0; last && i < i1; ++i) {
+      std::copy_n(j.g1 + i * Kp, K, j.grad + j.at->w1 + i * K);
+    }
+  }
+  // The embedding-gradient rows of tokens [lo, hi).
+  const std::size_t lo = V * part / j.parts, hi = V * (part + 1) / j.parts;
+  const std::int32_t* ctx = j.ctx + j.first * C;
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t c = 0; c < C; ++c) {
+      const auto tok = static_cast<std::size_t>(ctx[p * C + c]);
+      if (tok < lo || tok >= hi) continue;
+      float* ge = j.grad + tok * De;
+      const float* dxc = j.dx + p * Kp + c * De;
+      for (std::size_t d = 0; d < De; ++d) ge[d] += dxc[d];
+    }
+  }
+}
+
+using MlpPhase = void (*)(const MlpJob&, std::size_t part);
+
+/// One build of the kernel: its two phases, each compiled under the build's
+/// target.  A lambda would not inherit a target attribute, so each is a
+/// plain function.
+struct MlpBuild {
+  MlpPhase a, b;
+};
+
+void mlp_phase_a_portable(const MlpJob& j, std::size_t part) {
+  mlp_phase_a<PortableIsa>(j, part);
+}
+void mlp_phase_b_portable(const MlpJob& j, std::size_t part) {
+  mlp_phase_b<PortableIsa>(j, part);
+}
+constexpr MlpBuild kPortableBuild{mlp_phase_a_portable, mlp_phase_b_portable};
 
 #ifdef PAPAYA_MLP_X86
 /// 32-byte vectors.  The target adds AVX2 and not FMA (see above).
@@ -525,11 +582,15 @@ struct Avx2Isa {
   typedef std::int32_t IVec __attribute__((vector_size(32)));
 };
 
-__attribute__((target("avx2"))) double mlp_loss_avx2(
-    const LmConfig& cfg, std::span<const float> params,
-    std::span<const Sequence> batch, std::span<float> grad) {
-  return mlp_loss_kernel<Avx2Isa>(cfg, params, batch, grad);
+__attribute__((target("avx2"))) void mlp_phase_a_avx2(const MlpJob& j,
+                                                      std::size_t part) {
+  mlp_phase_a<Avx2Isa>(j, part);
 }
+__attribute__((target("avx2"))) void mlp_phase_b_avx2(const MlpJob& j,
+                                                      std::size_t part) {
+  mlp_phase_b<Avx2Isa>(j, part);
+}
+constexpr MlpBuild kAvx2Build{mlp_phase_a_avx2, mlp_phase_b_avx2};
 
 bool cpu_has_avx2() {
   static const bool has = [] {
@@ -540,17 +601,349 @@ bool cpu_has_avx2() {
 }
 #endif  // PAPAYA_MLP_X86
 
+/// The widest build this CPU runs.
+const MlpBuild& native_build() {
+#ifdef PAPAYA_MLP_X86
+  if (cpu_has_avx2()) return kAvx2Build;
+#endif
+  return kPortableBuild;
+}
+
+// ---------------------------------------------------------------------------
+// The pool the phases run on.
+// ---------------------------------------------------------------------------
+
+/// The most threads one call runs on, the caller included.
+constexpr std::size_t kMaxThreads = 8;
+/// A call runs on one thread per this many predictions, so that each thread
+/// has at least one whole block of phase A.
+constexpr std::size_t kPredictionsPerThread = kBlock;
+/// How long a worker spins for its next part before it sleeps.  The phases
+/// of one call, and the calls of one client's training, come microseconds
+/// apart; a wake from sleep takes tens.
+constexpr auto kSpin = std::chrono::microseconds(200);
+
+inline void cpu_relax() {
+#ifdef PAPAYA_MLP_X86
+  _mm_pause();
+#endif
+}
+
+/// The calling thread plus up to kMaxThreads - 1 workers, as many as the
+/// process's CPU affinity mask allows.  One call holds the pool at a time; a
+/// call that finds it held runs its parts on its own thread.  The parts of
+/// a phase are claimed one at a time by whichever thread is free, so a
+/// worker that wakes late costs the caller nothing.  The mutex is a leaf:
+/// no thread takes another lock while it holds it, and workers hold no
+/// other lock.
+class KernelPool {
+ public:
+  explicit KernelPool(std::size_t threads)
+      : workers_(std::make_unique<Worker[]>(threads - 1)) {
+    threads_.reserve(threads - 1);
+    for (std::size_t w = 0; w + 1 < threads; ++w) {
+      try {
+        threads_.emplace_back([this, w] { work(workers_[w]); });
+      } catch (const std::system_error&) {
+        break;  // run on the threads that did start
+      }
+    }
+  }
+
+  ~KernelPool() {
+    for (std::size_t w = 0; w < threads_.size(); ++w) wake(workers_[w], kStop);
+    for (auto& t : threads_) t.join();
+  }
+
+  KernelPool(const KernelPool&) = delete;
+  KernelPool& operator=(const KernelPool&) = delete;
+
+  std::size_t threads() const { return threads_.size() + 1; }
+
+  /// Claims the pool for one call; false if another call holds it.
+  bool try_acquire() {
+    return !busy_.exchange(true, std::memory_order_acquire);
+  }
+  void release() { busy_.store(false, std::memory_order_release); }
+
+  /// Runs phase(job, part) for every part < job.parts on the calling thread
+  /// and up to threads - 1 workers, and returns when every part has run.
+  /// The caller holds the pool.
+  void run(MlpPhase phase, const MlpJob& job, std::size_t threads) {
+    phase_ = phase;
+    job_ = &job;
+    done_.store(0, std::memory_order_relaxed);
+    const std::uint64_t epoch = ++epochs_;
+    claim_.store(epoch << kEpochShift | job.parts << kPartsShift,
+                 std::memory_order_release);
+    for (std::size_t w = 0; w + 1 < threads; ++w) wake(workers_[w], epoch);
+    while (run_part(epoch)) {
+    }
+    for (std::size_t spins = 0;
+         done_.load(std::memory_order_acquire) != job.parts; ++spins) {
+      // A worker that holds a part may have lost its CPU.
+      if (spins < 4096) {
+        cpu_relax();
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  }
+
+ private:
+  struct alignas(64) Worker {
+    /// The epoch of the last job handed to the worker, or kStop.
+    std::atomic<std::uint64_t> go{0};
+    util::CondVar wake;
+  };
+
+  static constexpr std::uint64_t kStop = ~std::uint64_t{0};
+  /// claim_ packs the job's epoch, its part count and the next unclaimed
+  /// part, so that a worker holding an old epoch can never claim a part of
+  /// a newer job.
+  static constexpr unsigned kEpochShift = 16, kPartsShift = 8;
+  static_assert(kMaxThreads < (1u << kPartsShift));
+
+  void wake(Worker& worker, std::uint64_t go) {
+    worker.go.store(go, std::memory_order_release);
+    // A worker checks go under the mutex before it sleeps, so once the
+    // mutex has been taken here, it either saw go or is waiting.
+    { const util::LockGuard lock(mutex_); }
+    worker.wake.notify_one();
+  }
+
+  /// Claims and runs one part of job `epoch`; false if none is left.
+  bool run_part(std::uint64_t epoch) {
+    std::uint64_t c = claim_.load(std::memory_order_acquire);
+    std::size_t part = 0;
+    do {
+      part = c & ((1u << kPartsShift) - 1);
+      if (c >> kEpochShift != epoch ||
+          part >= ((c >> kPartsShift) & ((1u << kPartsShift) - 1))) {
+        return false;
+      }
+    } while (!claim_.compare_exchange_weak(c, c + 1, std::memory_order_acq_rel,
+                                           std::memory_order_acquire));
+    phase_(*job_, part);
+    done_.fetch_add(1, std::memory_order_release);
+    return true;
+  }
+
+  void work(Worker& me) {
+    std::uint64_t seen = 0;
+    while (true) {
+      seen = next_job(me, seen);
+      if (seen == kStop) return;
+      while (run_part(seen)) {
+      }
+    }
+  }
+
+  /// The worker's next job: spins for kSpin, then sleeps until woken.
+  std::uint64_t next_job(Worker& me, std::uint64_t seen) {
+    const auto until = std::chrono::steady_clock::now() + kSpin;
+    do {
+      for (int i = 0; i < 64; ++i) {
+        const std::uint64_t go = me.go.load(std::memory_order_acquire);
+        if (go != seen) return go;
+        cpu_relax();
+      }
+    } while (std::chrono::steady_clock::now() < until);
+    util::LockGuard lock(mutex_);
+    me.wake.wait(mutex_, lock, [&] {
+      return me.go.load(std::memory_order_acquire) != seen;
+    });
+    return me.go.load(std::memory_order_acquire);
+  }
+
+  util::Mutex mutex_;
+  std::unique_ptr<Worker[]> workers_;
+  std::atomic<bool> busy_{false};
+  std::atomic<std::uint64_t> claim_{0};
+  std::atomic<std::size_t> done_{0};
+  // The current job.  The holder writes them before it publishes the job in
+  // claim_, and a thread reads them only after claiming one of its parts.
+  MlpPhase phase_ = nullptr;
+  const MlpJob* job_ = nullptr;
+  std::uint64_t epochs_ = 0;  // written by the holder only
+  std::vector<std::thread> threads_;  // last: its threads use the above
+};
+
+/// Threads in this process's CPU affinity mask, at most kMaxThreads.
+std::size_t affinity_threads() {
+  std::size_t n = std::thread::hardware_concurrency();
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    n = static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+#endif
+  return std::clamp<std::size_t>(n, 1, kMaxThreads);
+}
+
+/// Created on the first loss call, not at model construction.
+KernelPool& kernel_pool() {
+  static KernelPool pool(affinity_threads());
+  return pool;
+}
+
+/// The calling thread's buffers, kept between its calls.
+struct MlpScratch {
+  std::vector<float> floats;
+  std::vector<std::int32_t> tokens;
+};
+
+MlpScratch& mlp_scratch() {
+  thread_local MlpScratch scratch;
+  return scratch;
+}
+
+/// MlpLm::loss on `build`, with each phase split into `parts` parts (0: one
+/// per thread the call runs on).
+double mlp_loss(const LmConfig& cfg, std::span<const float> params,
+                std::span<const Sequence> batch, std::span<float> grad,
+                const MlpBuild& build, std::size_t parts) {
+  const std::size_t n_pred = LanguageModel::num_predictions(batch);
+  const std::size_t V = cfg.vocab_size, De = cfg.embed_dim,
+                    H = cfg.hidden_dim, C = cfg.context, K = C * De;
+  MlpScratch& s = mlp_scratch();
+
+  // Every prediction's context window [t-C, t), padded on the left with its
+  // sequence's first token, and its target.  Every token is checked here,
+  // so that no phase throws.
+  s.tokens.resize(n_pred * (C + 1));
+  std::int32_t* ctx = s.tokens.data();
+  std::int32_t* target = ctx + n_pred * C;
+  std::size_t p = 0;
+  for (const Sequence& seq : batch) {
+    for (std::size_t t = 1; t < seq.size(); ++t, ++p) {
+      target[p] = seq[t];
+      check_token(target[p], V);
+      for (std::size_t c = 0; c < C; ++c) {
+        ctx[p * C + c] = t + c >= C ? seq[t + c - C] : seq[0];
+        check_token(ctx[p * C + c], V);
+      }
+    }
+  }
+  if (!grad.empty()) std::fill(grad.begin(), grad.end(), 0.0f);
+  if (n_pred == 0) return 0.0;
+
+  const bool backward = !grad.empty();
+  const std::size_t chunk = backward ? std::min(n_pred, kChunk) : n_pred;
+  KernelPool& pool = kernel_pool();
+  if (parts == 0) {
+    parts = std::min(pool.threads(), (chunk + kPredictionsPerThread - 1) /
+                                         kPredictionsPerThread);
+  }
+  const MlpLayout at(cfg);
+  const std::size_t Vp = pad_lanes(V), Hp = pad_lanes(H), Kp = pad_lanes(K);
+  const std::size_t rows = (chunk + kTileRows - 1) / kTileRows * kTileRows;
+  const std::size_t weights =
+      K * Hp + H * Vp + (backward ? H * Kp + V * Hp : 0);
+  const std::size_t activations =
+      backward ? rows * (2 * Kp + 2 * Hp + Vp) + Hp * Kp + Vp * Hp
+               : parts * kBlock * (Kp + Hp + Vp);
+  s.floats.resize(weights + activations + n_pred);
+  float* next = s.floats.data();
+  const auto take = [&next](std::size_t n) {
+    return std::exchange(next, next + n);
+  };
+
+  MlpJob job{};
+  job.V = V, job.De = De, job.H = H, job.C = C, job.K = K;
+  job.Vp = Vp, job.Hp = Hp, job.Kp = Kp;
+  job.at = &at;
+  job.n_pred = n_pred;
+  job.parts = parts;
+  job.inv_n = 1.0f / static_cast<float>(n_pred);
+  job.backward = backward;
+  job.embed = params.data();
+  job.b1 = params.data() + at.b1;
+  job.b2 = params.data() + at.b2;
+  job.ctx = ctx;
+  job.target = target;
+
+  std::fill_n(next, weights, 0.0f);
+  const float* w1 = params.data() + at.w1;
+  const float* w2 = params.data() + at.w2;
+  float* w1t = take(K * Hp);
+  float* w2t = take(H * Vp);
+  for (std::size_t i = 0; i < H; ++i) {
+    for (std::size_t k = 0; k < K; ++k) w1t[k * Hp + i] = w1[i * K + k];
+  }
+  for (std::size_t v = 0; v < V; ++v) {
+    for (std::size_t i = 0; i < H; ++i) w2t[i * Vp + v] = w2[v * H + i];
+  }
+  job.w1t = w1t;
+  job.w2t = w2t;
+  if (backward) {
+    float* w1r = take(H * Kp);
+    float* w2r = take(V * Hp);
+    for (std::size_t i = 0; i < H; ++i) {
+      std::copy_n(w1 + i * K, K, w1r + i * Kp);
+    }
+    for (std::size_t v = 0; v < V; ++v) {
+      std::copy_n(w2 + v * H, H, w2r + v * Hp);
+    }
+    job.w1r = w1r;
+    job.w2r = w2r;
+    job.x = take(rows * Kp);
+    job.h = take(rows * Hp);
+    job.dl = take(rows * Vp);
+    job.dh = take(rows * Hp);
+    job.dx = take(rows * Kp);
+    job.g1 = take(Hp * Kp);
+    job.g2 = take(Vp * Hp);
+    job.grad = grad.data();
+  } else {
+    job.x = take(parts * kBlock * Kp);
+    job.h = take(parts * kBlock * Hp);
+    job.dl = take(parts * kBlock * Vp);
+  }
+  job.terms = take(n_pred);
+
+  const std::size_t threads = std::min(parts, pool.threads());
+  const bool on_pool = threads > 1 && pool.try_acquire();
+  for (job.first = 0; job.first < n_pred; job.first += job.n) {
+    job.n = std::min(chunk, n_pred - job.first);
+    if (on_pool) {
+      pool.run(build.a, job, threads);
+      if (backward) pool.run(build.b, job, threads);
+      continue;
+    }
+    for (std::size_t part = 0; part < parts; ++part) build.a(job, part);
+    for (std::size_t part = 0; backward && part < parts; ++part) {
+      build.b(job, part);
+    }
+  }
+  if (on_pool) pool.release();
+
+  double total_loss = 0.0;
+  for (std::size_t q = 0; q < n_pred; ++q) total_loss += job.terms[q];
+  return total_loss / static_cast<double>(n_pred);
+}
+
 }  // namespace
 
 namespace detail {
 
-/// The portable build of MlpLm::loss.  Not in a header: tests/ml_test.cpp
-/// declares it so that CI checks this build on AVX2 machines too.
-double mlp_loss_portable(const LmConfig& cfg, std::span<const float> params,
-                         std::span<const Sequence> batch,
-                         std::span<float> grad) {
-  return mlp_loss_kernel<PortableIsa>(cfg, params, batch, grad);
+// The kernel at a chosen split, and the pool's size.  Not in a header:
+// tests/ml_test.cpp declares them to check that every build, at every split,
+// returns MlpLm::loss's bits.  avx2 needs an AVX2 CPU; parts is 1 to
+// kMaxThreads.
+double mlp_loss_parts(const LmConfig& cfg, std::span<const float> params,
+                      std::span<const Sequence> batch, std::span<float> grad,
+                      bool avx2, std::size_t parts) {
+  parts = std::clamp<std::size_t>(parts, 1, kMaxThreads);
+#ifdef PAPAYA_MLP_X86
+  if (avx2) return mlp_loss(cfg, params, batch, grad, kAvx2Build, parts);
+#endif
+  (void)avx2;
+  return mlp_loss(cfg, params, batch, grad, kPortableBuild, parts);
 }
+
+std::size_t mlp_pool_threads() { return kernel_pool().threads(); }
 
 #ifdef PAPAYA_MLP_X86
 // The ports the kernel builds run, over whole arrays.  Not in a header:
@@ -586,10 +979,7 @@ class MlpLm final : public LanguageModel {
     if (!grad.empty() && grad.size() != params_.size()) {
       throw std::invalid_argument("MlpLm::loss: gradient buffer size mismatch");
     }
-#ifdef PAPAYA_MLP_X86
-    if (cpu_has_avx2()) return mlp_loss_avx2(cfg_, params_, batch, grad);
-#endif
-    return detail::mlp_loss_portable(cfg_, params_, batch, grad);
+    return mlp_loss(cfg_, params_, batch, grad, native_build(), 0);
   }
 
   std::unique_ptr<LanguageModel> clone() const override {

@@ -1,6 +1,5 @@
 #include "ml/optimizer.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -9,7 +8,9 @@
 namespace papaya::ml {
 
 void Sgd::step(std::span<float> params, std::span<float> grad) const {
-  assert(params.size() == grad.size());
+  if (params.size() != grad.size()) {
+    throw std::invalid_argument("Sgd::step: size mismatch");
+  }
   if (clip_ > 0.0f) clip_norm(grad, clip_);
   for (std::size_t i = 0; i < params.size(); ++i) params[i] -= lr_ * grad[i];
 }

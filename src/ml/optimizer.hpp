@@ -19,6 +19,7 @@ class Sgd {
  public:
   explicit Sgd(float lr, float clip = 0.0f) : lr_(lr), clip_(clip) {}
 
+  /// Throws std::invalid_argument if grad and params differ in size.
   void step(std::span<float> params, std::span<float> grad) const;
 
   float learning_rate() const { return lr_; }

@@ -23,6 +23,8 @@
 //     util::Logger::mutex_            src/util/log.hpp
 //     LockedSlot::lock                src/fl/agg_strategy.cpp (per slot)
 //     GlobalPartition::lock           src/fl/agg_strategy.cpp (per partition)
+//     KernelPool::mutex_              src/ml/model.cpp (MLP kernel pool; its
+//       workers hold no other lock)
 //   level 1:
 //     ParallelAggregator::queue_mutex_  src/fl/parallel_agg.hpp
 //       (workers hold it only around queue ops, release it before folding

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ml/dataset.hpp"
@@ -22,11 +25,15 @@
 
 namespace papaya::ml {
 namespace detail {
-// The portable build of MlpLm::loss (src/ml/model.cpp); MlpLm::loss itself
-// takes the AVX2 build on CPUs that have it.
-double mlp_loss_portable(const LmConfig& cfg, std::span<const float> params,
-                         std::span<const Sequence> batch,
-                         std::span<float> grad);
+// MlpLm::loss (src/ml/model.cpp) on the portable or the AVX2 build, with
+// each of its two phases split into `parts` parts (1 to 8), run on as many
+// of the kernel pool's threads as it has; and how many threads that is.
+// MlpLm::loss itself takes the widest build the CPU has and one part per
+// thread it runs on.
+double mlp_loss_parts(const LmConfig& cfg, std::span<const float> params,
+                      std::span<const Sequence> batch, std::span<float> grad,
+                      bool avx2, std::size_t parts);
+std::size_t mlp_pool_threads();
 #if defined(__x86_64__)
 // The kernel's tanh and exp ports (src/ml/model.cpp): tanh at 4 and 8 lanes
 // and glibc's fused expf.  n is a multiple of 8.
@@ -293,13 +300,36 @@ double mlp_loss_reference(const LmConfig& cfg, std::span<const float> params,
 
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
+/// The kernel builds this CPU runs: portable, and AVX2 where it has it.
+std::vector<bool> kernel_builds() {
+  std::vector<bool> avx2 = {false};
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) avx2.push_back(true);
+#endif
+  return avx2;
+}
+
+/// The splits the bit-exactness tests run the kernel at: 1, 2 and 3 parts
+/// and one per thread of the pool.
+std::vector<std::size_t> kernel_splits() {
+  std::vector<std::size_t> parts = {1, 2, 3};
+  const std::size_t max = detail::mlp_pool_threads();
+  if (std::find(parts.begin(), parts.end(), max) == parts.end()) {
+    parts.push_back(max);
+  }
+  return parts;
+}
+
 TEST(MlpLm, BlockKernelMatchesPerExampleReferenceBitForBit) {
   // Random shapes, including sequences shorter than the context, saturated
   // tanh (weights x20) and repeated context tokens (tokens from {0, 1}).
   // Trials 600 on add two families: weights x300, so logit spreads pass 104
   // and exp vectors go to libm whole; and W1 = b1 = 0, so every tanh input
-  // is ±0.  Both builds of the kernel run: MlpLm::loss dispatches to the
-  // widest one the CPU has, and the portable one is called directly.
+  // is ±0.  MlpLm::loss runs as it dispatches, and each build of the kernel
+  // runs at every split in kernel_splits().
+  const std::vector<bool> builds = kernel_builds();
+  const std::vector<std::size_t> splits = kernel_splits();
   util::Rng rng(2024);
   for (int trial = 0; trial < 680; ++trial) {
     LmConfig cfg;
@@ -337,16 +367,102 @@ TEST(MlpLm, BlockKernelMatchesPerExampleReferenceBitForBit) {
         << where;
     EXPECT_TRUE(same_bits(model->loss(batch, {}), want_loss)) << where;
 
-    std::fill(got.begin(), got.end(), -1.0f);
-    EXPECT_TRUE(same_bits(
-        detail::mlp_loss_portable(cfg, model->params(), batch, got), want_loss))
-        << where;
-    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
-        << where;
-    EXPECT_TRUE(same_bits(
-        detail::mlp_loss_portable(cfg, model->params(), batch, {}), want_loss))
-        << where;
+    for (const bool avx2 : builds) {
+      for (const std::size_t parts : splits) {
+        const std::string at = where + (avx2 ? ", avx2" : ", portable") +
+                               ", " + std::to_string(parts) + " parts";
+        std::fill(got.begin(), got.end(), -1.0f);
+        EXPECT_TRUE(same_bits(detail::mlp_loss_parts(cfg, model->params(),
+                                                     batch, got, avx2, parts),
+                              want_loss))
+            << at;
+        EXPECT_EQ(
+            std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+            << at;
+        EXPECT_TRUE(same_bits(detail::mlp_loss_parts(cfg, model->params(),
+                                                     batch, {}, avx2, parts),
+                              want_loss))
+            << at;
+      }
+    }
   }
+}
+
+/// A model and a batch of about 400 predictions, enough for MlpLm::loss to
+/// run on every thread of the kernel pool.
+struct PoolSizedCase {
+  PoolSizedCase() {
+    cfg.vocab_size = 64;
+    cfg.embed_dim = 12;
+    cfg.hidden_dim = 24;
+    cfg.context = 2;
+    util::Rng rng(31);
+    model = make_mlp_lm(cfg, rng);
+    batch.resize(40);
+    for (auto& seq : batch) {
+      seq.resize(11);
+      for (auto& tok : seq) {
+        tok = static_cast<std::int32_t>(rng.uniform_int(cfg.vocab_size));
+      }
+    }
+    want.resize(model->num_params());
+    want_loss = mlp_loss_reference(cfg, model->params(), batch, want);
+  }
+  LmConfig cfg;
+  std::unique_ptr<LanguageModel> model;
+  std::vector<Sequence> batch;
+  std::vector<float> want;
+  double want_loss = 0.0;
+};
+
+TEST(MlpLm, ConcurrentCallsReturnReferenceBits) {
+  // One call at a time holds the kernel pool; the others run on their own
+  // thread.  Every call must return the reference's bits either way.
+  const PoolSizedCase c;
+  constexpr int kThreads = 4, kCalls = 25;
+  std::atomic<int> ready{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      std::vector<float> got(c.model->num_params());
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (int i = 0; i < kCalls; ++i) {
+        const bool backward = i % 2 == 0;
+        const double loss =
+            c.model->loss(c.batch, backward ? std::span<float>(got)
+                                            : std::span<float>());
+        if (!same_bits(loss, c.want_loss) ||
+            (backward && std::memcmp(got.data(), c.want.data(),
+                                     got.size() * sizeof(float)) != 0)) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(MlpLm, OutOfVocabTokenThrowsBeforeAnyWork) {
+  // The last token of the last sequence is outside the vocabulary.  Tokens
+  // are checked on the calling thread before any part runs, so the call
+  // throws with the gradient untouched, and the next call is unharmed.
+  PoolSizedCase c;
+  std::vector<Sequence> bad = c.batch;
+  bad.back().back() = static_cast<std::int32_t>(c.cfg.vocab_size);
+  std::vector<float> got(c.model->num_params(), -1.0f);
+  EXPECT_THROW(c.model->loss(bad, got), std::out_of_range);
+  EXPECT_TRUE(std::all_of(got.begin(), got.end(),
+                          [](float g) { return g == -1.0f; }));
+  EXPECT_THROW(c.model->loss(bad, {}), std::out_of_range);
+
+  EXPECT_TRUE(same_bits(c.model->loss(c.batch, got), c.want_loss));
+  EXPECT_EQ(std::memcmp(got.data(), c.want.data(), got.size() * sizeof(float)),
+            0);
+  EXPECT_TRUE(same_bits(c.model->loss(c.batch, {}), c.want_loss));
 }
 
 TEST(LstmLm, GradientsMatchFiniteDifferences) {
@@ -443,6 +559,14 @@ TEST(Sgd, StepMovesAgainstGradient) {
   sgd.step(params, grad);
   EXPECT_FLOAT_EQ(params[0], 0.95f);
   EXPECT_FLOAT_EQ(params[1], 2.05f);
+}
+
+TEST(Sgd, SizeMismatchThrows) {
+  std::vector<float> params{1.0f, 2.0f};
+  std::vector<float> grad{0.5f};
+  const Sgd sgd(0.1f);
+  EXPECT_THROW(sgd.step(params, grad), std::invalid_argument);
+  EXPECT_FLOAT_EQ(params[1], 2.0f);
 }
 
 TEST(Adam, FirstStepIsLearningRateSized) {
