@@ -8,10 +8,11 @@
 #   2. once with pipelined_clients toggled   -> must be byte-identical
 #      (the open-loop pipelined latency model is observational: it may not
 #      perturb training dynamics while closed_loop_clients is off);
-#   3. once on one CPU (`taskset -c 0`)      -> must be byte-identical
+#   3. once on one CPU (under `taskset`)     -> must be byte-identical
 #      (the MLP kernel sizes its thread pool from the CPU affinity mask, so
 #      this run trains on the calling thread alone; the split of the work
-#      across threads may not change a bit).
+#      across threads may not change a bit).  The CPU is the first one this
+#      script may run on, which need not be CPU 0.
 #
 # Usage: scripts/check_determinism.sh [build-dir]   (default ./build)
 set -euo pipefail
@@ -38,9 +39,11 @@ echo "== run 3 (pipelined_clients toggled, closed loop off)"
 PAPAYA_FIG9_QUICK=1 PAPAYA_FIG9_PIPELINED=1 \
   PAPAYA_FIG9_EXPORT="$workdir/run3.csv" "$BIN" > /dev/null
 
-echo "== run 4 (one CPU in the affinity mask)"
+# "pid N's current affinity list: 2,4-7" -> 2
+cpu="$(taskset -pc $$ | sed -E 's/.*: *([0-9]+).*/\1/')"
+echo "== run 4 (one CPU in the affinity mask: CPU $cpu)"
 PAPAYA_FIG9_QUICK=1 PAPAYA_FIG9_EXPORT="$workdir/run4.csv" \
-  taskset -c 0 "$BIN" > /dev/null
+  taskset -c "$cpu" "$BIN" > /dev/null
 
 fail=0
 if ! cmp -s "$workdir/run1.csv" "$workdir/run2.csv"; then

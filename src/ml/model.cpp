@@ -6,9 +6,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -367,10 +371,12 @@ inline void exp_in_place(float* x, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// The kernel in two phases.  Each phase splits into parts, and the parts of
-// one phase run on the calling thread and the pool's workers (KernelPool,
-// below).  A backward call runs both phases once per chunk of at most
-// kChunk predictions, so its buffers stay small.
+// The kernel in two phases.  A call runs them once per chunk of at most
+// kChunk predictions, so its buffers stay small.  Each phase splits into
+// parts, one per kBlock predictions of the chunk, and the parts of one phase
+// run on the calling thread and the pool's workers (KernelPool, below).
+// Parts outnumber threads, so a worker that loses its CPU while it holds a
+// part holds one block's work, not a thread's share.
 //   - Phase A: each prediction's own work.  Part k takes a contiguous run of
 //     kTileRows-row tiles of the chunk's predictions and, kBlock predictions
 //     at a time, gathers their context embeddings, runs both forward
@@ -385,8 +391,10 @@ inline void exp_in_place(float* x, std::size_t n) {
 // on how many parts or threads there are.
 // ---------------------------------------------------------------------------
 
-/// Predictions per chunk of a backward call; a multiple of kBlock.
+/// Predictions per chunk; a multiple of kBlock.
 constexpr std::size_t kChunk = 8 * kBlock;
+/// The most parts a phase splits into: one kTileRows-row tile of phase A each.
+constexpr std::size_t kMaxParts = kChunk / kTileRows;
 
 /// One loss call's shapes and buffers, and the chunk its phases run on.  The
 /// calling thread checks every token and allocates every buffer before a
@@ -407,11 +415,10 @@ struct MlpJob {
   const std::int32_t* ctx;     ///< C context tokens per prediction
   const std::int32_t* target;  ///< one per prediction
   float* terms;                ///< each prediction's loss term
-  /// One row per prediction: x holds the context embeddings, h the hidden
-  /// layer, dl the logits and then their gradient, dh and dx the hidden and
-  /// input gradients.  A backward call keeps a row for every prediction of
-  /// the chunk, padded to whole tiles, for phase B; a forward-only call
-  /// gives each part kBlock rows of x, h and dl.
+  /// One row per prediction of the chunk, padded to whole tiles: x holds
+  /// the context embeddings, h the hidden layer, dl the logits and then
+  /// their gradient, dh and dx (backward only) the hidden and input
+  /// gradients.
   float *x, *h, *dl, *dh, *dx;
   /// Backward only: the W1 and W2 gradients, laid out like w1r and w2r with
   /// the rows padded too, so every tile is whole; and the gradient itself.
@@ -432,10 +439,9 @@ template <class Isa>
     const std::size_t nb = std::min(kBlock, end - r0);
     const std::size_t rows = (nb + kTileRows - 1) / kTileRows * kTileRows;
     const std::size_t p0 = j.first + r0;
-    const std::size_t row0 = j.backward ? r0 : part * kBlock;
-    float* x = j.x + row0 * Kp;
-    float* h = j.h + row0 * Hp;
-    float* dl = j.dl + row0 * Vp;
+    float* x = j.x + r0 * Kp;
+    float* h = j.h + r0 * Hp;
+    float* dl = j.dl + r0 * Vp;
 
     // Gather.  Padding rows and columns are zeroed, so the padded outputs
     // they feed are zero too.
@@ -613,11 +619,9 @@ const MlpBuild& native_build() {
 // The pool the phases run on.
 // ---------------------------------------------------------------------------
 
-/// The most threads one call runs on, the caller included.
-constexpr std::size_t kMaxThreads = 8;
-/// A call runs on one thread per this many predictions, so that each thread
-/// has at least one whole block of phase A.
-constexpr std::size_t kPredictionsPerThread = kBlock;
+/// The most threads one call runs on, the caller included.  The most the
+/// kernel has been measured on.
+constexpr std::size_t kMaxThreads = 4;
 /// How long a worker spins for its next part before it sleeps.  The phases
 /// of one call, and the calls of one client's training, come microseconds
 /// apart; a wake from sleep takes tens.
@@ -630,12 +634,12 @@ inline void cpu_relax() {
 }
 
 /// The calling thread plus up to kMaxThreads - 1 workers, as many as the
-/// process's CPU affinity mask allows.  One call holds the pool at a time; a
-/// call that finds it held runs its parts on its own thread.  The parts of
-/// a phase are claimed one at a time by whichever thread is free, so a
-/// worker that wakes late costs the caller nothing.  The mutex is a leaf:
-/// no thread takes another lock while it holds it, and workers hold no
-/// other lock.
+/// process's CPU affinity mask and cgroup CPU quota allow.  One call holds
+/// the pool at a time; a call that finds it held runs its parts on its own
+/// thread.  The parts of a phase are claimed one at a time by whichever
+/// thread is free, so a worker that wakes late costs the caller nothing.
+/// The mutex is a leaf: no thread takes another lock while it holds it, and
+/// workers hold no other lock.
 class KernelPool {
  public:
   explicit KernelPool(std::size_t threads)
@@ -702,7 +706,7 @@ class KernelPool {
   /// part, so that a worker holding an old epoch can never claim a part of
   /// a newer job.
   static constexpr unsigned kEpochShift = 16, kPartsShift = 8;
-  static_assert(kMaxThreads < (1u << kPartsShift));
+  static_assert(kMaxParts < (1u << kPartsShift));
 
   void wake(Worker& worker, std::uint64_t go) {
     worker.go.store(go, std::memory_order_release);
@@ -769,8 +773,86 @@ class KernelPool {
   std::vector<std::thread> threads_;  // last: its threads use the above
 };
 
-/// Threads in this process's CPU affinity mask, at most kMaxThreads.
-std::size_t affinity_threads() {
+/// A small file's text, or "" if it cannot be read.  Through stdio: an
+/// ifstream here added 0.5 MB to the benchmark's peak RSS.
+std::string read_text(const std::string& path) {
+  std::string text;
+  if (std::FILE* f = std::fopen(path.c_str(), "r")) {
+    char buf[512];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
+    std::fclose(f);
+  }
+  return text;
+}
+
+}  // namespace
+
+namespace detail {
+
+// Whole CPUs a cgroup CPU quota grants a process, or 0 if it has none.
+// self_cgroup is the text of /proc/<pid>/cgroup, and mount is where the
+// cgroup filesystems are mounted: cgroup v2 at mount itself, v1's cpu
+// controller at mount/cpu.  The quota is the least one set on the process's
+// cgroup or any ancestor (cpu.max; v1 cpu.cfs_quota_us over
+// cpu.cfs_period_us), rounded down, and at least 1.  Not in a header:
+// tests/ml_test.cpp declares it to check it on a made-up tree.
+std::size_t cgroup_quota_cpus(std::string_view self_cgroup,
+                              const std::string& mount) {
+  std::size_t cpus = 0;
+  const auto bound = [&cpus](double quota, double period) {
+    if (!(quota > 0 && period > 0)) return;
+    const auto n = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::min(quota / period, 1e6)));
+    cpus = cpus == 0 ? n : std::min(cpus, n);
+  };
+  while (!self_cgroup.empty()) {
+    // hierarchy-id:controllers:path
+    const std::size_t eol =
+        std::min(self_cgroup.find('\n'), self_cgroup.size());
+    const std::string_view line = self_cgroup.substr(0, eol);
+    self_cgroup.remove_prefix(std::min(eol + 1, self_cgroup.size()));
+    const std::size_t a = line.find(':');
+    const std::size_t b = line.find(':', a + 1);
+    if (a == std::string_view::npos || b == std::string_view::npos) continue;
+    const std::string controllers =
+        "," + std::string(line.substr(a + 1, b - a - 1)) + ",";
+    const bool v2 = controllers == ",,";
+    if (!v2 && controllers.find(",cpu,") == std::string::npos) continue;
+    const std::string root = v2 ? mount : mount + "/cpu";
+    std::string dir = root + std::string(line.substr(b + 1));
+    while (dir.size() > root.size() && dir.back() == '/') dir.pop_back();
+    // The cgroup, then each ancestor up to the mount's root.  A path that
+    // does not exist under the mount (one from outside a cgroup namespace)
+    // reads nothing until it reaches the root.
+    while (true) {
+      if (v2) {
+        // "<quota> <period>", or "max <period>" for none; "max" reads as 0.
+        const std::string max = read_text(dir + "/cpu.max");
+        char* period = nullptr;
+        const double quota = std::strtod(max.c_str(), &period);
+        bound(quota, std::strtod(period, nullptr));
+      } else {
+        // -1 for none.
+        const std::string quota = read_text(dir + "/cpu.cfs_quota_us");
+        const std::string period = read_text(dir + "/cpu.cfs_period_us");
+        bound(std::strtod(quota.c_str(), nullptr),
+              std::strtod(period.c_str(), nullptr));
+      }
+      if (dir.size() <= root.size()) break;
+      dir.erase(std::max(dir.rfind('/'), root.size()));
+    }
+  }
+  return cpus;
+}
+
+}  // namespace detail
+
+namespace {
+
+/// Threads the pool runs on: the CPUs in this process's affinity mask,
+/// bounded by its cgroup CPU quota and by kMaxThreads.
+std::size_t pool_threads() {
   std::size_t n = std::thread::hardware_concurrency();
 #ifdef __linux__
   cpu_set_t set;
@@ -778,13 +860,16 @@ std::size_t affinity_threads() {
   if (sched_getaffinity(0, sizeof set, &set) == 0) {
     n = static_cast<std::size_t>(CPU_COUNT(&set));
   }
+  const std::size_t quota = detail::cgroup_quota_cpus(
+      read_text("/proc/self/cgroup"), "/sys/fs/cgroup");
+  if (quota != 0) n = std::min(n, quota);
 #endif
   return std::clamp<std::size_t>(n, 1, kMaxThreads);
 }
 
 /// Created on the first loss call, not at model construction.
 KernelPool& kernel_pool() {
-  static KernelPool pool(affinity_threads());
+  static KernelPool pool(pool_threads());
   return pool;
 }
 
@@ -799,8 +884,8 @@ MlpScratch& mlp_scratch() {
   return scratch;
 }
 
-/// MlpLm::loss on `build`, with each phase split into `parts` parts (0: one
-/// per thread the call runs on).
+/// MlpLm::loss on `build`, with each phase of a chunk split into `parts`
+/// parts (0: one per kBlock predictions of the chunk).
 double mlp_loss(const LmConfig& cfg, std::span<const float> params,
                 std::span<const Sequence> batch, std::span<float> grad,
                 const MlpBuild& build, std::size_t parts) {
@@ -830,20 +915,15 @@ double mlp_loss(const LmConfig& cfg, std::span<const float> params,
   if (n_pred == 0) return 0.0;
 
   const bool backward = !grad.empty();
-  const std::size_t chunk = backward ? std::min(n_pred, kChunk) : n_pred;
-  KernelPool& pool = kernel_pool();
-  if (parts == 0) {
-    parts = std::min(pool.threads(), (chunk + kPredictionsPerThread - 1) /
-                                         kPredictionsPerThread);
-  }
+  const std::size_t chunk = std::min(n_pred, kChunk);
   const MlpLayout at(cfg);
   const std::size_t Vp = pad_lanes(V), Hp = pad_lanes(H), Kp = pad_lanes(K);
   const std::size_t rows = (chunk + kTileRows - 1) / kTileRows * kTileRows;
   const std::size_t weights =
       K * Hp + H * Vp + (backward ? H * Kp + V * Hp : 0);
   const std::size_t activations =
-      backward ? rows * (2 * Kp + 2 * Hp + Vp) + Hp * Kp + Vp * Hp
-               : parts * kBlock * (Kp + Hp + Vp);
+      rows * (Kp + Hp + Vp) +
+      (backward ? rows * (Kp + Hp) + Hp * Kp + Vp * Hp : 0);
   s.floats.resize(weights + activations + n_pred);
   float* next = s.floats.data();
   const auto take = [&next](std::size_t n) {
@@ -855,7 +935,6 @@ double mlp_loss(const LmConfig& cfg, std::span<const float> params,
   job.Vp = Vp, job.Hp = Hp, job.Kp = Kp;
   job.at = &at;
   job.n_pred = n_pred;
-  job.parts = parts;
   job.inv_n = 1.0f / static_cast<float>(n_pred);
   job.backward = backward;
   job.embed = params.data();
@@ -877,6 +956,9 @@ double mlp_loss(const LmConfig& cfg, std::span<const float> params,
   }
   job.w1t = w1t;
   job.w2t = w2t;
+  job.x = take(rows * Kp);
+  job.h = take(rows * Hp);
+  job.dl = take(rows * Vp);
   if (backward) {
     float* w1r = take(H * Kp);
     float* w2r = take(V * Hp);
@@ -888,32 +970,33 @@ double mlp_loss(const LmConfig& cfg, std::span<const float> params,
     }
     job.w1r = w1r;
     job.w2r = w2r;
-    job.x = take(rows * Kp);
-    job.h = take(rows * Hp);
-    job.dl = take(rows * Vp);
     job.dh = take(rows * Hp);
     job.dx = take(rows * Kp);
     job.g1 = take(Hp * Kp);
     job.g2 = take(Vp * Hp);
     job.grad = grad.data();
-  } else {
-    job.x = take(parts * kBlock * Kp);
-    job.h = take(parts * kBlock * Hp);
-    job.dl = take(parts * kBlock * Vp);
   }
   job.terms = take(n_pred);
 
-  const std::size_t threads = std::min(parts, pool.threads());
-  const bool on_pool = threads > 1 && pool.try_acquire();
+  // On the pool a chunk splits into one part per kBlock predictions, and on
+  // the calling thread alone into one part.
+  const auto blocks = [](std::size_t n) { return (n + kBlock - 1) / kBlock; };
+  KernelPool& pool = kernel_pool();
+  const bool on_pool =
+      std::min(parts != 0 ? parts : blocks(chunk), pool.threads()) > 1 &&
+      pool.try_acquire();
   for (job.first = 0; job.first < n_pred; job.first += job.n) {
     job.n = std::min(chunk, n_pred - job.first);
-    if (on_pool) {
+    job.parts = parts != 0 ? parts : on_pool ? blocks(job.n) : 1;
+    const std::size_t threads =
+        on_pool ? std::min(job.parts, pool.threads()) : 1;
+    if (threads > 1) {
       pool.run(build.a, job, threads);
       if (backward) pool.run(build.b, job, threads);
       continue;
     }
-    for (std::size_t part = 0; part < parts; ++part) build.a(job, part);
-    for (std::size_t part = 0; backward && part < parts; ++part) {
+    for (std::size_t part = 0; part < job.parts; ++part) build.a(job, part);
+    for (std::size_t part = 0; backward && part < job.parts; ++part) {
       build.b(job, part);
     }
   }
@@ -931,11 +1014,11 @@ namespace detail {
 // The kernel at a chosen split, and the pool's size.  Not in a header:
 // tests/ml_test.cpp declares them to check that every build, at every split,
 // returns MlpLm::loss's bits.  avx2 needs an AVX2 CPU; parts is 1 to
-// kMaxThreads.
+// kMaxParts.
 double mlp_loss_parts(const LmConfig& cfg, std::span<const float> params,
                       std::span<const Sequence> batch, std::span<float> grad,
                       bool avx2, std::size_t parts) {
-  parts = std::clamp<std::size_t>(parts, 1, kMaxThreads);
+  parts = std::clamp<std::size_t>(parts, 1, kMaxParts);
 #ifdef PAPAYA_MLP_X86
   if (avx2) return mlp_loss(cfg, params, batch, grad, kAvx2Build, parts);
 #endif

@@ -9,10 +9,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <initializer_list>
 #include <memory>
+#include <random>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -26,14 +30,18 @@
 namespace papaya::ml {
 namespace detail {
 // MlpLm::loss (src/ml/model.cpp) on the portable or the AVX2 build, with
-// each of its two phases split into `parts` parts (1 to 8), run on as many
-// of the kernel pool's threads as it has; and how many threads that is.
-// MlpLm::loss itself takes the widest build the CPU has and one part per
-// thread it runs on.
+// each of its two phases split into `parts` parts (1 to 64) per chunk, run
+// on up to as many of the kernel pool's threads; and how many threads the
+// pool has.  MlpLm::loss itself takes the widest build the CPU has and, on
+// the pool, one part per 32 predictions.
 double mlp_loss_parts(const LmConfig& cfg, std::span<const float> params,
                       std::span<const Sequence> batch, std::span<float> grad,
                       bool avx2, std::size_t parts);
 std::size_t mlp_pool_threads();
+// Whole CPUs a cgroup CPU quota grants, given the text of /proc/<pid>/cgroup
+// and the cgroup mount point; 0 if no quota is set.
+std::size_t cgroup_quota_cpus(std::string_view self_cgroup,
+                              const std::string& mount);
 #if defined(__x86_64__)
 // The kernel's tanh and exp ports (src/ml/model.cpp): tanh at 4 and 8 lanes
 // and glibc's fused expf.  n is a multiple of 8.
@@ -310,14 +318,16 @@ std::vector<bool> kernel_builds() {
   return avx2;
 }
 
-/// The splits the bit-exactness tests run the kernel at: 1, 2 and 3 parts
-/// and one per thread of the pool.
+/// The splits the bit-exactness tests run the kernel at: 1, 2 and 3 parts,
+/// one per thread of the pool, and 64, one 4-row tile of phase A each, so
+/// that parts outnumber threads.
 std::vector<std::size_t> kernel_splits() {
   std::vector<std::size_t> parts = {1, 2, 3};
   const std::size_t max = detail::mlp_pool_threads();
   if (std::find(parts.begin(), parts.end(), max) == parts.end()) {
     parts.push_back(max);
   }
+  parts.push_back(64);
   return parts;
 }
 
@@ -463,6 +473,47 @@ TEST(MlpLm, OutOfVocabTokenThrowsBeforeAnyWork) {
   EXPECT_EQ(std::memcmp(got.data(), c.want.data(), got.size() * sizeof(float)),
             0);
   EXPECT_TRUE(same_bits(c.model->loss(c.batch, {}), c.want_loss));
+}
+
+TEST(MlpLm, KernelPoolHonoursTheCgroupCpuQuota) {
+  // A made-up cgroup mount: the quota is the least set on the process's
+  // cgroup or an ancestor, in whole CPUs and at least one.
+  namespace fs = std::filesystem;
+  const fs::path mount =
+      fs::temp_directory_path() /
+      ("papaya_cgroup_" + std::to_string(std::random_device{}()));
+  const auto put = [&mount](const std::string& file, const std::string& text) {
+    fs::create_directories((mount / file).parent_path());
+    std::ofstream(mount / file) << text << "\n";
+  };
+  put("a/b/cpu.max", "max 100000");
+  put("a/cpu.max", "250000 100000");
+  put("cpu.max", "max 100000");
+  put("cpu/x/cpu.cfs_quota_us", "-1");
+  put("cpu/x/cpu.cfs_period_us", "100000");
+  put("cpu/cpu.cfs_quota_us", "50000");
+  put("cpu/cpu.cfs_period_us", "100000");
+  const std::string m = mount.string();
+
+  // cgroup v2: the quota on the parent bounds the child.
+  EXPECT_EQ(detail::cgroup_quota_cpus("0::/a/b\n", m), 2u);
+  EXPECT_EQ(detail::cgroup_quota_cpus("0::/a/\n", m), 2u);
+  EXPECT_EQ(detail::cgroup_quota_cpus("0::/\n", m), 0u);
+  // A path from outside the cgroup namespace reads up to the mount's root.
+  EXPECT_EQ(detail::cgroup_quota_cpus("0::/docker/abc\n", m), 0u);
+  // cgroup v1's cpu controller, alone or with others; half a CPU rounds up
+  // to one.  Other controllers' lines are skipped.
+  EXPECT_EQ(detail::cgroup_quota_cpus("4:memory:/a\n1:cpu,cpuacct:/x\n", m),
+            1u);
+  EXPECT_EQ(detail::cgroup_quota_cpus("2:cpuacct:/x\n", m), 0u);
+  // Both, as on a hybrid host: the least wins.
+  EXPECT_EQ(detail::cgroup_quota_cpus("1:cpu:/\n0::/a/b\n", m), 1u);
+  EXPECT_EQ(detail::cgroup_quota_cpus("", m), 0u);
+  EXPECT_EQ(detail::cgroup_quota_cpus("0::/a/b\n", m + "/missing"), 0u);
+  fs::remove_all(mount);
+
+  EXPECT_GE(detail::mlp_pool_threads(), 1u);
+  EXPECT_LE(detail::mlp_pool_threads(), 4u);
 }
 
 TEST(LstmLm, GradientsMatchFiniteDifferences) {
