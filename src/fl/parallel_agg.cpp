@@ -54,7 +54,14 @@ ParallelAggregator::ParallelAggregator(std::size_t model_size,
   drain_batch_ = drain_batch == 0 ? 1 : drain_batch;
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    // Each worker's drain buffer is allocated here, on the constructing
+    // thread, so a worker allocates nothing as it starts, and what a caller
+    // sees allocated does not depend on when a worker is first scheduled.
+    std::vector<QueuedUpdate> run;
+    run.reserve(drain_batch_);
+    workers_.emplace_back([this, i, run = std::move(run)]() mutable {
+      worker_loop(i, std::move(run));
+    });
   }
 }
 
@@ -96,9 +103,8 @@ AggStrategy ParallelAggregator::active_strategy() const {
   return strategies_[active_.load(std::memory_order_relaxed)]->kind();
 }
 
-void ParallelAggregator::worker_loop(std::size_t worker_index) {
-  std::vector<QueuedUpdate> run;
-  run.reserve(drain_batch_);
+void ParallelAggregator::worker_loop(std::size_t worker_index,
+                                     std::vector<QueuedUpdate> run) {
   for (;;) {
     // Drain up to drain_batch_ queued updates in one queue-lock acquisition
     // (TaskConfig::aggregation_batch_size).  The run is folded in FIFO order

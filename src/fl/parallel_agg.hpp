@@ -117,7 +117,8 @@ class ParallelAggregator {
   }
 
  private:
-  void worker_loop(std::size_t worker_index);
+  /// `run` is the worker's drain buffer, reserved to drain_batch_.
+  void worker_loop(std::size_t worker_index, std::vector<QueuedUpdate> run);
   static std::size_t strategy_index(AggStrategy s);
 
   const std::size_t model_size_;
