@@ -75,16 +75,15 @@ int main() {
   // Closed-loop column: the pipelined per-stage completion times feed back
   // into the protocol schedule (TaskConfig::closed_loop_clients), so
   // aggregation-goal waits see the latency a pipelined fleet actually
-  // delivers.  Comparable by construction: both rows run per-entity RNG
-  // streams (identical draws per device), a constrained uplink and 1 KiB
+  // delivers.  Comparable by construction: both rows draw identically per
+  // device (per-entity RNG streams) and run a constrained uplink and 1 KiB
   // chunks so the upload is a real, overlappable fraction of a
   // participation; the only difference is whether the overlap is
   // observational (open loop) or drives the arrival events (closed loop).
   std::printf("\nClosed-loop column (AsyncFL K=13, uplink 0.005 Mbps, 1 KiB "
-              "chunks, per-entity streams):\n");
+              "chunks):\n");
   auto constrained = [](bool closed_loop) {
     sim::SimulationConfig cfg = async_config(130, 13);
-    cfg.rng_streams = sim::RngStreamMode::kPerEntity;
     cfg.task.pipelined_clients = true;
     cfg.task.closed_loop_clients = closed_loop;
     cfg.network.mean_upload_mbps = 0.005;

@@ -25,7 +25,8 @@ int main() {
   std::vector<double> times;
   times.reserve(population.size());
   util::LogHistogram hist(0.5, 5000.0, 24);
-  for (const auto& d : population.devices()) {
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    const sim::DeviceProfile d = population.profile(i);
     times.push_back(d.mean_exec_time_s);
     hist.add(d.mean_exec_time_s);
   }
@@ -93,8 +94,8 @@ int main() {
     const double pipe_mean = util::mean(pipelined_lat);
 
     // Closed-loop column: the same task with the pipelined completion times
-    // actually driving the protocol schedule (per-entity streams forced).
-    // Round latency *is* the pipelined latency there — the clock is honest.
+    // actually driving the protocol schedule.  Round latency *is* the
+    // pipelined latency there — the clock is honest.
     sim::SimulationConfig ccfg = pcfg;
     ccfg.task.closed_loop_clients = true;
     sim::FlSimulator closed(ccfg);
@@ -113,8 +114,7 @@ int main() {
               "training.\nA single chunk cannot overlap at all — its delta is "
               "just the serialize\nstage, which the sequential charge treats "
               "as free.  The closed-loop\ncolumn reports round latency when "
-              "the overlapped schedule drives the\nprotocol (per-entity "
-              "streams, so draws differ from the legacy columns;\ncompare "
-              "shape, not bits).\n");
+              "the overlapped schedule drives the\nprotocol; a device's "
+              "k-th participation draws the same values in\nevery column.\n");
   return 0;
 }

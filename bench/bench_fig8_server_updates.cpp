@@ -63,8 +63,8 @@ int main() {
   // Closed-loop column: with TaskConfig::closed_loop_clients the pipelined
   // arrival process drives the schedule, so the server-update rate reflects
   // the cadence a pipelined fleet sustains.  Constrained uplink + 1 KiB
-  // chunks make the overlap material; both columns run per-entity streams
-  // so each device draws identically and only the arrival timing differs.
+  // chunks make the overlap material; each device draws identically in
+  // both columns (per-entity streams), so only the arrival timing differs.
   std::printf("\nClosed-loop column (AsyncFL K=13, uplink 0.005 Mbps, 1 KiB "
               "chunks):\n");
   std::printf("%-12s %-16s %-16s %-8s\n", "concurrency", "open-loop upd/h",
@@ -72,7 +72,6 @@ int main() {
   for (const std::size_t concurrency : {52UL, 104UL, 208UL}) {
     auto make_cfg = [&](bool closed_loop) {
       sim::SimulationConfig cfg = async_config(concurrency, 13);
-      cfg.rng_streams = sim::RngStreamMode::kPerEntity;
       cfg.task.pipelined_clients = true;
       cfg.task.closed_loop_clients = closed_loop;
       cfg.network.mean_upload_mbps = 0.005;

@@ -44,9 +44,7 @@ sim::SimulationConfig macro_config(const Row& row) {
   cfg.task.concurrency = 104;
   cfg.task.aggregation_goal = 13;
   cfg.population.num_devices = row.devices;
-  cfg.population.synthesis = sim::ProfileSynthesis::kKeyedLazy;
   cfg.event_queue = sim::EventQueueBackend::kCalendar;
-  cfg.rng_streams = sim::RngStreamMode::kPerEntity;
   cfg.mean_checkin_interval_s = row.checkin_interval_s;
   cfg.max_server_steps = row.server_steps;
   cfg.max_sim_time_s = 1.0e7;

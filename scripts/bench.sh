@@ -14,6 +14,7 @@
 # Usage: scripts/bench.sh [--compare] [name-filter]
 #   e.g. scripts/bench.sh fig2            # only benches matching "fig2"
 #        scripts/bench.sh --compare fig13 # regenerate + delta vs committed
+#        PAPAYA_BENCH_BASE=../base/build scripts/bench.sh --compare fig13
 #
 # --compare enforces the ROADMAP "perf baseline discipline": after each
 # bench regenerates its BENCH_*.json, every time metric is diffed against
@@ -22,11 +23,21 @@
 # PAPAYA_BENCH_TOLERANCE (default 0.10 = +10%).  Regression means *slower*:
 # micro benches compare per-benchmark real_time, figure benches compare the
 # envelope's wall-clock seconds.
+#
+# Paired mode: with --compare and PAPAYA_BENCH_BASE set to another build
+# directory (e.g. the parent commit's), each figure bench runs that build's
+# binary and this one's back to back, three alternating pairs (base first,
+# then new first, then base first).  The gate is the ratio of the two
+# median wall times, at the same tolerance, so drift of the host between
+# the committed baseline and now does not read as a regression.  The
+# envelope records the new binary's median seconds.  Micro benches, and
+# benches the base directory lacks, compare against HEAD as without it.
 set -uo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${PAPAYA_BENCH_DIR:-$ROOT/build}"
 TOLERANCE="${PAPAYA_BENCH_TOLERANCE:-0.10}"
+BASE="${PAPAYA_BENCH_BASE:-}"
 
 COMPARE=0
 FILTER=""
@@ -52,16 +63,50 @@ if ! compgen -G "$BUILD/bench_*" > /dev/null; then
   exit 1
 fi
 
+if [ -n "$BASE" ] && ! compgen -G "$BASE/bench_*" > /dev/null; then
+  echo "error: PAPAYA_BENCH_BASE=$BASE holds no bench_* binaries" >&2
+  exit 1
+fi
+
 failures=0
 ran=0
 compare_failures=0
 
+# Whether bench $1's source changed since HEAD.  Such a bench is reported
+# informationally but not gated — a bench that gained a column
+# legitimately runs longer, and flagging that as a perf regression would
+# train authors to ignore the gate (regenerate + commit the new baseline
+# instead).
+source_changed() {
+  if ! git -C "$ROOT" diff --quiet HEAD -- "bench/$1.cpp" 2>/dev/null; then
+    printf '   compare: bench/%s.cpp changed since HEAD — deltas are informational, not gated\n' \
+      "$1"
+    return 0
+  fi
+  return 1
+}
+
+# Print the rows "metric<TAB>old<TAB>new<TAB>delta%" in $2 with the gate
+# applied when $1 is 1; add the metrics beyond TOLERANCE to
+# compare_failures.
+report_rows() {
+  local gated="$1" rows="$2" bad
+  printf '%s\n' "$rows" | awk -F'\t' -v tol="$TOLERANCE" -v gated="$gated" '
+    $2 == "new" {
+      printf "     %-44s %14s -> %14.3f  NEW (informational)\n", $1, "-", $3
+      next
+    }
+    {
+      flag = (gated && $4 > tol * 100) ? "  REGRESSION" : ""
+      printf "     %-44s %14.3f -> %14.3f  %+7.1f%%%s\n", $1, $2, $3, $4, flag
+    }'
+  bad="$(printf '%s\n' "$rows" | awk -F'\t' -v tol="$TOLERANCE" \
+    -v gated="$gated" '$2 != "new" && gated && $4 > tol * 100 { n++ } END { print n+0 }')"
+  compare_failures=$((compare_failures + bad))
+}
+
 # Print the delta of each time metric in $2 (fresh JSON) against the
 # baseline committed at HEAD for bench $1; count metrics beyond TOLERANCE.
-# A bench whose own source changed since HEAD is reported informationally
-# but not gated — a bench that gained a column legitimately runs longer,
-# and flagging that as a perf regression would train authors to ignore the
-# gate (regenerate + commit the new baseline instead).
 compare_with_baseline() {
   local name="$1" new_json="$2"
   local out_name="BENCH_${name#bench_}.json"
@@ -71,11 +116,7 @@ compare_with_baseline() {
     return 0
   fi
   local gated=1
-  if ! git -C "$ROOT" diff --quiet HEAD -- "bench/$name.cpp" 2>/dev/null; then
-    gated=0
-    printf '   compare: bench/%s.cpp changed since HEAD — deltas are informational, not gated\n' \
-      "$name"
-  fi
+  source_changed "$name" && gated=0
   local rows
   if [[ "$name" == bench_micro_* ]]; then
     # Metrics present only in the fresh run (a bench that gained a strategy
@@ -105,20 +146,54 @@ compare_with_baseline() {
     printf '   compare: no comparable metrics for %s\n' "$name"
     return 0
   fi
-  local bad
-  printf '%s\n' "$rows" | awk -F'\t' -v tol="$TOLERANCE" -v gated="$gated" '
-    $2 == "new" {
-      printf "     %-44s %14s -> %14.3f  NEW (informational)\n", $1, "-", $3
-      next
-    }
-    {
-      flag = (gated && $4 > tol * 100) ? "  REGRESSION" : ""
-      printf "     %-44s %14.3f -> %14.3f  %+7.1f%%%s\n", $1, $2, $3, $4, flag
-    }'
-  bad="$(printf '%s\n' "$rows" | awk -F'\t' -v tol="$TOLERANCE" \
-    -v gated="$gated" '$2 != "new" && gated && $4 > tol * 100 { n++ } END { print n+0 }')"
-  compare_failures=$((compare_failures + bad))
+  report_rows "$gated" "$rows"
   return 0
+}
+
+# Run $1 once; set run_output, run_rc and run_seconds.
+run_timed() {
+  local start end
+  start=$(date +%s.%N)
+  run_output="$("$1" 2>&1)"
+  run_rc=$?
+  end=$(date +%s.%N)
+  run_seconds="$(echo "$end $start" | awk '{printf "%.3f", $1 - $2}')"
+}
+
+median_of() {
+  printf '%s\n' "$@" | sort -g | awk '{ v[NR] = $1 } END { print v[int((NR + 1) / 2)] }'
+}
+
+# Paired mode for figure bench $1 (binary $2): three alternating pairs of
+# the base build's binary and this one.  Sets run_output/run_rc from the
+# new binary (its last run; a failing run wins) and run_seconds to its
+# median, then prints and gates the ratio of the medians.
+run_paired() {
+  local name="$1" bin="$2" pair side rc=0 output=""
+  local base_times=() new_times=()
+  for pair in 1 2 3; do
+    if [ $((pair % 2)) -eq 1 ]; then set -- base new; else set -- new base; fi
+    for side in "$@"; do
+      if [ "$side" = base ]; then
+        run_timed "$BASE/$name"
+        base_times+=("$run_seconds")
+      else
+        run_timed "$bin"
+        new_times+=("$run_seconds")
+        [ "$rc" -eq 0 ] && { rc=$run_rc; output="$run_output"; }
+      fi
+    done
+  done
+  run_output="$output"
+  run_rc=$rc
+  run_seconds="$(median_of "${new_times[@]}")"
+  [ "$rc" -eq 0 ] || return 0
+  local base_median gated=1
+  base_median="$(median_of "${base_times[@]}")"
+  printf '   paired: base %s s, new %s s\n' "${base_times[*]}" "${new_times[*]}"
+  source_changed "$name" && gated=0
+  report_rows "$gated" "$(awk -v o="$base_median" -v n="$run_seconds" \
+    'BEGIN { printf "median seconds\t%s\t%s\t%f\n", o, n, (o > 0 ? (n / o - 1) * 100 : 0) }')"
 }
 
 for bin in "$BUILD"/bench_*; do
@@ -135,7 +210,6 @@ for bin in "$BUILD"/bench_*; do
   tmp_json="$(mktemp)"
   chmod 644 "$tmp_json"
   printf '== %s\n' "$name"
-  start=$(date +%s.%N)
   if [[ "$name" == bench_micro_* ]]; then
     # Google Benchmark: native JSON straight to the collection file.
     if "$bin" --benchmark_format=json > "$tmp_json"; then
@@ -147,17 +221,25 @@ for bin in "$BUILD"/bench_*; do
       failures=$((failures + 1))
     fi
   else
-    output="$("$bin" 2>&1)"
-    rc=$?
-    end=$(date +%s.%N)
+    paired=0
+    if [ "$COMPARE" -eq 1 ] && [ -n "$BASE" ] && [ -x "$BASE/$name" ]; then
+      paired=1
+      run_paired "$name" "$bin"
+    else
+      run_timed "$bin"
+    fi
+    output="$run_output"
+    rc=$run_rc
     if jq -n \
       --arg bench "$name" \
       --argjson exit_code "$rc" \
-      --argjson seconds "$(echo "$end $start" | awk '{printf "%.3f", $1 - $2}')" \
+      --argjson seconds "$run_seconds" \
       --arg output "$output" \
       '{bench: $bench, exit_code: $exit_code, seconds: $seconds, output: $output}' \
       > "$tmp_json" && [ "$rc" -eq 0 ]; then
-      [ "$COMPARE" -eq 1 ] && compare_with_baseline "$name" "$tmp_json"
+      if [ "$COMPARE" -eq 1 ] && [ "$paired" -eq 0 ]; then
+        compare_with_baseline "$name" "$tmp_json"
+      fi
       mv "$tmp_json" "$out_json"
     else
       echo "   FAILED (exit $rc)" >&2
@@ -177,7 +259,9 @@ fi
 echo
 echo "ran $ran benches, $failures failed; results in $ROOT/BENCH_*.json"
 if [ "$COMPARE" -eq 1 ]; then
+  against="the HEAD baseline"
+  [ -n "$BASE" ] && against="the paired base build (HEAD baseline for micro benches)"
   echo "compare: $compare_failures metric(s) regressed beyond +$(awk \
-    -v t="$TOLERANCE" 'BEGIN { printf "%.0f", t * 100 }')% of the HEAD baseline"
+    -v t="$TOLERANCE" 'BEGIN { printf "%.0f", t * 100 }')% of $against"
 fi
 [ "$failures" -eq 0 ] && [ "$compare_failures" -eq 0 ]

@@ -72,6 +72,18 @@ void fold_span(std::span<float> acc, std::span<const float> x, double weight) {
   for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += w * x[i];
 }
 
+/// With clipping on (`clip_norm` > 0), materialize `view` into `scratch` and
+/// clip it there, since the clip is a whole-vector rescale.  Returns false
+/// for an update holding a NaN or an infinity, which the caller drops.  With
+/// clipping off the fold reads the wire bytes directly, so this does nothing.
+bool clip_to_scratch(std::vector<float>& scratch, const UpdateView& view,
+                     float clip_norm) {
+  if (clip_norm <= 0.0f) return true;
+  scratch.resize(view.count);
+  view.copy_to(scratch);
+  return ml::clip_norm(scratch, clip_norm);
+}
+
 // -- Locked (PR-2 baseline) --------------------------------------------------
 
 /// One mutex-guarded intermediate aggregate.  The lock is a level-0 leaf in
@@ -99,18 +111,18 @@ class LockedStrategy final : public AggregationStrategy {
   void fold_run(std::size_t worker,
                 std::span<const QueuedUpdate> run) override {
     LockedSlot& slot = slots_[worker % slots_.size()];
-    // Deserialize and clip outside any lock; a malformed update must not
-    // poison the aggregate, so it simply drops out of the run.
+    // Deserialize and clip outside any lock; a malformed update (or, when
+    // clipping, a non-finite one) must not poison the aggregate, so it
+    // simply drops out of the run.
     std::vector<std::pair<ModelUpdate, double>> folds;
     folds.reserve(run.size());
     for (const QueuedUpdate& queued : run) {
       ModelUpdate update = ModelUpdate::deserialize(queued.bytes);
-      if (update.delta.size() != context_.model_size) {
+      if (update.delta.size() != context_.model_size ||
+          (context_.clip_norm > 0.0f &&
+           !ml::clip_norm(update.delta, context_.clip_norm))) {
         if (context_.stats) context_.stats->on_dropped(1);
         continue;
-      }
-      if (context_.clip_norm > 0.0f) {
-        ml::clip_norm(update.delta, context_.clip_norm);
       }
       folds.emplace_back(std::move(update), queued.weight);
     }
@@ -195,7 +207,7 @@ class MorselStrategy final : public AggregationStrategy {
     std::size_t folded = 0;
     for (const QueuedUpdate& queued : run) {
       const auto view = UpdateView::parse(queued.bytes, context_.model_size);
-      if (!view) {
+      if (!view || !clip_to_scratch(scratch_[w], *view, context_.clip_norm)) {
         if (context_.stats) context_.stats->on_dropped(1);
         continue;
       }
@@ -247,20 +259,17 @@ class MorselStrategy final : public AggregationStrategy {
     inter.count = 0;
   }
 
-  /// Zero-copy fold straight from the wire bytes (the morsel fast path); the
-  /// clipped variant must materialize the delta first because the clip is a
-  /// whole-vector rescale.  `w` only picks the caller's scratch buffer.
+  /// Zero-copy fold straight from the wire bytes (the morsel fast path); a
+  /// clipped delta was materialized in the worker's scratch by fold_run,
+  /// because the clip is a whole-vector rescale.  `w` only picks that
+  /// scratch buffer.
   void fold_into(std::size_t w, Intermediate& inter, const UpdateView& view,
                  double weight) {
     if (inter.weighted_delta.empty()) {
       inter.weighted_delta.assign(context_.model_size, 0.0f);
     }
     if (context_.clip_norm > 0.0f) {
-      std::vector<float>& scratch = scratch_[w];
-      scratch.resize(context_.model_size);
-      view.copy_to(scratch);
-      ml::clip_norm(scratch, context_.clip_norm);
-      fold_span(inter.weighted_delta, scratch, weight);
+      fold_span(inter.weighted_delta, scratch_[w], weight);
     } else {
       const float w = static_cast<float>(weight);
       float* acc = inter.weighted_delta.data();
@@ -335,10 +344,11 @@ class StripedStrategy final : public AggregationStrategy {
                 std::span<const QueuedUpdate> run) override {
     if (run.empty()) return;
     ensure_accumulator();
+    std::vector<float>& scratch = scratch_[worker % scratch_.size()];
     std::size_t folded = 0;
     for (const QueuedUpdate& queued : run) {
       const auto view = UpdateView::parse(queued.bytes, context_.model_size);
-      if (!view) {
+      if (!view || !clip_to_scratch(scratch, *view, context_.clip_norm)) {
         if (context_.stats) context_.stats->on_dropped(1);
         continue;
       }
@@ -397,10 +407,8 @@ class StripedStrategy final : public AggregationStrategy {
             ? 0
             : (worker * kStripeFloats) % context_.model_size;
     if (context_.clip_norm > 0.0f) {
-      std::vector<float>& scratch = scratch_[worker % scratch_.size()];
-      scratch.resize(context_.model_size);
-      view.copy_to(scratch);
-      ml::clip_norm(scratch, context_.clip_norm);
+      // fold_run clipped this update into the worker's scratch.
+      const std::vector<float>& scratch = scratch_[worker % scratch_.size()];
       for (std::size_t k = start; k < view.count; ++k) {
         atomic_add(acc_[k], w * scratch[k]);
       }

@@ -137,7 +137,7 @@ HarnessResult run_workload(Workload& workload, const HarnessOptions& options) {
   // lazily inserts into an unordered_map and is NOT thread-safe, so every
   // stream is materialized here, single-threaded, before any actor thread
   // starts; the references stay stable because no further inserts happen.
-  sim::SimStreams streams(options.seed, sim::RngStreamMode::kPerEntity);
+  sim::SimStreams streams(options.seed);
   struct ActorState {
     std::size_t state = 0;
     util::StreamRng* action = nullptr;

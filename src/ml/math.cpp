@@ -72,18 +72,31 @@ float sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 float tanh_derivative_from_output(float tanh_x) { return 1.0f - tanh_x * tanh_x; }
 
-float norm(std::span<const float> x) {
+namespace {
+
+double sum_of_squares(std::span<const float> x) {
   double acc = 0.0;
   for (float v : x) acc += static_cast<double>(v) * v;
-  return static_cast<float>(std::sqrt(acc));
+  return acc;
 }
 
-void clip_norm(std::span<float> x, float max_norm) {
-  const float n = norm(x);
+}  // namespace
+
+float norm(std::span<const float> x) {
+  return static_cast<float>(std::sqrt(sum_of_squares(x)));
+}
+
+bool clip_norm(std::span<float> x, float max_norm) {
+  // The double sum of squares of finite floats is finite, so it is
+  // non-finite exactly when x holds a NaN or an infinity.
+  const double acc = sum_of_squares(x);
+  if (!std::isfinite(acc)) return false;
+  const auto n = static_cast<float>(std::sqrt(acc));
   if (n > max_norm && n > 0.0f) {
     const float s = max_norm / n;
     for (auto& v : x) v *= s;
   }
+  return true;
 }
 
 }  // namespace papaya::ml

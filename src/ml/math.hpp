@@ -42,6 +42,8 @@ float tanh_derivative_from_output(float tanh_x);
 float norm(std::span<const float> x);
 
 /// Scale x so its L2 norm is at most `max_norm` (gradient clipping).
-void clip_norm(std::span<float> x, float max_norm);
+/// Returns false, leaving x untouched, when x holds a NaN or an infinity:
+/// no rescale makes such a vector finite.
+[[nodiscard]] bool clip_norm(std::span<float> x, float max_norm);
 
 }  // namespace papaya::ml

@@ -11,7 +11,8 @@ void Sgd::step(std::span<float> params, std::span<float> grad) const {
   if (params.size() != grad.size()) {
     throw std::invalid_argument("Sgd::step: size mismatch");
   }
-  if (clip_ > 0.0f) clip_norm(grad, clip_);
+  // A non-finite gradient is left as it is; no rescale would fix it.
+  if (clip_ > 0.0f) (void)clip_norm(grad, clip_);
   for (std::size_t i = 0; i < params.size(); ++i) params[i] -= lr_ * grad[i];
 }
 

@@ -43,15 +43,11 @@ std::unique_ptr<ml::LanguageModel> build_model(ModelKind kind,
   throw std::logic_error("unknown model kind");
 }
 
-/// Closed-loop scheduling reacts to sampled quantities, which is only legal
-/// when draws are schedule-independent: force per-entity streams and the
-/// pipelined runtime (whose stage timings are the arrival process) before
-/// anything reads the config.
+/// Closed-loop scheduling takes its arrival process from the pipelined
+/// runtime's stage timings: force that runtime on before anything reads the
+/// config.
 SimulationConfig normalize_config(SimulationConfig cfg) {
-  if (cfg.task.closed_loop_clients) {
-    cfg.task.pipelined_clients = true;
-    cfg.rng_streams = RngStreamMode::kPerEntity;
-  }
+  if (cfg.task.closed_loop_clients) cfg.task.pipelined_clients = true;
   return cfg;
 }
 
@@ -59,7 +55,7 @@ SimulationConfig normalize_config(SimulationConfig cfg) {
 
 FlSimulator::FlSimulator(SimulationConfig config)
     : config_(normalize_config(std::move(config))),
-      streams_(config_.seed, config_.rng_streams,
+      streams_(config_.seed,
                /*dense_entities=*/config_.population.num_devices),
       queue_(&FlSimulator::dispatch_event, this, config_.event_queue) {
   // The POD event record addresses devices with 32 bits; a population past
@@ -385,7 +381,7 @@ void FlSimulator::handle_check_in(std::size_t device, double now) {
   // fresh default conditions, so its eligibility is a pure function of the
   // idle draw — the overwhelmingly common rejected check-in at
   // million-device scale never materializes a ClientRuntime (or its
-  // per-client dataset).  Draw order is unchanged in every mode.
+  // per-client dataset).
   const bool idle = !streams_.bernoulli(
       device, StreamPurpose::kAvailability, config_.device_unavailable_prob);
   if (fl::ClientRuntime* runtime = find_runtime(device)) {
@@ -400,9 +396,9 @@ void FlSimulator::handle_check_in(std::size_t device, double now) {
   }
 
   // Selection phase (Sec. 6.1): ask the Coordinator for an eligible task.
-  const DeviceProfile profile = population_->profile(device);
-  fl::ClientCapabilities caps{profile.capabilities};
-  const auto assignment = coordinator_->assign_client(caps);
+  // Simulated devices carry no capability tags, and the client id is the
+  // device index, so no profile is synthesized until a join is accepted.
+  const auto assignment = coordinator_->assign_client({});
   if (!assignment) {
     schedule_check_in(device, backoff);
     return;
@@ -418,7 +414,7 @@ void FlSimulator::handle_check_in(std::size_t device, double now) {
   }
 
   const fl::JoinResult join =
-      aggregator->client_join(assignment->task, profile.id, now);
+      aggregator->client_join(assignment->task, device, now);
   coordinator_->assignment_concluded(assignment->task);
   if (!join.accepted) {
     schedule_check_in(device, backoff);
@@ -426,6 +422,7 @@ void FlSimulator::handle_check_in(std::size_t device, double now) {
   }
 
   // Participation begins: snapshot the model the client downloads.
+  const DeviceProfile profile = population_->profile(device);
   Participation& part = part_pool_[acquire_slot(device)];
   ++devices_[device].generation;
   part.version_at_join = join.model_version;
@@ -434,7 +431,7 @@ void FlSimulator::handle_check_in(std::size_t device, double now) {
   part.model_snapshot.assign(model.begin(), model.end());
   part.exec_time =
       streams_.with(device, StreamPurpose::kExecTime, [&](auto& rng) {
-        return population_->sample_exec_time(device, rng);
+        return population_->sample_exec_time(profile, rng);
       });
   ++result_.participations_started;
   ++active_count_;
@@ -535,8 +532,8 @@ void FlSimulator::handle_completion(std::size_t device,
 
   // Run the actual local training on the snapshot downloaded at join time.
   // The shuffle stream is the kTraining purpose: a per-participation seed
-  // expanded through xoshiro (SGD consumes thousands of draws), already
-  // schedule-independent in both stream modes.
+  // expanded through xoshiro (SGD consumes thousands of draws), keyed like
+  // every other stream.
   util::Rng train_rng(streams_.training_seed(
       profile.id, static_cast<std::uint64_t>(devices_[device].generation)));
   const fl::LocalTrainingResult training =

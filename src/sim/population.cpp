@@ -30,31 +30,20 @@ std::size_t DevicePopulation::example_count_from_quantile(double u,
   return lo + bucket;
 }
 
-DeviceProfile DevicePopulation::profile_from_draws(
-    const PopulationConfig& config, std::uint64_t id, double z_h,
-    double z_mix) {
-  // Gaussian copula: z_h drives hardware slowness; the example draw mixes
-  // z_h (weight rho) with an independent normal so slow devices tend to
-  // have more data.
-  const double rho =
-      std::clamp(config.slowness_example_correlation, -1.0, 1.0);
-  const double z_e = rho * z_h + std::sqrt(1.0 - rho * rho) * z_mix;
-
-  DeviceProfile d;
-  d.id = id;
-  d.hardware_factor =
-      std::exp(config.lognormal_mu + config.lognormal_sigma * z_h);
-  d.num_examples = example_count_from_quantile(phi(z_e), config.min_examples,
-                                               config.max_examples);
-  d.mean_exec_time_s =
-      d.hardware_factor *
-      (config.base_exec_time_s +
-       config.per_example_time_s * static_cast<double>(d.num_examples));
-  d.dropout_prob = config.dropout_prob;
-  return d;
+DevicePopulation::DevicePopulation(const PopulationConfig& config)
+    : config_(config) {
+  if (config.num_devices == 0) {
+    throw std::invalid_argument("DevicePopulation: need at least one device");
+  }
+  if (config.min_examples > config.max_examples) {
+    throw std::invalid_argument("DevicePopulation: bad example range");
+  }
 }
 
-DeviceProfile DevicePopulation::synthesize_keyed(std::size_t i) const {
+DeviceProfile DevicePopulation::profile(std::size_t i) const {
+  if (i >= config_.num_devices) {
+    throw std::out_of_range("DevicePopulation: device index out of range");
+  }
   // Keyed synthesis: the profile is a pure function of (seed, i) via the
   // kProfileSynthesis purpose — the same (root, entity, purpose) hierarchy
   // the simulator's per-entity streams use, so when population.seed matches
@@ -64,74 +53,26 @@ DeviceProfile DevicePopulation::synthesize_keyed(std::size_t i) const {
                           StreamPurpose::kProfileSynthesis));
   const double z_h = rng.normal();
   const double z_mix = rng.normal();
-  return profile_from_draws(config_, static_cast<std::uint64_t>(i), z_h,
-                            z_mix);
-}
 
-DevicePopulation::DevicePopulation(const PopulationConfig& config)
-    : config_(config) {
-  if (config.num_devices == 0) {
-    throw std::invalid_argument("DevicePopulation: need at least one device");
-  }
-  if (config.min_examples > config.max_examples) {
-    throw std::invalid_argument("DevicePopulation: bad example range");
-  }
-  if (config.synthesis == ProfileSynthesis::kKeyedLazy) {
-    return;  // profiles are synthesized on demand, nothing to store
-  }
-  devices_.reserve(config.num_devices);
-  if (config.synthesis == ProfileSynthesis::kKeyedEager) {
-    for (std::size_t i = 0; i < config.num_devices; ++i) {
-      devices_.push_back(synthesize_keyed(i));
-    }
-    return;
-  }
-  // Sequential synthesis runs once, at t = 0, in device-index order — the
-  // draw order is fixed by construction, so it stays on a sequential
-  // generator (the per-entity stream discipline of sim/streams.hpp is for
-  // draws whose timing the event schedule controls), and the committed
-  // goldens pin its output bit for bit.
-  // sim-streams-exempt: see above — pre-schedule, fixed-order synthesis.
-  util::Rng rng(config.seed ^ 0xd011ceULL);
-  for (std::size_t i = 0; i < config.num_devices; ++i) {
-    const double z_h = rng.normal();
-    const double z_mix = rng.normal();
-    devices_.push_back(
-        profile_from_draws(config, static_cast<std::uint64_t>(i), z_h, z_mix));
-  }
-}
+  // Gaussian copula: z_h drives hardware slowness; the example draw mixes
+  // z_h (weight rho) with an independent normal so slow devices tend to
+  // have more data.
+  const double rho =
+      std::clamp(config_.slowness_example_correlation, -1.0, 1.0);
+  const double z_e = rho * z_h + std::sqrt(1.0 - rho * rho) * z_mix;
 
-DeviceProfile DevicePopulation::profile(std::size_t i) const {
-  if (lazy()) {
-    if (i >= config_.num_devices) {
-      throw std::out_of_range("DevicePopulation: device index out of range");
-    }
-    return synthesize_keyed(i);
-  }
-  return devices_.at(i);
-}
-
-const DeviceProfile& DevicePopulation::device(std::size_t i) const {
-  if (lazy()) {
-    throw std::logic_error(
-        "DevicePopulation: device() needs eager materialization; "
-        "use profile(i) in kKeyedLazy mode");
-  }
-  return devices_.at(i);
-}
-
-const std::vector<DeviceProfile>& DevicePopulation::devices() const {
-  if (lazy()) {
-    throw std::logic_error(
-        "DevicePopulation: devices() needs eager materialization; "
-        "use profile(i) in kKeyedLazy mode");
-  }
-  return devices_;
-}
-
-double DevicePopulation::mean_exec_time(std::size_t i) const {
-  return lazy() ? synthesize_keyed(i).mean_exec_time_s
-                : devices_.at(i).mean_exec_time_s;
+  DeviceProfile d;
+  d.id = static_cast<std::uint64_t>(i);
+  d.hardware_factor =
+      std::exp(config_.lognormal_mu + config_.lognormal_sigma * z_h);
+  d.num_examples = example_count_from_quantile(
+      phi(z_e), config_.min_examples, config_.max_examples);
+  d.mean_exec_time_s =
+      d.hardware_factor *
+      (config_.base_exec_time_s +
+       config_.per_example_time_s * static_cast<double>(d.num_examples));
+  d.dropout_prob = config_.dropout_prob;
+  return d;
 }
 
 }  // namespace papaya::sim

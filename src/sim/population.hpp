@@ -11,11 +11,8 @@
 //     example-count draw.
 //  3. Around 10% of clients drop out mid-participation (Fig. 1 caption).
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
-
-#include "util/rng.hpp"
 
 namespace papaya::sim {
 
@@ -29,22 +26,11 @@ struct DeviceProfile {
   double mean_exec_time_s = 0.0;
   /// Probability this device drops out during a participation.
   double dropout_prob = 0.1;
-  /// Capability tags used for task eligibility.
-  std::vector<std::string> capabilities;
 };
 
-/// How DeviceProfiles come into being.
+/// How DeviceProfiles come into being; keyed lazy synthesis is the only
+/// mode (see PopulationConfig::synthesis).
 enum class ProfileSynthesis {
-  /// One sequential RNG walks device 0..N-1 at construction — the
-  /// historical behaviour, bit-compatible with every committed golden.
-  kSequentialEager,
-  /// Keyed draws — device i's profile is a pure function of
-  /// (seed, i, StreamPurpose::kProfileSynthesis) — materialized up front.
-  /// Same marginals as sequential mode, different draw values.
-  kKeyedEager,
-  /// Keyed draws, synthesized on demand: no per-device storage at all, so
-  /// a 10M-device population costs O(1) memory.  device()/devices() are
-  /// unavailable; use profile(i).
   kKeyedLazy,
 };
 
@@ -68,34 +54,32 @@ struct PopulationConfig {
   /// Per-participation execution-time jitter (log-normal sigma).
   double jitter_sigma = 0.2;
   std::uint64_t seed = 42;
-  ProfileSynthesis synthesis = ProfileSynthesis::kSequentialEager;
+  /// Read by nothing in src/: profiles are always keyed and lazy.  The
+  /// field remains only because benchmark/workloads.cpp's
+  /// apply_scale_recipe assigns it.
+  ProfileSynthesis synthesis = ProfileSynthesis::kKeyedLazy;
 };
 
+/// The fleet's device profiles, synthesized on demand: device i's profile
+/// is a pure function of (seed, i, StreamPurpose::kProfileSynthesis), so
+/// nothing is stored per device and a 10M-device population costs O(1)
+/// memory.
 class DevicePopulation {
  public:
   explicit DevicePopulation(const PopulationConfig& config);
 
   std::size_t size() const { return config_.num_devices; }
-  bool lazy() const {
-    return config_.synthesis == ProfileSynthesis::kKeyedLazy;
-  }
 
-  /// Device i's profile, in every synthesis mode (synthesized on the spot
-  /// when lazy).  Cheap: a DeviceProfile is a few scalars plus an empty
-  /// capability vector.
+  /// Device i's profile, recomputed on every call (a few keyed draws and
+  /// scalars); throws std::out_of_range past size().
   DeviceProfile profile(std::size_t i) const;
 
-  /// Eager modes only — a lazy population has no stored profiles to
-  /// reference (throws std::logic_error; use profile(i)).
-  const DeviceProfile& device(std::size_t i) const;
-  const std::vector<DeviceProfile>& devices() const;
-
-  /// Sample the execution time of one participation of device `i`.  Generic
+  /// Sample the execution time of one participation of `device`.  Generic
   /// over the generator so the simulator can draw from the device's own
-  /// exec-time stream (sim/streams.hpp) instead of a shared sequence.
+  /// exec-time stream (sim/streams.hpp).
   template <class RngT>
-  double sample_exec_time(std::size_t i, RngT& rng) const {
-    return mean_exec_time(i) * rng.lognormal(0.0, config_.jitter_sigma);
+  double sample_exec_time(const DeviceProfile& device, RngT& rng) const {
+    return device.mean_exec_time_s * rng.lognormal(0.0, config_.jitter_sigma);
   }
 
   /// Half-open quantile-to-bucket map for the example-count copula draw:
@@ -109,17 +93,7 @@ class DevicePopulation {
   const PopulationConfig& config() const { return config_; }
 
  private:
-  DeviceProfile synthesize_keyed(std::size_t i) const;
-  double mean_exec_time(std::size_t i) const;
-  /// The shared copula math: both synthesis paths feed their two standard
-  /// normals through this, so mode differences are confined to where the
-  /// draws come from.
-  static DeviceProfile profile_from_draws(const PopulationConfig& config,
-                                          std::uint64_t id, double z_h,
-                                          double z_mix);
-
   PopulationConfig config_;
-  std::vector<DeviceProfile> devices_;  ///< empty in kKeyedLazy mode
 };
 
 }  // namespace papaya::sim

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -175,6 +177,39 @@ TEST(AggStrategySuite, ClippedFoldsAreBitIdenticalAcrossStrategies) {
   for (std::size_t s = 1; s < results.size(); ++s) {
     EXPECT_EQ(results[0].mean_delta, results[s].mean_delta)
         << "strategy " << to_string(kAllForced[s]) << " diverged from locked";
+  }
+}
+
+TEST(AggStrategySuite, ClippedFoldsDropNonFiniteUpdates) {
+  // Clipping cannot make a NaN or an infinity finite (max / inf is 0, and
+  // inf * 0 is NaN), so each backend drops such an update as malformed:
+  // the honest updates reduce to exactly what they reduce to alone.
+  constexpr std::size_t kModel = 96;
+  auto poisoned = [](std::uint64_t client, float bad) {
+    ModelUpdate u = ModelUpdate::deserialize(make_varied_update(client, kModel));
+    u.delta[kModel / 2] = bad;
+    return u.serialize();
+  };
+  for (const AggStrategy strategy : kAllForced) {
+    ParallelAggregator honest(kModel, 1, 1, /*clip_norm=*/0.5f,
+                              /*drain_batch=*/1, strategy);
+    ParallelAggregator mixed(kModel, 1, 1, /*clip_norm=*/0.5f,
+                             /*drain_batch=*/1, strategy);
+    for (std::uint64_t c = 0; c < 12; ++c) {
+      honest.enqueue(make_varied_update(c, kModel), 1.0 + c);
+      mixed.enqueue(make_varied_update(c, kModel), 1.0 + c);
+      if (c == 3) mixed.enqueue(poisoned(100, std::nanf("")), 2.0);
+      if (c == 7) {
+        mixed.enqueue(
+            poisoned(101, std::numeric_limits<float>::infinity()), 2.0);
+      }
+    }
+    const auto want = honest.reduce_and_reset();
+    const auto got = mixed.reduce_and_reset();
+    EXPECT_EQ(got.mean_delta, want.mean_delta) << to_string(strategy);
+    EXPECT_EQ(got.weight_sum, want.weight_sum) << to_string(strategy);
+    EXPECT_EQ(got.count, 12u) << to_string(strategy);
+    EXPECT_EQ(mixed.stats_snapshot().dropped, 2u) << to_string(strategy);
   }
 }
 

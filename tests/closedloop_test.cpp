@@ -2,11 +2,9 @@
 //
 // Determinism contract under test:
 //  1. util::StreamRng draw i is a pure function of (root, entity, purpose, i).
-//  2. sim::SimStreams legacy mode is byte-compatible with the pre-stream
-//     shared xoshiro consumed in call order (the migration shim).
-//  3. Per-entity mode draws are independent of request interleaving — the
+//  2. sim::SimStreams draws are independent of request interleaving — the
 //     property that makes a reactive (closed-loop) event schedule legal.
-//  4. TaskConfig::closed_loop_clients changes *when* reports arrive (the
+//  3. TaskConfig::closed_loop_clients changes *when* reports arrive (the
 //     pipelined arrival process), never *what* any device draws.
 
 #include <gtest/gtest.h>
@@ -80,31 +78,12 @@ TEST(StreamRng, DistributionsBehave) {
 
 // --------------------------------------------------------------- SimStreams --
 
-TEST(SimStreams, LegacyModeIsTheSharedSequenceInCallOrder) {
-  // The migration shim: whatever (entity, purpose) a request carries, legacy
-  // mode consumes the one shared xoshiro exactly as the pre-stream simulator
-  // did (seed ^ 0x51713, call order).
-  SimStreams streams(42, RngStreamMode::kSharedLegacy);
-  util::Rng reference(42 ^ 0x51713ULL);
-  EXPECT_DOUBLE_EQ(streams.uniform01(3, StreamPurpose::kExecTime),
-                   reference.uniform());
-  EXPECT_DOUBLE_EQ(streams.exponential(9, StreamPurpose::kCheckInBackoff, 0.5),
-                   reference.exponential(0.5));
-  EXPECT_EQ(streams.bernoulli(1, StreamPurpose::kDropout, 0.4),
-            reference.bernoulli(0.4));
-  EXPECT_EQ(streams.uniform_int(SimStreams::kServerEntity,
-                                StreamPurpose::kRouting, 5),
-            reference.uniform_int(5));
-  EXPECT_DOUBLE_EQ(streams.uniform(7, StreamPurpose::kCheckInBackoff, 2.0, 9.0),
-                   reference.uniform(2.0, 9.0));
-}
-
 TEST(SimStreams, PerEntityDrawsAreIndependentOfInterleaving) {
   // Same requests, two different global interleavings: every
   // (entity, purpose) sequence must come out identical.  This is the
   // invariant that lets a closed-loop schedule reorder events freely.
-  SimStreams a(7, RngStreamMode::kPerEntity);
-  SimStreams b(7, RngStreamMode::kPerEntity);
+  SimStreams a(7);
+  SimStreams b(7);
 
   std::vector<double> a_exec_1, a_exec_2, a_back_1;
   for (int i = 0; i < 20; ++i) {
@@ -127,12 +106,9 @@ TEST(SimStreams, PerEntityDrawsAreIndependentOfInterleaving) {
   EXPECT_EQ(a_back_1, b_back_1);
 }
 
-TEST(SimStreams, TrainingSeedIsLegacyCompatibleAndScheduleFree) {
-  SimStreams legacy(21, RngStreamMode::kSharedLegacy);
-  EXPECT_EQ(legacy.training_seed(5, 3), 21ULL ^ (5ULL * 0x7f4a7c15ULL) ^ 3ULL);
-
-  // Per-entity: derived from the stream hierarchy, untouched by other draws.
-  SimStreams streams(21, RngStreamMode::kPerEntity);
+TEST(SimStreams, TrainingSeedIsScheduleFree) {
+  // Derived from the stream hierarchy, untouched by other draws.
+  SimStreams streams(21);
   const std::uint64_t before = streams.training_seed(5, 3);
   (void)streams.uniform01(5, StreamPurpose::kExecTime);
   (void)streams.uniform01(6, StreamPurpose::kDropout);
@@ -166,11 +142,10 @@ SimulationConfig small_config() {
   return cfg;
 }
 
-TEST(ClosedLoop, ForcesPerEntityStreamsAndPipelinedRuntime) {
+TEST(ClosedLoop, ForcesPipelinedRuntime) {
   SimulationConfig cfg = small_config();
   cfg.task.closed_loop_clients = true;
-  cfg.task.pipelined_clients = false;              // normalized on
-  cfg.rng_streams = RngStreamMode::kSharedLegacy;  // normalized to per-entity
+  cfg.task.pipelined_clients = false;  // normalized on
   FlSimulator simulator(cfg);
   const auto result = simulator.run();
   EXPECT_EQ(result.server_steps, 15u);
@@ -209,7 +184,6 @@ TEST(ClosedLoop, DeterministicFromSeed) {
 
 TEST(ClosedLoop, PerEntityOpenLoopDeterministicFromSeed) {
   SimulationConfig cfg = small_config();
-  cfg.rng_streams = RngStreamMode::kPerEntity;
   FlSimulator first(cfg);
   FlSimulator second(cfg);
   const auto a = first.run();
@@ -226,7 +200,6 @@ TEST(ClosedLoop, ChangesWhenUpdatesArriveNotWhatClientsDraw) {
   // identical execution time in both runs, no matter how differently the
   // two schedules interleave.
   SimulationConfig cfg = small_config();
-  cfg.rng_streams = RngStreamMode::kPerEntity;
   cfg.task.pipelined_clients = true;
   FlSimulator open_loop(cfg);
   cfg.task.closed_loop_clients = true;

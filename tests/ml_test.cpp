@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <random>
 #include <span>
@@ -96,10 +97,21 @@ TEST(Math, LogSumExpMatchesNaiveForSmallValues) {
 
 TEST(Math, ClipNormScalesDownOnly) {
   std::vector<float> x{3.0f, 4.0f};  // norm 5
-  clip_norm(x, 10.0f);
+  EXPECT_TRUE(clip_norm(x, 10.0f));
   EXPECT_FLOAT_EQ(x[0], 3.0f);
-  clip_norm(x, 1.0f);
+  EXPECT_TRUE(clip_norm(x, 1.0f));
   EXPECT_NEAR(norm(x), 1.0f, 1e-6);
+}
+
+TEST(Math, ClipNormRefusesNonFiniteVectors) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(), kInf,
+                          -kInf}) {
+    std::vector<float> x{3.0f, bad, 4.0f};
+    EXPECT_FALSE(clip_norm(x, 1.0f));
+    EXPECT_EQ(x[0], 3.0f);  // left untouched
+    EXPECT_EQ(x[2], 4.0f);
+  }
 }
 
 // ------------------------------------------------- tanh and exp ports --

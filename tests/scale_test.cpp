@@ -1,8 +1,9 @@
-// Million-device scale-out suite: lazy keyed device materialization, the
-// calendar event-queue backend, dense stream counters, and streaming
-// metrics must each be *observationally equivalent* to the exact,
-// memory-hungry representations they replace — same draws, same pop order,
-// same trajectories — while holding per-device state to O(bytes).
+// Million-device scale-out suite: lazy keyed device profiles, the calendar
+// event-queue backend, dense stream counters, and streaming metrics must
+// each be *observationally equivalent* to the exact, memory-hungry
+// representations they stand in for — same profiles at any population size,
+// same draws, same pop order, same trajectories — while holding per-device
+// state to O(bytes).
 //
 // The equivalences proved here are what lets bench_macro_population run
 // fig-class simulations at 10^6 devices and still claim the results mean
@@ -10,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -30,8 +33,8 @@ TEST(ScaleStreams, DenseCountersMatchMapStreamsBitForBit) {
   // the u32 counter and rebuilding the generator per call must reproduce
   // the map-of-StreamRng path exactly — interleaved entities, interleaved
   // purposes, multiple draws per call.
-  SimStreams dense(42, RngStreamMode::kPerEntity, /*dense_entities=*/64);
-  SimStreams mapped(42, RngStreamMode::kPerEntity);
+  SimStreams dense(42, /*dense_entities=*/64);
+  SimStreams mapped(42);
   const StreamPurpose purposes[] = {
       StreamPurpose::kCheckInBackoff, StreamPurpose::kExecTime,
       StreamPurpose::kAvailability, StreamPurpose::kProfileSynthesis};
@@ -60,53 +63,44 @@ TEST(ScaleStreams, DenseCountersMatchMapStreamsBitForBit) {
 
 // ---------------------------------------------- lazy device materialization --
 
-PopulationConfig keyed_population(std::size_t n, ProfileSynthesis synthesis) {
+PopulationConfig keyed_population(std::size_t n) {
   PopulationConfig cfg;
   cfg.num_devices = n;
   cfg.seed = 7;
-  cfg.synthesis = synthesis;
   return cfg;
 }
 
-TEST(ScalePopulation, LazyProfilesMatchKeyedEagerProfiles) {
-  const DevicePopulation eager(
-      keyed_population(500, ProfileSynthesis::kKeyedEager));
-  const DevicePopulation lazy(
-      keyed_population(500, ProfileSynthesis::kKeyedLazy));
-  ASSERT_EQ(eager.size(), lazy.size());
-  EXPECT_FALSE(eager.lazy());
-  EXPECT_TRUE(lazy.lazy());
-  // Access out of order: each profile is a pure function of (seed, i).
-  for (std::size_t i = lazy.size(); i-- > 0;) {
-    const DeviceProfile a = eager.profile(i);
-    const DeviceProfile b = lazy.profile(i);
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_DOUBLE_EQ(a.mean_exec_time_s, b.mean_exec_time_s);
-    EXPECT_DOUBLE_EQ(a.hardware_factor, b.hardware_factor);
-    EXPECT_EQ(a.num_examples, b.num_examples);
-    EXPECT_DOUBLE_EQ(a.dropout_prob, b.dropout_prob);
-  }
-  // Repeated access is idempotent (no hidden draw-counter state).
-  EXPECT_DOUBLE_EQ(lazy.profile(3).mean_exec_time_s,
-                   lazy.profile(3).mean_exec_time_s);
+std::array<std::uint64_t, 5> profile_bits(const DeviceProfile& d) {
+  return {d.id, std::bit_cast<std::uint64_t>(d.hardware_factor),
+          static_cast<std::uint64_t>(d.num_examples),
+          std::bit_cast<std::uint64_t>(d.mean_exec_time_s),
+          std::bit_cast<std::uint64_t>(d.dropout_prob)};
 }
 
-TEST(ScalePopulation, LazyModeRefusesMaterializedAccessors) {
-  const DevicePopulation lazy(
-      keyed_population(10, ProfileSynthesis::kKeyedLazy));
-  EXPECT_THROW((void)lazy.device(0), std::logic_error);
-  EXPECT_THROW((void)lazy.devices(), std::logic_error);
-  // profile() remains the mode-independent accessor.
-  EXPECT_GT(lazy.profile(0).mean_exec_time_s, 0.0);
+TEST(ScalePopulation, ProfileIsPureFunctionOfSeedAndIndex) {
+  // Device i's profile depends on (seed, i) alone: not on how many devices
+  // the population holds, and not on which profiles were read before it.
+  // Nothing is stored per device, so the simulator re-reads a profile
+  // whenever it needs one, and every trajectory relies on this.
+  constexpr std::size_t kChecked = 1000;
+  const DevicePopulation small(keyed_population(kChecked));
+  const DevicePopulation large(keyed_population(1000000));
+  std::vector<std::array<std::uint64_t, 5>> forward;
+  for (std::size_t i = 0; i < kChecked; ++i) {
+    forward.push_back(profile_bits(small.profile(i)));
+  }
+  for (std::size_t i = kChecked; i-- > 0;) {
+    ASSERT_EQ(profile_bits(small.profile(i)), forward[i]) << "device " << i;
+    ASSERT_EQ(profile_bits(large.profile(i)), forward[i]) << "device " << i;
+  }
+  EXPECT_THROW((void)small.profile(kChecked), std::out_of_range);
 }
 
 TEST(ScalePopulation, KeyedSynthesisKeepsPaperDistributionShape) {
-  // The keyed draws are a different sequence from the legacy sequential
-  // synthesis, so re-verify the Fig. 2 / Sec. 7.4 requirements hold for the
-  // keyed law too: exec times spanning two orders of magnitude, and high
-  // slowness/example-count correlation.
-  const DevicePopulation pop(
-      keyed_population(20000, ProfileSynthesis::kKeyedLazy));
+  // The Fig. 2 / Sec. 7.4 requirements on the keyed law: exec times
+  // spanning two orders of magnitude, and high slowness/example-count
+  // correlation.
+  const DevicePopulation pop(keyed_population(20000));
   std::vector<double> times, slowness, examples;
   for (std::size_t i = 0; i < pop.size(); ++i) {
     const DeviceProfile d = pop.profile(i);
@@ -139,39 +133,10 @@ SimulationConfig scale_config() {
   return cfg;
 }
 
-TEST(ScaleSimulator, LazyPopulationReproducesEagerTrajectoryBitForBit) {
-  // The acceptance bar for lazy materialization: a full simulated
-  // deployment on the lazy population is indistinguishable from the same
-  // run on the eagerly materialized keyed population — every profile read
-  // resolves to the same values, so every event lands at the same time.
-  SimulationConfig cfg = scale_config();
-  cfg.population.synthesis = ProfileSynthesis::kKeyedEager;
-  FlSimulator eager(cfg);
-  cfg.population.synthesis = ProfileSynthesis::kKeyedLazy;
-  FlSimulator lazy(cfg);
-
-  const auto a = eager.run();
-  const auto b = lazy.run();
-  EXPECT_EQ(a.final_model, b.final_model);
-  EXPECT_DOUBLE_EQ(a.end_time_s, b.end_time_s);
-  EXPECT_EQ(a.server_steps, b.server_steps);
-  EXPECT_EQ(a.participations_started, b.participations_started);
-  ASSERT_EQ(a.participations.size(), b.participations.size());
-  for (std::size_t i = 0; i < a.participations.size(); ++i) {
-    EXPECT_EQ(a.participations[i].client_id, b.participations[i].client_id);
-    EXPECT_DOUBLE_EQ(a.participations[i].start_time,
-                     b.participations[i].start_time);
-    EXPECT_DOUBLE_EQ(a.participations[i].exec_time_s,
-                     b.participations[i].exec_time_s);
-  }
-  EXPECT_EQ(a.loss_curve.times, b.loss_curve.times);
-  EXPECT_EQ(a.loss_curve.values, b.loss_curve.values);
-}
-
 TEST(ScaleSimulator, O1BackendsReproduceHeapTrajectoryBitForBit) {
   // Same documented total order, same pops, same everything — on a full
-  // deployment including the legacy-stream golden config, not just on the
-  // synthetic differential churn in sim_test.cpp.  The amortized-O(1)
+  // deployment, not just on the synthetic differential churn in
+  // sim_test.cpp.  The amortized-O(1)
   // calendar is held to the heap reference.
   SimulationConfig cfg = scale_config();
   cfg.event_queue = EventQueueBackend::kHeap;
@@ -267,15 +232,12 @@ TEST(ScaleSimulator, RecordingOffStillFeedsSummary) {
 }
 
 TEST(ScaleSimulator, FiftyThousandDeviceLazyCalendarSmoke) {
-  // The scale recipe end to end, shrunk to CI size: lazy keyed population,
-  // calendar queue, per-entity dense stream counters, streaming metrics
-  // only.  10^6-device behaviour is the same code with bigger numbers
+  // The scale recipe end to end, shrunk to CI size: calendar queue, dense
+  // stream counters, streaming metrics only.  10^6-device behaviour is the same code with bigger numbers
   // (bench_macro_population).
   SimulationConfig cfg = scale_config();
   cfg.population.num_devices = 50000;
-  cfg.population.synthesis = ProfileSynthesis::kKeyedLazy;
   cfg.event_queue = EventQueueBackend::kCalendar;
-  cfg.rng_streams = RngStreamMode::kPerEntity;
   cfg.record_participations = false;
   cfg.metrics.max_timeseries_points = 64;
   cfg.max_server_steps = 5;

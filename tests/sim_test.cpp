@@ -444,7 +444,9 @@ TEST(Population, ExecutionTimesSpanTwoOrdersOfMagnitude) {
   const DevicePopulation pop(default_population());
   std::vector<double> times;
   times.reserve(pop.size());
-  for (const auto& d : pop.devices()) times.push_back(d.mean_exec_time_s);
+  for (std::size_t i = 0; i < pop.size(); ++i) {
+    times.push_back(pop.profile(i).mean_exec_time_s);
+  }
   const double p1 = util::percentile(times, 1.0);
   const double p99 = util::percentile(times, 99.0);
   EXPECT_GT(p99 / p1, 100.0);
@@ -455,7 +457,8 @@ TEST(Population, SlownessCorrelatesWithExampleCount) {
   // and devices with many training samples".
   const DevicePopulation pop(default_population());
   std::vector<double> slowness, examples;
-  for (const auto& d : pop.devices()) {
+  for (std::size_t i = 0; i < pop.size(); ++i) {
+    const DeviceProfile d = pop.profile(i);
     slowness.push_back(std::log(d.hardware_factor));
     examples.push_back(static_cast<double>(d.num_examples));
   }
@@ -467,7 +470,8 @@ TEST(Population, ExampleCountsWithinRange) {
   cfg.min_examples = 3;
   cfg.max_examples = 17;
   const DevicePopulation pop(cfg);
-  for (const auto& d : pop.devices()) {
+  for (std::size_t i = 0; i < pop.size(); ++i) {
+    const DeviceProfile d = pop.profile(i);
     EXPECT_GE(d.num_examples, 3u);
     EXPECT_LE(d.num_examples, 17u);
   }
@@ -477,18 +481,19 @@ TEST(Population, DeterministicFromSeed) {
   const DevicePopulation a(default_population(100));
   const DevicePopulation b(default_population(100));
   for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_DOUBLE_EQ(a.device(i).mean_exec_time_s, b.device(i).mean_exec_time_s);
-    EXPECT_EQ(a.device(i).num_examples, b.device(i).num_examples);
+    EXPECT_DOUBLE_EQ(a.profile(i).mean_exec_time_s,
+                     b.profile(i).mean_exec_time_s);
+    EXPECT_EQ(a.profile(i).num_examples, b.profile(i).num_examples);
   }
 }
 
 TEST(Population, SampledExecTimeJittersAroundMean) {
   const DevicePopulation pop(default_population(10));
   util::Rng rng(9);
-  const auto& d = pop.device(0);
+  const DeviceProfile d = pop.profile(0);
   util::RunningStat stat;
   for (int i = 0; i < 2000; ++i) {
-    stat.add(pop.sample_exec_time(0, rng));
+    stat.add(pop.sample_exec_time(d, rng));
   }
   // Log-normal jitter with sigma 0.2: mean ~ mean_exec * exp(0.02).
   EXPECT_NEAR(stat.mean(), d.mean_exec_time_s * std::exp(0.02),
@@ -500,7 +505,8 @@ TEST(Population, ZeroCorrelationDecouplesExamples) {
   cfg.slowness_example_correlation = 0.0;
   const DevicePopulation pop(cfg);
   std::vector<double> slowness, examples;
-  for (const auto& d : pop.devices()) {
+  for (std::size_t i = 0; i < pop.size(); ++i) {
+    const DeviceProfile d = pop.profile(i);
     slowness.push_back(std::log(d.hardware_factor));
     examples.push_back(static_cast<double>(d.num_examples));
   }
@@ -878,7 +884,7 @@ TEST(Simulator, BusySeriesOnlyRecordedWhenPipelined) {
   EXPECT_EQ(result.busy_clients.size(), 0u);
 }
 
-// ------------------------------------------------- RNG stream equivalence --
+// --------------------------------------------------- trajectory goldens --
 
 std::uint64_t fnv1a_floats(const std::vector<float>& data) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -896,27 +902,25 @@ double exec_time_sum(const SimulationResult& r) {
   return sum;
 }
 
-TEST(Simulator, LegacyStreamsReproducePreRefactorTrajectoryBitForBit) {
-  // The acceptance bar for the stream refactor: with the default
-  // kSharedLegacy mode, the simulator must reproduce the trajectories the
-  // pre-stream code produced — these constants are a fingerprint captured
-  // from the shared-rng_ simulator (commit 1808681) running exactly this
-  // config.  If this test fails, the migration shim no longer maps the old
-  // draw sites onto the shared sequence in the legacy order.
+TEST(Simulator, AsyncTrajectoryMatchesPinnedFingerprint) {
+  // A fingerprint of one AsyncFL trajectory.  The constants were captured
+  // from commit b527028 running exactly this config with per-entity streams
+  // and keyed lazy profiles selected.  If this test fails, some draw site,
+  // profile read or fold order changed.
   SimulationConfig cfg = store_config();  // async, seed 5, 20 steps
   FlSimulator simulator(cfg);
   const auto r = simulator.run();
-  EXPECT_DOUBLE_EQ(r.end_time_s, 190.59219085447933);
+  EXPECT_DOUBLE_EQ(r.end_time_s, 177.47279906522687);
   EXPECT_EQ(r.server_steps, 20u);
   EXPECT_EQ(r.comm_trips, 40u);
-  EXPECT_EQ(r.participations_started, 54u);
-  EXPECT_DOUBLE_EQ(r.final_eval_loss, 3.4466637699270413);
-  ASSERT_EQ(r.participations.size(), 43u);
-  EXPECT_DOUBLE_EQ(exec_time_sum(r), 1510.9047466958796);
-  EXPECT_EQ(fnv1a_floats(r.final_model), 0xa12a2ff541ae1f54ULL);
+  EXPECT_EQ(r.participations_started, 55u);
+  EXPECT_DOUBLE_EQ(r.final_eval_loss, 3.4458542600833515);
+  ASSERT_EQ(r.participations.size(), 44u);
+  EXPECT_DOUBLE_EQ(exec_time_sum(r), 1355.8534298905934);
+  EXPECT_EQ(fnv1a_floats(r.final_model), 0x9e6895e654ed52fdULL);
 }
 
-TEST(Simulator, LegacyStreamsReproducePreRefactorSyncTrajectory) {
+TEST(Simulator, SyncTrajectoryMatchesPinnedFingerprint) {
   // Same fingerprint discipline for the SyncFL path (cohort semantics hit
   // the same draw sites in a different schedule).
   SimulationConfig cfg = store_config();
@@ -927,38 +931,14 @@ TEST(Simulator, LegacyStreamsReproducePreRefactorSyncTrajectory) {
   cfg.seed = 9;
   FlSimulator simulator(cfg);
   const auto r = simulator.run();
-  EXPECT_DOUBLE_EQ(r.end_time_s, 599.93502974803403);
+  EXPECT_DOUBLE_EQ(r.end_time_s, 548.20760642182836);
   EXPECT_EQ(r.server_steps, 6u);
   EXPECT_EQ(r.comm_trips, 60u);
-  EXPECT_EQ(r.participations_started, 79u);
-  EXPECT_DOUBLE_EQ(r.final_eval_loss, 3.4564896490925139);
-  ASSERT_EQ(r.participations.size(), 79u);
-  EXPECT_DOUBLE_EQ(exec_time_sum(r), 6024.8335555918538);
-  EXPECT_EQ(fnv1a_floats(r.final_model), 0x649e6f135070e30eULL);
-}
-
-TEST(Simulator, PerEntityStreamsKeepDistributionShapeNotDrawValues) {
-  // Per-entity mode redraws every stochastic quantity from entity-keyed
-  // streams: trajectories legitimately differ from legacy mode in values
-  // but must stay statistically comparable (same config reaches the same
-  // step count with a similar amount of work).
-  SimulationConfig cfg = store_config();
-  FlSimulator legacy(cfg);
-  cfg.rng_streams = RngStreamMode::kPerEntity;
-  FlSimulator per_entity(cfg);
-  const auto a = legacy.run();
-  const auto b = per_entity.run();
-  EXPECT_EQ(a.server_steps, b.server_steps);
-  EXPECT_EQ(a.task_stats.updates_applied, b.task_stats.updates_applied);
-  EXPECT_NE(a.final_model, b.final_model);  // different draws, same law
-  EXPECT_GT(b.participations_started, 0u);
-  // Mean exec times within the same order of magnitude (log-normal fleet).
-  const double mean_a =
-      exec_time_sum(a) / static_cast<double>(a.participations.size());
-  const double mean_b =
-      exec_time_sum(b) / static_cast<double>(b.participations.size());
-  EXPECT_GT(mean_b, mean_a / 3.0);
-  EXPECT_LT(mean_b, mean_a * 3.0);
+  EXPECT_EQ(r.participations_started, 81u);
+  EXPECT_DOUBLE_EQ(r.final_eval_loss, 3.4554497824187695);
+  ASSERT_EQ(r.participations.size(), 81u);
+  EXPECT_DOUBLE_EQ(exec_time_sum(r), 5006.9542912525239);
+  EXPECT_EQ(fnv1a_floats(r.final_model), 0x57196e54404989dcULL);
 }
 
 TEST(Simulator, BatchedPlaintextDrainMatchesPerUpdateDrain) {
