@@ -34,6 +34,11 @@
 #      and a peak_rss_mb= line.  A reseed that silently dropped a sweep
 #      (quick mode, OOM, a scoped-down row list) would otherwise go
 #      unnoticed.
+#   9. No wall clock in tier-1 tests: tests/*_test.cpp must not read
+#      std::chrono::steady_clock, system_clock or high_resolution_clock, so
+#      a pass or fail never depends on how loaded the host is.  Timing
+#      belongs in bench/.  A line carrying a `wallclock-exempt` marker is
+#      allowed (say why on it).
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -151,6 +156,15 @@ ten-million-device headline; reseed with scripts/bench.sh macro_population)"
     fail "BENCH_macro_population.json has no peak_rss_mb= line (the million-device \
 memory acceptance artifact)"
   fi
+fi
+
+# --- 9. no wall clock in tier-1 tests --------------------------------------
+hits=$(grep -nE '(steady_clock|system_clock|high_resolution_clock)' tests/*_test.cpp \
+  | grep -v 'wallclock-exempt' || true)
+if [[ -n "$hits" ]]; then
+  fail_with_hits "wall clock read in a tier-1 test (its verdict would depend on host \
+load; time it in bench/, or add a '// wallclock-exempt: <why>' marker on the line)" \
+    "$hits"
 fi
 
 if [[ $failures -gt 0 ]]; then

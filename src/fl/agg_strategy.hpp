@@ -1,323 +1,28 @@
 #pragma once
-// Pluggable aggregation strategies for the server-side weighted-sum fold
-// (Sec. 6.3, scaled past its fixed topology).
-//
-// PR 2 froze the hot fold's shape per task: vnode ring -> per-shard queue ->
-// per-shard ParallelAggregator pool, each worker folding into a mutex-guarded
-// intermediate.  That layout is right for one operating point and wrong for
-// others: small updates pay a lock acquisition per fold that costs more than
-// the fold itself, and large updates pay a full deserialize-copy before the
-// first multiply.  This module rips the fold out of the pool and makes it a
-// strategy, after Leis et al.'s morsel-driven aggregation (SIGMOD '14) and
-// the adaptive GROUP-BY engines that re-pick their plan from runtime stats:
-//
-//  - kLocked: the PR-2 baseline, unchanged — deserialize, clip, fold into
-//    intermediate `worker % partitions` under that partition's mutex.
-//  - kMorsel: thread-local pre-aggregation.  Each worker folds its drained
-//    runs ("morsels") into a private accumulator with no lock at all,
-//    reading the float payload straight out of the serialized bytes (the
-//    wire format is little-endian IEEE-754, so on LE hosts the fold is
-//    zero-copy — no ModelUpdate materialization).  Locals spill into
-//    mutex-guarded global partitions on memory pressure (the degenerate
-//    group-count-1 analogue of Leis's hash-table overflow) or every
-//    `morsel_spill_every` folds when configured; everything merges at
-//    reduce time.
-//  - kStriped: contention-avoiding fold for small updates.  One shared
-//    accumulator of relaxed std::atomic<float>, folded element-wise with no
-//    mutex; each worker starts at its own cache-line stripe so pools don't
-//    march in lockstep on the same line.
-//
-// A lightweight AggStats block (relaxed atomic counters: update size,
-// arrival, queue depth, lock contention, spills) feeds decide_strategy(),
-// the adaptive picker used when a task runs `aggregation_strategy = auto`.
-// The picker re-decides per drained buffer; switches are exact because the
-// pool keeps every strategy's accumulator alive and the reduce merges them
-// all — an update folded under strategy A before a switch is merged from
-// A's accumulator, never lost or double-counted.
-//
-// Exactness contract: with a single-worker pool every strategy performs the
-// same float operations in the same FIFO order and the reduce normalizes the
-// single accumulator identically, so results are bit-identical across
-// strategies (tests/agg_strategy_test.cpp pins this).  Multi-worker pools
-// are order-nondeterministic under every strategy (as in the PR-2 baseline);
-// conservation suites use exact-in-float values there.
+// Names kept only so the traced benchmark binary still links: nothing else
+// uses them.  benchmark/trace_wraps.cpp includes this header, switches over
+// AggStrategy's four enumerators and wraps decide_strategy by its mangled
+// name.  The aggregation pool has one fold (fl/parallel_agg.hpp), so there
+// is no strategy to pick: decide_strategy returns `current`, nothing calls
+// it, and the traced fl.fold.pick.* counts read 0.  Delete this header and
+// agg_strategy.cpp together with the wrap.
 
-#include <atomic>
-#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <optional>
-#include <span>
-#include <string_view>
-#include <vector>
-
-#include "util/bytes.hpp"
 
 namespace papaya::fl {
 
-/// Which fold backend a task's aggregation pipelines use
-/// (TaskConfig::aggregation_strategy).  kAuto lets the AggStats-driven
-/// picker re-decide per drained buffer; the rest force one backend.
+struct AggStatsSnapshot;
+
 enum class AggStrategy : std::uint8_t {
   kAuto = 0,
-  kLocked = 1,   ///< PR-2 baseline: per-partition mutex-guarded intermediates
-  kMorsel = 2,   ///< thread-local pre-aggregation, spill to global partitions
-  kStriped = 3,  ///< shared atomic<float> fold, cache-line-striped starts
+  kLocked = 1,
+  kMorsel = 2,
+  kStriped = 3,
 };
 
-/// Number of forced (non-auto) fold backends.
-inline constexpr std::size_t kNumFoldStrategies = 3;
+struct AggTuning {};
 
-const char* to_string(AggStrategy strategy);
-std::optional<AggStrategy> parse_agg_strategy(std::string_view name);
-constexpr bool valid_agg_strategy(AggStrategy s) {
-  return s <= AggStrategy::kStriped;
-}
-
-/// One weighted partial sum (the Sec. 6.3 "intermediate aggregate").
-struct Intermediate {
-  std::vector<float> weighted_delta;  ///< sum of w_i * delta_i
-  double weight_sum = 0.0;
-  std::size_t count = 0;
-};
-
-/// A reduced aggregation buffer.  `mean_delta` holds the weighted mean after
-/// ParallelAggregator::reduce_and_reset(), or the raw weighted sum after
-/// reduce_and_reset_sums() (cross-shard combining).
-struct AggReduced {
-  std::vector<float> mean_delta;
-  double weight_sum = 0.0;
-  std::size_t count = 0;
-};
-
-/// One queued serialized update with its precomputed weight.
-struct QueuedUpdate {
-  util::Bytes bytes;
-  double weight = 0.0;
-};
-
-/// Point-in-time copy of the AggStats counters (or a window delta).
-struct AggStatsSnapshot {
-  std::uint64_t enqueued = 0;        ///< updates pushed into the queue
-  std::uint64_t enqueued_bytes = 0;  ///< serialized bytes pushed
-  std::uint64_t folded = 0;          ///< updates folded into an accumulator
-  std::uint64_t dropped = 0;         ///< malformed updates discarded
-  std::uint64_t lock_acquires = 0;   ///< partition-lock acquisitions
-  std::uint64_t lock_waits = 0;      ///< acquisitions that found the lock held
-  std::uint64_t spills = 0;          ///< morsel local -> global partition flushes
-  std::uint64_t max_queue_depth = 0; ///< high-water queue length
-  std::uint64_t reduces = 0;         ///< reduce_and_reset calls
-
-  /// Mean serialized update size in the window (0 when nothing arrived).
-  double avg_update_bytes() const {
-    return enqueued == 0 ? 0.0
-                         : static_cast<double>(enqueued_bytes) /
-                               static_cast<double>(enqueued);
-  }
-  /// Fraction of partition-lock acquisitions that hit a held lock.
-  double contention() const {
-    return lock_acquires == 0 ? 0.0
-                              : static_cast<double>(lock_waits) /
-                                    static_cast<double>(lock_acquires);
-  }
-};
-
-/// Cheap relaxed-atomic counter block on the aggregation hot path.  Writers
-/// (enqueue, workers, strategies) touch only relaxed atomics; readers take
-/// snapshots.  `windowed()` returns the delta since the last
-/// `advance_window()` — the adaptive picker re-decides per drained buffer
-/// from that window.
-class AggStats {
- public:
-  void on_enqueue(std::size_t bytes, std::size_t queue_depth) {
-    enqueued_.fetch_add(1, std::memory_order_relaxed);
-    enqueued_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    std::uint64_t depth = queue_depth;
-    std::uint64_t seen = max_queue_depth_.load(std::memory_order_relaxed);
-    while (depth > seen && !max_queue_depth_.compare_exchange_weak(
-                               seen, depth, std::memory_order_relaxed)) {
-    }
-  }
-  void on_folded(std::size_t n) {
-    folded_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void on_dropped(std::size_t n) {
-    dropped_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void on_lock(bool contended) {
-    lock_acquires_.fetch_add(1, std::memory_order_relaxed);
-    if (contended) lock_waits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void on_spill() { spills_.fetch_add(1, std::memory_order_relaxed); }
-  void on_reduce() { reduces_.fetch_add(1, std::memory_order_relaxed); }
-
-  AggStatsSnapshot snapshot() const {
-    AggStatsSnapshot s;
-    s.enqueued = enqueued_.load(std::memory_order_relaxed);
-    s.enqueued_bytes = enqueued_bytes_.load(std::memory_order_relaxed);
-    s.folded = folded_.load(std::memory_order_relaxed);
-    s.dropped = dropped_.load(std::memory_order_relaxed);
-    s.lock_acquires = lock_acquires_.load(std::memory_order_relaxed);
-    s.lock_waits = lock_waits_.load(std::memory_order_relaxed);
-    s.spills = spills_.load(std::memory_order_relaxed);
-    s.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
-    s.reduces = reduces_.load(std::memory_order_relaxed);
-    return s;
-  }
-
-  /// Counters accumulated since the last advance_window() (max_queue_depth
-  /// stays cumulative — it is a high-water mark, not a rate).
-  AggStatsSnapshot windowed() const {
-    AggStatsSnapshot s = snapshot();
-    s.enqueued -= window_enqueued_.load(std::memory_order_relaxed);
-    s.enqueued_bytes -= window_enqueued_bytes_.load(std::memory_order_relaxed);
-    s.folded -= window_folded_.load(std::memory_order_relaxed);
-    s.lock_acquires -= window_lock_acquires_.load(std::memory_order_relaxed);
-    s.lock_waits -= window_lock_waits_.load(std::memory_order_relaxed);
-    return s;
-  }
-
-  /// Start a new decision window (called at each reduce).
-  void advance_window() {
-    window_enqueued_.store(enqueued_.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-    window_enqueued_bytes_.store(
-        enqueued_bytes_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    window_folded_.store(folded_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    window_lock_acquires_.store(
-        lock_acquires_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    window_lock_waits_.store(lock_waits_.load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> enqueued_{0};
-  std::atomic<std::uint64_t> enqueued_bytes_{0};
-  std::atomic<std::uint64_t> folded_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> lock_acquires_{0};
-  std::atomic<std::uint64_t> lock_waits_{0};
-  std::atomic<std::uint64_t> spills_{0};
-  std::atomic<std::uint64_t> max_queue_depth_{0};
-  std::atomic<std::uint64_t> reduces_{0};
-  std::atomic<std::uint64_t> window_enqueued_{0};
-  std::atomic<std::uint64_t> window_enqueued_bytes_{0};
-  std::atomic<std::uint64_t> window_folded_{0};
-  std::atomic<std::uint64_t> window_lock_acquires_{0};
-  std::atomic<std::uint64_t> window_lock_waits_{0};
-};
-
-/// Strategy-layer tuning knobs (defaults match production behaviour; tests
-/// shrink them to force the rare paths).
-struct AggTuning {
-  /// Morsel locals flush into their global partition every this many folds;
-  /// 0 = spill only on memory pressure, merge locals at reduce time.
-  std::size_t morsel_spill_every = 0;
-  /// Total bytes the morsel strategy may spend on thread-local accumulators;
-  /// workers beyond the budget fold into the global partitions under locks
-  /// (the Leis overflow analogue for our group-count-1 aggregate).
-  std::size_t morsel_local_budget_bytes = 8ull << 20;
-  /// Serialized payloads at or below this are "small": the picker prefers
-  /// the striped atomic fold, whose per-element atomics beat a per-update
-  /// lock acquisition only when the update is cheap to fold.
-  std::size_t small_update_payload_bytes = 16ull << 10;
-};
-
-/// Everything a strategy needs from its owning pool.
-struct StrategyContext {
-  std::size_t model_size = 0;
-  std::size_t num_workers = 1;
-  std::size_t num_partitions = 1;  ///< intermediates / global partitions
-  float clip_norm = 0.0f;
-  AggTuning tuning;
-  AggStats* stats = nullptr;  ///< never null in practice (owned by the pool)
-};
-
-/// A bounds-checked view over one serialized ModelUpdate's float payload,
-/// used by the zero-copy strategies.  The wire format (ModelUpdate::
-/// serialize) is: client_id u64 | initial_version u64 | num_examples u64 |
-/// count u64 | count * f32, all little-endian.
-struct UpdateView {
-  const std::uint8_t* payload = nullptr;  ///< count * 4 bytes of LE f32 bits
-  std::size_t count = 0;
-
-  /// Parses `bytes`; returns nullopt unless the update is well-formed AND
-  /// carries exactly `expect` parameters (malformed updates are dropped, as
-  /// in ModelUpdate-based folding).
-  static std::optional<UpdateView> parse(const util::Bytes& bytes,
-                                         std::size_t expect);
-
-  float at(std::size_t i) const {
-    float v;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(&v, payload + 4 * i, 4);
-    } else {
-      const std::uint8_t* p = payload + 4 * i;
-      const std::uint32_t bits =
-          static_cast<std::uint32_t>(p[0]) |
-          (static_cast<std::uint32_t>(p[1]) << 8) |
-          (static_cast<std::uint32_t>(p[2]) << 16) |
-          (static_cast<std::uint32_t>(p[3]) << 24);
-      std::memcpy(&v, &bits, 4);
-    }
-    return v;
-  }
-
-  /// Decode the whole payload into `out` (out.size() == count).
-  void copy_to(std::span<float> out) const;
-};
-
-/// One interchangeable fold backend.  fold_run() is called by pool workers
-/// with the runs they drain; merge_and_reset() is called with the pool
-/// quiesced (no worker mid-fold — the pool's queue-mutex handshake provides
-/// the happens-before edge that makes locals and relaxed accumulators safe
-/// to read).
-class AggregationStrategy {
- public:
-  virtual ~AggregationStrategy() = default;
-  virtual AggStrategy kind() const = 0;
-
-  /// Fold a drained run in FIFO order.  Malformed updates are dropped and
-  /// counted in the pool's AggStats.
-  virtual void fold_run(std::size_t worker,
-                        std::span<const QueuedUpdate> run) = 0;
-
-  /// Add this strategy's raw weighted sums into `out` (sized model_size,
-  /// already initialized) and reset all accumulators.  Requires a quiesced
-  /// pool.
-  virtual void merge_and_reset(AggReduced& out) = 0;
-
-  /// Whether anything has been folded since the last merge (cheap; used to
-  /// skip merging untouched backends so single-strategy runs stay
-  /// bit-identical to the pre-strategy fold).
-  virtual bool touched() const = 0;
-};
-
-std::unique_ptr<AggregationStrategy> make_fold_strategy(
-    AggStrategy kind, const StrategyContext& context);
-
-/// The adaptive picker: re-decides the fold backend from a stats window.
-/// Decision table (documented in ARCHITECTURE.md):
-///
-///   | window signal                                     | choice   |
-///   |---------------------------------------------------|----------|
-///   | no traffic observed yet                           | current  |
-///   | single-worker pool (any traffic)                  | kMorsel  |
-///   | avg update <= tuning.small_update_payload_bytes   | kStriped |
-///   | otherwise (large updates)                         | kMorsel  |
-///
-/// Small updates folded by several workers are dominated by per-fold lock
-/// traffic, which the striped atomic fold removes; large updates are
-/// dominated by deserialize+fold bandwidth, which morsel locals fold
-/// zero-copy without any lock.  A single-worker pool has no contention to
-/// avoid, so per-element atomics are pure overhead there — morsel's
-/// lock-free local fold wins every shape.  The locked baseline is the
-/// startup state (before the first window has data) and the
-/// explicit-forced mode.
 AggStrategy decide_strategy(const AggStatsSnapshot& window,
                             AggStrategy current, const AggTuning& tuning,
                             std::size_t num_workers);

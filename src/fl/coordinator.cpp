@@ -62,13 +62,6 @@ void Coordinator::submit_task(const TaskConfig& config,
   // Normalize the shard count at the placement boundary so every layer
   // below (Aggregator pipelines, failover, recovery) sees the same value.
   if (placed.aggregator_shards == 0) placed.aggregator_shards = 1;
-  // Placement is the public registration API: reject a strategy outside the
-  // enum outright instead of letting Aggregator::assign_task throw after an
-  // owner was already picked.
-  if (!valid_agg_strategy(placed.aggregation_strategy)) {
-    throw std::invalid_argument(
-        "Coordinator: unknown aggregation strategy for task " + config.name);
-  }
   agg->assign_task(placed, std::move(initial_model), server_opt,
                    initial_version);
   TaskEntry entry;
@@ -89,11 +82,6 @@ void Coordinator::adopt_task(const TaskConfig& config,
   TaskEntry entry;
   entry.config = config;
   if (entry.config.aggregator_shards == 0) entry.config.aggregator_shards = 1;
-  // Adoption is the recovery path (a durable store may predate the strategy
-  // enum): clamp garbage to kAuto instead of refusing to recover the task.
-  if (!valid_agg_strategy(entry.config.aggregation_strategy)) {
-    entry.config.aggregation_strategy = AggStrategy::kAuto;
-  }
   entry.server_opt = server_opt;
   entry.reported_demand = 0;  // unknown until the owner's first report
   // aggregator_id stays empty: the task is unowned (and therefore not
@@ -106,13 +94,6 @@ std::size_t Coordinator::task_shards(const std::string& task) const {
   util::LockGuard lock(mutex_);
   const auto it = tasks_.find(task);
   return it == tasks_.end() ? 0 : it->second.config.aggregator_shards;
-}
-
-AggStrategy Coordinator::task_strategy(const std::string& task) const {
-  util::LockGuard lock(mutex_);
-  const auto it = tasks_.find(task);
-  return it == tasks_.end() ? AggStrategy::kAuto
-                            : it->second.config.aggregation_strategy;
 }
 
 void Coordinator::remove_task(const std::string& task) {

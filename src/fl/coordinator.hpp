@@ -115,10 +115,6 @@ class Coordinator {
   /// failover and recovery all preserve it.
   std::size_t task_shards(const std::string& task) const;
 
-  /// Fold strategy the Coordinator tracks for a task (validated at
-  /// submit_task, clamped to kAuto at adopt_task; kAuto for unknown tasks).
-  AggStrategy task_strategy(const std::string& task) const;
-
   // -- Client assignment (Sec. 6.2) ----------------------------------------
 
   /// Assign an available client to a random eligible task (capability match

@@ -3,57 +3,121 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "ml/math.hpp"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define PAPAYA_FOLD_X86 1
+#endif
+
 namespace papaya::fl {
 
-std::size_t ParallelAggregator::strategy_index(AggStrategy s) {
-  switch (s) {
-    case AggStrategy::kLocked:
-      return 0;
-    case AggStrategy::kMorsel:
-      return 1;
-    case AggStrategy::kStriped:
-      return 2;
-    case AggStrategy::kAuto:
-      break;
+// -- UpdateView --------------------------------------------------------------
+
+std::optional<UpdateView> UpdateView::parse(const util::Bytes& bytes,
+                                            std::size_t expect) {
+  // client_id u64 | initial_version u64 | num_examples u64 | count u64.
+  constexpr std::size_t kHeader = 32;
+  if (bytes.size() < kHeader) return std::nullopt;
+  std::uint64_t count = 0;
+  for (int i = 0; i < 8; ++i) {
+    count |= static_cast<std::uint64_t>(bytes[24 + i]) << (8 * i);
   }
-  // kAuto resolves to the locked baseline until the first stats window.
-  return 0;
+  if (count != expect) return std::nullopt;
+  // Division form so a hostile count cannot overflow the byte math.
+  if (count > (bytes.size() - kHeader) / 4) return std::nullopt;
+  UpdateView view;
+  view.payload = bytes.data() + kHeader;
+  view.count = static_cast<std::size_t>(count);
+  return view;
 }
+
+namespace {
+
+/// The body of UpdateView::fold_finite.  An element is a NaN or an infinity
+/// exactly when its eight exponent bits are all set.  No early exit, so the
+/// loop vectorizes; it vectorizes across elements, which leaves each sum's
+/// operations, and so its bits, unchanged.
+[[gnu::always_inline]] inline bool fold_finite_loop(float* out,
+                                                   const float* acc,
+                                                   const UpdateView& view,
+                                                   float w) {
+  constexpr std::uint32_t kExponent = 0x7f800000u;
+  std::uint32_t non_finite = 0;
+  for (std::size_t i = 0; i < view.count; ++i) {
+    const std::uint32_t bits = view.bits(i);
+    non_finite |=
+        static_cast<std::uint32_t>((bits & kExponent) == kExponent);
+    out[i] = acc[i] + w * std::bit_cast<float>(bits);
+  }
+  return non_finite == 0;
+}
+
+#ifdef PAPAYA_FOLD_X86
+bool cpu_has_avx2() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+  }();
+  return has;
+}
+#endif
+
+}  // namespace
+
+namespace detail {
+
+// UpdateView::fold_finite's two builds.  Not in a header:
+// tests/agg_strategy_test.cpp declares them to check both.
+bool fold_finite_portable(float* out, const float* acc, const UpdateView& view,
+                          float w) {
+  return fold_finite_loop(out, acc, view, w);
+}
+
+#ifdef PAPAYA_FOLD_X86
+// The same loop on 32-byte vectors.  On 16-byte ones the check's integer
+// operations made a 65,536-float fold 8-16% slower than the fold alone; on
+// these it is no slower.  The target adds AVX2 and not FMA, which would
+// contract acc + w * x and change bits.  Needs an AVX2 CPU.
+__attribute__((target("avx2"))) bool fold_finite_avx2(float* out,
+                                                      const float* acc,
+                                                      const UpdateView& view,
+                                                      float w) {
+  return fold_finite_loop(out, acc, view, w);
+}
+#endif
+
+}  // namespace detail
+
+bool UpdateView::fold_finite(float* out, const float* acc, float w) const {
+#ifdef PAPAYA_FOLD_X86
+  if (cpu_has_avx2()) return detail::fold_finite_avx2(out, acc, *this, w);
+#endif
+  return detail::fold_finite_portable(out, acc, *this, w);
+}
+
+void UpdateView::copy_to(std::span<float> out) const {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count > 0) std::memcpy(out.data(), payload, count * 4);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) out[i] = at(i);
+  }
+}
+
+// -- ParallelAggregator ------------------------------------------------------
 
 ParallelAggregator::ParallelAggregator(std::size_t model_size,
                                        std::size_t num_threads,
-                                       std::size_t num_intermediates,
                                        float clip_norm,
-                                       std::size_t drain_batch,
-                                       AggStrategy strategy,
-                                       const AggTuning& tuning)
+                                       std::size_t drain_batch)
     : model_size_(model_size),
-      tuning_(tuning),
-      configured_(strategy),
-      active_(strategy_index(strategy)) {
+      clip_norm_(clip_norm),
+      drain_batch_(drain_batch == 0 ? 1 : drain_batch),
+      intermediates_(num_threads == 0 ? 1 : num_threads) {
   if (model_size == 0) {
     throw std::invalid_argument("ParallelAggregator: model_size must be > 0");
   }
-  if (!valid_agg_strategy(strategy)) {
-    throw std::invalid_argument("ParallelAggregator: unknown strategy");
-  }
-  const std::size_t n = num_threads == 0 ? 1 : num_threads;
-  StrategyContext context;
-  context.model_size = model_size_;
-  context.num_workers = n;
-  context.num_partitions = num_intermediates == 0 ? 1 : num_intermediates;
-  context.clip_norm = clip_norm;
-  context.tuning = tuning_;
-  context.stats = &stats_;
-  // All three backends live for the pool's lifetime so mid-stream switches
-  // never migrate accumulator state; the locked baseline pre-allocates its
-  // intermediates (as the pre-strategy pool did), the others are lazy.
-  strategies_[0] = make_fold_strategy(AggStrategy::kLocked, context);
-  strategies_[1] = make_fold_strategy(AggStrategy::kMorsel, context);
-  strategies_[2] = make_fold_strategy(AggStrategy::kStriped, context);
-  drain_batch_ = drain_batch == 0 ? 1 : drain_batch;
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  workers_.reserve(intermediates_.size());
+  for (std::size_t i = 0; i < intermediates_.size(); ++i) {
     // Each worker's drain buffer is allocated here, on the constructing
     // thread, so a worker allocates nothing as it starts, and what a caller
     // sees allocated does not depend on when a worker is first scheduled.
@@ -75,41 +139,66 @@ ParallelAggregator::~ParallelAggregator() {
 }
 
 void ParallelAggregator::enqueue(util::Bytes serialized_update, double weight) {
-  const std::size_t bytes = serialized_update.size();
   {
     util::LockGuard lock(queue_mutex_);
     queue_.push_back(QueuedUpdate{std::move(serialized_update), weight});
-    // Recorded under the queue lock so a worker that observes the queued
-    // update also observes its stats: the adaptive picker then always sees
-    // a non-empty window before the first fold, making kAuto's strategy
-    // choice deterministic for single-worker pools (no update ever folds
-    // under the startup backend by racing the counter).
-    stats_.on_enqueue(bytes, queue_.size());
+    stats_.on_enqueue(queue_.size());
   }
   queue_cv_.notify_one();
 }
 
-void ParallelAggregator::force_strategy(AggStrategy strategy) {
-  if (!valid_agg_strategy(strategy)) {
-    throw std::invalid_argument("ParallelAggregator: unknown strategy");
+void ParallelAggregator::fold_run(Intermediate& inter,
+                                  std::span<const QueuedUpdate> run) {
+  std::size_t folded = 0;
+  for (const QueuedUpdate& queued : run) {
+    const auto view = UpdateView::parse(queued.bytes, model_size_);
+    if (!view) {
+      stats_.on_dropped(1);
+      continue;
+    }
+    if (inter.weighted_delta.empty()) {
+      inter.weighted_delta.assign(model_size_, 0.0f);
+      inter.scratch.resize(model_size_);
+    }
+    // A NaN or an infinity would make the aggregate non-finite, so such an
+    // update drops out like a malformed one.
+    const float w = static_cast<float>(queued.weight);
+    float* acc = inter.weighted_delta.data();
+    float* x = inter.scratch.data();
+    if (clip_norm_ > 0.0f) {
+      // The clip rescales the whole vector, so it runs on a copy; its norm
+      // is non-finite exactly when an element is.
+      view->copy_to(inter.scratch);
+      if (!ml::clip_norm(inter.scratch, clip_norm_)) {
+        stats_.on_dropped(1);
+        continue;
+      }
+      for (std::size_t i = 0; i < model_size_; ++i) acc[i] += w * x[i];
+    } else {
+      // One pass over the wire bytes: fold into the scratch buffer, checking
+      // every element on the way, and keep the result only if all were
+      // finite.  A separate scan first would read the payload twice.
+      if (!view->fold_finite(x, acc, w)) {
+        stats_.on_dropped(1);
+        continue;
+      }
+      inter.weighted_delta.swap(inter.scratch);
+    }
+    inter.weight_sum += queued.weight;
+    ++inter.count;
+    ++folded;
   }
-  configured_.store(strategy, std::memory_order_relaxed);
-  if (strategy != AggStrategy::kAuto) {
-    active_.store(strategy_index(strategy), std::memory_order_relaxed);
-  }
-}
-
-AggStrategy ParallelAggregator::active_strategy() const {
-  return strategies_[active_.load(std::memory_order_relaxed)]->kind();
+  if (folded > 0) stats_.on_folded(folded);
 }
 
 void ParallelAggregator::worker_loop(std::size_t worker_index,
                                      std::vector<QueuedUpdate> run) {
+  Intermediate& inter = intermediates_[worker_index];
   for (;;) {
     // Drain up to drain_batch_ queued updates in one queue-lock acquisition
     // (TaskConfig::aggregation_batch_size).  The run is folded in FIFO order
     // by one worker, so batching changes only lock traffic, not which folds
-    // happen or their per-accumulator order.
+    // happen or their order within an intermediate.
     run.clear();
     {
       util::LockGuard lock(queue_mutex_);
@@ -126,22 +215,7 @@ void ParallelAggregator::worker_loop(std::size_t worker_index,
       inflight_ += take;
     }
 
-    // Adaptive re-decision per drained run (Snippet-2 discipline): a cheap
-    // relaxed read of the stats window; forced modes skip the picker.  The
-    // worker folds this whole run under whichever backend it loads here —
-    // a concurrent switch affects later runs, and the reduce merges every
-    // touched backend, so no update is lost across a switch.
-    if (configured_.load(std::memory_order_relaxed) == AggStrategy::kAuto) {
-      const std::size_t current = active_.load(std::memory_order_relaxed);
-      const AggStrategy next = decide_strategy(
-          stats_.windowed(), strategies_[current]->kind(), tuning_,
-          workers_.size());
-      if (strategy_index(next) != current) {
-        active_.store(strategy_index(next), std::memory_order_relaxed);
-      }
-    }
-    strategies_[active_.load(std::memory_order_relaxed)]->fold_run(
-        worker_index, run);
+    fold_run(inter, run);
 
     {
       util::LockGuard lock(queue_mutex_);
@@ -160,15 +234,16 @@ void ParallelAggregator::drain() {
 }
 
 ParallelAggregator::Reduced ParallelAggregator::reduce_and_reset_sums() {
-  // Quiesce the pool before touching the accumulators.  The drained
+  // Quiesce the pool before touching the intermediates.  The drained
   // predicate and the pause flag are evaluated/set under one queue_mutex_
   // critical section: everything enqueued before this call is folded, and
   // workers cannot pick up anything enqueued after, so a racing enqueue
   // lands intact in the *next* buffer instead of being folded into an
-  // accumulator that this reduce already summed-and-reset.  The same
-  // handshake is the happens-before edge that makes the strategies' plain
-  // thread-local state safe to merge here.  Waiting for !paused_ as well
-  // admits one reducer at a time: two would merge the same accumulators and
+  // intermediate that this reduce already summed-and-reset.  The same
+  // handshake is the happens-before edge that makes the workers' plain
+  // intermediates safe to read here, and the release below is the edge that
+  // orders the reset before their next fold.  Waiting for !paused_ as well
+  // admits one reducer at a time: two would merge the same intermediates and
   // count their updates twice.
   {
     util::LockGuard lock(queue_mutex_);
@@ -178,17 +253,22 @@ ParallelAggregator::Reduced ParallelAggregator::reduce_and_reset_sums() {
     });
     paused_ = true;
   }
+  // Worker order, untouched intermediates skipped: a single-worker pool's
+  // sum is its one intermediate added to zeros.
   Reduced out;
   out.mean_delta.assign(model_size_, 0.0f);
-  // Fixed merge order (locked, morsel, striped), untouched backends
-  // skipped: a buffer folded under one strategy reduces bit-identically to
-  // a pool that only ever had that strategy, and a mid-stream switch merges
-  // each update from exactly the accumulator it was folded into.
-  for (auto& strategy : strategies_) {
-    if (strategy->touched()) strategy->merge_and_reset(out);
+  for (Intermediate& inter : intermediates_) {
+    if (inter.count == 0) continue;
+    for (std::size_t i = 0; i < model_size_; ++i) {
+      out.mean_delta[i] += inter.weighted_delta[i];
+    }
+    out.weight_sum += inter.weight_sum;
+    out.count += inter.count;
+    std::fill(inter.weighted_delta.begin(), inter.weighted_delta.end(), 0.0f);
+    inter.weight_sum = 0.0;
+    inter.count = 0;
   }
   stats_.on_reduce();
-  stats_.advance_window();
   {
     util::LockGuard lock(queue_mutex_);
     paused_ = false;

@@ -10,62 +10,159 @@
 //  intermediate aggregation is hashed to choose one of the intermediate
 //  aggregates."
 //
-// This module keeps the paper's queue + worker-pool shape, but the fold
-// itself is pluggable (fl::AggregationStrategy, src/fl/agg_strategy.hpp):
-// the locked per-intermediate baseline above, a morsel-driven thread-local
-// pre-aggregation, or a striped atomic fold.  One deliberate deviation from
-// the paper's wording survives in the locked baseline: instead of hashing
-// the worker's *thread id* onto an intermediate (which gives no collision
-// guarantee — std::hash<std::thread::id> routinely mapped whole pools onto a
-// single slot, serializing every fold behind one mutex), each worker takes
-// `worker_index % num_intermediates`.  That realizes the same
-// lock-contention trick with a deterministic, guaranteed-even spread.
+// This module keeps the paper's queue + worker-pool shape and takes its
+// contention trick to the limit, after Leis et al.'s morsel-driven
+// aggregation (SIGMOD '14): every worker owns one intermediate aggregate, so
+// a fold takes no lock at all.  A worker drains a run of queued updates and
+// folds each straight from its serialized bytes (the wire format is
+// little-endian IEEE-754, so on LE hosts the fold reads the payload in
+// place; no ModelUpdate is materialized).  An update of the wrong length, a
+// truncated one, or one holding a NaN or an infinity is dropped and counted,
+// so one hostile update cannot make the aggregate non-finite.  The reduce
+// adds the touched intermediates, in worker order, into a zeroed sum.
 //
-// When constructed with AggStrategy::kAuto, each worker re-reads the
-// AggStats window before folding a drained run and may switch the active
-// strategy (decide_strategy's table).  Switches are exact: all three
-// strategy accumulators stay alive, an update is folded into exactly one of
-// them, and reduce_and_reset() merges every touched strategy in a fixed
-// order — so mid-stream switches conserve sums bit-for-bit.
+// Exactness: a single-worker pool folds in FIFO order, so its result is a
+// pure function of the enqueued updates.  Multi-worker pools split the
+// updates across intermediates nondeterministically; conservation suites
+// use exact-in-float values there.
 //
 // reduce_and_reset() is safe against concurrent enqueue(): the reduce
 // quiesces the pool (drains, then pauses workers under the queue lock) so an
 // update enqueued mid-reduce lands in the *next* buffer instead of being
-// folded into an accumulator that was already summed-and-reset.  Concurrent
-// reduces take turns on the same pause flag, so each update is counted by
-// exactly one of them.
+// folded into an intermediate that was already summed-and-reset.  The same
+// handshake is the happens-before edge that lets the reduce read the
+// workers' lock-free intermediates.  Concurrent reduces take turns on the
+// pause flag, so each update is counted by exactly one of them.
 
-#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <deque>
-#include <functional>
-#include <memory>
+#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
-#include "fl/agg_strategy.hpp"
 #include "util/bytes.hpp"
 #include "util/sync.hpp"
 
 namespace papaya::fl {
 
+/// A reduced aggregation buffer.  `mean_delta` holds the weighted mean after
+/// ParallelAggregator::reduce_and_reset(), or the raw weighted sum after
+/// reduce_and_reset_sums() (cross-shard combining).
+struct AggReduced {
+  std::vector<float> mean_delta;
+  double weight_sum = 0.0;
+  std::size_t count = 0;
+};
+
+/// One queued serialized update with its precomputed weight.
+struct QueuedUpdate {
+  util::Bytes bytes;
+  double weight = 0.0;
+};
+
+/// Point-in-time copy of a pool's AggStats counters.
+struct AggStatsSnapshot {
+  std::uint64_t enqueued = 0;         ///< updates pushed into the queue
+  std::uint64_t folded = 0;           ///< updates folded into an intermediate
+  std::uint64_t dropped = 0;          ///< malformed or non-finite updates
+  std::uint64_t max_queue_depth = 0;  ///< high-water queue length
+  std::uint64_t reduces = 0;          ///< reduce_and_reset calls
+};
+
+/// Relaxed-atomic counters on the aggregation hot path.  Writers (enqueue,
+/// workers) touch only relaxed atomics; readers take snapshots.  After a
+/// drain, folded + dropped == enqueued.
+class AggStats {
+ public:
+  void on_enqueue(std::size_t queue_depth) {
+    enqueued_.fetch_add(1, std::memory_order_relaxed);
+    std::uint64_t depth = queue_depth;
+    std::uint64_t seen = max_queue_depth_.load(std::memory_order_relaxed);
+    while (depth > seen && !max_queue_depth_.compare_exchange_weak(
+                               seen, depth, std::memory_order_relaxed)) {
+    }
+  }
+  void on_folded(std::size_t n) {
+    folded_.fetch_add(n, std::memory_order_relaxed);
+  }
+  void on_dropped(std::size_t n) {
+    dropped_.fetch_add(n, std::memory_order_relaxed);
+  }
+  void on_reduce() { reduces_.fetch_add(1, std::memory_order_relaxed); }
+
+  AggStatsSnapshot snapshot() const {
+    AggStatsSnapshot s;
+    s.enqueued = enqueued_.load(std::memory_order_relaxed);
+    s.folded = folded_.load(std::memory_order_relaxed);
+    s.dropped = dropped_.load(std::memory_order_relaxed);
+    s.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
+    s.reduces = reduces_.load(std::memory_order_relaxed);
+    return s;
+  }
+
+ private:
+  std::atomic<std::uint64_t> enqueued_{0};
+  std::atomic<std::uint64_t> folded_{0};
+  std::atomic<std::uint64_t> dropped_{0};
+  std::atomic<std::uint64_t> max_queue_depth_{0};
+  std::atomic<std::uint64_t> reduces_{0};
+};
+
+/// A bounds-checked view over one serialized ModelUpdate's float payload,
+/// read in place by the fold.  The wire format (ModelUpdate::serialize) is:
+/// client_id u64 | initial_version u64 | num_examples u64 | count u64 |
+/// count * f32, all little-endian.
+struct UpdateView {
+  const std::uint8_t* payload = nullptr;  ///< count * 4 bytes of LE f32 bits
+  std::size_t count = 0;
+
+  /// Parses `bytes`; returns nullopt unless the update is well-formed AND
+  /// carries exactly `expect` parameters (malformed updates are dropped, as
+  /// in ModelUpdate-based folding).
+  static std::optional<UpdateView> parse(const util::Bytes& bytes,
+                                         std::size_t expect);
+
+  /// Element `i`'s IEEE-754 bit pattern.
+  std::uint32_t bits(std::size_t i) const {
+    std::uint32_t v;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, payload + 4 * i, 4);
+    } else {
+      const std::uint8_t* p = payload + 4 * i;
+      v = static_cast<std::uint32_t>(p[0]) |
+          (static_cast<std::uint32_t>(p[1]) << 8) |
+          (static_cast<std::uint32_t>(p[2]) << 16) |
+          (static_cast<std::uint32_t>(p[3]) << 24);
+    }
+    return v;
+  }
+
+  float at(std::size_t i) const { return std::bit_cast<float>(bits(i)); }
+
+  /// out[i] = acc[i] + w * at(i) for every element, in one pass.  Returns
+  /// false, leaving `out` unspecified, if an element is a NaN or an
+  /// infinity.  `out` and `acc` hold `count` floats and do not overlap.
+  bool fold_finite(float* out, const float* acc, float w) const;
+
+  /// Decode the whole payload into `out` (out.size() == count).
+  void copy_to(std::span<float> out) const;
+};
+
 class ParallelAggregator {
  public:
-  /// `clip_norm` > 0 rescales each deserialized delta to at most that L2
-  /// norm before aggregation (per-update clipping for differential
-  /// privacy).  `drain_batch` is the number of queued updates a worker pops
-  /// per wakeup (>= 1): one queue-lock acquisition and one fold-lock
-  /// acquisition amortize over the whole run, and each popped run is folded
-  /// in FIFO order, so the folds are the same as per-update draining would
-  /// perform.  `strategy` picks the fold backend; the default keeps the
-  /// locked baseline so direct constructions behave exactly as before this
-  /// layer existed (TaskConfig-driven call sites pass kAuto).
+  /// `num_threads` workers (0 normalized to 1), each folding into its own
+  /// intermediate.  `clip_norm` > 0 rescales each delta to at most that L2
+  /// norm before aggregation (per-update clipping for differential privacy).
+  /// `drain_batch` is the number of queued updates a worker pops per wakeup
+  /// (0 normalized to 1): one queue-lock acquisition amortizes over the
+  /// whole run, and each popped run is folded in FIFO order, so the folds
+  /// are the same as per-update draining would perform.
   ParallelAggregator(std::size_t model_size, std::size_t num_threads,
-                     std::size_t num_intermediates, float clip_norm = 0.0f,
-                     std::size_t drain_batch = 1,
-                     AggStrategy strategy = AggStrategy::kLocked,
-                     const AggTuning& tuning = {});
+                     float clip_norm = 0.0f, std::size_t drain_batch = 1);
   ~ParallelAggregator();
 
   ParallelAggregator(const ParallelAggregator&) = delete;
@@ -74,12 +171,11 @@ class ParallelAggregator {
   /// Push one serialized update with its precomputed weight into the queue.
   void enqueue(util::Bytes serialized_update, double weight);
 
-  /// Block until the queue is drained and all in-flight work has been folded
-  /// into the active strategy's accumulators.
+  /// Block until the queue is drained and all in-flight work has been folded.
   void drain();
 
-  /// Drain, then reduce every touched strategy into (weighted mean delta,
-  /// total weight, count), and reset for the next buffer.
+  /// Drain, then reduce the intermediates into (weighted mean delta, total
+  /// weight, count), and reset for the next buffer.
   using Reduced = AggReduced;
   Reduced reduce_and_reset();
 
@@ -91,60 +187,45 @@ class ParallelAggregator {
 
   std::size_t queued_or_inflight() const;
 
-  /// Change the fold backend mid-stream.  kAuto re-enables the adaptive
-  /// picker; a concrete strategy pins it.  Safe under concurrent enqueue and
-  /// fold: updates already folded under the old strategy are merged from its
-  /// accumulator at the next reduce.
-  void force_strategy(AggStrategy strategy);
-
-  /// The strategy the pool was configured with (kAuto or a forced mode).
-  AggStrategy configured_strategy() const {
-    return configured_.load(std::memory_order_relaxed);
-  }
-  /// The concrete fold backend new runs are folded with right now (never
-  /// kAuto).
-  AggStrategy active_strategy() const;
-
   /// Hot-path counters (cumulative since construction).
   AggStatsSnapshot stats_snapshot() const { return stats_.snapshot(); }
 
-  /// The intermediate a locked-baseline pool worker folds into.
-  /// Index-based (not thread-id-hashed) so the spread over intermediates is
-  /// guaranteed even; exposed for tests documenting that guarantee.
-  static constexpr std::size_t intermediate_slot(std::size_t worker_index,
-                                                 std::size_t num_intermediates) {
-    return num_intermediates == 0 ? 0 : worker_index % num_intermediates;
-  }
-
  private:
+  /// One worker's intermediate aggregate.  Only that worker touches it
+  /// between reduces, and only the quiesced reduce touches it otherwise, so
+  /// it needs no lock.  Cache-line aligned so neighbouring workers' counters
+  /// never share a line.
+  struct alignas(64) Intermediate {
+    std::vector<float> weighted_delta;  ///< sum of w_i * delta_i; sized on
+                                        ///< the worker's first fold
+    /// The clipped delta (clip_norm > 0), or the unclipped fold's result
+    /// until the update proves finite and the two buffers swap.
+    std::vector<float> scratch;
+    double weight_sum = 0.0;
+    std::size_t count = 0;
+  };
+
   /// `run` is the worker's drain buffer, reserved to drain_batch_.
   void worker_loop(std::size_t worker_index, std::vector<QueuedUpdate> run);
-  static std::size_t strategy_index(AggStrategy s);
+  /// Fold a drained run in FIFO order into `inter`.  Malformed and
+  /// non-finite updates are dropped and counted.
+  void fold_run(Intermediate& inter, std::span<const QueuedUpdate> run);
 
   const std::size_t model_size_;
-  const AggTuning tuning_;
-  std::size_t drain_batch_ = 1;
+  const float clip_norm_;
+  const std::size_t drain_batch_;
   AggStats stats_;
-  /// The three fold backends, all alive for the pool's lifetime (morsel and
-  /// striped allocate lazily) so a mid-stream switch never moves state:
-  /// index 0 = locked, 1 = morsel, 2 = striped — also the fixed merge order
-  /// at reduce time.
-  std::array<std::unique_ptr<AggregationStrategy>, kNumFoldStrategies>
-      strategies_;
-  std::atomic<AggStrategy> configured_;
-  std::atomic<std::size_t> active_;
+  std::vector<Intermediate> intermediates_;  ///< one per worker
 
-  /// Lock hierarchy: queue_mutex_ is level 1 — workers release it before
-  /// folding into a strategy's level-0 partition lock, and the reduce path's
-  /// quiesce handshake guarantees the two levels are never held together
-  /// (see util/sync.hpp for the full hierarchy).
+  /// Lock hierarchy: queue_mutex_ is level 1 and the only lock the pool
+  /// has; workers release it before folding (see util/sync.hpp).
   mutable util::Mutex queue_mutex_;
   util::CondVar queue_cv_;
   util::CondVar drained_cv_;
   std::deque<QueuedUpdate> queue_ PAPAYA_GUARDED_BY(queue_mutex_);
   std::size_t inflight_ PAPAYA_GUARDED_BY(queue_mutex_) = 0;
   bool stopping_ PAPAYA_GUARDED_BY(queue_mutex_) = false;
-  /// True while reduce_and_reset() reads/resets the accumulators; workers
+  /// True while reduce_and_reset() reads/resets the intermediates; workers
   /// leave the queue untouched so mid-reduce enqueues survive into the next
   /// buffer, and other reducers wait their turn.
   bool paused_ PAPAYA_GUARDED_BY(queue_mutex_) = false;

@@ -29,32 +29,24 @@ namespace papaya::fl {
 // Lock hierarchy (util/sync.hpp): the ShardedAggregator holds no lock of its
 // own — shards are fixed at construction and routing is a pure consistent
 // hash — so every synchronization need delegates to the per-shard
-// ParallelAggregator (queue_mutex_, level 1) and its strategy leaf locks.
+// ParallelAggregator (queue_mutex_, level 1).
 class ShardedAggregator {
  public:
   struct Config {
     std::size_t model_size = 0;
     /// Independent ParallelAggregator shards (0 normalized to 1).
     std::size_t num_shards = 1;
-    /// Worker threads per shard (the Sec. 6.3 pool).
+    /// Worker threads per shard (the Sec. 6.3 pool), each folding into its
+    /// own intermediate.
     std::size_t threads_per_shard = 1;
-    /// Intermediate partial sums per shard; 0 means one per worker.
-    std::size_t intermediates_per_shard = 0;
     /// Ring virtual nodes per shard (placement evenness knob).
     std::size_t vnodes_per_shard = 64;
     /// Per-update L2 clip applied by every shard (0 disables).
     float clip_norm = 0.0f;
     /// Queued updates a shard worker pops per wakeup (0 normalized to 1):
-    /// TaskConfig::aggregation_batch_size, amortizing queue and
-    /// intermediate lock traffic without changing the folds.
+    /// TaskConfig::aggregation_batch_size, amortizing queue-lock traffic
+    /// without changing the folds.
     std::size_t drain_batch = 1;
-    /// Fold backend every shard's pool uses (TaskConfig::
-    /// aggregation_strategy).  kLocked by default so direct constructions
-    /// keep the pre-strategy behaviour; kAuto enables the per-shard
-    /// adaptive picker.
-    AggStrategy strategy = AggStrategy::kLocked;
-    /// Strategy-layer tuning (shared by all shards).
-    AggTuning tuning;
   };
 
   explicit ShardedAggregator(const Config& config);
@@ -85,22 +77,12 @@ class ShardedAggregator {
   /// Updates not yet folded, summed over shards (point-in-time snapshot).
   std::size_t queued_or_inflight() const;
 
-  /// Switch every shard's fold backend mid-stream (kAuto re-enables the
-  /// adaptive picker).  Exact: already-folded updates merge from the old
-  /// backend's accumulators at the next reduce.
-  void force_strategy(AggStrategy strategy);
-
-  /// The concrete backend one shard's pool is folding with right now.
-  AggStrategy shard_active_strategy(std::size_t shard) const {
-    return shards_[shard]->active_strategy();
-  }
-
   /// Hot-path counters summed over shards (max_queue_depth is the max).
   AggStatsSnapshot stats_snapshot() const;
 
   /// One shard's counters (test hook: the FSM harness asserts per-shard
-  /// update conservation — enqueued == folded, dropped == 0 — after a
-  /// quiesce drain, not just the cross-shard sum).
+  /// update conservation — enqueued == folded + dropped — after a quiesce
+  /// drain, not just the cross-shard sum).
   AggStatsSnapshot shard_stats(std::size_t shard) const {
     return shards_[shard]->stats_snapshot();
   }

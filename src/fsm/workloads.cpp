@@ -461,7 +461,6 @@ fl::ShardedAggregator::Config sharded_config(
   out.num_shards = config.shards;
   out.threads_per_shard = config.threads_per_shard;
   out.drain_batch = config.drain_batch;
-  out.strategy = fl::AggStrategy::kAuto;
   return out;
 }
 
@@ -508,7 +507,6 @@ void ShardedAggWorkload::credit_reduce(
 std::vector<StateDef> ShardedAggWorkload::states() {
   const auto transitions = menu({{"enqueue", 4.0},
                                  {"burst", 1.5},
-                                 {"switch_strategy", 1.0},
                                  {"reduce", 1.0},
                                  {"drain", 0.5}});
   std::vector<StateDef> states;
@@ -521,16 +519,6 @@ std::vector<StateDef> ShardedAggWorkload::states() {
                       for (int i = 0; i < 8; ++i) enqueue_one(ctx);
                     },
                     transitions});
-
-  states.push_back(
-      {"switch_strategy",
-       [this](StepContext& ctx) {
-         static constexpr fl::AggStrategy kChoices[] = {
-             fl::AggStrategy::kLocked, fl::AggStrategy::kMorsel,
-             fl::AggStrategy::kStriped, fl::AggStrategy::kAuto};
-         agg_.force_strategy(kChoices[ctx.rng().uniform_int(4)]);
-       },
-       transitions});
 
   states.push_back(
       {"reduce",
@@ -569,7 +557,7 @@ void ShardedAggWorkload::check_quiesce(std::uint64_t step,
     invariants.fail(name(), 0, step,
                     "update conservation broke: " + std::to_string(enqueued) +
                         " enqueued vs " + std::to_string(reduced) +
-                        " reduced across shards and strategy switches");
+                        " reduced across shards");
   }
   if (enqueued_weight_units_.load(std::memory_order_relaxed) !=
       reduced_weight_units_.load(std::memory_order_relaxed)) {

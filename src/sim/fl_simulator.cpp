@@ -87,16 +87,8 @@ FlSimulator::FlSimulator(SimulationConfig config)
   coordinator_ = std::make_unique<fl::Coordinator>(config_.seed);
   // Sharding is a task property: normalize it once here so the Coordinator,
   // the owning Aggregator's pipelines, and any failover replacement all see
-  // the same shard count.  The fold strategy is normalized the same way (an
-  // out-of-enum value falls back to adaptive); with the simulator's
-  // single-threaded pools every strategy folds each shard's queue in
-  // arrival order, so trajectories stay bit-for-bit reproducible under any
-  // strategy — forced or adaptive, switches included (the strategy
-  // equivalence suite in tests/sim_test.cpp pins this).
+  // the same shard count.
   if (config_.task.aggregator_shards == 0) config_.task.aggregator_shards = 1;
-  if (!fl::valid_agg_strategy(config_.task.aggregation_strategy)) {
-    config_.task.aggregation_strategy = fl::AggStrategy::kAuto;
-  }
   for (std::size_t i = 0; i < std::max<std::size_t>(1, config_.num_aggregators);
        ++i) {
     // Single-threaded worker pools per aggregation shard: stream-to-shard
@@ -426,6 +418,7 @@ void FlSimulator::handle_check_in(std::size_t device, double now) {
   Participation& part = part_pool_[acquire_slot(device)];
   ++devices_[device].generation;
   part.version_at_join = join.model_version;
+  part.num_examples = profile.num_examples;
   part.join_time = now;
   const std::vector<float>& model = aggregator->model(assignment->task);
   part.model_snapshot.assign(model.begin(), model.end());
@@ -505,18 +498,17 @@ void FlSimulator::end_participation(std::size_t device, double now,
 void FlSimulator::handle_dropout(std::size_t device, std::uint64_t generation,
                                  double now) {
   if (!participating(device) || devices_[device].generation != generation) return;
-  Participation& part = participation(device);
-
-  const DeviceProfile profile = population_->profile(device);
+  const Participation& part = participation(device);
+  const auto client_id = static_cast<std::uint64_t>(device);
   if (fl::Aggregator* owner = route_to_owner(device); owner != nullptr) {
-    owner->client_failed(config_.task.name, profile.id, now);
+    owner->client_failed(config_.task.name, client_id, now);
   }
 
   ParticipationRecord rec;
-  rec.client_id = profile.id;
+  rec.client_id = client_id;
   rec.start_time = part.join_time;
   rec.exec_time_s = part.exec_time;
-  rec.num_examples = profile.num_examples;
+  rec.num_examples = part.num_examples;
   rec.dropped_out = true;
   note_participation(rec);
   end_participation(device, now, /*reschedule=*/true);
@@ -526,8 +518,7 @@ void FlSimulator::handle_completion(std::size_t device,
                                     std::uint64_t generation, double now) {
   if (!participating(device) || devices_[device].generation != generation) return;
   Participation& part = participation(device);
-
-  const DeviceProfile profile = population_->profile(device);
+  const auto client_id = static_cast<std::uint64_t>(device);
   fl::ClientRuntime& runtime = runtime_for(device);
 
   // Run the actual local training on the snapshot downloaded at join time.
@@ -535,9 +526,9 @@ void FlSimulator::handle_completion(std::size_t device,
   // expanded through xoshiro (SGD consumes thousands of draws), keyed like
   // every other stream.
   util::Rng train_rng(streams_.training_seed(
-      profile.id, static_cast<std::uint64_t>(devices_[device].generation)));
+      client_id, static_cast<std::uint64_t>(devices_[device].generation)));
   const fl::LocalTrainingResult training =
-      executor_->train(part.model_snapshot, part.version_at_join, profile.id,
+      executor_->train(part.model_snapshot, part.version_at_join, client_id,
                        runtime.store(), train_rng);
 
   fl::Aggregator* owner = route_to_owner(device);
@@ -555,17 +546,17 @@ void FlSimulator::handle_completion(std::size_t device,
     const auto secure_report =
         upload ? fl::SecureBufferManager::prepare_report(
                      aggregator.secure_platform(config_.task.name), *upload,
-                     profile.id, part.version_at_join,
+                     client_id, part.version_at_join,
                      training.update.num_examples,
                      aggregator.secure_update_weight(
                          config_.task.name, training.update.num_examples),
-                     training.update.delta, config_.seed ^ profile.id)
+                     training.update.delta, config_.seed ^ client_id)
                : std::nullopt;
     if (secure_report) {
       report = aggregator.client_report_secure(config_.task.name,
                                                *secure_report, now);
     } else {
-      aggregator.client_failed(config_.task.name, profile.id, now);
+      aggregator.client_failed(config_.task.name, client_id, now);
       report.outcome = fl::ReportOutcome::kRejectedUnknown;
     }
   } else {
@@ -576,7 +567,7 @@ void FlSimulator::handle_completion(std::size_t device,
     // bit-identical chunk streams (guarded by tests/pipeline_test.cpp), so
     // the knob cannot change what the server folds.
     const std::uint64_t upload_session =
-        profile.id ^ static_cast<std::uint64_t>(devices_[device].generation);
+        client_id ^ static_cast<std::uint64_t>(devices_[device].generation);
     fl::ChunkAssembler assembler(upload_session);
     std::uint32_t chunks_sent = 0;
     if (config_.task.pipelined_clients) {
@@ -597,7 +588,7 @@ void FlSimulator::handle_completion(std::size_t device,
     }
     const auto reassembled = assembler.assemble();
     if (!reassembled) {
-      aggregator.client_failed(config_.task.name, profile.id, now);
+      aggregator.client_failed(config_.task.name, client_id, now);
       report.outcome = fl::ReportOutcome::kRejectedUnknown;
     } else {
       report = aggregator.client_report(config_.task.name, *reassembled, now);
@@ -609,10 +600,10 @@ void FlSimulator::handle_completion(std::size_t device,
 
   {
     ParticipationRecord rec;
-    rec.client_id = profile.id;
+    rec.client_id = client_id;
     rec.start_time = part.join_time;
     rec.exec_time_s = part.exec_time;
-    rec.num_examples = profile.num_examples;
+    rec.num_examples = part.num_examples;
     rec.update_applied = report.outcome == fl::ReportOutcome::kAccepted;
     rec.staleness =
         aggregator.model_version(config_.task.name) - part.version_at_join;
@@ -657,12 +648,11 @@ void FlSimulator::on_aborted_clients(const std::vector<std::uint64_t>& aborted,
     if (device >= devices_.size()) continue;
     if (!participating(device)) continue;
     const Participation& part = participation(device);
-    const DeviceProfile profile = population_->profile(device);
     ParticipationRecord rec;
     rec.client_id = client_id;
     rec.start_time = part.join_time;
     rec.exec_time_s = part.exec_time;
-    rec.num_examples = profile.num_examples;
+    rec.num_examples = part.num_examples;
     rec.update_applied = false;
     note_participation(rec);
     end_participation(device, now, /*reschedule=*/true);
@@ -713,12 +703,11 @@ void FlSimulator::handle_server_report_tick(double now) {
       const auto device = static_cast<std::size_t>(client_id);
       if (device < devices_.size() && participating(device)) {
         const Participation& part = participation(device);
-        const DeviceProfile profile = population_->profile(device);
         ParticipationRecord rec;
         rec.client_id = client_id;
         rec.start_time = part.join_time;
         rec.exec_time_s = part.exec_time;
-        rec.num_examples = profile.num_examples;
+        rec.num_examples = part.num_examples;
         rec.dropped_out = true;
         note_participation(rec);
         end_participation(device, now, /*reschedule=*/true);

@@ -224,6 +224,9 @@ class FlSimulator {
   struct Participation {
     std::vector<float> model_snapshot;  ///< params downloaded at join
     std::uint64_t version_at_join = 0;
+    /// The device profile's example count, read once at join; the client
+    /// id is the device index.
+    std::size_t num_examples = 0;
     double join_time = 0.0;
     double exec_time = 0.0;
     /// Pipelined runtime plan for this participation (pipelined mode only):

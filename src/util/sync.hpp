@@ -21,15 +21,12 @@
 //
 //   level 0 (leaf, never held while taking another lock):
 //     util::Logger::mutex_            src/util/log.hpp
-//     LockedSlot::lock                src/fl/agg_strategy.cpp (per slot)
-//     GlobalPartition::lock           src/fl/agg_strategy.cpp (per partition)
 //     KernelPool::mutex_              src/ml/model.cpp (MLP kernel pool; its
 //       workers hold no other lock)
 //   level 1:
 //     ParallelAggregator::queue_mutex_  src/fl/parallel_agg.hpp
-//       (workers hold it only around queue ops, release it before folding
-//        into a level-0 strategy lock; the reduce path's quiesce handshake
-//        means queue_mutex_ and a strategy lock are never held together)
+//       (workers hold it only around queue ops and fold into their own
+//        intermediate without a lock; it nests under Coordinator::mutex_)
 //   level 2:
 //     Coordinator::mutex_             src/fl/coordinator.hpp
 //       (placement and failover call into Aggregator task assignment and
@@ -104,16 +101,6 @@ class PAPAYA_CAPABILITY("mutex") Mutex {
   void unlock() PAPAYA_RELEASE() { mutex_.unlock(); }
   bool try_lock() PAPAYA_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
-  /// Acquire, reporting whether the lock was contended (found held on the
-  /// first attempt) — the aggregation strategies feed this into
-  /// AggStats::on_lock so the adaptive picker can see contention.  Pair
-  /// with `LockGuard guard(mu, std::adopt_lock)`.
-  bool lock_reporting_contention() PAPAYA_ACQUIRE() {
-    if (mutex_.try_lock()) return false;
-    mutex_.lock();
-    return true;
-  }
-
   /// Tell the analysis this capability is held (runtime no-op).  Needed in
   /// lambdas — e.g. CondVar wait predicates — which Clang TSA analyzes as
   /// separate functions that cannot see the caller's lock set.
@@ -151,9 +138,6 @@ class PAPAYA_SCOPED_CAPABILITY LockGuard {
  public:
   explicit LockGuard(Mutex& mutex) PAPAYA_ACQUIRE(mutex)
       : lock_(mutex.mutex_) {}
-  /// Adopt a lock already acquired (e.g. via lock_reporting_contention()).
-  LockGuard(Mutex& mutex, std::adopt_lock_t) PAPAYA_REQUIRES(mutex)
-      : lock_(mutex.mutex_, std::adopt_lock) {}
   explicit LockGuard(SharedMutex& mutex) PAPAYA_ACQUIRE(mutex)
       : shared_target_(&mutex.mutex_) {
     shared_target_->lock();

@@ -8,7 +8,6 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <set>
 #include <thread>
 
 #include "fl/aggregator.hpp"
@@ -92,7 +91,7 @@ util::Bytes make_update(std::uint64_t client, std::size_t size, float value,
 }
 
 TEST(ParallelAggregator, WeightedMeanAcrossManyUpdates) {
-  ParallelAggregator agg(4, /*threads=*/4, /*intermediates=*/4);
+  ParallelAggregator agg(4, /*threads=*/4);
   // 10 updates of value i with weight i: mean = sum(i*i)/sum(i).
   double expected_num = 0.0, expected_den = 0.0;
   for (int i = 1; i <= 10; ++i) {
@@ -111,7 +110,7 @@ TEST(ParallelAggregator, WeightedMeanAcrossManyUpdates) {
 }
 
 TEST(ParallelAggregator, ResetsBetweenBuffers) {
-  ParallelAggregator agg(2, 2, 2);
+  ParallelAggregator agg(2, 2);
   agg.enqueue(make_update(1, 2, 1.0f), 1.0);
   (void)agg.reduce_and_reset();
   agg.enqueue(make_update(2, 2, 5.0f), 1.0);
@@ -121,7 +120,7 @@ TEST(ParallelAggregator, ResetsBetweenBuffers) {
 }
 
 TEST(ParallelAggregator, MalformedUpdateDropped) {
-  ParallelAggregator agg(4, 2, 2);
+  ParallelAggregator agg(4, 2);
   agg.enqueue(make_update(1, 2, 1.0f), 1.0);  // wrong size: 2 != 4
   agg.enqueue(make_update(2, 4, 3.0f), 1.0);
   const auto reduced = agg.reduce_and_reset();
@@ -131,7 +130,7 @@ TEST(ParallelAggregator, MalformedUpdateDropped) {
 
 TEST(ParallelAggregator, HighConcurrencyStress) {
   const std::size_t n = 2000;
-  ParallelAggregator agg(8, 8, 8);
+  ParallelAggregator agg(8, 8);
   for (std::size_t i = 0; i < n; ++i) {
     agg.enqueue(make_update(i, 8, 1.0f), 1.0);
   }
@@ -139,20 +138,6 @@ TEST(ParallelAggregator, HighConcurrencyStress) {
   EXPECT_EQ(reduced.count, n);
   EXPECT_NEAR(reduced.weight_sum, static_cast<double>(n), 1e-6);
   for (float v : reduced.mean_delta) EXPECT_NEAR(v, 1.0f, 1e-4);
-}
-
-TEST(ParallelAggregator, WorkerSlotsSpreadEvenly) {
-  // Regression: slots were picked by hashing std::thread::id, which gives no
-  // collision guarantee (whole pools landed on one intermediate, serializing
-  // every fold behind a single mutex).  Index-based slots cover every
-  // intermediate exactly evenly.
-  std::set<std::size_t> covered;
-  for (std::size_t worker = 0; worker < 8; ++worker) {
-    const std::size_t slot = ParallelAggregator::intermediate_slot(worker, 4);
-    EXPECT_EQ(slot, worker % 4);
-    covered.insert(slot);
-  }
-  EXPECT_EQ(covered.size(), 4u);
 }
 
 TEST(ParallelAggregator, EnqueueConcurrentWithReduceConservesUpdates) {
@@ -164,7 +149,7 @@ TEST(ParallelAggregator, EnqueueConcurrentWithReduceConservesUpdates) {
   constexpr std::size_t kProducers = 2;
   constexpr std::size_t kPerProducer = 250;
   constexpr std::size_t kModelSize = 8;
-  ParallelAggregator agg(kModelSize, /*threads=*/4, /*intermediates=*/4);
+  ParallelAggregator agg(kModelSize, /*threads=*/4);
 
   std::atomic<std::size_t> producers_done{0};
   std::vector<std::thread> producers;
@@ -206,8 +191,8 @@ TEST(ParallelAggregator, BatchedDrainConservesUpdatesUnderConcurrentReduce) {
   constexpr std::size_t kProducers = 2;
   constexpr std::size_t kPerProducer = 250;
   constexpr std::size_t kModelSize = 8;
-  ParallelAggregator agg(kModelSize, /*threads=*/4, /*intermediates=*/4,
-                         /*clip_norm=*/0.0f, /*drain_batch=*/7);
+  ParallelAggregator agg(kModelSize, /*threads=*/4, /*clip_norm=*/0.0f,
+                         /*drain_batch=*/7);
 
   std::atomic<std::size_t> producers_done{0};
   std::vector<std::thread> producers;
@@ -232,8 +217,8 @@ TEST(ParallelAggregator, BatchedDrainConservesUpdatesUnderConcurrentReduce) {
 TEST(ParallelAggregator, BatchedDrainMatchesPerUpdateResult) {
   // One worker, FIFO queue: a drained run folds in the same order as
   // per-update draining, so the reduced buffer is bit-identical.
-  ParallelAggregator per_update(4, 1, 1);
-  ParallelAggregator batched(4, 1, 1, 0.0f, /*drain_batch=*/5);
+  ParallelAggregator per_update(4, 1);
+  ParallelAggregator batched(4, 1, 0.0f, /*drain_batch=*/5);
   for (int i = 1; i <= 13; ++i) {
     const auto update = make_update(static_cast<std::uint64_t>(i), 4,
                                     0.1f * static_cast<float>(i));
@@ -297,7 +282,7 @@ TEST(ShardedAggregator, MatchesSingleAggregatorResult) {
   // Cross-shard conservation: the sharded reduce over any shard count must
   // equal the single-pipeline result for the same update set.
   constexpr std::size_t kModelSize = 16;
-  ParallelAggregator single(kModelSize, 2, 2);
+  ParallelAggregator single(kModelSize, 2);
   ShardedAggregator sharded(sharded_config(kModelSize, 4));
   EXPECT_EQ(sharded.num_shards(), 4u);
 
@@ -1142,7 +1127,7 @@ TEST(Aggregator, DpNoisePerturbsDeterministically) {
 }
 
 TEST(ParallelAggregator, ClipNormAppliedPerUpdate) {
-  ParallelAggregator agg(2, 1, 1, /*clip_norm=*/1.0f);
+  ParallelAggregator agg(2, 1, /*clip_norm=*/1.0f);
   ModelUpdate big;
   big.client_id = 1;
   big.delta = {30.0f, 40.0f};  // norm 50 -> scaled to norm 1
