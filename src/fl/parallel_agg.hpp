@@ -16,10 +16,12 @@
 // a fold takes no lock at all.  A worker drains a run of queued updates and
 // folds each straight from its serialized bytes (the wire format is
 // little-endian IEEE-754, so on LE hosts the fold reads the payload in
-// place; no ModelUpdate is materialized).  An update of the wrong length, a
-// truncated one, or one holding a NaN or an infinity is dropped and counted,
-// so one hostile update cannot make the aggregate non-finite.  The reduce
-// adds the touched intermediates, in worker order, into a zeroed sum.
+// place; no ModelUpdate is materialized).  An update of the wrong length or
+// a truncated one is dropped and counted, and so is one whose fold would
+// leave a NaN or an infinity in the intermediate: a non-finite element or
+// weight, or a weighted sum that overflows.  Every intermediate therefore
+// stays finite.  The reduce adds the touched intermediates, in worker order,
+// into a zeroed sum.
 //
 // Exactness: a single-worker pool folds in FIFO order, so its result is a
 // pure function of the enqueued updates.  Multi-worker pools split the
@@ -68,7 +70,7 @@ struct QueuedUpdate {
 struct AggStatsSnapshot {
   std::uint64_t enqueued = 0;         ///< updates pushed into the queue
   std::uint64_t folded = 0;           ///< updates folded into an intermediate
-  std::uint64_t dropped = 0;          ///< malformed or non-finite updates
+  std::uint64_t dropped = 0;          ///< malformed, or a non-finite fold
   std::uint64_t max_queue_depth = 0;  ///< high-water queue length
   std::uint64_t reduces = 0;          ///< reduce_and_reset calls
 };
@@ -144,8 +146,9 @@ struct UpdateView {
   float at(std::size_t i) const { return std::bit_cast<float>(bits(i)); }
 
   /// out[i] = acc[i] + w * at(i) for every element, in one pass.  Returns
-  /// false, leaving `out` unspecified, if an element is a NaN or an
-  /// infinity.  `out` and `acc` hold `count` floats and do not overlap.
+  /// false, leaving `out` unspecified, if a sum is a NaN or an infinity:
+  /// a non-finite element or `w`, or an overflow.  `out` and `acc` hold
+  /// `count` floats and do not overlap.
   bool fold_finite(float* out, const float* acc, float w) const;
 
   /// Decode the whole payload into `out` (out.size() == count).
@@ -198,8 +201,8 @@ class ParallelAggregator {
   struct alignas(64) Intermediate {
     std::vector<float> weighted_delta;  ///< sum of w_i * delta_i; sized on
                                         ///< the worker's first fold
-    /// The clipped delta (clip_norm > 0), or the unclipped fold's result
-    /// until the update proves finite and the two buffers swap.
+    /// The fold's result until every sum proves finite and the two buffers
+    /// swap; with clip_norm > 0 it first holds the clipped delta.
     std::vector<float> scratch;
     double weight_sum = 0.0;
     std::size_t count = 0;
@@ -207,8 +210,9 @@ class ParallelAggregator {
 
   /// `run` is the worker's drain buffer, reserved to drain_batch_.
   void worker_loop(std::size_t worker_index, std::vector<QueuedUpdate> run);
-  /// Fold a drained run in FIFO order into `inter`.  Malformed and
-  /// non-finite updates are dropped and counted.
+  /// Fold a drained run in FIFO order into `inter`.  Malformed updates, and
+  /// updates whose fold would leave a non-finite sum, are dropped and
+  /// counted.
   void fold_run(Intermediate& inter, std::span<const QueuedUpdate> run);
 
   const std::size_t model_size_;

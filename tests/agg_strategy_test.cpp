@@ -159,11 +159,12 @@ std::vector<FoldFinite> fold_finite_builds() {
 
 TEST(UpdateView, FoldFiniteSumsOrFlagsNaNAndInfinity) {
   constexpr std::size_t kModel = 37;  // odd, exercises non-vector tails
+  constexpr float kMax = std::numeric_limits<float>::max();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
   const std::vector<float> acc(kModel, 0.25f);
+  const std::vector<float> acc_at_max(kModel, kMax);
   std::vector<float> out(kModel);
-  const float specials[] = {std::nanf(""), -std::nanf(""),
-                            std::numeric_limits<float>::infinity(),
-                            -std::numeric_limits<float>::infinity()};
+  const float specials[] = {std::nanf(""), -std::nanf(""), kInf, -kInf};
   // The largest finite values, a denormal and -0 are finite, and each sum
   // is acc[i] + w * x[i].
   ModelUpdate finite = ModelUpdate::deserialize(make_varied_update(3, kModel));
@@ -176,6 +177,14 @@ TEST(UpdateView, FoldFiniteSumsOrFlagsNaNAndInfinity) {
   for (std::size_t i = 0; i < kModel; ++i) {
     want[i] = acc[i] + 0.75f * finite.delta[i];
   }
+  // Every element finite, but a sum overflows: FLT_MAX at weight 2, or at
+  // weight 1 onto an accumulator already at FLT_MAX.  At weight 1 onto
+  // 0.25 the sums round back to FLT_MAX and stay finite.
+  ModelUpdate big;
+  big.delta.assign(kModel, 0.5f);
+  big.delta[kModel / 2] = kMax;
+  big.delta[kModel - 1] = -kMax;
+  const util::Bytes big_bytes = big.serialize();
   for (const FoldFinite fold : fold_finite_builds()) {
     for (const float bad : specials) {
       for (const std::size_t at : {std::size_t{0}, kModel / 2, kModel - 1}) {
@@ -185,12 +194,23 @@ TEST(UpdateView, FoldFiniteSumsOrFlagsNaNAndInfinity) {
         const util::Bytes bytes = u.serialize();
         const auto view = UpdateView::parse(bytes, kModel);
         ASSERT_TRUE(view.has_value());
-        EXPECT_FALSE(fold(out.data(), acc.data(), *view, 2.0f))
-            << bad << " at " << at;
+        // A zero weight does not hide it: 0 * inf and 0 * NaN are NaN.
+        for (const float w : {2.0f, 0.0f}) {
+          EXPECT_FALSE(fold(out.data(), acc.data(), *view, w))
+              << bad << " at " << at << " weight " << w;
+        }
       }
     }
+    const auto big_view = UpdateView::parse(big_bytes, kModel);
+    ASSERT_TRUE(big_view.has_value());
+    EXPECT_FALSE(fold(out.data(), acc.data(), *big_view, 2.0f));
+    EXPECT_FALSE(fold(out.data(), acc_at_max.data(), *big_view, 1.0f));
+    EXPECT_TRUE(fold(out.data(), acc.data(), *big_view, 1.0f));
     const auto view = UpdateView::parse(finite_bytes, kModel);
     ASSERT_TRUE(view.has_value());
+    // A non-finite weight makes every sum non-finite.
+    EXPECT_FALSE(fold(out.data(), acc.data(), *view, kInf));
+    EXPECT_FALSE(fold(out.data(), acc.data(), *view, std::nanf("")));
     ASSERT_TRUE(fold(out.data(), acc.data(), *view, 0.75f));
     EXPECT_EQ(bits_of(out), bits_of(want));
   }
@@ -254,12 +274,25 @@ TEST(OneFold, ClippedFoldsDropNonFiniteUpdates) {
   expect_bit_identical(got, want);
   EXPECT_EQ(got.count, 12u);
   EXPECT_EQ(mixed.stats_snapshot().dropped, 2u);
+  // The clip bounds the delta but not the weight: an infinite weight makes
+  // every sum of its fold non-finite.
+  ParallelAggregator heavy(kModel, 1, /*clip_norm=*/0.5f);
+  for (std::uint64_t c = 0; c < 12; ++c) {
+    heavy.enqueue(make_varied_update(c, kModel), 1.0 + c);
+    if (c == 5) {
+      heavy.enqueue(make_varied_update(102, kModel),
+                    std::numeric_limits<double>::infinity());
+    }
+  }
+  expect_bit_identical(heavy.reduce_and_reset(), want);
+  EXPECT_EQ(heavy.stats_snapshot().dropped, 1u);
 }
 
 TEST(OneFold, UnclippedFoldsDropNonFiniteUpdates) {
-  // Without clipping the fold reads the payload in place, so it scans it
-  // first: one NaN or infinity would otherwise make the whole mean
-  // non-finite.  Runs of 5 put the bad updates mid-run.
+  // Without clipping the fold reads the payload in place.  It checks every
+  // sum during its single pass into the worker's scratch buffer and keeps
+  // the result only if all were finite: one NaN or infinity would otherwise
+  // make the whole mean non-finite.  Runs of 5 put the bad updates mid-run.
   constexpr std::size_t kModel = 96;
   for (const std::size_t batch : {1u, 5u}) {
     ParallelAggregator honest(kModel, 1, /*clip_norm=*/0.0f, batch);
@@ -285,6 +318,24 @@ TEST(OneFold, UnclippedFoldsDropNonFiniteUpdates) {
     EXPECT_EQ(stats.dropped, 2u);
     EXPECT_EQ(stats.folded + stats.dropped, stats.enqueued);
     for (const float v : got.mean_delta) ASSERT_TRUE(std::isfinite(v));
+  }
+  // Finite elements whose sums overflow drop too: FLT_MAX at weight 2, and
+  // at weight 1 once an earlier update has brought the intermediate to
+  // FLT_MAX.  The first weight-1 update is finite and kept.
+  constexpr float kMax = std::numeric_limits<float>::max();
+  for (const std::size_t batch : {1u, 5u}) {
+    ParallelAggregator overflow(kModel, 1, /*clip_norm=*/0.0f, batch);
+    overflow.enqueue(make_update(200, kModel, kMax), 2.0);
+    overflow.enqueue(make_update(201, kModel, kMax), 1.0);
+    overflow.enqueue(make_update(202, kModel, kMax), 1.0);
+    const auto sums = overflow.reduce_and_reset_sums();
+    SCOPED_TRACE(batch);
+    EXPECT_EQ(sums.count, 1u);
+    EXPECT_EQ(sums.weight_sum, 1.0);
+    for (const float v : sums.mean_delta) ASSERT_EQ(v, kMax);
+    const AggStatsSnapshot stats = overflow.stats_snapshot();
+    EXPECT_EQ(stats.dropped, 2u);
+    EXPECT_EQ(stats.folded + stats.dropped, stats.enqueued);
   }
 }
 
