@@ -36,7 +36,6 @@ int main() {
     cfg.target_loss = kTargetLoss;
     cfg.max_sim_time_s = 1.0e6;
     cfg.record_participations = false;
-    cfg.trainer.compute_losses = true;
 
     sim::FlSimulator simulator(cfg);
     const sim::SimulationResult result = simulator.run();

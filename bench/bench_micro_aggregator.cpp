@@ -1,12 +1,11 @@
-// Microbenchmarks for the server aggregation path (Sec. 6.3): parallel model
-// aggregation throughput vs worker count, update (de)serialization, FedAdam
+// Microbenchmarks for the server aggregation path (Sec. 6.3): sharded model
+// aggregation throughput vs shard count, update (de)serialization, FedAdam
 // server steps, and local-training cost per client.
 
 #include <benchmark/benchmark.h>
 
 #include "fl/client_runtime.hpp"
 #include "fl/model_update.hpp"
-#include "fl/parallel_agg.hpp"
 #include "fl/sharded_agg.hpp"
 #include "ml/dataset.hpp"
 #include "ml/optimizer.hpp"
@@ -42,26 +41,8 @@ void BM_UpdateDeserialize(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateDeserialize)->Arg(1024)->Arg(65536);
 
-/// Parallel aggregation throughput: 512 updates of a 64k-param model, with
-/// 1/2/4/8 worker threads, each folding into its own intermediate
-/// (Sec. 6.3).
-void BM_ParallelAggregation(benchmark::State& state) {
-  const std::size_t model_size = 65536;
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const util::Bytes update = serialized_update(model_size);
-  for (auto _ : state) {
-    fl::ParallelAggregator agg(model_size, threads);
-    for (int i = 0; i < 512; ++i) agg.enqueue(update, 1.0);
-    benchmark::DoNotOptimize(agg.reduce_and_reset());
-  }
-  state.SetItemsProcessed(state.iterations() * 512);
-}
-BENCHMARK(BM_ParallelAggregation)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 /// `num_updates` updates of `model_size` floats, client update streams
-/// consistent-hashed across `shards` single-worker shards, then one
-/// cross-shard reduce.
+/// consistent-hashed across `shards` shards, then one cross-shard reduce.
 void sharded_aggregation(benchmark::State& state, std::size_t shards,
                          std::size_t model_size, std::size_t num_updates) {
   const util::Bytes update = serialized_update(model_size);
@@ -69,7 +50,6 @@ void sharded_aggregation(benchmark::State& state, std::size_t shards,
     fl::ShardedAggregator::Config cfg;
     cfg.model_size = model_size;
     cfg.num_shards = shards;
-    cfg.threads_per_shard = 1;
     fl::ShardedAggregator agg(cfg);
     for (std::uint64_t i = 0; i < num_updates; ++i) {
       agg.enqueue(/*stream_key=*/i, update, 1.0);
@@ -80,10 +60,10 @@ void sharded_aggregation(benchmark::State& state, std::size_t shards,
                           static_cast<std::int64_t>(num_updates));
 }
 
-/// Sharded aggregation scaling: the same 512-update workload over 1/2/4/8
-/// shards.  Each shard owns its own queue, pool and intermediates, so
-/// throughput scales with the shard count instead of saturating one reduce
-/// loop.  One worker per shard, as the simulator runs every shard.
+/// Sharded aggregation scaling: 512 updates of a 64k-param model over
+/// 1/2/4/8 shards.  Each shard owns its own queue, worker thread and
+/// intermediate, so throughput scales with the shard count instead of
+/// saturating one fold thread (Sec. 6.3).
 void BM_ShardedAggregation(benchmark::State& state) {
   sharded_aggregation(state, static_cast<std::size_t>(state.range(0)),
                       /*model_size=*/65536, /*num_updates=*/512);
@@ -103,9 +83,11 @@ void BM_AggregationSkew(benchmark::State& state) {
 }
 BENCHMARK(BM_AggregationSkew)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
+/// The server step Aggregator::apply_step runs: a default ServerOptimizer,
+/// which is FedAdam.
 void BM_FedAdamStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  ml::FedAdam opt(n, {});
+  ml::ServerOptimizer opt(n, {});
   std::vector<float> params(n, 0.0f), delta(n, 0.01f);
   for (auto _ : state) {
     opt.step(params, delta);
@@ -129,9 +111,7 @@ void local_training(benchmark::State& state, Factory factory) {
   ml::CorpusConfig ccfg;
   ml::FederatedCorpus corpus(ccfg, 2);
   fl::ExampleStore store(corpus.client_dataset(0, 24), 1000);
-  fl::TrainerConfig tcfg;
-  tcfg.compute_losses = false;
-  const fl::Executor executor(model->clone(), tcfg);
+  const fl::Executor executor(model->clone(), fl::TrainerConfig{});
   util::Rng train_rng(2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(executor.train(global, 0, 1, store, train_rng));

@@ -38,7 +38,6 @@ inline sim::SimulationConfig base_config(std::uint64_t seed = 7) {
 
   cfg.trainer.learning_rate = 0.3f;
   cfg.trainer.batch_size = 32;
-  cfg.trainer.compute_losses = false;
   cfg.server_opt.lr = 0.05f;
 
   cfg.eval_set_size = 150;

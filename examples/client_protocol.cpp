@@ -82,8 +82,15 @@ int main() {
   const auto training =
       executor.train(global, join.model_version, 101, store, train_rng);
   now += 60.0;
+  // The local training loss before and after: the global model, then the
+  // global model plus the delta the client is about to upload.
+  auto trained = model->clone();
+  for (std::size_t i = 0; i < global.size(); ++i) {
+    trained->params()[i] = global[i] + training.update.delta[i];
+  }
   std::printf("[t=%3.0f] trained: loss %.4f -> %.4f\n", now,
-              training.initial_loss, training.final_loss);
+              model->loss(store.dataset().train, {}),
+              trained->loss(store.dataset().train, {}));
 
   // ...the device loses connectivity for 2 minutes mid-session (within both
   // the session TTL and the task's 4-minute client timeout)...

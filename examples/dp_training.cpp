@@ -36,7 +36,6 @@ int main() {
     cfg.model.embed_dim = 12;
     cfg.model.hidden_dim = 24;
     cfg.model.context = 2;
-    cfg.trainer.compute_losses = false;
     cfg.server_opt.lr = 0.05f;
 
     cfg.max_applied_updates = 1500;

@@ -35,7 +35,6 @@ sim::SimulationConfig make_config(fl::TrainingMode mode, double over_selection,
   cfg.model.embed_dim = 12;
   cfg.model.hidden_dim = 24;
   cfg.model.context = 2;
-  cfg.trainer.compute_losses = false;
   cfg.server_opt.lr = 0.05f;
   cfg.max_applied_updates = 4000;
   cfg.max_sim_time_s = 1.0e7;

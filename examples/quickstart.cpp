@@ -43,7 +43,6 @@ int main() {
   // SGD on the client, FedAdam on the server (Sec. 7.1).
   cfg.trainer.learning_rate = 0.3f;
   cfg.trainer.batch_size = 32;
-  cfg.trainer.compute_losses = false;
   cfg.server_opt.lr = 0.05f;
 
   cfg.max_server_steps = 120;

@@ -26,7 +26,6 @@ sim::SimulationConfig common_config() {
   cfg.model.embed_dim = 12;
   cfg.model.hidden_dim = 24;
   cfg.model.context = 2;
-  cfg.trainer.compute_losses = false;
   cfg.server_opt.lr = 0.05f;
   cfg.target_loss = 3.4;
   cfg.max_sim_time_s = 1.0e6;

@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   cfg.model.vocab_size = 64;
   cfg.model.embed_dim = 10;
   cfg.model.hidden_dim = 16;
-  cfg.trainer.compute_losses = false;
   cfg.server_opt.lr = 0.05f;
   cfg.max_server_steps = 60;
   cfg.eval_every_steps = 5;

@@ -25,13 +25,17 @@
 # envelope's wall-clock seconds.
 #
 # Paired mode: with --compare and PAPAYA_BENCH_BASE set to another build
-# directory (e.g. the parent commit's), each figure bench runs that build's
-# binary and this one's back to back, three alternating pairs (base first,
-# then new first, then base first).  The gate is the ratio of the two
-# median wall times, at the same tolerance, so drift of the host between
-# the committed baseline and now does not read as a regression.  The
-# envelope records the new binary's median seconds.  Micro benches, and
-# benches the base directory lacks, compare against HEAD as without it.
+# directory (e.g. the parent commit's), each bench runs that build's binary
+# and this one's back to back, three alternating pairs (base first, then new
+# first, then base first), so drift of the host between the committed
+# baseline and now does not read as a regression.  A figure bench is gated
+# on the ratio of the two median wall times, and its envelope records the
+# new binary's median seconds.  A micro bench is gated row by row on the
+# ratio of the two median real_times, at the same tolerance; a row only one
+# side has is reported as NEW or REMOVED and not gated, and the collection
+# file holds the first new run with each row's times replaced by their
+# medians.  Benches the base directory lacks compare against HEAD as
+# without it.
 set -uo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -96,12 +100,17 @@ report_rows() {
       printf "     %-44s %14s -> %14.3f  NEW (informational)\n", $1, "-", $3
       next
     }
+    $3 == "removed" {
+      printf "     %-44s %14.3f -> %14s  REMOVED (informational)\n", $1, $2, "-"
+      next
+    }
     {
       flag = (gated && $4 > tol * 100) ? "  REGRESSION" : ""
       printf "     %-44s %14.3f -> %14.3f  %+7.1f%%%s\n", $1, $2, $3, $4, flag
     }'
   bad="$(printf '%s\n' "$rows" | awk -F'\t' -v tol="$TOLERANCE" \
-    -v gated="$gated" '$2 != "new" && gated && $4 > tol * 100 { n++ } END { print n+0 }')"
+    -v gated="$gated" '$2 != "new" && $3 != "removed" && gated && $4 > tol * 100 { n++ }
+      END { print n+0 }')"
   compare_failures=$((compare_failures + bad))
 }
 
@@ -196,6 +205,55 @@ run_paired() {
     'BEGIN { printf "median seconds\t%s\t%s\t%f\n", o, n, (o > 0 ? (n / o - 1) * 100 : 0) }')"
 }
 
+# Paired mode for micro bench $1 (binary $2): three alternating pairs of
+# the base build's binary and this one, each writing Google Benchmark JSON.
+# Writes the new side's median JSON to $3, prints and gates each row's ratio
+# of medians, and returns non-zero if a run failed.
+run_paired_micro() {
+  local name="$1" bin="$2" out="$3" pair side dir
+  dir="$(mktemp -d)"
+  for pair in 1 2 3; do
+    if [ $((pair % 2)) -eq 1 ]; then set -- base new; else set -- new base; fi
+    for side in "$@"; do
+      local exe="$bin"
+      [ "$side" = base ] && exe="$BASE/$name"
+      if ! "$exe" --benchmark_format=json > "$dir/$side$pair.json"; then
+        rm -rf "$dir"
+        return 1
+      fi
+    done
+  done
+  # Per row: its real_time (or cpu_time) median over a side's three runs,
+  # rows in the order the runs print them.
+  local medians='
+    def median: sort | .[(length - 1) / 2 | floor];
+    def medians(f): reduce (.[] | .benchmarks[]?) as $r ({};
+      .[$r.name] += [$r | f]) | map_values(median);'
+  jq -s "$medians"'
+    medians(.real_time) as $real | medians(.cpu_time) as $cpu
+    | .[0] | .benchmarks |= map(.real_time = $real[.name]
+                                | .cpu_time = $cpu[.name])' \
+    "$dir/new1.json" "$dir/new2.json" "$dir/new3.json" > "$out"
+  local rows gated=1
+  rows="$(jq -rn --slurpfile base <(cat "$dir"/base?.json) \
+    --slurpfile new <(cat "$dir"/new?.json) "$medians"'
+    ($base | medians(.real_time)) as $b | ($new | medians(.real_time)) as $n
+    | ($n | to_entries[]
+       | if $b[.key] != null and $b[.key] > 0 then
+           [.key, $b[.key], .value, ((.value / $b[.key] - 1) * 100)]
+         else
+           [.key, "new", .value, "new"]
+         end),
+      ($b | to_entries[] | select($n[.key] == null)
+       | [.key, .value, "removed", "removed"])
+    | @tsv')"
+  rm -rf "$dir"
+  printf '   paired: medians of 3 runs per side, base -> new\n'
+  source_changed "$name" && gated=0
+  report_rows "$gated" "$rows"
+  return 0
+}
+
 for bin in "$BUILD"/bench_*; do
   [ -x "$bin" ] || continue
   name="$(basename "$bin")"
@@ -210,7 +268,16 @@ for bin in "$BUILD"/bench_*; do
   tmp_json="$(mktemp)"
   chmod 644 "$tmp_json"
   printf '== %s\n' "$name"
-  if [[ "$name" == bench_micro_* ]]; then
+  if [[ "$name" == bench_micro_* ]] && [ "$COMPARE" -eq 1 ] &&
+    [ -n "$BASE" ] && [ -x "$BASE/$name" ]; then
+    if run_paired_micro "$name" "$bin" "$tmp_json"; then
+      mv "$tmp_json" "$out_json"
+    else
+      echo "   FAILED (a paired run exited non-zero)" >&2
+      rm -f "$tmp_json"
+      failures=$((failures + 1))
+    fi
+  elif [[ "$name" == bench_micro_* ]]; then
     # Google Benchmark: native JSON straight to the collection file.
     if "$bin" --benchmark_format=json > "$tmp_json"; then
       [ "$COMPARE" -eq 1 ] && compare_with_baseline "$name" "$tmp_json"
@@ -260,7 +327,7 @@ echo
 echo "ran $ran benches, $failures failed; results in $ROOT/BENCH_*.json"
 if [ "$COMPARE" -eq 1 ]; then
   against="the HEAD baseline"
-  [ -n "$BASE" ] && against="the paired base build (HEAD baseline for micro benches)"
+  [ -n "$BASE" ] && against="the paired base build"
   echo "compare: $compare_failures metric(s) regressed beyond +$(awk \
     -v t="$TOLERANCE" 'BEGIN { printf "%.0f", t * 100 }')% of $against"
 fi

@@ -44,35 +44,21 @@ inline void core_rounds(std::array<std::uint32_t, 16>& x) {
 
 constexpr std::size_t kLanes = ChaCha20::kMultiStreamLanes;
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define PAPAYA_CHACHA_X86 1
+#endif
+
 // The multi-stream tile kernel: run `blocks` ChaCha20 blocks for kLanes
 // independent streams in lockstep.  `st[w]` holds state word w across all
 // lanes (stream-major), outs[l] receives stream l's keystream words, and
 // st[12] leaves incremented by `blocks` per lane.
 //
-// On x86-64 the kernel is cloned per ISA (GCC/Clang target_clones with
-// runtime dispatch): one state row spans two SSE registers but only one
-// AVX2 register, and the register file is the bottleneck — the AVX2 clone
-// runs the 8-lane rounds without spilling every quarter-round.  The
-// dispatch lowers to an ELF ifunc, so non-ELF targets (macOS, musl) stay
-// on the plain kernel; sanitizer builds must not use it either — the
-// ifunc resolver runs during relocation, before the sanitizer runtime
-// initializes, and segfaults.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define PAPAYA_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define PAPAYA_SANITIZED 1
-#endif
-#endif
-
-#if defined(__x86_64__) && defined(__GNUC__) && defined(__ELF__) && \
-    !defined(PAPAYA_SANITIZED)
-#define PAPAYA_MULTI_STREAM_CLONES \
-  __attribute__((target_clones("avx2", "default")))
-#else
-#define PAPAYA_MULTI_STREAM_CLONES
-#endif
-
+// One row of 8 lanes spans two SSE registers but only one AVX2 register,
+// and the register file is the bottleneck: the AVX2 build runs the 8-lane
+// rounds without spilling every quarter-round.  The body is built twice,
+// portable and `target("avx2")`, and a function-local static picks one per
+// process with __builtin_cpu_supports, as the MLP kernel, the fold and the
+// chunk CRC do.  Integer lanes, so both builds produce the same bits.
 #if defined(__GNUC__) || defined(__clang__)
 // GNU vector extensions guarantee the SIMD shape (GCC 12's SLP pass does
 // not reliably vectorize the equivalent lane-array loops); targets without
@@ -80,9 +66,9 @@ constexpr std::size_t kLanes = ChaCha20::kMultiStreamLanes;
 typedef std::uint32_t LaneVec
     __attribute__((vector_size(kLanes * sizeof(std::uint32_t))));
 
-PAPAYA_MULTI_STREAM_CLONES
-void expand_tile(std::uint32_t (&state)[16][kLanes],
-                 std::uint32_t* const* outs, std::size_t blocks) {
+[[gnu::always_inline]] inline void expand_tile_body(
+    std::uint32_t (&state)[16][kLanes], std::uint32_t* const* outs,
+    std::size_t blocks) {
   LaneVec st[16];
   std::memcpy(st, state, sizeof(st));
 #define PAPAYA_CHACHA_QR(a, b, c, d)                                   \
@@ -118,8 +104,8 @@ void expand_tile(std::uint32_t (&state)[16][kLanes],
   std::memcpy(state, st, sizeof(st));
 }
 #else
-void expand_tile(std::uint32_t (&state)[16][kLanes],
-                 std::uint32_t* const* outs, std::size_t blocks) {
+inline void expand_tile_body(std::uint32_t (&state)[16][kLanes],
+                             std::uint32_t* const* outs, std::size_t blocks) {
   std::size_t base = 0;
   for (std::size_t blk = 0; blk < blocks; ++blk, base += 16) {
     std::uint32_t x[16][kLanes];
@@ -151,6 +137,48 @@ void expand_tile(std::uint32_t (&state)[16][kLanes],
   }
 }
 #endif
+
+#ifdef PAPAYA_CHACHA_X86
+bool cpu_has_avx2() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+  }();
+  return has;
+}
+#endif
+
+}  // namespace
+
+namespace detail {
+
+// The tile kernel's two builds.  Not in a header: tests/crypto_test.cpp
+// declares them to check both.
+void expand_tile_portable(std::uint32_t (&state)[16][kLanes],
+                          std::uint32_t* const* outs, std::size_t blocks) {
+  expand_tile_body(state, outs, blocks);
+}
+
+#ifdef PAPAYA_CHACHA_X86
+// Needs an AVX2 CPU.
+__attribute__((target("avx2"))) void expand_tile_avx2(
+    std::uint32_t (&state)[16][kLanes], std::uint32_t* const* outs,
+    std::size_t blocks) {
+  expand_tile_body(state, outs, blocks);
+}
+#endif
+
+}  // namespace detail
+
+namespace {
+
+void expand_tile(std::uint32_t (&state)[16][kLanes],
+                 std::uint32_t* const* outs, std::size_t blocks) {
+#ifdef PAPAYA_CHACHA_X86
+  if (cpu_has_avx2()) return detail::expand_tile_avx2(state, outs, blocks);
+#endif
+  detail::expand_tile_portable(state, outs, blocks);
+}
 
 }  // namespace
 

@@ -2,7 +2,7 @@
 // Names kept only so the traced benchmark binary still links: nothing else
 // uses them.  benchmark/trace_wraps.cpp includes this header, switches over
 // AggStrategy's four enumerators and wraps decide_strategy by its mangled
-// name.  The aggregation pool has one fold (fl/parallel_agg.hpp), so there
+// name.  Aggregation has one fold (fl/parallel_agg.hpp), so there
 // is no strategy to pick: decide_strategy returns `current`, nothing calls
 // it, and the traced fl.fold.pick.* counts read 0.  Delete this header and
 // agg_strategy.cpp together with the wrap.

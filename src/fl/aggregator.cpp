@@ -6,8 +6,7 @@
 
 namespace papaya::fl {
 
-Aggregator::Aggregator(std::string id, std::size_t num_threads)
-    : id_(std::move(id)), num_threads_(num_threads == 0 ? 1 : num_threads) {}
+Aggregator::Aggregator(std::string id, std::size_t) : id_(std::move(id)) {}
 
 Aggregator::TaskState& Aggregator::state(const std::string& task) {
   const auto it = tasks_.find(task);
@@ -48,14 +47,12 @@ void Aggregator::assign_task(const TaskConfig& config,
   ts.model = std::move(initial_model);
   ts.version = initial_version;
   ts.server_opt = std::make_unique<ml::ServerOptimizer>(config.model_size, server_opt);
-  // Sharded pipeline (Sec. 6.3): `aggregator_shards` independent worker
-  // pools, each worker folding into its own intermediate.
+  // Sharded pipeline (Sec. 6.3): `aggregator_shards` shards, each one worker
+  // thread folding into its own intermediate.
   ShardedAggregator::Config pipeline_cfg;
   pipeline_cfg.model_size = config.model_size;
   pipeline_cfg.num_shards = ts.config.aggregator_shards;
-  pipeline_cfg.threads_per_shard = num_threads_;
   pipeline_cfg.clip_norm = config.dp.enabled ? config.dp.clip_norm : 0.0f;
-  pipeline_cfg.drain_batch = config.aggregation_batch_size;
   ts.pipeline = std::make_unique<ShardedAggregator>(pipeline_cfg);
   ts.dp_rng.reseed(std::hash<std::string>{}(config.name) ^ 0xd9ULL);
   if (config.secagg_enabled) {
@@ -102,11 +99,31 @@ std::uint64_t Aggregator::model_version(const std::string& task) const {
   return state(task).version;
 }
 
-void Aggregator::server_step(TaskState& ts) {
+bool Aggregator::server_step(TaskState& ts) {
   // Cross-shard reduce: every shard drains + folds, sums combine globally.
   ParallelAggregator::Reduced reduced = ts.pipeline->reduce_and_reset();
-  if (reduced.count == 0) return;
-  apply_step(ts, std::move(reduced.mean_delta), reduced.count);
+  // Each shard's sum is finite, but the sum of several can overflow, and a
+  // non-finite mean must never reach the optimizer.
+  const bool finite =
+      std::all_of(reduced.mean_delta.begin(), reduced.mean_delta.end(),
+                  [](float v) { return std::isfinite(v); });
+  const std::size_t applied = finite ? reduced.count : 0;
+  // Buffered updates the step does not apply: the ones the fold dropped as
+  // non-finite, or the whole buffer when nothing can be applied.
+  const std::size_t discarded = ts.buffered - std::min(ts.buffered, applied);
+  ts.stats.updates_discarded += discarded;
+  if (applied == 0) {
+    // The buffer starts over.  A SyncFL round frees the discarded updates'
+    // slots, as client_report_secure does for late TSA rejections, so
+    // replacements can be selected.
+    ts.buffered = 0;
+    if (ts.config.mode == TrainingMode::kSync) {
+      ts.completed_this_round -= std::min(ts.completed_this_round, discarded);
+    }
+    return false;
+  }
+  apply_step(ts, std::move(reduced.mean_delta), applied);
+  return true;
 }
 
 void Aggregator::apply_step(TaskState& ts, std::vector<float> mean_delta,
@@ -214,8 +231,7 @@ ReportResult Aggregator::client_report(const std::string& task,
   ++ts.buffered;
 
   ReportResult result{ReportOutcome::kAccepted, false, {}};
-  if (ts.buffered >= ts.config.aggregation_goal) {
-    server_step(ts);
+  if (ts.buffered >= ts.config.aggregation_goal && server_step(ts)) {
     result.server_stepped = true;
     result.aborted_clients = abort_after_step(ts);
   }

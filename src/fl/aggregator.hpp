@@ -6,7 +6,8 @@
 //  - serves the current model to joining clients,
 //  - buffers client updates (through the sharded parallel aggregation
 //    pipeline of Sec. 6.3: TaskConfig::aggregator_shards consistent-hashed
-//    worker pools per task) until the aggregation goal is reached,
+//    shards per task, one fold thread each) until the aggregation goal is
+//    reached,
 //  - performs the server optimizer step (FedAdam) and bumps the version,
 //  - enforces max concurrency, client timeouts, staleness aborts (App. E.1,
 //    E.2), and the SyncFL round/over-selection semantics (App. E.3),
@@ -49,7 +50,8 @@ struct JoinResult {
 struct ReportResult {
   ReportOutcome outcome = ReportOutcome::kRejectedUnknown;
   /// True when this report completed an aggregation goal and the server
-  /// model was updated.
+  /// model was updated.  A goal whose buffer the fold dropped entirely, or
+  /// whose mean is not finite, updates nothing and reports false.
   bool server_stepped = false;
   /// Clients aborted as a consequence (SyncFL: over-selected still-running
   /// clients at round close; AsyncFL: clients whose staleness bound is now
@@ -61,7 +63,10 @@ struct ReportResult {
 struct TaskStats {
   std::uint64_t updates_received = 0;   ///< "communication trips" (Fig. 3/9)
   std::uint64_t updates_applied = 0;
-  std::uint64_t updates_discarded = 0;  ///< over-selection + staleness drops
+  /// Over-selection, staleness and malformed-report drops, plus buffered
+  /// updates no server step applied (dropped by the fold, or in a buffer
+  /// whose mean was not finite).
+  std::uint64_t updates_discarded = 0;
   std::uint64_t server_steps = 0;
   std::uint64_t clients_aborted = 0;
   std::uint64_t clients_failed = 0;
@@ -69,9 +74,11 @@ struct TaskStats {
 
 class Aggregator {
  public:
-  /// `num_threads` sizes each aggregation shard's worker pool (Sec. 6.3);
-  /// the shard count itself is per-task (TaskConfig::aggregator_shards).
-  Aggregator(std::string id, std::size_t num_threads = 2);
+  /// Fold parallelism is per task (TaskConfig::aggregator_shards, one
+  /// worker thread per shard).  The unnamed second parameter is read by
+  /// nothing; it remains because benchmark/workloads.cpp still passes a
+  /// thread count.
+  Aggregator(std::string id, std::size_t = 1);
 
   const std::string& id() const { return id_; }
 
@@ -185,8 +192,11 @@ class Aggregator {
   TaskState& state(const std::string& task);
   const TaskState& state(const std::string& task) const;
 
-  /// Perform the server optimizer step from the drained buffer.
-  void server_step(TaskState& ts);
+  /// Reduce the buffer and perform the server optimizer step from it.
+  /// Returns false, with no step, if the fold kept no update or the mean is
+  /// not finite; either way every update the step does not apply counts as
+  /// discarded and the buffer starts over.
+  bool server_step(TaskState& ts);
   /// Shared tail of both server-step paths: DP noise, optimizer, version.
   void apply_step(TaskState& ts, std::vector<float> mean_delta,
                   std::size_t count);
@@ -195,7 +205,6 @@ class Aggregator {
   std::vector<std::uint64_t> abort_after_step(TaskState& ts);
 
   std::string id_;
-  std::size_t num_threads_;
   std::map<std::string, TaskState> tasks_;
   std::uint64_t report_sequence_ = 0;
 };

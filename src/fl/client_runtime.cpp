@@ -92,10 +92,6 @@ LocalTrainingResult Executor::train(std::span<const float> global_params,
     return result;
   }
 
-  if (config_.compute_losses) {
-    result.initial_loss = model_->loss(train_set, {});
-  }
-
   const ml::Sgd sgd(config_.learning_rate, config_.gradient_clip);
   std::vector<float> grad(model_->num_params());
   std::vector<std::size_t> order(train_set.size());
@@ -118,10 +114,6 @@ LocalTrainingResult Executor::train(std::span<const float> global_params,
       model_->loss(batch, grad);
       sgd.step(model_->params(), grad);
     }
-  }
-
-  if (config_.compute_losses) {
-    result.final_loss = model_->loss(train_set, {});
   }
 
   // Model update = trained - initial (Sec. 3.1).

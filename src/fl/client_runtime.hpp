@@ -98,15 +98,13 @@ struct TrainerConfig {
   std::size_t batch_size = 32;
   std::size_t epochs = 1;
   float gradient_clip = 5.0f;
-  /// Whether to measure train loss before/after (extra forward passes);
-  /// simulations switch this off for speed.
-  bool compute_losses = true;
+  /// Read by nothing.  It remains because benchmark/workloads.cpp still
+  /// assigns it; training never measures the loss of the whole training set.
+  bool compute_losses = false;
 };
 
 struct LocalTrainingResult {
   ModelUpdate update;
-  double initial_loss = 0.0;
-  double final_loss = 0.0;
 };
 
 /// The Executor (App. E.5): swaps global parameters into a working model,

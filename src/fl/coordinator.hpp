@@ -193,7 +193,7 @@ class Coordinator {
   /// Guards all Coordinator soft state.  Hierarchy (util/sync.hpp): held
   /// *above* the aggregation locks — placement and failover call into
   /// Aggregator task assignment/removal, which constructs or tears down
-  /// ParallelAggregator pools and their queue_mutex_.  Aggregator code never
+  /// ParallelAggregator shards and their queue_mutex_.  Aggregator code never
   /// calls back into the Coordinator, so the order is acyclic.
   mutable util::Mutex mutex_;
   util::Rng rng_ PAPAYA_GUARDED_BY(mutex_);

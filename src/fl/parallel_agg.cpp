@@ -118,28 +118,12 @@ void UpdateView::copy_to(std::span<float> out) const {
 
 // -- ParallelAggregator ------------------------------------------------------
 
-ParallelAggregator::ParallelAggregator(std::size_t model_size,
-                                       std::size_t num_threads,
-                                       float clip_norm,
-                                       std::size_t drain_batch)
-    : model_size_(model_size),
-      clip_norm_(clip_norm),
-      drain_batch_(drain_batch == 0 ? 1 : drain_batch),
-      intermediates_(num_threads == 0 ? 1 : num_threads) {
+ParallelAggregator::ParallelAggregator(std::size_t model_size, float clip_norm)
+    : model_size_(model_size), clip_norm_(clip_norm) {
   if (model_size == 0) {
     throw std::invalid_argument("ParallelAggregator: model_size must be > 0");
   }
-  workers_.reserve(intermediates_.size());
-  for (std::size_t i = 0; i < intermediates_.size(); ++i) {
-    // Each worker's drain buffer is allocated here, on the constructing
-    // thread, so a worker allocates nothing as it starts, and what a caller
-    // sees allocated does not depend on when a worker is first scheduled.
-    std::vector<QueuedUpdate> run;
-    run.reserve(drain_batch_);
-    workers_.emplace_back([this, i, run = std::move(run)]() mutable {
-      worker_loop(i, std::move(run));
-    });
-  }
+  worker_ = std::thread([this] { worker_loop(); });
 }
 
 ParallelAggregator::~ParallelAggregator() {
@@ -147,21 +131,20 @@ ParallelAggregator::~ParallelAggregator() {
     util::LockGuard lock(queue_mutex_);
     stopping_ = true;
   }
-  queue_cv_.notify_all();
-  for (auto& t : workers_) t.join();
+  queue_cv_.notify_one();
+  worker_.join();
 }
 
 void ParallelAggregator::enqueue(util::Bytes serialized_update, double weight) {
   {
     util::LockGuard lock(queue_mutex_);
     queue_.push_back(QueuedUpdate{std::move(serialized_update), weight});
-    stats_.on_enqueue(queue_.size());
+    stats_.on_enqueue();
   }
   queue_cv_.notify_one();
 }
 
-void ParallelAggregator::fold_run(Intermediate& inter,
-                                  std::span<const QueuedUpdate> run) {
+void ParallelAggregator::fold_run(std::span<const QueuedUpdate> run) {
   std::size_t folded = 0;
   for (const QueuedUpdate& queued : run) {
     const auto view = UpdateView::parse(queued.bytes, model_size_);
@@ -169,49 +152,45 @@ void ParallelAggregator::fold_run(Intermediate& inter,
       stats_.on_dropped(1);
       continue;
     }
-    if (inter.weighted_delta.empty()) {
-      inter.weighted_delta.assign(model_size_, 0.0f);
-      inter.scratch.resize(model_size_);
+    if (weighted_delta_.empty()) {
+      weighted_delta_.assign(model_size_, 0.0f);
+      scratch_.resize(model_size_);
     }
     // Each fold writes acc + w * x into the scratch buffer and keeps it only
     // if every sum is finite, so neither a NaN or an infinity in the update
     // nor a sum that overflows reaches the intermediate; such an update
     // drops out like a malformed one.
     const float w = static_cast<float>(queued.weight);
-    const float* acc = inter.weighted_delta.data();
+    const float* acc = weighted_delta_.data();
     bool finite;
     if (clip_norm_ > 0.0f) {
       // The clip rescales the whole vector, so it runs on the copy the fold
       // then overwrites; its norm is non-finite exactly when an element is.
-      view->copy_to(inter.scratch);
-      finite = ml::clip_norm(inter.scratch, clip_norm_) &&
-               fold_finite_in_place(inter.scratch, acc, w);
+      view->copy_to(scratch_);
+      finite = ml::clip_norm(scratch_, clip_norm_) &&
+               fold_finite_in_place(scratch_, acc, w);
     } else {
       // One pass over the wire bytes; a separate scan first would read the
       // payload twice.
-      finite = view->fold_finite(inter.scratch.data(), acc, w);
+      finite = view->fold_finite(scratch_.data(), acc, w);
     }
     if (!finite) {
       stats_.on_dropped(1);
       continue;
     }
-    inter.weighted_delta.swap(inter.scratch);
-    inter.weight_sum += queued.weight;
-    ++inter.count;
+    weighted_delta_.swap(scratch_);
+    weight_sum_ += queued.weight;
+    ++count_;
     ++folded;
   }
   if (folded > 0) stats_.on_folded(folded);
 }
 
-void ParallelAggregator::worker_loop(std::size_t worker_index,
-                                     std::vector<QueuedUpdate> run) {
-  Intermediate& inter = intermediates_[worker_index];
+void ParallelAggregator::worker_loop() {
+  // The run buffer and the queue trade places at every wakeup, so once both
+  // have grown to the largest run, taking work allocates nothing.
+  std::vector<QueuedUpdate> run;
   for (;;) {
-    // Drain up to drain_batch_ queued updates in one queue-lock acquisition
-    // (TaskConfig::aggregation_batch_size).  The run is folded in FIFO order
-    // by one worker, so batching changes only lock traffic, not which folds
-    // happen or their order within an intermediate.
-    run.clear();
     {
       util::LockGuard lock(queue_mutex_);
       queue_cv_.wait(queue_mutex_, lock, [this] {
@@ -219,19 +198,16 @@ void ParallelAggregator::worker_loop(std::size_t worker_index,
         return stopping_ || (!paused_ && !queue_.empty());
       });
       if (queue_.empty()) return;  // stopping
-      const std::size_t take = std::min(drain_batch_, queue_.size());
-      for (std::size_t i = 0; i < take; ++i) {
-        run.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      inflight_ += take;
+      queue_.swap(run);
+      folding_ = true;
     }
 
-    fold_run(inter, run);
+    fold_run(run);
+    run.clear();  // frees the folded updates outside the lock
 
     {
       util::LockGuard lock(queue_mutex_);
-      inflight_ -= run.size();
+      folding_ = false;
     }
     drained_cv_.notify_all();
   }
@@ -241,67 +217,50 @@ void ParallelAggregator::drain() {
   util::LockGuard lock(queue_mutex_);
   drained_cv_.wait(queue_mutex_, lock, [this] {
     queue_mutex_.assert_held();
-    return queue_.empty() && inflight_ == 0;
+    return queue_.empty() && !folding_;
   });
 }
 
 ParallelAggregator::Reduced ParallelAggregator::reduce_and_reset_sums() {
-  // Quiesce the pool before touching the intermediates.  The drained
+  // Quiesce the shard before touching the intermediate.  The drained
   // predicate and the pause flag are evaluated/set under one queue_mutex_
   // critical section: everything enqueued before this call is folded, and
-  // workers cannot pick up anything enqueued after, so a racing enqueue
+  // the worker cannot pick up anything enqueued after, so a racing enqueue
   // lands intact in the *next* buffer instead of being folded into an
   // intermediate that this reduce already summed-and-reset.  The same
-  // handshake is the happens-before edge that makes the workers' plain
-  // intermediates safe to read here, and the release below is the edge that
-  // orders the reset before their next fold.  Waiting for !paused_ as well
-  // admits one reducer at a time: two would merge the same intermediates and
-  // count their updates twice.
+  // handshake is the happens-before edge that makes the worker's plain
+  // intermediate safe to read here, and the release below is the edge that
+  // orders the reset before its next fold.  Waiting for !paused_ as well
+  // admits one reducer at a time: two would read the same intermediate and
+  // count its updates twice.
   {
     util::LockGuard lock(queue_mutex_);
     drained_cv_.wait(queue_mutex_, lock, [this] {
       queue_mutex_.assert_held();
-      return !paused_ && queue_.empty() && inflight_ == 0;
+      return !paused_ && queue_.empty() && !folding_;
     });
     paused_ = true;
   }
-  // Worker order, untouched intermediates skipped: a single-worker pool's
-  // sum is its one intermediate added to zeros.
+  // The intermediate added to zeros, as the cross-shard reduce adds shards.
   Reduced out;
   out.mean_delta.assign(model_size_, 0.0f);
-  for (Intermediate& inter : intermediates_) {
-    if (inter.count == 0) continue;
+  if (count_ > 0) {
     for (std::size_t i = 0; i < model_size_; ++i) {
-      out.mean_delta[i] += inter.weighted_delta[i];
+      out.mean_delta[i] += weighted_delta_[i];
     }
-    out.weight_sum += inter.weight_sum;
-    out.count += inter.count;
-    std::fill(inter.weighted_delta.begin(), inter.weighted_delta.end(), 0.0f);
-    inter.weight_sum = 0.0;
-    inter.count = 0;
+    out.weight_sum += weight_sum_;
+    out.count += count_;
+    std::fill(weighted_delta_.begin(), weighted_delta_.end(), 0.0f);
+    weight_sum_ = 0.0;
+    count_ = 0;
   }
-  stats_.on_reduce();
   {
     util::LockGuard lock(queue_mutex_);
     paused_ = false;
   }
-  queue_cv_.notify_all();    // wake workers for anything enqueued mid-reduce
+  queue_cv_.notify_one();    // wake the worker for anything enqueued mid-reduce
   drained_cv_.notify_all();  // and any reducer waiting its turn
   return out;
-}
-
-ParallelAggregator::Reduced ParallelAggregator::reduce_and_reset() {
-  Reduced out = reduce_and_reset_sums();
-  if (out.weight_sum > 0.0) {
-    const float inv = static_cast<float>(1.0 / out.weight_sum);
-    for (auto& v : out.mean_delta) v *= inv;
-  }
-  return out;
-}
-
-std::size_t ParallelAggregator::queued_or_inflight() const {
-  util::LockGuard lock(queue_mutex_);
-  return queue_.size() + inflight_;
 }
 
 }  // namespace papaya::fl

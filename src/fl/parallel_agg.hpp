@@ -10,37 +10,37 @@
 //  intermediate aggregation is hashed to choose one of the intermediate
 //  aggregates."
 //
-// This module keeps the paper's queue + worker-pool shape and takes its
-// contention trick to the limit, after Leis et al.'s morsel-driven
-// aggregation (SIGMOD '14): every worker owns one intermediate aggregate, so
-// a fold takes no lock at all.  A worker drains a run of queued updates and
-// folds each straight from its serialized bytes (the wire format is
-// little-endian IEEE-754, so on LE hosts the fold reads the payload in
-// place; no ModelUpdate is materialized).  An update of the wrong length or
-// a truncated one is dropped and counted, and so is one whose fold would
-// leave a NaN or an infinity in the intermediate: a non-finite element or
-// weight, or a weighted sum that overflows.  Every intermediate therefore
-// stays finite.  The reduce adds the touched intermediates, in worker order,
-// into a zeroed sum.
+// This module is one aggregation shard: one queue, one worker thread and the
+// one intermediate aggregate that worker owns, so a fold takes no lock at all
+// (the partition-owned aggregation of Leis et al.'s morsel-driven design,
+// SIGMOD '14).  The paper's thread pool maps onto shards: ShardedAggregator
+// runs TaskConfig::aggregator_shards of these, one thread per shard, and
+// hashes each client's stream, rather than each thread, onto one of them.
 //
-// Exactness: a single-worker pool folds in FIFO order, so its result is a
-// pure function of the enqueued updates.  Multi-worker pools split the
-// updates across intermediates nondeterministically; conservation suites
-// use exact-in-float values there.
+// At each wakeup the worker takes everything queued, by swapping the queue
+// with its own cleared run buffer under the queue lock, and folds the run in
+// FIFO order straight from the serialized bytes (the wire format is
+// little-endian IEEE-754, so on LE hosts the fold reads the payload in place;
+// no ModelUpdate is materialized).  An update of the wrong length or a
+// truncated one is dropped and counted, and so is one whose fold would leave
+// a NaN or an infinity in the intermediate: a non-finite element or weight,
+// or a weighted sum that overflows.  The intermediate therefore stays finite.
 //
-// reduce_and_reset() is safe against concurrent enqueue(): the reduce
-// quiesces the pool (drains, then pauses workers under the queue lock) so an
-// update enqueued mid-reduce lands in the *next* buffer instead of being
+// Exactness: the fold order is the enqueue order, so a shard's sum is a pure
+// function of the updates enqueued into it.
+//
+// reduce_and_reset_sums() is safe against concurrent enqueue(): the reduce
+// quiesces the shard (drains, then pauses the worker under the queue lock) so
+// an update enqueued mid-reduce lands in the *next* buffer instead of being
 // folded into an intermediate that was already summed-and-reset.  The same
 // handshake is the happens-before edge that lets the reduce read the
-// workers' lock-free intermediates.  Concurrent reduces take turns on the
+// worker's lock-free intermediate.  Concurrent reduces take turns on the
 // pause flag, so each update is counted by exactly one of them.
 
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <optional>
 #include <span>
 #include <thread>
@@ -51,9 +51,9 @@
 
 namespace papaya::fl {
 
-/// A reduced aggregation buffer.  `mean_delta` holds the weighted mean after
-/// ParallelAggregator::reduce_and_reset(), or the raw weighted sum after
-/// reduce_and_reset_sums() (cross-shard combining).
+/// A reduced aggregation buffer.  `mean_delta` holds the raw weighted sum
+/// after ParallelAggregator::reduce_and_reset_sums(), and the weighted mean
+/// after ShardedAggregator::reduce_and_reset().
 struct AggReduced {
   std::vector<float> mean_delta;
   double weight_sum = 0.0;
@@ -66,43 +66,31 @@ struct QueuedUpdate {
   double weight = 0.0;
 };
 
-/// Point-in-time copy of a pool's AggStats counters.
+/// Point-in-time copy of a shard's AggStats counters.
 struct AggStatsSnapshot {
-  std::uint64_t enqueued = 0;         ///< updates pushed into the queue
-  std::uint64_t folded = 0;           ///< updates folded into an intermediate
-  std::uint64_t dropped = 0;          ///< malformed, or a non-finite fold
-  std::uint64_t max_queue_depth = 0;  ///< high-water queue length
-  std::uint64_t reduces = 0;          ///< reduce_and_reset calls
+  std::uint64_t enqueued = 0;  ///< updates pushed into the queue
+  std::uint64_t folded = 0;    ///< updates folded into the intermediate
+  std::uint64_t dropped = 0;   ///< malformed, or a non-finite fold
 };
 
 /// Relaxed-atomic counters on the aggregation hot path.  Writers (enqueue,
-/// workers) touch only relaxed atomics; readers take snapshots.  After a
+/// the worker) touch only relaxed atomics; readers take snapshots.  After a
 /// drain, folded + dropped == enqueued.
 class AggStats {
  public:
-  void on_enqueue(std::size_t queue_depth) {
-    enqueued_.fetch_add(1, std::memory_order_relaxed);
-    std::uint64_t depth = queue_depth;
-    std::uint64_t seen = max_queue_depth_.load(std::memory_order_relaxed);
-    while (depth > seen && !max_queue_depth_.compare_exchange_weak(
-                               seen, depth, std::memory_order_relaxed)) {
-    }
-  }
+  void on_enqueue() { enqueued_.fetch_add(1, std::memory_order_relaxed); }
   void on_folded(std::size_t n) {
     folded_.fetch_add(n, std::memory_order_relaxed);
   }
   void on_dropped(std::size_t n) {
     dropped_.fetch_add(n, std::memory_order_relaxed);
   }
-  void on_reduce() { reduces_.fetch_add(1, std::memory_order_relaxed); }
 
   AggStatsSnapshot snapshot() const {
     AggStatsSnapshot s;
     s.enqueued = enqueued_.load(std::memory_order_relaxed);
     s.folded = folded_.load(std::memory_order_relaxed);
     s.dropped = dropped_.load(std::memory_order_relaxed);
-    s.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
-    s.reduces = reduces_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -110,8 +98,6 @@ class AggStats {
   std::atomic<std::uint64_t> enqueued_{0};
   std::atomic<std::uint64_t> folded_{0};
   std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> max_queue_depth_{0};
-  std::atomic<std::uint64_t> reduces_{0};
 };
 
 /// A bounds-checked view over one serialized ModelUpdate's float payload,
@@ -157,15 +143,10 @@ struct UpdateView {
 
 class ParallelAggregator {
  public:
-  /// `num_threads` workers (0 normalized to 1), each folding into its own
-  /// intermediate.  `clip_norm` > 0 rescales each delta to at most that L2
-  /// norm before aggregation (per-update clipping for differential privacy).
-  /// `drain_batch` is the number of queued updates a worker pops per wakeup
-  /// (0 normalized to 1): one queue-lock acquisition amortizes over the
-  /// whole run, and each popped run is folded in FIFO order, so the folds
-  /// are the same as per-update draining would perform.
-  ParallelAggregator(std::size_t model_size, std::size_t num_threads,
-                     float clip_norm = 0.0f, std::size_t drain_batch = 1);
+  /// One worker thread folding into one intermediate.  `clip_norm` > 0
+  /// rescales each delta to at most that L2 norm before aggregation
+  /// (per-update clipping for differential privacy).
+  explicit ParallelAggregator(std::size_t model_size, float clip_norm = 0.0f);
   ~ParallelAggregator();
 
   ParallelAggregator(const ParallelAggregator&) = delete;
@@ -177,64 +158,53 @@ class ParallelAggregator {
   /// Block until the queue is drained and all in-flight work has been folded.
   void drain();
 
-  /// Drain, then reduce the intermediates into (weighted mean delta, total
-  /// weight, count), and reset for the next buffer.
+  /// Drain, then return the intermediate as (raw weighted sum of
+  /// w_i * delta_i, total weight, count) and reset it for the next buffer.
+  /// The sum is not divided by `weight_sum`: ShardedAggregator adds the
+  /// shards' sums and forms the mean once, over the global weight.
   using Reduced = AggReduced;
-  Reduced reduce_and_reset();
-
-  /// Like reduce_and_reset(), but `mean_delta` holds the raw weighted sum
-  /// (sum of w_i * delta_i) — not divided by `weight_sum`.  Cross-shard
-  /// reduction (ShardedAggregator) combines shards with this so the final
-  /// mean is computed exactly once over the global weight.
   Reduced reduce_and_reset_sums();
-
-  std::size_t queued_or_inflight() const;
 
   /// Hot-path counters (cumulative since construction).
   AggStatsSnapshot stats_snapshot() const { return stats_.snapshot(); }
 
  private:
-  /// One worker's intermediate aggregate.  Only that worker touches it
-  /// between reduces, and only the quiesced reduce touches it otherwise, so
-  /// it needs no lock.  Cache-line aligned so neighbouring workers' counters
-  /// never share a line.
-  struct alignas(64) Intermediate {
-    std::vector<float> weighted_delta;  ///< sum of w_i * delta_i; sized on
-                                        ///< the worker's first fold
-    /// The fold's result until every sum proves finite and the two buffers
-    /// swap; with clip_norm > 0 it first holds the clipped delta.
-    std::vector<float> scratch;
-    double weight_sum = 0.0;
-    std::size_t count = 0;
-  };
-
-  /// `run` is the worker's drain buffer, reserved to drain_batch_.
-  void worker_loop(std::size_t worker_index, std::vector<QueuedUpdate> run);
-  /// Fold a drained run in FIFO order into `inter`.  Malformed updates, and
-  /// updates whose fold would leave a non-finite sum, are dropped and
-  /// counted.
-  void fold_run(Intermediate& inter, std::span<const QueuedUpdate> run);
+  void worker_loop();
+  /// Fold a drained run in FIFO order into the intermediate.  Malformed
+  /// updates, and updates whose fold would leave a non-finite sum, are
+  /// dropped and counted.
+  void fold_run(std::span<const QueuedUpdate> run);
 
   const std::size_t model_size_;
   const float clip_norm_;
-  const std::size_t drain_batch_;
   AggStats stats_;
-  std::vector<Intermediate> intermediates_;  ///< one per worker
 
-  /// Lock hierarchy: queue_mutex_ is level 1 and the only lock the pool
-  /// has; workers release it before folding (see util/sync.hpp).
+  /// The intermediate aggregate.  Only the worker touches it between
+  /// reduces, and only the quiesced reduce touches it otherwise, so it needs
+  /// no lock.
+  std::vector<float> weighted_delta_;  ///< sum of w_i * delta_i; sized on
+                                       ///< the first fold
+  /// The fold's result until every sum proves finite and the two buffers
+  /// swap; with clip_norm > 0 it first holds the clipped delta.
+  std::vector<float> scratch_;
+  double weight_sum_ = 0.0;
+  std::size_t count_ = 0;
+
+  /// Lock hierarchy: queue_mutex_ is level 1 and the only lock the shard
+  /// has; the worker releases it before folding (see util/sync.hpp).
   mutable util::Mutex queue_mutex_;
   util::CondVar queue_cv_;
   util::CondVar drained_cv_;
-  std::deque<QueuedUpdate> queue_ PAPAYA_GUARDED_BY(queue_mutex_);
-  std::size_t inflight_ PAPAYA_GUARDED_BY(queue_mutex_) = 0;
+  std::vector<QueuedUpdate> queue_ PAPAYA_GUARDED_BY(queue_mutex_);
+  /// True while the worker folds a run it took from the queue.
+  bool folding_ PAPAYA_GUARDED_BY(queue_mutex_) = false;
   bool stopping_ PAPAYA_GUARDED_BY(queue_mutex_) = false;
-  /// True while reduce_and_reset() reads/resets the intermediates; workers
-  /// leave the queue untouched so mid-reduce enqueues survive into the next
-  /// buffer, and other reducers wait their turn.
+  /// True while reduce_and_reset_sums() reads/resets the intermediate; the
+  /// worker leaves the queue untouched so mid-reduce enqueues survive into
+  /// the next buffer, and other reducers wait their turn.
   bool paused_ PAPAYA_GUARDED_BY(queue_mutex_) = false;
 
-  std::vector<std::thread> workers_;
+  std::thread worker_;
 };
 
 }  // namespace papaya::fl

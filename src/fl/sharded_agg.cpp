@@ -1,21 +1,18 @@
 #include "fl/sharded_agg.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace papaya::fl {
 
 ShardedAggregator::ShardedAggregator(const Config& config)
-    : model_size_(config.model_size),
-      ring_(config.num_shards, config.vnodes_per_shard) {
+    : model_size_(config.model_size), ring_(config.num_shards) {
   if (config.model_size == 0) {
     throw std::invalid_argument("ShardedAggregator: model_size must be > 0");
   }
   shards_.reserve(ring_.num_shards());
   for (std::size_t s = 0; s < ring_.num_shards(); ++s) {
-    shards_.push_back(std::make_unique<ParallelAggregator>(
-        model_size_, config.threads_per_shard, config.clip_norm,
-        config.drain_batch));
+    shards_.push_back(
+        std::make_unique<ParallelAggregator>(model_size_, config.clip_norm));
   }
 }
 
@@ -26,8 +23,6 @@ AggStatsSnapshot ShardedAggregator::stats_snapshot() const {
     total.enqueued += s.enqueued;
     total.folded += s.folded;
     total.dropped += s.dropped;
-    total.max_queue_depth = std::max(total.max_queue_depth, s.max_queue_depth);
-    total.reduces += s.reduces;
   }
   return total;
 }
@@ -60,12 +55,6 @@ ParallelAggregator::Reduced ShardedAggregator::reduce_and_reset() {
     for (auto& v : out.mean_delta) v *= inv;
   }
   return out;
-}
-
-std::size_t ShardedAggregator::queued_or_inflight() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->queued_or_inflight();
-  return total;
 }
 
 }  // namespace papaya::fl

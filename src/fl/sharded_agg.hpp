@@ -1,13 +1,12 @@
 #pragma once
 // Sharded server-side aggregation (Sec. 6.3, scaled out).
 //
-// A single ParallelAggregator scales until its one queue mutex and one
-// reduce loop saturate.  ShardedAggregator scales past that by consistent-
-// hashing client update *streams* (keyed by client id) onto N independent
-// ParallelAggregator shards — each with its own queue, worker pool, and
-// intermediate aggregates — exactly the hardware-proportional layout
-// Sec. 6.3 sketches for hashed intermediates, lifted one level up so whole
-// worker pools, not just intermediate slots, multiply.
+// A ParallelAggregator is one shard: one queue, one worker thread and one
+// intermediate aggregate.  ShardedAggregator is where the fold goes
+// parallel: it consistent-hashes client update *streams* (keyed by client
+// id) onto N such shards, the hardware-proportional layout Sec. 6.3
+// sketches for hashed intermediates, with the stream rather than the thread
+// choosing the intermediate.  Shards are the only axis of fold parallelism.
 //
 // Placement goes through a ConsistentHashRing so (1) a stream's updates
 // always land on the same shard (per-stream FIFO order is preserved), and
@@ -34,19 +33,11 @@ class ShardedAggregator {
  public:
   struct Config {
     std::size_t model_size = 0;
-    /// Independent ParallelAggregator shards (0 normalized to 1).
+    /// Independent ParallelAggregator shards, one worker thread each (0
+    /// normalized to 1).
     std::size_t num_shards = 1;
-    /// Worker threads per shard (the Sec. 6.3 pool), each folding into its
-    /// own intermediate.
-    std::size_t threads_per_shard = 1;
-    /// Ring virtual nodes per shard (placement evenness knob).
-    std::size_t vnodes_per_shard = 64;
     /// Per-update L2 clip applied by every shard (0 disables).
     float clip_norm = 0.0f;
-    /// Queued updates a shard worker pops per wakeup (0 normalized to 1):
-    /// TaskConfig::aggregation_batch_size, amortizing queue-lock traffic
-    /// without changing the folds.
-    std::size_t drain_batch = 1;
   };
 
   explicit ShardedAggregator(const Config& config);
@@ -64,8 +55,8 @@ class ShardedAggregator {
 
   /// Cross-shard reduce: drain + reduce every shard, combine the raw
   /// weighted sums, then normalize once by the global weight.  Safe against
-  /// concurrent enqueue() (each shard's reduce quiesces its own pool; a
-  /// racing update lands in that shard's next buffer).
+  /// concurrent enqueue() (each shard's reduce quiesces that shard; a racing
+  /// update lands in its next buffer).
   ParallelAggregator::Reduced reduce_and_reset();
 
   std::size_t num_shards() const { return shards_.size(); }
@@ -74,10 +65,7 @@ class ShardedAggregator {
   }
   const ConsistentHashRing& ring() const { return ring_; }
 
-  /// Updates not yet folded, summed over shards (point-in-time snapshot).
-  std::size_t queued_or_inflight() const;
-
-  /// Hot-path counters summed over shards (max_queue_depth is the max).
+  /// Hot-path counters summed over shards.
   AggStatsSnapshot stats_snapshot() const;
 
   /// One shard's counters (test hook: the FSM harness asserts per-shard

@@ -42,23 +42,21 @@ struct TaskConfig {
   /// Coordinator's workload estimate for task placement (Sec. 6.3).
   std::size_t model_size = 0;
 
-  /// Aggregation shards for this task (Sec. 6.3 scaled out): client update
-  /// streams are consistent-hashed onto this many independent
-  /// ParallelAggregator pipelines, each with its own queue, worker pool and
-  /// intermediates, with a cross-shard reduce at each server step.  1 (or 0,
-  /// normalized to 1) keeps the single-pipeline behaviour.
+  /// Aggregation shards for this task (Sec. 6.3): client update streams are
+  /// consistent-hashed onto this many independent ParallelAggregator shards,
+  /// each one queue, one worker thread and one intermediate, with a
+  /// cross-shard reduce at each server step.  This is the fold's only
+  /// parallelism.  1 (or 0, normalized to 1) keeps a single shard.
   std::size_t aggregator_shards = 1;
 
-  /// Server-side aggregation batch size.  Under SecAgg, contributions are
-  /// buffered and flushed to the TSA through BatchedSecureAggregationSession
-  /// (one boundary crossing, multi-stream mask expansion, one blocked fold
-  /// per flush) once this many are pending, or sooner when the pending ones
-  /// could complete the aggregation goal; on the plaintext path each
-  /// aggregation-shard worker drains up to this many queued updates per
-  /// wakeup.  1 (or 0, normalized to 1) hands each update over on its own.
-  /// The aggregate is bit-identical at any batch size — Z_{2^32} sums (and
-  /// float fold order per worker) are unchanged; only the amortization, and
-  /// when a deferred TSA verdict surfaces, change.
+  /// SecAgg flush size.  Contributions are buffered and flushed to the TSA
+  /// through BatchedSecureAggregationSession (one boundary crossing,
+  /// multi-stream mask expansion, one blocked fold per flush) once this many
+  /// are pending, or sooner when the pending ones could complete the
+  /// aggregation goal.  1 (or 0, normalized to 1) hands each contribution
+  /// over on its own.  The aggregate is bit-identical at any batch size —
+  /// Z_{2^32} sums are unchanged; only the amortization, and when a deferred
+  /// TSA verdict surfaces, change.  The plaintext path does not read it.
   std::size_t aggregation_batch_size = 1;
 
   /// Pipelined client runtime (Sec. 6.1): overlap local training,

@@ -217,7 +217,7 @@ CoordinatorFailoverWorkload::CoordinatorFailoverWorkload(std::size_t actors,
     : config_(config), coordinator_(/*seed=*/0xc0feULL), slots_(actors) {
   for (std::size_t a = 0; a < config_.aggregators; ++a) {
     aggregators_.push_back(std::make_unique<fl::Aggregator>(
-        "agg" + std::to_string(a), /*num_threads=*/1));
+        "agg" + std::to_string(a)));
     coordinator_.register_aggregator(*aggregators_.back(), 0.0);
   }
 }
@@ -459,8 +459,6 @@ fl::ShardedAggregator::Config sharded_config(
   fl::ShardedAggregator::Config out;
   out.model_size = config.model_size;
   out.num_shards = config.shards;
-  out.threads_per_shard = config.threads_per_shard;
-  out.drain_batch = config.drain_batch;
   return out;
 }
 

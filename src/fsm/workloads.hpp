@@ -129,8 +129,6 @@ class ShardedAggWorkload final : public Workload {
   struct Config {
     std::size_t model_size = 16;
     std::size_t shards = 3;
-    std::size_t threads_per_shard = 2;
-    std::size_t drain_batch = 4;
   };
 
   explicit ShardedAggWorkload(std::size_t actors);

@@ -35,28 +35,6 @@ void Adam::step(std::span<float> params, std::span<const float> grad) {
   }
 }
 
-FedAdam::FedAdam(std::size_t num_params, Config config)
-    : config_(config), m_(num_params, 0.0f), v_(num_params, 0.0f) {}
-
-void FedAdam::step(std::span<float> params,
-                   std::span<const float> aggregated_delta) {
-  if (params.size() != m_.size() || aggregated_delta.size() != m_.size()) {
-    throw std::invalid_argument("FedAdam::step: size mismatch");
-  }
-  ++t_;
-  const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const float d = aggregated_delta[i];
-    m_[i] = config_.beta1 * m_[i] + (1.0f - config_.beta1) * d;
-    v_[i] = config_.beta2 * v_[i] + (1.0f - config_.beta2) * d * d;
-    const float m_hat = m_[i] / bc1;
-    const float v_hat = v_[i] / bc2;
-    params[i] += config_.lr * m_hat / (std::sqrt(v_hat) + config_.tau);
-  }
-}
-
-
 const char* to_string(ServerOptimizerKind kind) {
   switch (kind) {
     case ServerOptimizerKind::kFedSgd:

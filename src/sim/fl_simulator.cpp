@@ -91,13 +91,12 @@ FlSimulator::FlSimulator(SimulationConfig config)
   if (config_.task.aggregator_shards == 0) config_.task.aggregator_shards = 1;
   for (std::size_t i = 0; i < std::max<std::size_t>(1, config_.num_aggregators);
        ++i) {
-    // Single-threaded worker pools per aggregation shard: stream-to-shard
-    // placement is hash-deterministic and each shard folds its queue in
-    // arrival order, so simulations stay bit-for-bit reproducible for a
-    // given shard count (the summation order changes across shard counts).
-    // Multi-threaded pools are exercised by tests/ and bench_micro_*.
-    aggregators_.push_back(std::make_unique<fl::Aggregator>(
-        "agg-" + std::to_string(i), /*num_threads=*/1));
+    // One fold thread per aggregation shard: stream-to-shard placement is
+    // hash-deterministic and each shard folds its queue in arrival order, so
+    // simulations stay bit-for-bit reproducible for a given shard count (the
+    // summation order changes across shard counts).
+    aggregators_.push_back(
+        std::make_unique<fl::Aggregator>("agg-" + std::to_string(i)));
     coordinator_->register_aggregator(*aggregators_.back(), 0.0);
   }
   std::vector<float> params(initial_model->params().begin(),

@@ -44,7 +44,7 @@ enum class ModelKind { kMlp, kLstm };
 struct SimulationConfig {
   /// Task knobs, including `task.aggregator_shards`: scenarios that set it
   /// > 1 run the server's sharded aggregation path (client update streams
-  /// consistent-hashed onto independent per-shard worker pools, Sec. 6.3)
+  /// consistent-hashed onto independent single-thread shards, Sec. 6.3)
   /// end-to-end through the same message-level API.
   fl::TaskConfig task;
   PopulationConfig population;

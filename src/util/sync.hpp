@@ -25,13 +25,14 @@
 //       workers hold no other lock)
 //   level 1:
 //     ParallelAggregator::queue_mutex_  src/fl/parallel_agg.hpp
-//       (workers hold it only around queue ops and fold into their own
-//        intermediate without a lock; it nests under Coordinator::mutex_)
+//       (a shard's worker holds it only around queue ops and folds into
+//        its own intermediate without a lock; it nests under
+//        Coordinator::mutex_)
 //   level 2:
 //     Coordinator::mutex_             src/fl/coordinator.hpp
 //       (placement and failover call into Aggregator task assignment and
 //        removal while holding it, which constructs or tears down
-//        ParallelAggregator pools — so it sits above queue_mutex_.
+//        ParallelAggregator shards — so it sits above queue_mutex_.
 //        Aggregator code never calls back into the Coordinator: acyclic.)
 //   independent roots (never nested with each other or the above):
 //     SecureBufferManager::mutex_     src/fl/secure_buffer.hpp

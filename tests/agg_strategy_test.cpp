@@ -1,10 +1,10 @@
-// Tests for the aggregation pool's one fold: the UpdateView wire parser, a
-// single-worker pool against a reference fold written out here (bit for
-// bit, with and without clipping, at several drain batches), drops of
-// malformed and non-finite updates, the conservation hammers on
-// multi-worker pools under concurrent enqueue and reduce, the AggStats
-// counters, the sharded reduce against its own reference and against a
-// single pool, and registration-time shard normalization.
+// Tests for the aggregation shard's one fold: the UpdateView wire parser, a
+// shard against a reference fold written out here (bit for bit, with and
+// without clipping, in runs of one and in whatever runs the worker takes),
+// drops of malformed and non-finite updates, the conservation hammers on one
+// shard and on a sharded aggregator under concurrent enqueue and reduce, the
+// AggStats counters, the sharded reduce against its own reference and
+// against one shard, and registration-time shard normalization.
 
 #include <gtest/gtest.h>
 
@@ -78,9 +78,9 @@ struct WeightedUpdate {
   double weight = 0.0;
 };
 
-/// Raw weighted sums of `updates` folded one after another, the way one
-/// pool worker folds them: acc[i] += float(w) * x[i] from zeros, each delta
-/// first clipped to `clip_norm` when that is > 0.
+/// Raw weighted sums of `updates` folded one after another, the way a
+/// shard's worker folds them: acc[i] += float(w) * x[i] from zeros, each
+/// delta first clipped to `clip_norm` when that is > 0.
 AggReduced reference_sums(const std::vector<WeightedUpdate>& updates,
                           std::size_t model, float clip_norm) {
   AggReduced out;
@@ -96,7 +96,7 @@ AggReduced reference_sums(const std::vector<WeightedUpdate>& updates,
   return out;
 }
 
-/// Normalize raw sums the way reduce_and_reset() does.
+/// Normalize raw sums the way ShardedAggregator::reduce_and_reset() does.
 AggReduced normalized(AggReduced sums) {
   if (sums.weight_sum > 0.0) {
     const float inv = static_cast<float>(1.0 / sums.weight_sum);
@@ -109,6 +109,27 @@ void expect_bit_identical(const AggReduced& got, const AggReduced& want) {
   EXPECT_EQ(bits_of(got.mean_delta), bits_of(want.mean_delta));
   EXPECT_EQ(got.weight_sum, want.weight_sum);
   EXPECT_EQ(got.count, want.count);
+}
+
+ShardedAggregator::Config sharded_config(std::size_t model,
+                                         std::size_t shards,
+                                         float clip_norm = 0.0f) {
+  ShardedAggregator::Config cfg;
+  cfg.model_size = model;
+  cfg.num_shards = shards;
+  cfg.clip_norm = clip_norm;
+  return cfg;
+}
+
+/// Enqueue `updates` in order.  With `drain_each`, each update is folded
+/// before the next arrives, so the worker takes runs of one; without, it
+/// takes whatever has queued up at each wakeup.
+void enqueue_all(ParallelAggregator& agg,
+                 const std::vector<WeightedUpdate>& updates, bool drain_each) {
+  for (const auto& [bytes, weight] : updates) {
+    agg.enqueue(bytes, weight);
+    if (drain_each) agg.drain();
+  }
 }
 
 // ------------------------------------------------------------- UpdateView --
@@ -216,38 +237,48 @@ TEST(UpdateView, FoldFiniteSumsOrFlagsNaNAndInfinity) {
   }
 }
 
-// ------------------------------------------ One worker: the reference fold --
+// -------------------------------------------- One shard: the reference fold --
 
-TEST(OneFold, SingleWorkerUnclippedFoldMatchesReferenceBitForBit) {
+TEST(OneFold, ShardUnclippedFoldMatchesReferenceBitForBit) {
   constexpr std::size_t kModel = 257;  // odd, exercises non-aligned tails
   std::vector<WeightedUpdate> updates;
   for (std::uint64_t c = 0; c < 32; ++c) {
     updates.push_back({make_varied_update(c, kModel), 0.25 + 0.5 * (c % 4)});
   }
-  const AggReduced want = normalized(reference_sums(updates, kModel, 0.0f));
-  for (const std::size_t batch : {1u, 3u, 5u}) {
-    ParallelAggregator agg(kModel, /*num_threads=*/1, /*clip_norm=*/0.0f,
-                           batch);
-    for (const auto& [bytes, weight] : updates) agg.enqueue(bytes, weight);
-    SCOPED_TRACE(batch);
-    expect_bit_identical(agg.reduce_and_reset(), want);
+  const AggReduced want = reference_sums(updates, kModel, 0.0f);
+  for (const bool drain_each : {false, true}) {
+    ParallelAggregator agg(kModel);
+    enqueue_all(agg, updates, drain_each);
+    SCOPED_TRACE(drain_each);
+    expect_bit_identical(agg.reduce_and_reset_sums(), want);
   }
+  // One shard behind the sharded reduce: the same sums, normalized once.
+  ShardedAggregator one(sharded_config(kModel, 1));
+  for (std::uint64_t c = 0; c < updates.size(); ++c) {
+    one.enqueue(c, updates[c].bytes, updates[c].weight);
+  }
+  expect_bit_identical(one.reduce_and_reset(), normalized(want));
 }
 
-TEST(OneFold, SingleWorkerClippedFoldMatchesReferenceBitForBit) {
+TEST(OneFold, ShardClippedFoldMatchesReferenceBitForBit) {
   constexpr std::size_t kModel = 96;
   constexpr float kClip = 0.5f;
   std::vector<WeightedUpdate> updates;
   for (std::uint64_t c = 0; c < 12; ++c) {
     updates.push_back({make_varied_update(c, kModel), 1.0 + c});
   }
-  const AggReduced want = normalized(reference_sums(updates, kModel, kClip));
-  for (const std::size_t batch : {1u, 5u}) {
-    ParallelAggregator agg(kModel, /*num_threads=*/1, kClip, batch);
-    for (const auto& [bytes, weight] : updates) agg.enqueue(bytes, weight);
-    SCOPED_TRACE(batch);
-    expect_bit_identical(agg.reduce_and_reset(), want);
+  const AggReduced want = reference_sums(updates, kModel, kClip);
+  for (const bool drain_each : {false, true}) {
+    ParallelAggregator agg(kModel, kClip);
+    enqueue_all(agg, updates, drain_each);
+    SCOPED_TRACE(drain_each);
+    expect_bit_identical(agg.reduce_and_reset_sums(), want);
   }
+  ShardedAggregator one(sharded_config(kModel, 1, kClip));
+  for (std::uint64_t c = 0; c < updates.size(); ++c) {
+    one.enqueue(c, updates[c].bytes, updates[c].weight);
+  }
+  expect_bit_identical(one.reduce_and_reset(), normalized(want));
 }
 
 // ----------------------------------------------------------------- Drops --
@@ -257,8 +288,8 @@ TEST(OneFold, ClippedFoldsDropNonFiniteUpdates) {
   // inf * 0 is NaN), so the fold drops such an update as malformed: the
   // honest updates reduce to exactly what they reduce to alone.
   constexpr std::size_t kModel = 96;
-  ParallelAggregator honest(kModel, 1, /*clip_norm=*/0.5f);
-  ParallelAggregator mixed(kModel, 1, /*clip_norm=*/0.5f);
+  ParallelAggregator honest(kModel, /*clip_norm=*/0.5f);
+  ParallelAggregator mixed(kModel, /*clip_norm=*/0.5f);
   for (std::uint64_t c = 0; c < 12; ++c) {
     honest.enqueue(make_varied_update(c, kModel), 1.0 + c);
     mixed.enqueue(make_varied_update(c, kModel), 1.0 + c);
@@ -269,14 +300,14 @@ TEST(OneFold, ClippedFoldsDropNonFiniteUpdates) {
                     2.0);
     }
   }
-  const auto want = honest.reduce_and_reset();
-  const auto got = mixed.reduce_and_reset();
+  const auto want = honest.reduce_and_reset_sums();
+  const auto got = mixed.reduce_and_reset_sums();
   expect_bit_identical(got, want);
   EXPECT_EQ(got.count, 12u);
   EXPECT_EQ(mixed.stats_snapshot().dropped, 2u);
   // The clip bounds the delta but not the weight: an infinite weight makes
   // every sum of its fold non-finite.
-  ParallelAggregator heavy(kModel, 1, /*clip_norm=*/0.5f);
+  ParallelAggregator heavy(kModel, /*clip_norm=*/0.5f);
   for (std::uint64_t c = 0; c < 12; ++c) {
     heavy.enqueue(make_varied_update(c, kModel), 1.0 + c);
     if (c == 5) {
@@ -284,34 +315,40 @@ TEST(OneFold, ClippedFoldsDropNonFiniteUpdates) {
                     std::numeric_limits<double>::infinity());
     }
   }
-  expect_bit_identical(heavy.reduce_and_reset(), want);
+  expect_bit_identical(heavy.reduce_and_reset_sums(), want);
   EXPECT_EQ(heavy.stats_snapshot().dropped, 1u);
 }
 
 TEST(OneFold, UnclippedFoldsDropNonFiniteUpdates) {
   // Without clipping the fold reads the payload in place.  It checks every
-  // sum during its single pass into the worker's scratch buffer and keeps
-  // the result only if all were finite: one NaN or infinity would otherwise
-  // make the whole mean non-finite.  Runs of 5 put the bad updates mid-run.
+  // sum during its single pass into the shard's scratch buffer and keeps the
+  // result only if all were finite: one NaN or infinity would otherwise make
+  // the whole mean non-finite.  Runs of one, and whatever runs the worker
+  // takes, which can put the bad updates mid-run.
   constexpr std::size_t kModel = 96;
-  for (const std::size_t batch : {1u, 5u}) {
-    ParallelAggregator honest(kModel, 1, /*clip_norm=*/0.0f, batch);
-    ParallelAggregator mixed(kModel, 1, /*clip_norm=*/0.0f, batch);
-    for (std::uint64_t c = 0; c < 12; ++c) {
-      honest.enqueue(make_varied_update(c, kModel), 1.0 + c);
-      mixed.enqueue(make_varied_update(c, kModel), 1.0 + c);
-      if (c == 3) {
-        mixed.enqueue(make_poisoned_update(100, kModel, std::nanf("")), 2.0);
-      }
-      if (c == 7) {
-        mixed.enqueue(make_poisoned_update(
-                          101, kModel, std::numeric_limits<float>::infinity()),
-                      2.0);
-      }
+  std::vector<WeightedUpdate> honest_updates, mixed_updates;
+  for (std::uint64_t c = 0; c < 12; ++c) {
+    honest_updates.push_back({make_varied_update(c, kModel), 1.0 + c});
+    mixed_updates.push_back({make_varied_update(c, kModel), 1.0 + c});
+    if (c == 3) {
+      mixed_updates.push_back(
+          {make_poisoned_update(100, kModel, std::nanf("")), 2.0});
     }
-    const auto want = honest.reduce_and_reset();
-    const auto got = mixed.reduce_and_reset();
-    SCOPED_TRACE(batch);
+    if (c == 7) {
+      mixed_updates.push_back(
+          {make_poisoned_update(101, kModel,
+                                std::numeric_limits<float>::infinity()),
+           2.0});
+    }
+  }
+  for (const bool drain_each : {false, true}) {
+    ParallelAggregator honest(kModel);
+    ParallelAggregator mixed(kModel);
+    enqueue_all(honest, honest_updates, drain_each);
+    enqueue_all(mixed, mixed_updates, drain_each);
+    const auto want = honest.reduce_and_reset_sums();
+    const auto got = mixed.reduce_and_reset_sums();
+    SCOPED_TRACE(drain_each);
     expect_bit_identical(got, want);
     EXPECT_EQ(got.count, 12u);
     const AggStatsSnapshot stats = mixed.stats_snapshot();
@@ -323,13 +360,15 @@ TEST(OneFold, UnclippedFoldsDropNonFiniteUpdates) {
   // at weight 1 once an earlier update has brought the intermediate to
   // FLT_MAX.  The first weight-1 update is finite and kept.
   constexpr float kMax = std::numeric_limits<float>::max();
-  for (const std::size_t batch : {1u, 5u}) {
-    ParallelAggregator overflow(kModel, 1, /*clip_norm=*/0.0f, batch);
-    overflow.enqueue(make_update(200, kModel, kMax), 2.0);
-    overflow.enqueue(make_update(201, kModel, kMax), 1.0);
-    overflow.enqueue(make_update(202, kModel, kMax), 1.0);
+  const std::vector<WeightedUpdate> overflowing = {
+      {make_update(200, kModel, kMax), 2.0},
+      {make_update(201, kModel, kMax), 1.0},
+      {make_update(202, kModel, kMax), 1.0}};
+  for (const bool drain_each : {false, true}) {
+    ParallelAggregator overflow(kModel);
+    enqueue_all(overflow, overflowing, drain_each);
     const auto sums = overflow.reduce_and_reset_sums();
-    SCOPED_TRACE(batch);
+    SCOPED_TRACE(drain_each);
     EXPECT_EQ(sums.count, 1u);
     EXPECT_EQ(sums.weight_sum, 1.0);
     for (const float v : sums.mean_delta) ASSERT_EQ(v, kMax);
@@ -342,7 +381,7 @@ TEST(OneFold, UnclippedFoldsDropNonFiniteUpdates) {
 TEST(OneFold, MalformedUpdatesDropAndCount) {
   constexpr std::size_t kModel = 16;
   const util::Bytes good = make_update(0, kModel, 1.0f);
-  ParallelAggregator agg(kModel, 1, 0.0f, /*drain_batch=*/3);
+  ParallelAggregator agg(kModel);
   agg.enqueue(good, 1.0);
   agg.enqueue(make_update(1, kModel + 3, 1.0f), 1.0);  // wrong length
   agg.enqueue(good, 1.0);
@@ -351,38 +390,36 @@ TEST(OneFold, MalformedUpdatesDropAndCount) {
   agg.enqueue(make_update(2, kModel, -std::numeric_limits<float>::infinity()),
               1.0);
   agg.enqueue(good, 1.0);
-  const auto reduced = agg.reduce_and_reset();
+  const auto reduced = agg.reduce_and_reset_sums();
   EXPECT_EQ(reduced.count, 3u);
   EXPECT_EQ(reduced.weight_sum, 3.0);
-  for (const float v : reduced.mean_delta) EXPECT_EQ(v, 1.0f);
+  for (const float v : reduced.mean_delta) EXPECT_EQ(v, 3.0f);
   const AggStatsSnapshot stats = agg.stats_snapshot();
   EXPECT_EQ(stats.enqueued, 7u);
   EXPECT_EQ(stats.folded, 3u);
   EXPECT_EQ(stats.dropped, 4u);
 }
 
-// ------------------------------------------ Conservation (several workers) --
+// ------------------------------------------------------------ Conservation --
 
 TEST(OneFold, DrainedGroupsConserveExactly) {
   // Fold one buffer's updates in three groups, draining between groups,
   // then reduce once.  The reduce must account for every update exactly.
   constexpr std::size_t kModel = 64;
   constexpr std::size_t kPerGroup = 20;
-  ParallelAggregator agg(kModel, /*num_threads=*/2, 0.0f, /*drain_batch=*/4);
+  ParallelAggregator agg(kModel);
   std::uint64_t client = 0;
   double expected_weight = 0.0;
   for (int group = 0; group < 3; ++group) {
     for (std::size_t i = 0; i < kPerGroup; ++i, ++client) {
-      // Unit deltas and integer weights: sums stay exact in float under any
-      // fold interleaving.
+      // Unit deltas and integer weights: sums stay exact in float.
       agg.enqueue(make_update(client, kModel, 1.0f), 1.0 + client % 3);
       expected_weight += 1.0 + client % 3;
     }
     agg.drain();
   }
   // Raw sums (not the normalized mean): with unit deltas and small integer
-  // weights every partial sum is exact in float, so the assertion is exact
-  // under any fold order or split across intermediates.
+  // weights every partial sum is exact in float, so the assertion is exact.
   const auto reduced = agg.reduce_and_reset_sums();
   EXPECT_EQ(reduced.count, 3 * kPerGroup);
   EXPECT_DOUBLE_EQ(reduced.weight_sum, expected_weight);
@@ -396,12 +433,12 @@ TEST(OneFold, DrainedGroupsConserveExactly) {
 }
 
 TEST(OneFold, ConcurrentProducersConserveAcrossBuffers) {
-  // Two producer threads enqueue into a three-worker pool; each buffer's
-  // reduce must see every update exactly once, whichever worker folded it.
+  // Two producer threads enqueue into one shard; each buffer's reduce must
+  // see every update exactly once.
   constexpr std::size_t kModel = 48;
   constexpr std::size_t kPerProducer = 300;
   constexpr int kBuffers = 4;
-  ParallelAggregator agg(kModel, /*num_threads=*/3, 0.0f, /*drain_batch=*/5);
+  ParallelAggregator agg(kModel);
   for (int buffer = 0; buffer < kBuffers; ++buffer) {
     std::thread producers[2];
     for (int p = 0; p < 2; ++p) {
@@ -421,69 +458,114 @@ TEST(OneFold, ConcurrentProducersConserveAcrossBuffers) {
   }
 }
 
-TEST(OneFold, ConservesUnderConcurrentEnqueueAndReduce) {
-  // Enqueue concurrently with reduces on a three-worker pool; across all
-  // reduces every update is counted exactly once.
-  constexpr std::size_t kModel = 32;
-  constexpr std::size_t kUpdates = 400;
-  ParallelAggregator agg(kModel, 3, 0.0f, 2);
-  std::thread producer([&] {
-    for (std::size_t i = 0; i < kUpdates; ++i) {
-      agg.enqueue(make_update(i, kModel, 1.0f), 1.0);
-    }
-  });
-  double weight = 0.0;
-  std::size_t count = 0;
-  std::vector<double> sums(kModel, 0.0);
-  for (int r = 0; r < 5; ++r) {
-    const auto part = agg.reduce_and_reset_sums();
-    weight += part.weight_sum;
+/// Totals over every reduce of one conservation hammer.
+struct Conserved {
+  std::atomic<std::size_t> count{0};
+  std::atomic<std::uint64_t> weight_units{0};
+  /// Sum over buffers of each buffer's raw sum of element 0 (one shard).
+  std::atomic<std::uint64_t> mass_units{0};
+
+  void credit(const AggReduced& part, bool raw_sums) {
     count += part.count;
-    for (std::size_t i = 0; i < kModel; ++i) sums[i] += part.mean_delta[i];
+    // Unit weights: every weight sum is a small integer, exact in double.
+    weight_units += static_cast<std::uint64_t>(part.weight_sum);
+    if (raw_sums) mass_units += static_cast<std::uint64_t>(part.mean_delta[0]);
   }
-  producer.join();
-  const auto last = agg.reduce_and_reset_sums();
-  weight += last.weight_sum;
-  count += last.count;
-  for (std::size_t i = 0; i < kModel; ++i) sums[i] += last.mean_delta[i];
-  EXPECT_EQ(count, kUpdates);
-  EXPECT_DOUBLE_EQ(weight, static_cast<double>(kUpdates));
-  for (const double v : sums) EXPECT_DOUBLE_EQ(v, static_cast<double>(kUpdates));
+};
+
+/// Two producers enqueue `per_producer` unit updates each while two reducer
+/// threads reduce concurrently until both producers are done; a last
+/// reduce collects the rest.  `reduce` returns one reduce's result.
+template <class Enqueue, class Reduce>
+void hammer(std::size_t per_producer, Enqueue enqueue, Reduce reduce,
+            bool raw_sums, Conserved& total) {
+  std::atomic<int> producers_done{0};
+  std::vector<std::thread> threads;
+  for (std::uint64_t p = 0; p < 2; ++p) {
+    threads.emplace_back([&, p] {
+      for (std::uint64_t i = 0; i < per_producer; ++i) {
+        enqueue(p * per_producer + i);
+      }
+      producers_done.fetch_add(1);
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      while (producers_done.load() < 2) total.credit(reduce(), raw_sums);
+    });
+  }
+  for (auto& t : threads) t.join();
+  total.credit(reduce(), raw_sums);
+}
+
+TEST(OneFold, ShardConservesUnderConcurrentEnqueueAndReduce) {
+  // Producers race concurrent reducers on one shard: the reducers take
+  // turns on the pause flag, and across all reduces every update is counted
+  // exactly once.  Unit deltas and weights keep every sum exact in float.
+  constexpr std::size_t kModel = 32;
+  constexpr std::size_t kPerProducer = 250;
+  ParallelAggregator agg(kModel);
+  const util::Bytes update = make_update(0, kModel, 1.0f);
+  Conserved total;
+  hammer(
+      kPerProducer, [&](std::uint64_t) { agg.enqueue(update, 1.0); },
+      [&] { return agg.reduce_and_reset_sums(); }, /*raw_sums=*/true, total);
+  EXPECT_EQ(total.count.load(), 2 * kPerProducer);
+  EXPECT_EQ(total.weight_units.load(), 2 * kPerProducer);
+  EXPECT_EQ(total.mass_units.load(), 2 * kPerProducer);
+  const AggStatsSnapshot stats = agg.stats_snapshot();
+  EXPECT_EQ(stats.enqueued, 2 * kPerProducer);
+  EXPECT_EQ(stats.folded, 2 * kPerProducer);
+}
+
+TEST(ShardedFold, ShardsConserveUnderConcurrentEnqueueAndReduce) {
+  // The same hammer on four shards.  Each shard quiesces on its own, so two
+  // racing sharded reduces may each take some shards' buffers; across all
+  // reduces no update is counted twice or lost.
+  constexpr std::size_t kModel = 32;
+  constexpr std::size_t kPerProducer = 250;
+  ShardedAggregator agg(sharded_config(kModel, 4));
+  Conserved total;
+  hammer(
+      kPerProducer,
+      [&](std::uint64_t c) {
+        agg.enqueue(c, make_update(c, kModel, 1.0f), 1.0);
+      },
+      [&] { return agg.reduce_and_reset(); }, /*raw_sums=*/false, total);
+  EXPECT_EQ(total.count.load(), 2 * kPerProducer);
+  EXPECT_EQ(total.weight_units.load(), 2 * kPerProducer);
+  const AggStatsSnapshot stats = agg.stats_snapshot();
+  EXPECT_EQ(stats.enqueued, 2 * kPerProducer);
+  EXPECT_EQ(stats.folded, 2 * kPerProducer);
+  for (std::size_t s = 0; s < agg.num_shards(); ++s) {
+    const AggStatsSnapshot shard = agg.shard_stats(s);
+    EXPECT_GT(shard.enqueued, 0u) << "shard " << s;
+    EXPECT_EQ(shard.folded + shard.dropped, shard.enqueued) << "shard " << s;
+  }
 }
 
 TEST(OneFold, StatsCountersTrackTraffic) {
   constexpr std::size_t kModel = 24;
-  ParallelAggregator agg(kModel, 1);
+  ParallelAggregator agg(kModel);
   const util::Bytes update = make_update(0, kModel, 1.0f);
   for (int i = 0; i < 6; ++i) agg.enqueue(update, 1.0);
   agg.drain();
-  const auto reduced = agg.reduce_and_reset();
+  const auto reduced = agg.reduce_and_reset_sums();
   EXPECT_EQ(reduced.count, 6u);
   const AggStatsSnapshot stats = agg.stats_snapshot();
   EXPECT_EQ(stats.enqueued, 6u);
   EXPECT_EQ(stats.folded, 6u);
   EXPECT_EQ(stats.dropped, 0u);
-  EXPECT_EQ(stats.reduces, 1u);
-  EXPECT_GE(stats.max_queue_depth, 1u);
 }
 
 // ------------------------------------------------------ Sharded reduce --
 
-ShardedAggregator::Config sharded_config(std::size_t model,
-                                         std::size_t threads) {
-  ShardedAggregator::Config cfg;
-  cfg.model_size = model;
-  cfg.num_shards = 4;
-  cfg.threads_per_shard = threads;
-  return cfg;
-}
-
-TEST(ShardedFold, SingleWorkerShardsMatchReferenceBitForBit) {
-  // Each single-worker shard folds its streams in arrival order; the
-  // cross-shard reduce adds the shards' raw sums in shard order and
-  // normalizes once.  Arbitrary values, so any other order would show.
+TEST(ShardedFold, ShardsMatchReferenceBitForBit) {
+  // Each shard folds its streams in arrival order; the cross-shard reduce
+  // adds the shards' raw sums in shard order and normalizes once.
+  // Arbitrary values, so any other order would show.
   constexpr std::size_t kModel = 128;
-  ShardedAggregator sharded(sharded_config(kModel, 1));
+  ShardedAggregator sharded(sharded_config(kModel, 4));
   std::vector<std::vector<WeightedUpdate>> per_shard(sharded.num_shards());
   for (std::uint64_t c = 0; c < 64; ++c) {
     const util::Bytes bytes = make_varied_update(c, kModel);
@@ -504,23 +586,19 @@ TEST(ShardedFold, SingleWorkerShardsMatchReferenceBitForBit) {
   expect_bit_identical(sharded.reduce_and_reset(), normalized(want));
 }
 
-TEST(ShardedFold, ShardedReduceEqualsSinglePoolReduce) {
+TEST(ShardedFold, ShardedReduceEqualsOneShardReduce) {
   // Exact-in-float values, so every association of the sums has one
-  // representation: four shards of one or two workers each reduce to what
-  // one single-worker pool reduces to, bit for bit.
+  // representation: four shards reduce to what one shard reduces to, bit
+  // for bit.
   constexpr std::size_t kModel = 128;
-  for (const std::size_t threads : {1u, 2u}) {
-    ShardedAggregator sharded(sharded_config(kModel, threads));
-    ParallelAggregator single(kModel, 1);
-    for (std::uint64_t c = 0; c < 64; ++c) {
-      const util::Bytes bytes = make_update(c, kModel, 1.0f + c % 4);
-      sharded.enqueue(c, bytes, 1.0 + c % 3);
-      single.enqueue(bytes, 1.0 + c % 3);
-    }
-    SCOPED_TRACE(threads);
-    expect_bit_identical(sharded.reduce_and_reset(),
-                         single.reduce_and_reset());
+  ShardedAggregator sharded(sharded_config(kModel, 4));
+  ShardedAggregator one(sharded_config(kModel, 1));
+  for (std::uint64_t c = 0; c < 64; ++c) {
+    const util::Bytes bytes = make_update(c, kModel, 1.0f + c % 4);
+    sharded.enqueue(c, bytes, 1.0 + c % 3);
+    one.enqueue(c, bytes, 1.0 + c % 3);
   }
+  expect_bit_identical(sharded.reduce_and_reset(), one.reduce_and_reset());
 }
 
 // ------------------------------------------------ Registration validation --
@@ -528,7 +606,7 @@ TEST(ShardedFold, ShardedReduceEqualsSinglePoolReduce) {
 TEST(AggregatorRegistration, NormalizesZeroShards) {
   // 0 must never reach the ring modulo, even when assign_task is called
   // directly (bypassing Coordinator placement).
-  Aggregator agg("a1", 1);
+  Aggregator agg("a1");
   TaskConfig config;
   config.name = "t";
   config.model_size = 8;

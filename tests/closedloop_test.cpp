@@ -130,7 +130,6 @@ SimulationConfig small_config() {
   cfg.model.vocab_size = 32;
   cfg.model.embed_dim = 6;
   cfg.model.hidden_dim = 8;
-  cfg.trainer.compute_losses = false;
   cfg.max_server_steps = 15;
   cfg.eval_every_steps = 10;
   cfg.seed = 5;

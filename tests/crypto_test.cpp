@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <utility>
+
 #include "crypto/auth_enc.hpp"
 #include "crypto/bigint.hpp"
 #include "crypto/chacha20.hpp"
@@ -12,6 +16,19 @@
 #include "util/rng.hpp"
 
 namespace papaya::crypto {
+namespace detail {
+// ChaCha20's multi-stream tile kernel, portable and AVX2 builds
+// (src/crypto/chacha20.cpp); keystream_words_multi takes the AVX2 one on a
+// CPU that has it.
+void expand_tile_portable(
+    std::uint32_t (&state)[16][ChaCha20::kMultiStreamLanes],
+    std::uint32_t* const* outs, std::size_t blocks);
+#if defined(__x86_64__)
+void expand_tile_avx2(std::uint32_t (&state)[16][ChaCha20::kMultiStreamLanes],
+                      std::uint32_t* const* outs, std::size_t blocks);
+#endif
+}  // namespace detail
+
 namespace {
 
 using util::Bytes;
@@ -222,6 +239,82 @@ TEST(ChaCha20, MultiStreamMatchesScalarStreams) {
       // The multi path leaves every stream positioned for more keystream.
       for (std::size_t s = 0; s < streams; ++s) {
         EXPECT_EQ(multi[s].next_u32(), scalar[s].next_u32()) << "stream " << s;
+      }
+    }
+  }
+}
+
+TEST(ChaCha20, BothTileBuildsMatchPerStreamKeystream) {
+  // Each build of the tile kernel, fed the RFC 8439 state of 8 streams
+  // (one per lane), must reproduce every stream's keystream_words and leave
+  // each lane's block counter advanced by `blocks`, wrapping at 2^32.
+  constexpr std::size_t kLanes = ChaCha20::kMultiStreamLanes;
+  using Tile = void (*)(std::uint32_t(&)[16][kLanes], std::uint32_t* const*,
+                        std::size_t);
+  std::vector<std::pair<const char*, Tile>> builds = {
+      {"portable", detail::expand_tile_portable}};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) {
+    builds.emplace_back("avx2", detail::expand_tile_avx2);
+  } else {
+    std::printf("[ SKIPPED  ] the AVX2 tile build: this CPU has no AVX2\n");
+  }
+#endif
+  const auto le32 = [](const Bytes& b, std::size_t at) {
+    return static_cast<std::uint32_t>(b[at]) |
+           (static_cast<std::uint32_t>(b[at + 1]) << 8) |
+           (static_cast<std::uint32_t>(b[at + 2]) << 16) |
+           (static_cast<std::uint32_t>(b[at + 3]) << 24);
+  };
+  for (const auto& [name, tile] : builds) {
+    for (const std::size_t blocks : {0UL, 1UL, 3UL, 17UL}) {
+      std::uint32_t state[16][kLanes];
+      std::vector<Bytes> keys, nonces;
+      std::vector<std::uint32_t> counters;
+      std::vector<std::vector<std::uint32_t>> out(
+          kLanes, std::vector<std::uint32_t>(16 * blocks));
+      std::vector<std::uint32_t*> outs(kLanes);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        Bytes key(ChaCha20::kKeySize), nonce(ChaCha20::kNonceSize);
+        for (std::size_t i = 0; i < key.size(); ++i) {
+          key[i] = static_cast<std::uint8_t>(31 * l + 7 * i + 1);
+        }
+        for (std::size_t i = 0; i < nonce.size(); ++i) {
+          nonce[i] = static_cast<std::uint8_t>(13 * l + 3 * i);
+        }
+        // Lane 5 starts two blocks below the counter's wrap.
+        const std::uint32_t counter =
+            l == 5 ? 0xfffffffeu : static_cast<std::uint32_t>(7 * l);
+        const std::uint32_t constants[4] = {0x61707865u, 0x3320646eu,
+                                            0x79622d32u, 0x6b206574u};
+        for (std::size_t w = 0; w < 4; ++w) state[w][l] = constants[w];
+        for (std::size_t w = 0; w < 8; ++w) state[4 + w][l] = le32(key, 4 * w);
+        state[12][l] = counter;
+        for (std::size_t w = 0; w < 3; ++w) {
+          state[13 + w][l] = le32(nonce, 4 * w);
+        }
+        keys.push_back(key);
+        nonces.push_back(nonce);
+        counters.push_back(counter);
+        outs[l] = out[l].data();
+      }
+      std::uint32_t before[16][kLanes];
+      std::memcpy(before, state, sizeof(state));
+      tile(state, outs.data(), blocks);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        ChaCha20 scalar(keys[l], nonces[l], counters[l]);
+        std::vector<std::uint32_t> expected(16 * blocks);
+        scalar.keystream_words(expected);
+        EXPECT_EQ(out[l], expected)
+            << name << " blocks " << blocks << " lane " << l;
+        EXPECT_EQ(state[12][l],
+                  static_cast<std::uint32_t>(counters[l] + blocks))
+            << name << " lane " << l;
+        for (std::size_t w = 0; w < 16; ++w) {
+          if (w != 12) {
+            EXPECT_EQ(state[w][l], before[w][l]) << name << " word " << w;
+          }
+        }
       }
     }
   }

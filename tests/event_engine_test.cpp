@@ -181,7 +181,6 @@ SimulationConfig engine_config(double horizon_s, EventQueueBackend backend) {
   cfg.model.hidden_dim = 8;
   cfg.model.context = 2;
   cfg.trainer.batch_size = 8;
-  cfg.trainer.compute_losses = false;
   cfg.eval_set_size = 16;
   cfg.eval_every_steps = 1000000;
   // Nobody is ever eligible: the run is pure check-in/backoff event churn —
@@ -278,7 +277,6 @@ SimulationConfig fig9_like_config() {
   cfg.model_kind = ModelKind::kMlp;
   cfg.trainer.learning_rate = 0.3f;
   cfg.trainer.batch_size = 32;
-  cfg.trainer.compute_losses = false;
   cfg.server_opt.lr = 0.05f;
   cfg.eval_set_size = 150;
   cfg.eval_every_steps = 5;

@@ -199,7 +199,6 @@ TEST(Failover, SimulatedFailoverIsDeterministic) {
   cfg.model.vocab_size = 32;
   cfg.model.embed_dim = 6;
   cfg.model.hidden_dim = 8;
-  cfg.trainer.compute_losses = false;
   cfg.num_aggregators = 2;
   cfg.aggregator_failure_at_s = 80.0;
   cfg.aggregator_failure_timeout_s = 15.0;
@@ -225,7 +224,6 @@ TEST(Failover, DropoutHeavyPopulationStillConverges) {
   cfg.model.vocab_size = 32;
   cfg.model.embed_dim = 8;
   cfg.model.hidden_dim = 12;
-  cfg.trainer.compute_losses = false;
   cfg.server_opt.lr = 0.05f;
   cfg.max_server_steps = 25;
   cfg.eval_every_steps = 5;

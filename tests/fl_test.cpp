@@ -91,8 +91,8 @@ util::Bytes make_update(std::uint64_t client, std::size_t size, float value,
 }
 
 TEST(ParallelAggregator, WeightedMeanAcrossManyUpdates) {
-  ParallelAggregator agg(4, /*threads=*/4);
-  // 10 updates of value i with weight i: mean = sum(i*i)/sum(i).
+  ParallelAggregator agg(4);
+  // 10 updates of value i with weight i: sum = sum(i*i), weight = sum(i).
   double expected_num = 0.0, expected_den = 0.0;
   for (int i = 1; i <= 10; ++i) {
     agg.enqueue(make_update(static_cast<std::uint64_t>(i), 4,
@@ -101,47 +101,47 @@ TEST(ParallelAggregator, WeightedMeanAcrossManyUpdates) {
     expected_num += static_cast<double>(i) * i;
     expected_den += i;
   }
-  const auto reduced = agg.reduce_and_reset();
+  const auto reduced = agg.reduce_and_reset_sums();
   EXPECT_EQ(reduced.count, 10u);
   EXPECT_NEAR(reduced.weight_sum, expected_den, 1e-9);
   for (float v : reduced.mean_delta) {
-    EXPECT_NEAR(v, expected_num / expected_den, 1e-4);
+    EXPECT_NEAR(v / reduced.weight_sum, expected_num / expected_den, 1e-4);
   }
 }
 
 TEST(ParallelAggregator, ResetsBetweenBuffers) {
-  ParallelAggregator agg(2, 2);
+  ParallelAggregator agg(2);
   agg.enqueue(make_update(1, 2, 1.0f), 1.0);
-  (void)agg.reduce_and_reset();
+  (void)agg.reduce_and_reset_sums();
   agg.enqueue(make_update(2, 2, 5.0f), 1.0);
-  const auto second = agg.reduce_and_reset();
+  const auto second = agg.reduce_and_reset_sums();
   EXPECT_EQ(second.count, 1u);
   EXPECT_NEAR(second.mean_delta[0], 5.0f, 1e-6);
 }
 
 TEST(ParallelAggregator, MalformedUpdateDropped) {
-  ParallelAggregator agg(4, 2);
+  ParallelAggregator agg(4);
   agg.enqueue(make_update(1, 2, 1.0f), 1.0);  // wrong size: 2 != 4
   agg.enqueue(make_update(2, 4, 3.0f), 1.0);
-  const auto reduced = agg.reduce_and_reset();
+  const auto reduced = agg.reduce_and_reset_sums();
   EXPECT_EQ(reduced.count, 1u);
   EXPECT_NEAR(reduced.mean_delta[0], 3.0f, 1e-6);
 }
 
 TEST(ParallelAggregator, HighConcurrencyStress) {
   const std::size_t n = 2000;
-  ParallelAggregator agg(8, 8);
+  ParallelAggregator agg(8);
   for (std::size_t i = 0; i < n; ++i) {
     agg.enqueue(make_update(i, 8, 1.0f), 1.0);
   }
-  const auto reduced = agg.reduce_and_reset();
+  const auto reduced = agg.reduce_and_reset_sums();
   EXPECT_EQ(reduced.count, n);
   EXPECT_NEAR(reduced.weight_sum, static_cast<double>(n), 1e-6);
-  for (float v : reduced.mean_delta) EXPECT_NEAR(v, 1.0f, 1e-4);
+  for (float v : reduced.mean_delta) EXPECT_EQ(v, static_cast<float>(n));
 }
 
 TEST(ParallelAggregator, EnqueueConcurrentWithReduceConservesUpdates) {
-  // Regression for the reduce-vs-enqueue race: reduce_and_reset() used to
+  // Regression for the reduce-vs-enqueue race: the reduce used to
   // read/reset intermediates while workers could still fold updates enqueued
   // mid-reduce, silently losing them.  Hammer enqueue against concurrent
   // reduces and assert exact conservation of count / weight / folded mass
@@ -149,7 +149,7 @@ TEST(ParallelAggregator, EnqueueConcurrentWithReduceConservesUpdates) {
   constexpr std::size_t kProducers = 2;
   constexpr std::size_t kPerProducer = 250;
   constexpr std::size_t kModelSize = 8;
-  ParallelAggregator agg(kModelSize, /*threads=*/4);
+  ParallelAggregator agg(kModelSize);
 
   std::atomic<std::size_t> producers_done{0};
   std::vector<std::thread> producers;
@@ -182,54 +182,6 @@ TEST(ParallelAggregator, EnqueueConcurrentWithReduceConservesUpdates) {
   EXPECT_DOUBLE_EQ(total_weight, static_cast<double>(kTotal));
   // Unit deltas with unit weights: partial sums are exact in float.
   EXPECT_EQ(folded_mass, static_cast<float>(kTotal));
-}
-
-TEST(ParallelAggregator, BatchedDrainConservesUpdatesUnderConcurrentReduce) {
-  // Same conservation hammer with drain_batch > 1: a worker popping a run of
-  // updates per wakeup must neither lose nor double-fold any of them when
-  // reduces quiesce the pool mid-stream.
-  constexpr std::size_t kProducers = 2;
-  constexpr std::size_t kPerProducer = 250;
-  constexpr std::size_t kModelSize = 8;
-  ParallelAggregator agg(kModelSize, /*threads=*/4, /*clip_norm=*/0.0f,
-                         /*drain_batch=*/7);
-
-  std::atomic<std::size_t> producers_done{0};
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::size_t i = 0; i < kPerProducer; ++i) {
-        agg.enqueue(make_update(p * kPerProducer + i, kModelSize, 1.0f), 1.0);
-      }
-      producers_done.fetch_add(1);
-    });
-  }
-
-  std::size_t total_count = 0;
-  while (producers_done.load() < kProducers) {
-    total_count += agg.reduce_and_reset_sums().count;
-  }
-  for (auto& t : producers) t.join();
-  total_count += agg.reduce_and_reset_sums().count;
-  EXPECT_EQ(total_count, kProducers * kPerProducer);
-}
-
-TEST(ParallelAggregator, BatchedDrainMatchesPerUpdateResult) {
-  // One worker, FIFO queue: a drained run folds in the same order as
-  // per-update draining, so the reduced buffer is bit-identical.
-  ParallelAggregator per_update(4, 1);
-  ParallelAggregator batched(4, 1, 0.0f, /*drain_batch=*/5);
-  for (int i = 1; i <= 13; ++i) {
-    const auto update = make_update(static_cast<std::uint64_t>(i), 4,
-                                    0.1f * static_cast<float>(i));
-    per_update.enqueue(update, 1.0 + i);
-    batched.enqueue(update, 1.0 + i);
-  }
-  const auto a = per_update.reduce_and_reset();
-  const auto b = batched.reduce_and_reset();
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_DOUBLE_EQ(a.weight_sum, b.weight_sum);
-  EXPECT_EQ(a.mean_delta, b.mean_delta);
 }
 
 // ------------------------------------------------------ Consistent hashing --
@@ -274,7 +226,6 @@ ShardedAggregator::Config sharded_config(std::size_t model_size,
   ShardedAggregator::Config cfg;
   cfg.model_size = model_size;
   cfg.num_shards = shards;
-  cfg.threads_per_shard = 2;
   return cfg;
 }
 
@@ -282,7 +233,7 @@ TEST(ShardedAggregator, MatchesSingleAggregatorResult) {
   // Cross-shard conservation: the sharded reduce over any shard count must
   // equal the single-pipeline result for the same update set.
   constexpr std::size_t kModelSize = 16;
-  ParallelAggregator single(kModelSize, 2);
+  ShardedAggregator single(sharded_config(kModelSize, 1));
   ShardedAggregator sharded(sharded_config(kModelSize, 4));
   EXPECT_EQ(sharded.num_shards(), 4u);
 
@@ -290,7 +241,7 @@ TEST(ShardedAggregator, MatchesSingleAggregatorResult) {
   for (std::uint64_t client = 1; client <= 40; ++client) {
     const float value = 0.25f * static_cast<float>(client % 7);
     const double weight = 1.0 + static_cast<double>(client % 3);
-    single.enqueue(make_update(client, kModelSize, value), weight);
+    single.enqueue(client, make_update(client, kModelSize, value), weight);
     sharded.enqueue(client, make_update(client, kModelSize, value), weight);
     expected_weight += weight;
   }
@@ -476,6 +427,137 @@ TEST(Aggregator, WrongLengthReportIsRefusedAndNeverCountsTowardTheGoal) {
       for (float v : agg.model("lm")) EXPECT_GT(v, 0.0f);
     }
   }
+}
+
+/// One update of `value` in every element, weight 1 (one example, no
+/// staleness), as a hostile client might send.
+util::Bytes uniform_update(std::uint64_t client, float value) {
+  ModelUpdate u;
+  u.client_id = client;
+  u.num_examples = 1;
+  u.delta.assign(4, value);
+  return u.serialize();
+}
+
+/// After any server step every received update was applied or discarded.
+void expect_all_accounted(const TaskStats& stats) {
+  EXPECT_EQ(stats.updates_received,
+            stats.updates_applied + stats.updates_discarded);
+}
+
+TEST(Aggregator, AsyncBufferTheFoldDropsEntirelyIsDiscardedNotStepped) {
+  // Goal 2, concurrency 3: both updates of the first buffer are all NaN, so
+  // the fold keeps neither.  No step is reported or applied, both count as
+  // discarded, and the buffer starts over, so the next step takes two
+  // honest updates, not one.
+  Aggregator agg("a");
+  agg.assign_task(async_task(3, 2), std::vector<float>(4, 0.0f), {.lr = 0.1f});
+  for (std::uint64_t c = 1; c <= 3; ++c) {
+    ASSERT_TRUE(agg.client_join("lm", c, 0.0).accepted);
+  }
+  const ReportResult first =
+      agg.client_report("lm", uniform_update(1, std::nanf("")), 1.0);
+  const ReportResult second =
+      agg.client_report("lm", uniform_update(2, std::nanf("")), 1.0);
+  EXPECT_EQ(second.outcome, ReportOutcome::kAccepted);
+  EXPECT_FALSE(first.server_stepped);
+  EXPECT_FALSE(second.server_stepped);
+  EXPECT_TRUE(second.aborted_clients.empty());
+  EXPECT_EQ(agg.model_version("lm"), 0u);
+  EXPECT_EQ(agg.stats("lm").server_steps, 0u);
+  EXPECT_EQ(agg.stats("lm").updates_discarded, 2u);
+  EXPECT_EQ(agg.stats("lm").updates_applied, 0u);
+  expect_all_accounted(agg.stats("lm"));
+
+  ASSERT_TRUE(agg.client_join("lm", 4, 2.0).accepted);
+  EXPECT_FALSE(
+      agg.client_report("lm", uniform_update(3, 0.5f), 3.0).server_stepped);
+  EXPECT_TRUE(
+      agg.client_report("lm", uniform_update(4, 0.5f), 3.0).server_stepped);
+  const TaskStats& stats = agg.stats("lm");
+  EXPECT_EQ(agg.model_version("lm"), 1u);
+  EXPECT_EQ(stats.server_steps, 1u);
+  EXPECT_EQ(stats.updates_applied, 2u);
+  expect_all_accounted(stats);
+  for (const float v : agg.model("lm")) EXPECT_GT(v, 0.0f);
+}
+
+TEST(Aggregator, SyncBufferTheFoldDropsEntirelyKeepsTheRoundOpen) {
+  // Goal 2 with 50% over-selection (cohort 3): the first two reports are
+  // all NaN.  The round must not close on them: the third client keeps
+  // training, and the discarded updates' slots are freed so replacements
+  // can be selected.
+  Aggregator agg("a");
+  agg.assign_task(sync_task(2, 0.5), std::vector<float>(4, 0.0f),
+                  {.lr = 0.1f});
+  for (std::uint64_t c = 1; c <= 3; ++c) {
+    ASSERT_TRUE(agg.client_join("lm", c, 0.0).accepted);
+  }
+  (void)agg.client_report("lm", uniform_update(1, std::nanf("")), 1.0);
+  const ReportResult second =
+      agg.client_report("lm", uniform_update(2, std::nanf("")), 1.0);
+  EXPECT_FALSE(second.server_stepped);
+  EXPECT_TRUE(second.aborted_clients.empty());
+  EXPECT_EQ(agg.active_clients("lm"), 1u);
+  EXPECT_EQ(agg.client_demand("lm"), 2);
+  EXPECT_EQ(agg.model_version("lm"), 0u);
+  EXPECT_EQ(agg.stats("lm").updates_discarded, 2u);
+  EXPECT_EQ(agg.stats("lm").clients_aborted, 0u);
+
+  ASSERT_TRUE(agg.client_join("lm", 4, 2.0).accepted);
+  (void)agg.client_report("lm", uniform_update(3, 0.5f), 3.0);
+  const ReportResult closing =
+      agg.client_report("lm", uniform_update(4, 0.5f), 3.0);
+  EXPECT_TRUE(closing.server_stepped);
+  EXPECT_EQ(agg.model_version("lm"), 1u);
+  EXPECT_EQ(agg.stats("lm").updates_applied, 2u);
+  expect_all_accounted(agg.stats("lm"));
+}
+
+TEST(Aggregator, NonFiniteCrossShardMeanIsDiscardedNotStepped) {
+  // Two updates of 2e38 at weight 1 from clients on different shards: each
+  // shard's sum is finite, but their sum overflows to +inf.  That mean must
+  // not reach the optimizer.
+  TaskConfig cfg = async_task(10, 2);
+  cfg.aggregator_shards = 4;
+  const ConsistentHashRing ring(cfg.aggregator_shards);
+  const std::uint64_t a = 1;
+  std::uint64_t b = a + 1;
+  while (ring.shard_for(b) == ring.shard_for(a)) ++b;
+  Aggregator agg("a");
+  agg.assign_task(cfg, std::vector<float>(4, 0.0f), {.lr = 0.1f});
+  ASSERT_TRUE(agg.client_join("lm", a, 0.0).accepted);
+  ASSERT_TRUE(agg.client_join("lm", b, 0.0).accepted);
+  (void)agg.client_report("lm", uniform_update(a, 2e38f), 1.0);
+  const ReportResult second =
+      agg.client_report("lm", uniform_update(b, 2e38f), 1.0);
+  EXPECT_FALSE(second.server_stepped);
+  EXPECT_EQ(agg.model_version("lm"), 0u);
+  EXPECT_EQ(agg.stats("lm").server_steps, 0u);
+  EXPECT_EQ(agg.stats("lm").updates_discarded, 2u);
+  expect_all_accounted(agg.stats("lm"));
+  for (const float v : agg.model("lm")) EXPECT_EQ(v, 0.0f);
+}
+
+TEST(Aggregator, StepGoesAheadOnTheUpdatesTheFoldKept) {
+  // Goal 3, one all-NaN update: the step applies the two honest ones, and
+  // the dropped one counts as discarded.
+  Aggregator agg("a");
+  agg.assign_task(async_task(10, 3), std::vector<float>(4, 0.0f),
+                  {.lr = 0.1f});
+  for (std::uint64_t c = 1; c <= 3; ++c) {
+    ASSERT_TRUE(agg.client_join("lm", c, 0.0).accepted);
+  }
+  (void)agg.client_report("lm", uniform_update(1, 0.5f), 1.0);
+  (void)agg.client_report("lm", uniform_update(2, std::nanf("")), 1.0);
+  EXPECT_TRUE(
+      agg.client_report("lm", uniform_update(3, 0.5f), 1.0).server_stepped);
+  const TaskStats& stats = agg.stats("lm");
+  EXPECT_EQ(stats.server_steps, 1u);
+  EXPECT_EQ(stats.updates_applied, 2u);
+  EXPECT_EQ(stats.updates_discarded, 1u);
+  expect_all_accounted(stats);
+  for (const float v : agg.model("lm")) EXPECT_GT(v, 0.0f);
 }
 
 TEST(Aggregator, ServerStepMovesModelInDeltaDirection) {
@@ -1127,12 +1209,12 @@ TEST(Aggregator, DpNoisePerturbsDeterministically) {
 }
 
 TEST(ParallelAggregator, ClipNormAppliedPerUpdate) {
-  ParallelAggregator agg(2, 1, /*clip_norm=*/1.0f);
+  ParallelAggregator agg(2, /*clip_norm=*/1.0f);
   ModelUpdate big;
   big.client_id = 1;
   big.delta = {30.0f, 40.0f};  // norm 50 -> scaled to norm 1
   agg.enqueue(big.serialize(), 1.0);
-  const auto reduced = agg.reduce_and_reset();
+  const auto reduced = agg.reduce_and_reset_sums();
   EXPECT_NEAR(ml::norm(reduced.mean_delta), 1.0f, 1e-5f);
   EXPECT_NEAR(reduced.mean_delta[0] / reduced.mean_delta[1], 0.75f, 1e-5f);
 }
@@ -1838,14 +1920,15 @@ TEST(Executor, ProducesDeltaThatReducesLocalLoss) {
   EXPECT_EQ(result.update.initial_version, 7u);
   EXPECT_EQ(result.update.num_examples, store.num_train_examples());
   EXPECT_EQ(result.update.delta.size(), global.size());
-  EXPECT_LT(result.final_loss, result.initial_loss);
 
-  // delta = trained - initial: applying it recovers the trained model.
+  // delta = trained - initial: the global model plus the delta has a lower
+  // loss on the client's training set than the global model.
+  const double initial_loss = model->loss(store.dataset().train, {});
   auto check = model->clone();
   for (std::size_t i = 0; i < global.size(); ++i) {
     check->params()[i] = global[i] + result.update.delta[i];
   }
-  EXPECT_NEAR(check->loss(store.dataset().train, {}), result.final_loss, 1e-5);
+  EXPECT_LT(check->loss(store.dataset().train, {}), initial_loss);
 }
 
 TEST(Executor, EmptyStoreYieldsZeroDelta) {

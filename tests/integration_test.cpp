@@ -41,7 +41,6 @@ sim::SimulationConfig small_config(fl::TrainingMode mode) {
   cfg.model_kind = sim::ModelKind::kMlp;
 
   cfg.trainer.learning_rate = 0.3f;
-  cfg.trainer.compute_losses = false;
   cfg.server_opt.lr = 0.05f;
 
   cfg.max_server_steps = 25;

@@ -654,9 +654,14 @@ TEST(Adam, ConvergesOnQuadratic) {
   EXPECT_NEAR(params[0], 0.0f, 0.05f);
 }
 
+ServerOptimizer fed_adam(std::size_t num_params, float lr) {
+  return ServerOptimizer(num_params,
+                         {.kind = ServerOptimizerKind::kFedAdam, .lr = lr});
+}
+
 TEST(FedAdam, AppliesDeltaInItsDirection) {
   // A positive aggregated delta must move parameters up (FedAdam adds).
-  FedAdam opt(2, {.lr = 0.1f});
+  ServerOptimizer opt = fed_adam(2, 0.1f);
   std::vector<float> params{0.0f, 0.0f};
   const std::vector<float> delta{1.0f, -1.0f};
   opt.step(params, delta);
@@ -665,14 +670,14 @@ TEST(FedAdam, AppliesDeltaInItsDirection) {
 }
 
 TEST(FedAdam, SizeMismatchThrows) {
-  FedAdam opt(2, {});
+  ServerOptimizer opt(2, {.kind = ServerOptimizerKind::kFedAdam});
   std::vector<float> params{0.0f, 0.0f};
   const std::vector<float> delta{1.0f};
   EXPECT_THROW(opt.step(params, delta), std::invalid_argument);
 }
 
 TEST(FedAdam, RepeatedStepsTrackConstantDelta) {
-  FedAdam opt(1, {.lr = 0.01f});
+  ServerOptimizer opt = fed_adam(1, 0.01f);
   std::vector<float> params{0.0f};
   for (int i = 0; i < 100; ++i) opt.step(params, std::vector<float>{0.5f});
   EXPECT_GT(params[0], 0.5f);  // accumulated movement in delta direction
@@ -680,9 +685,43 @@ TEST(FedAdam, RepeatedStepsTrackConstantDelta) {
 
 // -------------------------------------------------- ServerOptimizer family --
 
+/// FedAdam (Reddi et al. 2020) written out on its own, as the reference for
+/// ServerOptimizer's kFedAdam rule: w += lr * m_hat / (sqrt(v_hat) + tau).
+class FedAdam {
+ public:
+  struct Config {
+    float lr = 1e-2f;
+    float beta1 = 0.9f;
+    float beta2 = 0.999f;
+    float tau = 1e-3f;
+  };
+
+  FedAdam(std::size_t num_params, Config config)
+      : config_(config), m_(num_params, 0.0f), v_(num_params, 0.0f) {}
+
+  void step(std::span<float> params, std::span<const float> delta) {
+    ++t_;
+    const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
+    const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      const float d = delta[i];
+      m_[i] = config_.beta1 * m_[i] + (1.0f - config_.beta1) * d;
+      v_[i] = config_.beta2 * v_[i] + (1.0f - config_.beta2) * d * d;
+      const float m_hat = m_[i] / bc1;
+      const float v_hat = v_[i] / bc2;
+      params[i] += config_.lr * m_hat / (std::sqrt(v_hat) + config_.tau);
+    }
+  }
+
+ private:
+  Config config_;
+  std::vector<float> m_, v_;
+  std::uint64_t t_ = 0;
+};
+
 TEST(ServerOptimizer, FedAdamKindMatchesFedAdamClassExactly) {
-  // The unified optimizer must be a drop-in replacement for the original
-  // FedAdam: identical trajectories on an identical delta sequence.
+  // The unified optimizer's kFedAdam rule must reproduce FedAdam written out
+  // on its own: identical trajectories on an identical delta sequence.
   FedAdam reference(3, {.lr = 0.05f, .beta1 = 0.8f});
   ServerOptimizer unified(
       3, {.kind = ServerOptimizerKind::kFedAdam, .lr = 0.05f, .beta1 = 0.8f});

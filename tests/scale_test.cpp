@@ -126,7 +126,6 @@ SimulationConfig scale_config() {
   cfg.model.vocab_size = 32;
   cfg.model.embed_dim = 6;
   cfg.model.hidden_dim = 8;
-  cfg.trainer.compute_losses = false;
   cfg.max_server_steps = 20;
   cfg.eval_every_steps = 10;
   cfg.seed = 5;

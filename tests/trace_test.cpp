@@ -96,7 +96,6 @@ TEST(Csv, ExportTracesFromRealRun) {
   cfg.model.vocab_size = 32;
   cfg.model.embed_dim = 6;
   cfg.model.hidden_dim = 8;
-  cfg.trainer.compute_losses = false;
   cfg.max_server_steps = 10;
   cfg.eval_every_steps = 5;
   cfg.record_utilization = true;
@@ -149,7 +148,6 @@ TEST_P(SimulatorGrid, AccountingInvariantsHold) {
   cfg.model.vocab_size = 32;
   cfg.model.embed_dim = 6;
   cfg.model.hidden_dim = 8;
-  cfg.trainer.compute_losses = false;
   cfg.max_server_steps = 8;
   cfg.max_sim_time_s = 1.0e5;
   cfg.eval_every_steps = 4;
