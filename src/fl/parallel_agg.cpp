@@ -144,10 +144,14 @@ void ParallelAggregator::enqueue(util::Bytes serialized_update, double weight) {
   queue_cv_.notify_one();
 }
 
-void ParallelAggregator::fold_run(std::span<const QueuedUpdate> run) {
+void ParallelAggregator::fold_run(std::span<QueuedUpdate> run) {
   std::size_t folded = 0;
-  for (const QueuedUpdate& queued : run) {
-    const auto view = UpdateView::parse(queued.bytes, model_size_);
+  for (QueuedUpdate& queued : run) {
+    // Owned here, so the update is freed as soon as it is folded or dropped
+    // rather than at the end of the run: the next enqueued copy can reuse
+    // its memory while it is still warm.
+    const util::Bytes bytes = std::move(queued.bytes);
+    const auto view = UpdateView::parse(bytes, model_size_);
     if (!view) {
       stats_.on_dropped(1);
       continue;
@@ -203,7 +207,7 @@ void ParallelAggregator::worker_loop() {
     }
 
     fold_run(run);
-    run.clear();  // frees the folded updates outside the lock
+    run.clear();
 
     {
       util::LockGuard lock(queue_mutex_);

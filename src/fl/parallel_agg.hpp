@@ -170,10 +170,10 @@ class ParallelAggregator {
 
  private:
   void worker_loop();
-  /// Fold a drained run in FIFO order into the intermediate.  Malformed
-  /// updates, and updates whose fold would leave a non-finite sum, are
-  /// dropped and counted.
-  void fold_run(std::span<const QueuedUpdate> run);
+  /// Fold a drained run in FIFO order into the intermediate, freeing each
+  /// update's bytes as it goes.  Malformed updates, and updates whose fold
+  /// would leave a non-finite sum, are dropped and counted.
+  void fold_run(std::span<QueuedUpdate> run);
 
   const std::size_t model_size_;
   const float clip_norm_;
