@@ -33,7 +33,22 @@ void BM_MaskExpansion(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * 4));
 }
-BENCHMARK(BM_MaskExpansion)->Arg(1024)->Arg(65536)->Arg(1 << 20);
+BENCHMARK(BM_MaskExpansion)->Arg(1024)->Arg(2968)->Arg(65536)->Arg(1 << 20);
+
+void BM_Mask(benchmark::State& state) {
+  // The client's masking step, seed expansion plus the add; 2,968 elements
+  // is the model size of the secagg_c104 and fig9_c104 workloads.
+  secagg::Seed seed{};
+  seed.fill(0x24);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const secagg::GroupVec plaintext(n, 7u);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(secagg::mask(plaintext, seed));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * 4));
+}
+BENCHMARK(BM_Mask)->Arg(2968)->Arg(65536);
 
 void BM_MaskExpansionMulti(benchmark::State& state) {
   // Multi-stream expansion of `range(0)` seeds at the BM_MaskExpansion/65536

@@ -30,11 +30,12 @@
 # first, then base first), so drift of the host between the committed
 # baseline and now does not read as a regression.  A figure bench is gated
 # on the ratio of the two median wall times, and its envelope records the
-# new binary's median seconds.  A micro bench is gated row by row on the
-# ratio of the two median real_times, at the same tolerance; a row only one
-# side has is reported as NEW or REMOVED and not gated, and the collection
-# file holds the first new run with each row's times replaced by their
-# medians.  Benches the base directory lacks compare against HEAD as
+# new binary's median seconds.  A micro bench runs each binary with
+# --benchmark_repetitions=3 and is gated row by row on the ratio of the two
+# median real_times over each side's nine repetitions, at the same
+# tolerance; a row only one side has is reported as NEW or REMOVED and not
+# gated, and the collection file holds the first new run's rows, one per
+# name, with their times replaced by the medians.  Benches the base directory lacks compare against HEAD as
 # without it.
 set -uo pipefail
 
@@ -206,9 +207,10 @@ run_paired() {
 }
 
 # Paired mode for micro bench $1 (binary $2): three alternating pairs of
-# the base build's binary and this one, each writing Google Benchmark JSON.
-# Writes the new side's median JSON to $3, prints and gates each row's ratio
-# of medians, and returns non-zero if a run failed.
+# the base build's binary and this one, each run with three repetitions and
+# writing Google Benchmark JSON.  Writes the new side's median JSON to $3,
+# prints and gates each row's ratio of medians, and returns non-zero if a
+# run failed.
 run_paired_micro() {
   local name="$1" bin="$2" out="$3" pair side dir
   dir="$(mktemp -d)"
@@ -217,22 +219,31 @@ run_paired_micro() {
     for side in "$@"; do
       local exe="$bin"
       [ "$side" = base ] && exe="$BASE/$name"
-      if ! "$exe" --benchmark_format=json > "$dir/$side$pair.json"; then
+      if ! "$exe" --benchmark_format=json --benchmark_repetitions=3 \
+        > "$dir/$side$pair.json"; then
         rm -rf "$dir"
         return 1
       fi
     done
   done
-  # Per row: its real_time (or cpu_time) median over a side's three runs,
-  # rows in the order the runs print them.
+  # Per row: its real_time (or cpu_time) median over a side's nine
+  # repetitions (three runs of three), rows in the order the runs print
+  # them.  The library's aggregate rows (_mean, _median, _stddev, _cv) are
+  # skipped: one median over all nine is steadier than a median of three
+  # per-run medians.
   local medians='
     def median: sort | .[(length - 1) / 2 | floor];
-    def medians(f): reduce (.[] | .benchmarks[]?) as $r ({};
+    def rows: .benchmarks[]? | select(.run_type != "aggregate");
+    def medians(f): reduce (.[] | rows) as $r ({};
       .[$r.name] += [$r | f]) | map_values(median);'
   jq -s "$medians"'
     medians(.real_time) as $real | medians(.cpu_time) as $cpu
-    | .[0] | .benchmarks |= map(.real_time = $real[.name]
-                                | .cpu_time = $cpu[.name])' \
+    | .[0] | .benchmarks |= (reduce (.[] | select(.run_type != "aggregate"))
+                               as $r ([]; if any(.[]; .name == $r.name)
+                                          then . else . + [$r] end)
+                             | map(del(.repetition_index)
+                                   | .real_time = $real[.name]
+                                   | .cpu_time = $cpu[.name]))' \
     "$dir/new1.json" "$dir/new2.json" "$dir/new3.json" > "$out"
   local rows gated=1
   rows="$(jq -rn --slurpfile base <(cat "$dir"/base?.json) \
@@ -248,7 +259,7 @@ run_paired_micro() {
        | [.key, .value, "removed", "removed"])
     | @tsv')"
   rm -rf "$dir"
-  printf '   paired: medians of 3 runs per side, base -> new\n'
+  printf '   paired: medians of 9 repetitions (3 runs of 3) per side, base -> new\n'
   source_changed "$name" && gated=0
   report_rows "$gated" "$rows"
   return 0

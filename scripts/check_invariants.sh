@@ -39,6 +39,12 @@
 #      a pass or fail never depends on how loaded the host is.  Timing
 #      belongs in bench/.  A line carrying a `wallclock-exempt` marker is
 #      allowed (say why on it).
+#  10. One CPU-dispatch idiom in src/: a kernel that needs a CPU feature is
+#      built twice (portable, and with __attribute__((target(...)))), and a
+#      function-local static picks one per process with
+#      __builtin_cpu_supports.  No target_clones and no ifunc: an ifunc
+#      resolver runs during relocation, before the sanitizer runtimes start,
+#      and crashed the TSan build when ChaCha20 dispatched that way.
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -164,6 +170,16 @@ hits=$(grep -nE '(steady_clock|system_clock|high_resolution_clock)' tests/*_test
 if [[ -n "$hits" ]]; then
   fail_with_hits "wall clock read in a tier-1 test (its verdict would depend on host \
 load; time it in bench/, or add a '// wallclock-exempt: <why>' marker on the line)" \
+    "$hits"
+fi
+
+# --- 10. one CPU-dispatch idiom: no target_clones, no ifunc in src/ -------
+hits=$(grep -rnwE 'target_clones|ifunc' src || true)
+if [[ -n "$hits" ]]; then
+  fail_with_hits "target_clones or ifunc in src/ (build the kernel twice, portable and \
+with __attribute__((target(...))), and pick one per process from a function-local \
+static with __builtin_cpu_supports, as the MLP kernel, the fold, the chunk CRC, \
+ChaCha20 and SHA-256 do)" \
     "$hits"
 fi
 

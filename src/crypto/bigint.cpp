@@ -1,7 +1,10 @@
 #include "crypto/bigint.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
+
+#include "crypto/dh.hpp"
 
 namespace papaya::crypto {
 
@@ -43,10 +46,14 @@ std::uint64_t neg_inverse(std::uint64_t m0) {
 // Montgomery multiplication, CIOS form (Koc, Acar & Kaliski 1996):
 // out = a * b * R^-1 mod m with R = 2^(64n), for n-limb a, b < m and odd m.
 // `t` is n + 2 limbs of scratch.  `out` may alias `a` or `b`: both are read
-// only before it is written.
-void mont_mul(const std::uint64_t* a, const std::uint64_t* b,
-              const std::uint64_t* m, std::uint64_t m_inv, std::size_t n,
-              std::uint64_t* t, std::uint64_t* out) {
+// only before it is written.  Instantiated for N = 4 limbs (the 256-bit DH
+// group), where the loops unroll and `t` lives in registers; N = 0 takes the
+// width from `n` at run time, for every other modulus.
+template <std::size_t N>
+[[gnu::always_inline]] inline void mont_mul_cios(
+    const std::uint64_t* a, const std::uint64_t* b, const std::uint64_t* m,
+    std::uint64_t m_inv, std::size_t n, std::uint64_t* t, std::uint64_t* out) {
+  if constexpr (N != 0) n = N;
   std::fill_n(t, n + 2, 0);
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t carry = 0;
@@ -94,6 +101,141 @@ void mont_mul(const std::uint64_t* a, const std::uint64_t* b,
     out[j] = static_cast<std::uint64_t>(d);
     borrow = static_cast<std::uint64_t>(d >> 64) & 1;
   }
+}
+
+}  // namespace
+
+namespace detail {
+
+// The Montgomery multiply's two instantiations.  Not in a header:
+// tests/crypto_test.cpp declares them to check both.
+void mont_mul_4(const std::uint64_t* a, const std::uint64_t* b,
+                const std::uint64_t* m, std::uint64_t m_inv,
+                std::uint64_t* out) {
+  std::uint64_t t[4 + 2];
+  mont_mul_cios<4>(a, b, m, m_inv, 4, t, out);
+}
+
+void mont_mul_generic(const std::uint64_t* a, const std::uint64_t* b,
+                      const std::uint64_t* m, std::uint64_t m_inv,
+                      std::size_t n, std::uint64_t* t, std::uint64_t* out) {
+  mont_mul_cios<0>(a, b, m, m_inv, n, t, out);
+}
+
+}  // namespace detail
+
+namespace {
+
+template <std::size_t N>
+void mont_mul(const std::uint64_t* a, const std::uint64_t* b,
+              const std::uint64_t* m, std::uint64_t m_inv, std::size_t n,
+              std::uint64_t* t, std::uint64_t* out) {
+  if constexpr (N == 4) {
+    detail::mont_mul_4(a, b, m, m_inv, out);
+  } else {
+    detail::mont_mul_generic(a, b, m, m_inv, n, t, out);
+  }
+}
+
+// 4-bit window w (bits 4w..4w+3) of a little-endian limb vector, 0 past its
+// end.  Windows never straddle a limb because 4 divides 64.
+std::size_t window(const std::vector<std::uint64_t>& limbs, std::size_t w) {
+  const std::size_t bit = 4 * w;
+  if (bit / 64 >= limbs.size()) return 0;
+  return static_cast<std::size_t>((limbs[bit / 64] >> (bit % 64)) & 0xf);
+}
+
+// out = base^exp mod m for odd n-limb m, n-limb base < m and nonzero exp of
+// exp_bits bits: 4-bit fixed-window exponentiation over Montgomery
+// multiplication.  r2 is R^2 mod m.
+template <std::size_t N>
+void window_pow(const std::uint64_t* base,
+                const std::vector<std::uint64_t>& exp, std::size_t exp_bits,
+                const std::uint64_t* m, std::size_t n, const std::uint64_t* r2,
+                std::uint64_t* out) {
+  const std::uint64_t m_inv = neg_inverse(m[0]);
+  // One allocation of n-limb buffers: table[k] = base^k * R mod m for
+  // k = 1..15 (table[0] holds a plain 1 for the conversion out), and
+  // mont_mul's n + 2 limbs of scratch.
+  std::vector<std::uint64_t> scratch(16 * n + (n + 2), 0);
+  std::uint64_t* table = scratch.data();
+  std::uint64_t* t = table + 16 * n;
+  const auto entry = [&](std::size_t k) { return table + k * n; };
+  entry(0)[0] = 1;
+
+  // Into Montgomery form: base * R = mont_mul(base, R^2 mod m).
+  std::copy_n(base, n, entry(1));
+  mont_mul<N>(entry(1), r2, m, m_inv, n, t, entry(1));
+  for (std::size_t k = 2; k < 16; ++k) {
+    mont_mul<N>(entry(k - 1), entry(1), m, m_inv, n, t, entry(k));
+  }
+
+  std::size_t w = (exp_bits - 1) / 4;
+  std::copy_n(entry(window(exp, w)), n, out);
+  while (w-- > 0) {
+    for (int i = 0; i < 4; ++i) {
+      mont_mul<N>(out, out, m, m_inv, n, t, out);
+    }
+    if (const std::size_t k = window(exp, w); k != 0) {
+      mont_mul<N>(out, entry(k), m, m_inv, n, t, out);
+    }
+  }
+
+  // Out of Montgomery form: multiply by 1.
+  mont_mul<N>(out, entry(0), m, m_inv, n, t, out);
+}
+
+// The 4-bit comb of the 256-bit DH group's generator g:
+// entry[i][d] = g^(d * 16^i) * R mod p for window i = 0..63 and digit
+// d = 1..15 (entry[i][0] is unused), 32 KB.  g^x is then the product of
+// entry[i][x_i] over the nonzero windows x_i of x: at most 64 multiplies,
+// against about 335 squarings and multiplies for the fixed window.  The
+// 1536-bit group has no comb; its table would take 1.2 MB.
+struct GeneratorComb {
+  static constexpr std::size_t kWindows = 64;
+  std::uint64_t entry[kWindows][16][4];
+};
+
+// The comb for the 4-limb modulus p from g * R mod p (g_mont, zero-padded
+// to 4 limbs).
+std::unique_ptr<const GeneratorComb> build_generator_comb(
+    const std::uint64_t* p, std::vector<std::uint64_t> g_mont) {
+  auto comb = std::make_unique<GeneratorComb>();
+  const std::uint64_t p_inv = neg_inverse(p[0]);
+  g_mont.resize(4, 0);
+  std::copy_n(g_mont.begin(), 4, comb->entry[0][1]);
+  for (std::size_t i = 0; i < GeneratorComb::kWindows; ++i) {
+    auto& row = comb->entry[i];
+    for (std::size_t d = 2; d < 16; ++d) {
+      detail::mont_mul_4(row[d - 1], row[1], p, p_inv, row[d]);
+    }
+    // g^(16^(i+1)) = g^(15 * 16^i) * g^(16^i).
+    if (i + 1 < GeneratorComb::kWindows) {
+      detail::mont_mul_4(row[15], row[1], p, p_inv, comb->entry[i + 1][1]);
+    }
+  }
+  return comb;
+}
+
+// out = g^exp mod p from the comb, for nonzero exp of at most 256 bits.
+void comb_pow(const GeneratorComb& comb, const std::vector<std::uint64_t>& exp,
+              std::size_t exp_bits, const std::uint64_t* p,
+              std::uint64_t* out) {
+  const std::uint64_t p_inv = neg_inverse(p[0]);
+  bool started = false;
+  for (std::size_t i = 0; i < (exp_bits + 3) / 4; ++i) {
+    const std::size_t d = window(exp, i);
+    if (d == 0) continue;
+    if (started) {
+      detail::mont_mul_4(out, comb.entry[i][d], p, p_inv, out);
+    } else {
+      std::copy_n(comb.entry[i][d], 4, out);
+      started = true;
+    }
+  }
+  // Out of Montgomery form: multiply by 1.
+  const std::uint64_t one[4] = {1, 0, 0, 0};
+  detail::mont_mul_4(out, one, p, p_inv, out);
 }
 
 }  // namespace
@@ -383,52 +525,39 @@ BigUInt BigUInt::powmod(const BigUInt& exp, const BigUInt& m) const {
     return result;
   }
 
-  // 4-bit fixed-window exponentiation over Montgomery multiplication.
   const std::size_t n = m.limbs_.size();
-  const std::uint64_t m_inv = neg_inverse(m.limbs_[0]);
-  const std::uint64_t* mod = m.limbs_.data();
-  // One allocation of n-limb buffers: table[k] = base^k * R mod m for
-  // k = 1..15 (table[0] holds a plain 1 for the conversion out), the
-  // accumulator, and mont_mul's n + 2 limbs of scratch.
-  std::vector<std::uint64_t> scratch(16 * n + n + (n + 2), 0);
-  std::uint64_t* table = scratch.data();
-  std::uint64_t* acc = table + 16 * n;
-  std::uint64_t* t = acc + n;
-  const auto entry = [&](std::size_t k) { return table + k * n; };
-  entry(0)[0] = 1;
+  BigUInt out;
+  out.limbs_.assign(n, 0);
+  if (n == 4 && exp.bit_length() <= 64 * n &&
+      m == DhParams::simulation256().p && base == DhParams::simulation256().g) {
+    // Key generation in the 256-bit DH group: g^x from the generator's comb,
+    // built once per process on first use.
+    static const std::unique_ptr<const GeneratorComb> comb =
+        build_generator_comb(m.limbs_.data(),
+                             ((base << (64 * n)) % m).limbs_);
+    comb_pow(*comb, exp.limbs_, exp.bit_length(), m.limbs_.data(),
+             out.limbs_.data());
+    out.trim();
+    return out;
+  }
 
-  // Into Montgomery form: base * R = mont_mul(base, R^2 mod m).
+  // Into Montgomery form needs R^2 mod m, R = 2^(64n).
   BigUInt r_squared;
   r_squared.limbs_.assign(2 * n + 1, 0);
   r_squared.limbs_.back() = 1;
   r_squared = r_squared % m;
-  std::copy(r_squared.limbs_.begin(), r_squared.limbs_.end(), acc);
-  std::copy(base.limbs_.begin(), base.limbs_.end(), entry(1));
-  mont_mul(entry(1), acc, mod, m_inv, n, t, entry(1));
-  for (std::size_t k = 2; k < 16; ++k) {
-    mont_mul(entry(k - 1), entry(1), mod, m_inv, n, t, entry(k));
+  r_squared.limbs_.resize(n, 0);
+  std::vector<std::uint64_t> base_limbs(n, 0);
+  std::copy(base.limbs_.begin(), base.limbs_.end(), base_limbs.begin());
+  if (n == 4) {
+    window_pow<4>(base_limbs.data(), exp.limbs_, exp.bit_length(),
+                  m.limbs_.data(), n, r_squared.limbs_.data(),
+                  out.limbs_.data());
+  } else {
+    window_pow<0>(base_limbs.data(), exp.limbs_, exp.bit_length(),
+                  m.limbs_.data(), n, r_squared.limbs_.data(),
+                  out.limbs_.data());
   }
-
-  // Windows never straddle a limb because 4 divides 64.
-  const auto window = [&](std::size_t w) {
-    const std::size_t bit = 4 * w;
-    return static_cast<std::size_t>((exp.limbs_[bit / 64] >> (bit % 64)) & 0xf);
-  };
-  std::size_t w = (exp.bit_length() - 1) / 4;
-  std::copy_n(entry(window(w)), n, acc);
-  while (w-- > 0) {
-    for (int i = 0; i < 4; ++i) {
-      mont_mul(acc, acc, mod, m_inv, n, t, acc);
-    }
-    if (const std::size_t k = window(w); k != 0) {
-      mont_mul(acc, entry(k), mod, m_inv, n, t, acc);
-    }
-  }
-
-  // Out of Montgomery form: multiply by 1.
-  mont_mul(acc, entry(0), mod, m_inv, n, t, acc);
-  BigUInt out;
-  out.limbs_.assign(acc, acc + n);
   out.trim();
   return out;
 }

@@ -51,7 +51,9 @@ constexpr std::size_t kLanes = ChaCha20::kMultiStreamLanes;
 // The multi-stream tile kernel: run `blocks` ChaCha20 blocks for kLanes
 // independent streams in lockstep.  `st[w]` holds state word w across all
 // lanes (stream-major), outs[l] receives stream l's keystream words, and
-// st[12] leaves incremented by `blocks` per lane.
+// st[12] leaves incremented by `blocks` per lane.  A single stream runs
+// through it too, as kLanes consecutive blocks of one state (lane l at
+// counter c + l, one block per call).
 //
 // One row of 8 lanes spans two SSE registers but only one AVX2 register,
 // and the register file is the bottleneck: the AVX2 build runs the 8-lane
@@ -241,8 +243,27 @@ void ChaCha20::keystream_words(std::span<std::uint32_t> out) {
   // Drain any buffered partial block first so the word sequence lines up
   // with repeated next_u32() calls.
   while (i < out.size() && block_pos_ != 64) out[i++] = next_u32();
-  // Whole blocks straight from the core: word w of a block is the
-  // little-endian load of bytes 4w..4w+3, i.e. exactly x[w] + state_[w].
+  // Eight consecutive blocks per tile call: lane l runs this stream at
+  // counter c + l, so the tile writes blocks c..c+7 side by side.  Word w
+  // of a block is the little-endian load of bytes 4w..4w+3, i.e. exactly
+  // x[w] + state_[w].
+  constexpr std::size_t kTileWords = 16 * kLanes;
+  if (out.size() - i >= kTileWords) {
+    std::uint32_t state[16][kLanes];
+    for (std::size_t w = 0; w < 16; ++w) {
+      for (std::size_t l = 0; l < kLanes; ++l) state[w][l] = state_[w];
+    }
+    std::uint32_t* outs[kLanes];
+    for (; i + kTileWords <= out.size(); i += kTileWords) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        state[12][l] = state_[12] + static_cast<std::uint32_t>(l);
+        outs[l] = out.data() + i + 16 * l;
+      }
+      expand_tile(state, outs, 1);
+      state_[12] += kLanes;
+    }
+  }
+  // Whole blocks straight from the core.
   for (; i + 16 <= out.size(); i += 16) {
     std::array<std::uint32_t, 16> x = state_;
     core_rounds(x);

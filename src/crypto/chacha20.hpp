@@ -39,7 +39,8 @@ class ChaCha20 {
 
   /// Fill `out` with keystream words.  Bit-identical to calling next_u32()
   /// out.size() times, but whole blocks are produced straight from the core
-  /// without the per-byte buffer bookkeeping.
+  /// without the per-byte buffer bookkeeping, eight consecutive blocks at a
+  /// time through the multi-stream tile kernel (one lane per block).
   void keystream_words(std::span<std::uint32_t> out);
 
   /// Multi-stream keystream: fill outs[s][0..n) for every cipher in

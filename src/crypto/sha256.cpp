@@ -3,6 +3,11 @@
 #include <cstring>
 #include <stdexcept>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define PAPAYA_SHA_X86 1
+#endif
+
 namespace papaya::crypto {
 
 namespace {
@@ -28,58 +33,164 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
+#ifdef PAPAYA_SHA_X86
+bool cpu_has_sha() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+  }();
+  return has;
+}
+#endif
+
+}  // namespace
+
+namespace detail {
+
+// The compression function's two builds.  Not in a header:
+// tests/crypto_test.cpp declares them to check both.  The portable one is
+// FIPS 180-4 6.2.2 on each block.
+void sha256_blocks_portable(std::array<std::uint32_t, 8>& state,
+                            const std::uint8_t* p, std::size_t blocks) {
+  for (; blocks > 0; --blocks, p += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(p[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(p[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(p[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(p[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#ifdef PAPAYA_SHA_X86
+// The same rounds on the SHA extensions (Intel's SHA-NI): sha256rnds2 runs
+// two rounds on the working variables packed as ABEF and CDGH, and
+// sha256msg1/sha256msg2 compute the message schedule four words at a time.
+// Integer operations only, so the digest is the portable one's.  The target
+// adds SSE4.1 (and with it SSSE3) for the byte shuffle, alignr and blend.
+// Needs a CPU with SHA and SSE4.1.
+__attribute__((target("sha,sse4.1"))) void sha256_blocks_shani(
+    std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+    std::size_t blocks) {
+  // Loads each 32-bit message word big-endian.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  // state is A..H; the round instruction wants ABEF and CDGH, high lane
+  // first.
+  __m128i tmp = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0])), 0xb1);
+  __m128i cdgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4])), 0x1b);
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xf0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // Four rounds per group g.  w[g % 4] holds message words 4g..4g+3
+    // while group g runs; from group g + 1 the slot holds sha256msg1's
+    // partial schedule of words 4(g+4)..4(g+4)+3, which group g + 3
+    // completes with sha256msg2.
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g < 4) {
+        w[g] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            bswap);
+      }
+      __m128i msg = _mm_add_epi32(
+          w[g % 4],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRound[4 * g])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+      if (g >= 3 && g < 15) {
+        // Words 4(g+1)..4(g+1)+3 from the partial schedule and the last two
+        // groups.
+        const int n = (g + 1) % 4;
+        w[n] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(w[n],
+                          _mm_alignr_epi8(w[g % 4], w[(g + 3) % 4], 4)),
+            w[g % 4]);
+      }
+      msg = _mm_shuffle_epi32(msg, 0x0e);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, msg);
+      if (g >= 1 && g < 13) {
+        w[(g + 3) % 4] = _mm_sha256msg1_epu32(w[(g + 3) % 4], w[g % 4]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  // Back from ABEF / CDGH to A..H.
+  tmp = _mm_shuffle_epi32(abef, 0x1b);
+  cdgh = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(tmp, cdgh, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(cdgh, tmp, 8));
+}
+#endif
+
+}  // namespace detail
+
+namespace {
+
+// The compression function for whole 64-byte blocks, built twice: portable,
+// and `target("sha,sse4.1")` on the SHA extensions.  A function-local static
+// picks one per process with __builtin_cpu_supports, as the MLP kernel, the
+// fold, the chunk CRC and the ChaCha20 tile do.
+void compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+              std::size_t blocks) {
+#ifdef PAPAYA_SHA_X86
+  if (cpu_has_sha()) return detail::sha256_blocks_shani(state, data, blocks);
+#endif
+  detail::sha256_blocks_portable(state, data, blocks);
+}
+
 }  // namespace
 
 void Sha256::reset() {
   std::memcpy(state_.data(), kInit, sizeof(kInit));
   buffer_len_ = 0;
   total_len_ = 0;
-}
-
-void Sha256::process_block(const std::uint8_t* p) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(p[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(p[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(p[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(p[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
@@ -92,13 +203,13 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     buffer_len_ += take;
     off = take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      compress(state_, buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (off + 64 <= data.size()) {
-    process_block(data.data() + off);
-    off += 64;
+  if (const std::size_t blocks = (data.size() - off) / 64; blocks > 0) {
+    compress(state_, data.data() + off, blocks);
+    off += 64 * blocks;
   }
   if (off < data.size()) {
     std::memcpy(buffer_.data(), data.data() + off, data.size() - off);
@@ -107,16 +218,16 @@ void Sha256::update(std::span<const std::uint8_t> data) {
 }
 
 Digest Sha256::finish() {
+  // 0x80, zeros up to 56 mod 64, then the message length in bits, big-endian:
+  // one or two blocks, in one update.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update({&pad_byte, 1});
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update({&zero, 1});
-  std::uint8_t len_bytes[8];
+  std::uint8_t pad[128] = {0x80};
+  const std::size_t zeros_end = buffer_len_ < 56 ? 56 : 120;
+  const std::size_t pad_len = zeros_end - buffer_len_ + 8;
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    pad[pad_len - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update({len_bytes, 8});
+  update({pad, pad_len});
 
   Digest out{};
   for (int i = 0; i < 8; ++i) {

@@ -29,8 +29,6 @@ class Sha256 {
   static Digest hash(const std::string& s);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;

@@ -137,8 +137,10 @@ class SecureBufferManager {
 
   /// Client-side helper: scale by `weight`, verify the attestation against
   /// `platform` (standing in for the hardware vendor's public collateral),
-  /// then mask + seal.  Returns nullopt if verification fails — the
-  /// client's plaintext update never leaves.
+  /// then mask + seal.  Returns nullopt if verification fails, or if a
+  /// scaled element has no fixed-point encoding (a NaN or infinite element
+  /// or weight, or a value beyond the encoding's budget) — the client's
+  /// plaintext update never leaves.
   static std::optional<SecureReport> prepare_report(
       const secagg::SimulatedEnclavePlatform& platform,
       const SecureUploadConfig& config, std::uint64_t client_id,

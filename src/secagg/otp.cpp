@@ -67,9 +67,9 @@ void accumulate_masks(std::span<const Seed> seeds, GroupVec& sum) {
 }
 
 GroupVec mask(std::span<const std::uint32_t> plaintext, const Seed& seed) {
-  GroupVec out(plaintext.begin(), plaintext.end());
   crypto::MaskPrng prng(seed);
-  for (auto& e : out) e += prng.next_u32();
+  GroupVec out = prng.words(plaintext.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] += plaintext[i];
   return out;
 }
 

@@ -1,5 +1,7 @@
 #include "secagg/secagg_client.hpp"
 
+#include <stdexcept>
+
 namespace papaya::secagg {
 
 namespace {
@@ -29,6 +31,15 @@ std::optional<ClientContribution> SecAggClient::prepare_contribution(
     return std::nullopt;
   }
 
+  // An element the fixed-point encoding cannot represent (NaN, +-inf, or
+  // beyond the scale's budget) aborts the client too.
+  GroupVec encoded;
+  try {
+    encoded = encode(model_update, fixed_point_);
+  } catch (const std::range_error&) {
+    return std::nullopt;
+  }
+
   // Complete the DH exchange (Fig. 16 step 3).
   const crypto::DhKeyPair kp = crypto::dh_generate(dh_, random_);
   crypto::BigUInt tsa_public;
@@ -53,7 +64,7 @@ std::optional<ClientContribution> SecAggClient::prepare_contribution(
 
   ClientContribution out;
   out.message_index = initial_message.index;
-  out.masked_update = mask(encode(model_update, fixed_point_), seed);
+  out.masked_update = mask(encoded, seed);
   out.completing_message = kp.public_key.to_bytes(dh_.byte_width());
   out.sealed_seed = crypto::seal(key, /*sequence=*/initial_message.index, seed);
   return out;

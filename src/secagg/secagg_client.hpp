@@ -7,8 +7,8 @@
 // fixed-point-encoded model update, and produces:
 //   - the masked update, destined for the untrusted Aggregator, and
 //   - the sealed seed + DH completing message, destined for the TSA.
-// If any verification fails the client aborts (returns nullopt) and its
-// private update never leaves the device.
+// If any verification fails, or the update cannot be encoded, the client
+// aborts (returns nullopt) and its private update never leaves the device.
 
 #include <optional>
 
@@ -36,7 +36,9 @@ class SecAggClient {
                std::uint64_t client_seed);
 
   /// Run the client's half of the protocol.  Returns nullopt — the client
-  /// aborts — if the attestation quote or log proof does not verify.
+  /// aborts — if the attestation quote or log proof does not verify, or if
+  /// an element of the update has no fixed-point encoding (NaN, +-inf, or
+  /// out of range at `fixed_point`'s scale).
   std::optional<ClientContribution> prepare_contribution(
       const SimulatedEnclavePlatform& platform,
       const QuoteExpectations& expectations,

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "crypto/auth_enc.hpp"
 #include "crypto/bigint.hpp"
@@ -27,6 +31,23 @@ void expand_tile_portable(
 void expand_tile_avx2(std::uint32_t (&state)[16][ChaCha20::kMultiStreamLanes],
                       std::uint32_t* const* outs, std::size_t blocks);
 #endif
+// SHA-256's compression function over whole blocks, portable and SHA-NI
+// builds (src/crypto/sha256.cpp); Sha256 takes the SHA-NI one on a CPU with
+// the SHA extensions.
+void sha256_blocks_portable(std::array<std::uint32_t, 8>& state,
+                            const std::uint8_t* data, std::size_t blocks);
+#if defined(__x86_64__)
+void sha256_blocks_shani(std::array<std::uint32_t, 8>& state,
+                         const std::uint8_t* data, std::size_t blocks);
+#endif
+// The Montgomery multiply's 4-limb and generic instantiations
+// (src/crypto/bigint.cpp); powmod takes the 4-limb one for 4-limb moduli.
+void mont_mul_4(const std::uint64_t* a, const std::uint64_t* b,
+                const std::uint64_t* m, std::uint64_t m_inv,
+                std::uint64_t* out);
+void mont_mul_generic(const std::uint64_t* a, const std::uint64_t* b,
+                      const std::uint64_t* m, std::uint64_t m_inv,
+                      std::size_t n, std::uint64_t* t, std::uint64_t* out);
 }  // namespace detail
 
 namespace {
@@ -76,6 +97,90 @@ TEST(Sha256, StreamingMatchesOneShot) {
     h.update({&b, 1});
   }
   EXPECT_EQ(h.finish(), Sha256::hash(msg));
+}
+
+// The compression function's builds, each with this test's own padding:
+// 0x80, zeros to 56 mod 64, the bit length big-endian.
+struct Sha256Build {
+  const char* name;
+  void (*blocks)(std::array<std::uint32_t, 8>&, const std::uint8_t*,
+                 std::size_t);
+};
+
+std::vector<Sha256Build> sha256_builds() {
+  std::vector<Sha256Build> builds = {
+      {"portable", detail::sha256_blocks_portable}};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+    builds.push_back({"sha-ni", detail::sha256_blocks_shani});
+  } else {
+    std::printf("[ SKIPPED  ] the SHA-NI build: this CPU has no SHA extensions\n");
+  }
+#endif
+  return builds;
+}
+
+Digest sha256_with(const Sha256Build& build, const Bytes& message) {
+  Bytes padded = message;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = 8 * static_cast<std::uint64_t>(message.size());
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                        0x1f83d9ab, 0x5be0cd19};
+  build.blocks(state, padded.data(), padded.size() / 64);
+  Digest out{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+TEST(Sha256, BothBuildsMatchFips180Vectors) {
+  const std::vector<std::pair<std::string, std::string>> vectors = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"}};
+  for (const Sha256Build& build : sha256_builds()) {
+    for (const auto& [message, digest] : vectors) {
+      EXPECT_EQ(to_hex(sha256_with(build, from_string(message))), digest)
+          << build.name << " length " << message.size();
+    }
+  }
+}
+
+TEST(Sha256, BuildsAndStreamingAgreeOnRandomMessages) {
+  // Every length from 0 to 1,000 bytes (55, 56, 63, 64, 119 and 120 sit at
+  // the padding's one- and two-block edges), random bytes: each build with
+  // the reference padding, and the dispatching Sha256 one-shot and fed in
+  // random pieces, give one digest.
+  const auto builds = sha256_builds();
+  util::Rng rng(180);
+  for (std::size_t length = 0; length <= 1000; ++length) {
+    Bytes message(length);
+    for (auto& b : message) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+    const Digest reference = sha256_with(builds[0], message);
+    for (std::size_t b = 1; b < builds.size(); ++b) {
+      EXPECT_EQ(sha256_with(builds[b], message), reference)
+          << builds[b].name << " length " << length;
+    }
+    EXPECT_EQ(Sha256::hash(message), reference) << "length " << length;
+    Sha256 streaming;
+    for (std::size_t off = 0; off < length;) {
+      const std::size_t piece =
+          std::min<std::size_t>(length - off, rng.uniform_int(130));
+      streaming.update({message.data() + off, piece});
+      off += piece;
+    }
+    EXPECT_EQ(streaming.finish(), reference) << "streamed, length " << length;
+  }
 }
 
 TEST(HmacSha256, Rfc4231Case1) {
@@ -320,6 +425,70 @@ TEST(ChaCha20, BothTileBuildsMatchPerStreamKeystream) {
   }
 }
 
+TEST(ChaCha20, SingleStreamTilesMatchNextU32) {
+  // keystream_words produces eight consecutive blocks per tile call, lane l
+  // at counter c + l.  Against next_u32: lengths around the 128-word tile,
+  // starting inside a block (after 1, 7 or 17 words) or on one, and counters
+  // at and just below the 32-bit wrap, where a tile runs 0xfffffff8..0xffffffff
+  // or straddles 0.
+  const Bytes key(ChaCha20::kKeySize, 0x5a);
+  const Bytes nonce(ChaCha20::kNonceSize, 0x27);
+  for (const std::uint32_t counter : {0u, 0xfffffff8u, 0xfffffffbu}) {
+    for (const std::size_t skip : {0UL, 1UL, 7UL, 16UL, 17UL}) {
+      for (const std::size_t n : {127UL, 128UL, 129UL, 144UL, 389UL, 1000UL}) {
+        ChaCha20 scalar(key, nonce, counter), tiled(key, nonce, counter);
+        for (std::size_t i = 0; i < skip; ++i) {
+          ASSERT_EQ(scalar.next_u32(), tiled.next_u32());
+        }
+        std::vector<std::uint32_t> expected(n), actual(n);
+        for (auto& w : expected) w = scalar.next_u32();
+        tiled.keystream_words(actual);
+        EXPECT_EQ(actual, expected)
+            << "counter " << counter << " skip " << skip << " n " << n;
+        EXPECT_EQ(tiled.next_u32(), scalar.next_u32())
+            << "counter " << counter << " skip " << skip << " n " << n;
+      }
+    }
+  }
+
+  // Each tile build in that layout: one call, eight blocks of one stream.
+  constexpr std::size_t kLanes = ChaCha20::kMultiStreamLanes;
+  using Tile = void (*)(std::uint32_t(&)[16][kLanes], std::uint32_t* const*,
+                        std::size_t);
+  std::vector<std::pair<const char*, Tile>> builds = {
+      {"portable", detail::expand_tile_portable}};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) {
+    builds.emplace_back("avx2", detail::expand_tile_avx2);
+  } else {
+    std::printf("[ SKIPPED  ] the AVX2 tile build: this CPU has no AVX2\n");
+  }
+#endif
+  for (const auto& [name, tile] : builds) {
+    for (const std::uint32_t counter : {0u, 0xfffffff8u, 0xfffffffcu}) {
+      ChaCha20 scalar(key, nonce, counter);
+      std::vector<std::uint32_t> expected(16 * kLanes);
+      for (auto& w : expected) w = scalar.next_u32();
+      // The stream's state as the constructor lays it out, lane l at
+      // counter + l.
+      std::uint32_t state[16][kLanes];
+      const std::uint32_t constants[4] = {0x61707865u, 0x3320646eu,
+                                          0x79622d32u, 0x6b206574u};
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        for (std::size_t w = 0; w < 4; ++w) state[w][l] = constants[w];
+        for (std::size_t w = 0; w < 8; ++w) state[4 + w][l] = 0x5a5a5a5au;
+        state[12][l] = counter + static_cast<std::uint32_t>(l);
+        for (std::size_t w = 0; w < 3; ++w) state[13 + w][l] = 0x27272727u;
+      }
+      std::vector<std::uint32_t> out(16 * kLanes);
+      std::uint32_t* outs[kLanes];
+      for (std::size_t l = 0; l < kLanes; ++l) outs[l] = out.data() + 16 * l;
+      tile(state, outs, 1);
+      EXPECT_EQ(out, expected) << name << " counter " << counter;
+    }
+  }
+}
+
 // ----------------------------------------------------------------- BigUInt --
 
 TEST(BigUInt, HexRoundTrip) {
@@ -430,20 +599,23 @@ TEST(BigUInt, PowmodMatchesSmallIntegers) {
   }
 }
 
+// The textbook square-and-multiply over mulmod: powmod's reference.
+BigUInt square_and_multiply(const BigUInt& base, const BigUInt& exp,
+                            const BigUInt& m) {
+  BigUInt result = BigUInt(1) % m;
+  const BigUInt b = base % m;
+  for (std::size_t i = exp.bit_length(); i-- > 0;) {
+    result = result.mulmod(result, m);
+    if (exp.bit(i)) result = result.mulmod(b, m);
+  }
+  return result;
+}
+
 TEST(BigUInt, PowmodMatchesSquareAndMultiplyReference) {
   // Differential check against the textbook algorithm over mulmod, on odd
   // (Montgomery) and even moduli of 1-24 limbs, with bases up to twice the
   // modulus width so base >= m is common.
-  const auto reference = [](const BigUInt& base, const BigUInt& exp,
-                            const BigUInt& m) {
-    BigUInt result = BigUInt(1) % m;
-    const BigUInt b = base % m;
-    for (std::size_t i = exp.bit_length(); i-- > 0;) {
-      result = result.mulmod(result, m);
-      if (exp.bit(i)) result = result.mulmod(b, m);
-    }
-    return result;
-  };
+  const auto reference = square_and_multiply;
   util::Rng rng(101);
   const auto random_value = [&](std::size_t max_bytes) {
     Bytes bytes(1 + rng.uniform_int(max_bytes));
@@ -474,6 +646,135 @@ TEST(BigUInt, PowmodMatchesSquareAndMultiplyReference) {
             << " m=" << m.to_hex();
       }
     }
+  }
+}
+
+BigUInt random_below(util::Rng& rng, const BigUInt& bound) {
+  Bytes bytes(32);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+  return BigUInt::from_bytes(bytes) % bound;
+}
+
+std::array<std::uint64_t, 4> to_limbs(const BigUInt& v) {
+  const Bytes bytes = v.to_bytes(32);
+  std::array<std::uint64_t, 4> limbs{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    limbs[(31 - i) / 8] |= static_cast<std::uint64_t>(bytes[i])
+                           << (8 * ((31 - i) % 8));
+  }
+  return limbs;
+}
+
+BigUInt from_limbs(const std::array<std::uint64_t, 4>& limbs) {
+  Bytes bytes(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(limbs[(31 - i) / 8] >>
+                                         (8 * ((31 - i) % 8)));
+  }
+  return BigUInt::from_bytes(bytes);
+}
+
+TEST(BigUInt, MontMulFourLimbMatchesGenericAndDefinition) {
+  // Both instantiations against the definition of the CIOS product for
+  // R = 2^256: T = (a*b + Q*m) / R with Q = -a*b*m^-1 mod R, then T - m if
+  // T >= m (the final subtraction).  Moduli: the 256-bit group's p (where
+  // the subtraction is common) and random odd 4-limb values whose top limb
+  // runs from 1 bit to 64; operands random below m plus 0, 1 and m - 1.
+  const BigUInt one(1);
+  const BigUInt r = one << 256;
+  util::Rng rng(4);
+  std::vector<BigUInt> moduli = {DhParams::simulation256().p};
+  for (int i = 0; i < 40; ++i) {
+    BigUInt m = random_below(rng, r);
+    m = (m >> (rng.uniform_int(63))) + (one << 192);  // top limb nonzero
+    if (!m.bit(0)) m = m + one;
+    moduli.push_back(m);
+  }
+  std::size_t subtractions = 0, products = 0;
+  for (const BigUInt& m : moduli) {
+    const auto m_limbs = to_limbs(m);
+    // -m^-1 mod 2^64 and mod R by Newton iteration from m0 (its own
+    // inverse mod 8).
+    std::uint64_t inv64 = m_limbs[0];
+    for (int i = 0; i < 5; ++i) inv64 *= 2 - m_limbs[0] * inv64;
+    BigUInt inv(inv64);
+    for (int i = 0; i < 2; ++i) {
+      inv = (inv * ((r + BigUInt(2) - (m * inv) % r) % r)) % r;
+    }
+    ASSERT_EQ((m * inv) % r, one);
+    const BigUInt neg_inv = r - inv;
+
+    std::vector<std::pair<BigUInt, BigUInt>> operands = {
+        {BigUInt(0), m - one}, {one, one}, {m - one, m - one}, {one, m - one}};
+    for (int i = 0; i < 25; ++i) {
+      operands.emplace_back(random_below(rng, m), random_below(rng, m));
+    }
+    for (const auto& [a, b] : operands) {
+      const BigUInt ab = a * b;
+      const BigUInt q = ((ab % r) * neg_inv) % r;
+      const BigUInt t = (ab + q * m) >> 256;
+      ASSERT_EQ((t << 256), ab + q * m);
+      const bool subtract = t >= m;
+      const BigUInt expected = subtract ? t - m : t;
+      subtractions += subtract;
+      ++products;
+
+      const auto a_limbs = to_limbs(a), b_limbs = to_limbs(b);
+      std::array<std::uint64_t, 4> fixed{}, generic{};
+      std::uint64_t scratch[6];
+      detail::mont_mul_4(a_limbs.data(), b_limbs.data(), m_limbs.data(),
+                         0 - inv64, fixed.data());
+      detail::mont_mul_generic(a_limbs.data(), b_limbs.data(), m_limbs.data(),
+                               0 - inv64, 4, scratch, generic.data());
+      EXPECT_EQ(from_limbs(fixed), expected)
+          << "4-limb: a=" << a.to_hex() << " b=" << b.to_hex()
+          << " m=" << m.to_hex();
+      EXPECT_EQ(generic, fixed) << "generic: a=" << a.to_hex()
+                                << " b=" << b.to_hex() << " m=" << m.to_hex();
+      // Aliased output, as powmod squares in place.
+      std::array<std::uint64_t, 4> in_place = a_limbs;
+      detail::mont_mul_4(in_place.data(), b_limbs.data(), m_limbs.data(),
+                         0 - inv64, in_place.data());
+      EXPECT_EQ(in_place, fixed);
+    }
+  }
+  // Both branches of the final subtraction ran.
+  EXPECT_GT(subtractions, 0u);
+  EXPECT_LT(subtractions, products);
+}
+
+TEST(BigUInt, GeneratorCombMatchesSquareAndMultiplyReference) {
+  // powmod takes its comb of the 256-bit group's generator when called as
+  // g.powmod(x, p) with x of at most 256 bits: exponents 0, 1, p - 2,
+  // all-zero windows below one set window, every window 0xf, alternating
+  // zero and 0xf windows, random full-width values and random short ones.
+  // Exponents past 256 bits and a base congruent to g (reduced to g, so
+  // the comb again) are checked too.
+  const DhParams& group = DhParams::simulation256();
+  const BigUInt& p = group.p;
+  const BigUInt one(1);
+  std::vector<BigUInt> exps = {
+      BigUInt(0),      one,
+      BigUInt(2),      BigUInt(15),
+      BigUInt(16),     p - BigUInt(2),
+      p - one,         p,
+      one << 252,      (one << 255) + one,
+      (one << 256) - one,
+      BigUInt::from_hex(
+          "f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0"),
+      BigUInt::from_hex("f00000000000000000000000000000000000000000000000000000"
+                        "000000000f"),
+      one << 256,      (one << 300) + BigUInt(5)};
+  util::Rng rng(5);
+  for (int i = 0; i < 40; ++i) {
+    Bytes bytes(i < 30 ? 32 : 1 + rng.uniform_int(32));
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+    exps.push_back(BigUInt::from_bytes(bytes));
+  }
+  for (const BigUInt& x : exps) {
+    const BigUInt expected = square_and_multiply(group.g, x, p);
+    EXPECT_EQ(group.g.powmod(x, p), expected) << "x=" << x.to_hex();
+    EXPECT_EQ((group.g + p).powmod(x, p), expected) << "g + p, x=" << x.to_hex();
   }
 }
 

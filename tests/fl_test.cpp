@@ -8,6 +8,8 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <thread>
 
 #include "fl/aggregator.hpp"
@@ -1264,6 +1266,41 @@ TEST(SecureBuffer, EpochRotatesAfterRelease) {
   EXPECT_EQ(manager.epoch(), first_epoch + 1);
   // A contribution prepared against the released epoch is rejected.
   EXPECT_EQ(manager.submit(*report, 1.0), SecureSubmitOutcome::kWrongEpoch);
+}
+
+TEST(SecureBuffer, UnencodableUpdateAbortsTheClient) {
+  // An element the fixed-point encoding cannot represent (NaN, +-inf, or
+  // beyond its budget, directly or after a NaN weight) makes prepare_report
+  // return nullopt, as a failed attestation does: no exception escapes and
+  // nothing is uploaded.  An in-range update still goes through the TSA.
+  SecureBufferManager manager(4, 1, 78);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const auto upload = manager.next_upload_config();
+  ASSERT_TRUE(upload.has_value());
+  const std::vector<std::pair<std::vector<float>, double>> hostile = {
+      {{0.5f, nan, 0.25f, 0.0f}, 1.0},
+      {{0.5f, inf, 0.25f, 0.0f}, 1.0},
+      {{0.5f, 0.25f, -inf, 0.0f}, 1.0},
+      {{0.5f, 0.25f, 0.0f, 1e30f}, 1.0},
+      {{0.5f, 0.25f, 0.0f, 0.125f}, std::numeric_limits<double>::quiet_NaN()}};
+  for (const auto& [delta, weight] : hostile) {
+    std::optional<SecureReport> report;
+    EXPECT_NO_THROW(report = SecureBufferManager::prepare_report(
+                        manager.platform(), *upload, 1, 0, 5, weight, delta, 1));
+    EXPECT_FALSE(report.has_value())
+        << delta[0] << " " << delta[1] << " " << delta[2] << " " << delta[3]
+        << " weight " << weight;
+  }
+  const auto report = SecureBufferManager::prepare_report(
+      manager.platform(), *upload, 1, 0, 5, 1.0,
+      std::vector<float>{0.5f, 0.25f, 0.0f, -0.125f}, 1);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(manager.submit(*report, 1.0), SecureSubmitOutcome::kAccepted);
+  const auto mean = manager.finalize_mean();
+  ASSERT_TRUE(mean.has_value());
+  EXPECT_NEAR((*mean)[1], 0.25f, 1e-3f);
+  EXPECT_NEAR((*mean)[3], -0.125f, 1e-3f);
 }
 
 TEST(SecureBuffer, WeightedMeanMatchesPlaintext) {

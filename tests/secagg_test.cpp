@@ -659,6 +659,246 @@ TEST(BatchedSession, OneCrossingPerBatch) {
   EXPECT_EQ(world.tsa->boundary().bytes_out(), k);
 }
 
+// --------------------------------------------------- SecAgg boundary fuzz --
+//
+// Seeded hostile inputs at the TSA's boundary: every malformed input is
+// rejected, none consumes an initial-message index, and nothing throws out
+// of accept_batch.  Runs under every sanitizer leg, so the crypto kernels
+// (SHA-256, the 4-limb Montgomery multiply, the mask keystream) run there
+// on hostile data too.
+
+class SecAggBoundaryFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+util::Bytes fuzz_bytes(util::Rng& rng, std::size_t size) {
+  util::Bytes bytes(size);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+  return bytes;
+}
+
+TEST_P(SecAggBoundaryFuzz, OpenRejectsRandomTruncatedAndFlippedBoxes) {
+  util::Rng rng(GetParam());
+  for (int trial = 0; trial < 40; ++trial) {
+    crypto::Digest key{};
+    for (auto& b : key) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+    const std::uint64_t sequence = rng.next();
+    const util::Bytes plaintext = fuzz_bytes(rng, rng.uniform_int(48));
+    const crypto::SealedBox box = crypto::seal(key, sequence, plaintext);
+    const auto opened = crypto::open(key, sequence, box);
+    ASSERT_TRUE(opened.has_value());
+    EXPECT_EQ(*opened, plaintext);
+
+    // Random boxes of every length up to one past the sealed one.
+    for (std::size_t len = 0; len <= box.ciphertext.size() + 1; ++len) {
+      EXPECT_FALSE(crypto::open(key, sequence, {fuzz_bytes(rng, len)}))
+          << "random box of " << len << " bytes";
+    }
+    // Every truncation, and one byte appended.
+    for (std::size_t len = 0; len < box.ciphertext.size(); ++len) {
+      crypto::SealedBox cut{util::Bytes(box.ciphertext.begin(),
+                                        box.ciphertext.begin() +
+                                            static_cast<std::ptrdiff_t>(len))};
+      EXPECT_FALSE(crypto::open(key, sequence, cut)) << "truncated to " << len;
+    }
+    crypto::SealedBox longer = box;
+    longer.ciphertext.push_back(static_cast<std::uint8_t>(rng.uniform_int(256)));
+    EXPECT_FALSE(crypto::open(key, sequence, longer));
+    // One flipped bit anywhere: nonce, body or tag.
+    for (int flip = 0; flip < 16; ++flip) {
+      crypto::SealedBox flipped = box;
+      flipped.ciphertext[rng.uniform_int(flipped.ciphertext.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform_int(8));
+      EXPECT_FALSE(crypto::open(key, sequence, flipped));
+    }
+    // The wrong sequence number or key.
+    EXPECT_FALSE(crypto::open(key, sequence + 1, box));
+    crypto::Digest other = key;
+    other[rng.uniform_int(other.size())] ^= 0x10;
+    EXPECT_FALSE(crypto::open(other, sequence, box));
+  }
+}
+
+TEST_P(SecAggBoundaryFuzz, AcceptBatchRejectsMalformedContributionsCleanly) {
+  util::Rng rng(GetParam() ^ 0x5ecu);
+  const std::size_t length = 17 + rng.uniform_int(300);
+  const std::size_t honest = 3;
+  ProtocolWorld world(length, honest, 2 * honest);
+  const std::size_t width = world.dh.byte_width();
+  const crypto::BigUInt one(1);
+
+  std::vector<ClientContribution> good;
+  std::vector<float> plain_sum(length, 0.0f);
+  for (std::uint64_t c = 0; c < honest; ++c) {
+    std::vector<float> update(length);
+    for (auto& v : update) v = static_cast<float>(rng.uniform() - 0.5);
+    for (std::size_t i = 0; i < length; ++i) plain_sum[i] += update[i];
+    auto contribution = world.client_contribution(c, update);
+    ASSERT_TRUE(contribution.has_value());
+    good.push_back(std::move(*contribution));
+  }
+
+  // Each hostile contribution reuses an honest one's index with one field
+  // broken, and carries a random masked update of the model's length.
+  std::vector<ClientContribution> hostile;
+  const auto from = [&](std::size_t c) {
+    ClientContribution h = good[c];
+    for (auto& w : h.masked_update) w = static_cast<std::uint32_t>(rng.next());
+    return h;
+  };
+  // Completing messages of every length from 0 to twice the group width...
+  for (std::size_t len = 0; len <= 2 * width; ++len) {
+    ClientContribution h = from(rng.uniform_int(honest));
+    h.completing_message = fuzz_bytes(rng, len);
+    hostile.push_back(std::move(h));
+  }
+  // ...the edge values at the right width and one byte wider...
+  for (const crypto::BigUInt& v :
+       {crypto::BigUInt(0), one, world.dh.p - one, world.dh.p,
+        (one << 256) - one}) {
+    for (const std::size_t w : {width, width + 1}) {
+      ClientContribution h = from(rng.uniform_int(honest));
+      h.completing_message = v.to_bytes(w);
+      hostile.push_back(std::move(h));
+    }
+  }
+  // ...another client's valid completing message (a different DH key), and
+  // the client's own with a zero byte in front (same integer, wrong
+  // length) or a byte appended...
+  for (std::size_t c = 0; c < honest; ++c) {
+    ClientContribution h = from(c);
+    h.completing_message = good[(c + 1) % honest].completing_message;
+    hostile.push_back(std::move(h));
+    ClientContribution prefixed = from(c);
+    prefixed.completing_message.insert(prefixed.completing_message.begin(), 0);
+    hostile.push_back(std::move(prefixed));
+    ClientContribution appended = from(c);
+    appended.completing_message.push_back(
+        static_cast<std::uint8_t>(rng.uniform_int(256)));
+    hostile.push_back(std::move(appended));
+  }
+  // ...and tampered sealed seeds: a flipped bit, truncated, random, empty,
+  // another client's box, and the honest box under a shifted sequence.
+  for (std::size_t c = 0; c < honest; ++c) {
+    util::Bytes& ct = good[c].sealed_seed.ciphertext;
+    for (int flip = 0; flip < 6; ++flip) {
+      ClientContribution h = from(c);
+      h.sealed_seed.ciphertext[rng.uniform_int(ct.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform_int(8));
+      hostile.push_back(std::move(h));
+    }
+    ClientContribution cut = from(c);
+    cut.sealed_seed.ciphertext.resize(rng.uniform_int(ct.size()));
+    hostile.push_back(std::move(cut));
+    ClientContribution random = from(c);
+    random.sealed_seed.ciphertext = fuzz_bytes(rng, rng.uniform_int(2 * ct.size()));
+    hostile.push_back(std::move(random));
+    ClientContribution empty = from(c);
+    empty.sealed_seed.ciphertext.clear();
+    hostile.push_back(std::move(empty));
+    ClientContribution swapped = from(c);
+    swapped.sealed_seed = good[(c + 1) % honest].sealed_seed;
+    hostile.push_back(std::move(swapped));
+  }
+  // Indices past the TSA's initial messages.
+  for (int i = 0; i < 4; ++i) {
+    ClientContribution h = from(rng.uniform_int(honest));
+    h.message_index = 2 * honest + rng.uniform_int(1000);
+    hostile.push_back(std::move(h));
+  }
+  for (std::size_t i = hostile.size(); i > 1; --i) {
+    std::swap(hostile[i - 1], hostile[rng.uniform_int(i)]);
+  }
+
+  BatchedSecureAggregationSession session(*world.tsa, length, honest);
+  for (std::size_t base = 0; base < hostile.size();) {
+    const std::size_t n =
+        std::min<std::size_t>(1 + rng.uniform_int(9), hostile.size() - base);
+    std::vector<TsaAccept> verdicts;
+    ASSERT_NO_THROW(verdicts = session.accept_batch(
+                        std::span<const ClientContribution>(&hostile[base], n)));
+    ASSERT_EQ(verdicts.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NE(verdicts[i], TsaAccept::kAccepted)
+          << "hostile contribution " << base + i << " index "
+          << hostile[base + i].message_index << " completing "
+          << util::to_hex(hostile[base + i].completing_message);
+    }
+    base += n;
+  }
+  EXPECT_EQ(session.accepted_count(), 0u);
+  EXPECT_EQ(world.tsa->accepted_count(), 0u);
+  EXPECT_TRUE(std::all_of(session.masked_sum().begin(),
+                          session.masked_sum().end(),
+                          [](std::uint32_t w) { return w == 0; }));
+
+  // No index was consumed: every honest contribution still lands, and the
+  // release is the honest sum.
+  const auto verdicts = session.accept_batch(good);
+  EXPECT_EQ(verdicts, std::vector<TsaAccept>(honest, TsaAccept::kAccepted));
+  const auto sum = session.finalize_decoded(world.fp);
+  ASSERT_TRUE(sum.has_value());
+  for (std::size_t i = 0; i < length; ++i) {
+    EXPECT_NEAR((*sum)[i], plain_sum[i], 1e-3f) << "element " << i;
+  }
+}
+
+TEST_P(SecAggBoundaryFuzz, ParsedPublicKeysAreRangeCheckedOrExact) {
+  // BigUInt::from_bytes on hostile bytes feeding dh_shared_element: a value
+  // outside [2, p - 2] throws std::invalid_argument; any other gives
+  // y^x mod p exactly (square-and-multiply over mulmod as the reference).
+  util::Rng rng(GetParam() ^ 0xd4u);
+  const crypto::DhParams& dh = DhParams::simulation256();
+  const crypto::BigUInt one(1), two(2);
+  const auto reference = [&](const crypto::BigUInt& y,
+                             const crypto::BigUInt& x) {
+    crypto::BigUInt result = one;
+    for (std::size_t i = x.bit_length(); i-- > 0;) {
+      result = result.mulmod(result, dh.p);
+      if (x.bit(i)) result = result.mulmod(y, dh.p);
+    }
+    return result;
+  };
+  crypto::DhRandom random(fuzz_bytes(rng, 32));
+  // The range edges at several widths (and no bytes at all), then random
+  // bytes with a run of 0xff or 0x00 up front.
+  std::vector<util::Bytes> inputs = {{}};
+  for (const crypto::BigUInt& v :
+       {crypto::BigUInt(0), one, two, dh.p - two, dh.p - one, dh.p,
+        (one << 256) - one}) {
+    for (const std::size_t w : {0UL, dh.byte_width(), dh.byte_width() + 8}) {
+      inputs.push_back(v.to_bytes(w));
+    }
+  }
+  for (int trial = 0; trial < 60; ++trial) {
+    util::Bytes bytes =
+        fuzz_bytes(rng, rng.uniform_int(2 * dh.byte_width() + 1));
+    const std::size_t run =
+        std::min<std::size_t>(bytes.size(), rng.uniform_int(40));
+    std::fill_n(bytes.begin(), run, rng.bernoulli(0.5) ? 0xff : 0x00);
+    inputs.push_back(std::move(bytes));
+  }
+  int rejected = 0, exact = 0;
+  for (const util::Bytes& bytes : inputs) {
+    const crypto::BigUInt y = crypto::BigUInt::from_bytes(bytes);
+    const crypto::DhKeyPair kp = crypto::dh_generate(dh, random);
+    if (y < two || y > dh.p - two) {
+      EXPECT_THROW(crypto::dh_shared_element(dh, kp.private_key, y),
+                   std::invalid_argument)
+          << util::to_hex(bytes);
+      ++rejected;
+    } else {
+      EXPECT_EQ(crypto::dh_shared_element(dh, kp.private_key, y),
+                reference(y, kp.private_key))
+          << util::to_hex(bytes);
+      ++exact;
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(exact, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SecAggBoundaryFuzz,
+                         ::testing::Values(101, 202, 303));
+
 // ------------------------------------------------------ Boundary traffic --
 
 TEST(Boundary, AsyncSecAggTrafficIsConstantPerClientInModelSize) {
