@@ -137,11 +137,10 @@ void mont_mul(const std::uint64_t* a, const std::uint64_t* b,
   }
 }
 
-// 4-bit window w (bits 4w..4w+3) of a little-endian limb vector, 0 past its
-// end.  Windows never straddle a limb because 4 divides 64.
+// 4-bit window w (bits 4w..4w+3) of a little-endian limb vector.  Windows
+// never straddle a limb because 4 divides 64.
 std::size_t window(const std::vector<std::uint64_t>& limbs, std::size_t w) {
   const std::size_t bit = 4 * w;
-  if (bit / 64 >= limbs.size()) return 0;
   return static_cast<std::size_t>((limbs[bit / 64] >> (bit % 64)) & 0xf);
 }
 
