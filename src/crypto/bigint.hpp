@@ -61,8 +61,11 @@ class BigUInt {
   BigUInt mulmod(const BigUInt& other, const BigUInt& m) const;
   /// this^exp mod m.  An odd modulus (every DH group, the Shamir prime)
   /// takes 4-bit fixed-window exponentiation over Montgomery multiplication;
-  /// an even one takes square-and-multiply over mulmod.  Variable time: fine
-  /// for simulation, not intended for production cryptography.
+  /// an even one takes square-and-multiply over mulmod.  The generator of
+  /// DhParams::simulation256() raised mod its p to an exponent of at most
+  /// 256 bits (key generation) takes a precomputed comb instead, built on
+  /// the first such call.  Variable time: fine for simulation, not intended
+  /// for production cryptography.
   BigUInt powmod(const BigUInt& exp, const BigUInt& m) const;
 
   /// Uniform value in [0, bound) from a caller-supplied byte source
