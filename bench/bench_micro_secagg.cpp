@@ -51,8 +51,8 @@ void BM_Mask(benchmark::State& state) {
 BENCHMARK(BM_Mask)->Arg(2968)->Arg(65536);
 
 void BM_MaskExpansionMulti(benchmark::State& state) {
-  // Multi-stream expansion of `range(0)` seeds at the BM_MaskExpansion/65536
-  // working size; compare ns/word against the scalar path.
+  // Batched expansion (expand_masks) of `range(0)` seeds at the
+  // BM_MaskExpansion/65536 working size.
   const auto n_seeds = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kLength = 65536;
   std::vector<secagg::Seed> seeds(n_seeds);
@@ -153,10 +153,10 @@ BENCHMARK(BM_MerkleVerifyInclusion)->Arg(1024);
 // set at several batch sizes, at the paper's model scale (2^20 group
 // elements = a 4 MB masked update).  Batch 1 hands each contribution over
 // on its own.  Per-contribution DH key recovery is inherent to the protocol
-// at every batch size; a larger batch amortizes everything else (TSA
-// crossing, mask expansion via the multi-stream ChaCha20 kernel, and the
-// server fold, which becomes one cache-blocked reduction).  ns/update =
-// real_time / items_per_second.
+// at every batch size; a larger batch amortizes the rest of the control
+// path (one TSA crossing per batch) and makes the server fold one
+// cache-blocked reduction.  Mask expansion costs the same per seed at any
+// batch size.  ns/update = real_time / items_per_second.
 
 constexpr std::size_t kAcceptLength = 1 << 20;
 constexpr std::size_t kAcceptContributions = 32;

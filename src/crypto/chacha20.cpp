@@ -42,18 +42,16 @@ inline void core_rounds(std::array<std::uint32_t, 16>& x) {
   }
 }
 
-constexpr std::size_t kLanes = ChaCha20::kMultiStreamLanes;
+// Blocks per call of the tile kernel, one per vector lane.
+constexpr std::size_t kTileBlocks = 8;
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define PAPAYA_CHACHA_X86 1
 #endif
 
-// The multi-stream tile kernel: run `blocks` ChaCha20 blocks for kLanes
-// independent streams in lockstep.  `st[w]` holds state word w across all
-// lanes (stream-major), outs[l] receives stream l's keystream words, and
-// st[12] leaves incremented by `blocks` per lane.  A single stream runs
-// through it too, as kLanes consecutive blocks of one state (lane l at
-// counter c + l, one block per call).
+// The tile kernel: kTileBlocks consecutive ChaCha20 blocks of one stream,
+// lane l at counter state[12] + l (wrapping in 32 bits), block l written to
+// out[16l .. 16l + 15].  `state` is not advanced.
 //
 // One row of 8 lanes spans two SSE registers but only one AVX2 register,
 // and the register file is the bottleneck: the AVX2 build runs the 8-lane
@@ -66,13 +64,15 @@ constexpr std::size_t kLanes = ChaCha20::kMultiStreamLanes;
 // not reliably vectorize the equivalent lane-array loops); targets without
 // wide registers get correct element-wise lowering.
 typedef std::uint32_t LaneVec
-    __attribute__((vector_size(kLanes * sizeof(std::uint32_t))));
+    __attribute__((vector_size(kTileBlocks * sizeof(std::uint32_t))));
 
 [[gnu::always_inline]] inline void expand_tile_body(
-    std::uint32_t (&state)[16][kLanes], std::uint32_t* const* outs,
-    std::size_t blocks) {
+    const std::array<std::uint32_t, 16>& state, std::uint32_t* out) {
   LaneVec st[16];
-  std::memcpy(st, state, sizeof(st));
+  for (std::size_t w = 0; w < 16; ++w) st[w] = LaneVec{} + state[w];
+  for (std::size_t l = 0; l < kTileBlocks; ++l) {
+    st[12][l] += static_cast<std::uint32_t>(l);
+  }
 #define PAPAYA_CHACHA_QR(a, b, c, d)                                   \
   do {                                                                 \
     x[a] += x[b]; x[d] ^= x[a]; x[d] = (x[d] << 16) | (x[d] >> 16);    \
@@ -80,62 +80,33 @@ typedef std::uint32_t LaneVec
     x[a] += x[b]; x[d] ^= x[a]; x[d] = (x[d] << 8) | (x[d] >> 24);     \
     x[c] += x[d]; x[b] ^= x[c]; x[b] = (x[b] << 7) | (x[b] >> 25);     \
   } while (0)
-  std::size_t base = 0;
-  for (std::size_t blk = 0; blk < blocks; ++blk, base += 16) {
-    LaneVec x[16];
-    std::memcpy(x, st, sizeof(x));
-    for (int r = 0; r < 10; ++r) {
-      PAPAYA_CHACHA_QR(0, 4, 8, 12);
-      PAPAYA_CHACHA_QR(1, 5, 9, 13);
-      PAPAYA_CHACHA_QR(2, 6, 10, 14);
-      PAPAYA_CHACHA_QR(3, 7, 11, 15);
-      PAPAYA_CHACHA_QR(0, 5, 10, 15);
-      PAPAYA_CHACHA_QR(1, 6, 11, 12);
-      PAPAYA_CHACHA_QR(2, 7, 8, 13);
-      PAPAYA_CHACHA_QR(3, 4, 9, 14);
-    }
-    for (std::size_t w = 0; w < 16; ++w) {
-      const LaneVec v = x[w] + st[w];
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        outs[l][base + w] = v[l];
-      }
-    }
-    st[12] += 1;  // per-lane block counter
+  LaneVec x[16];
+  std::memcpy(x, st, sizeof(x));
+  for (int r = 0; r < 10; ++r) {
+    PAPAYA_CHACHA_QR(0, 4, 8, 12);
+    PAPAYA_CHACHA_QR(1, 5, 9, 13);
+    PAPAYA_CHACHA_QR(2, 6, 10, 14);
+    PAPAYA_CHACHA_QR(3, 7, 11, 15);
+    PAPAYA_CHACHA_QR(0, 5, 10, 15);
+    PAPAYA_CHACHA_QR(1, 6, 11, 12);
+    PAPAYA_CHACHA_QR(2, 7, 8, 13);
+    PAPAYA_CHACHA_QR(3, 4, 9, 14);
   }
 #undef PAPAYA_CHACHA_QR
-  std::memcpy(state, st, sizeof(st));
+  for (std::size_t w = 0; w < 16; ++w) {
+    const LaneVec v = x[w] + st[w];
+    for (std::size_t l = 0; l < kTileBlocks; ++l) out[16 * l + w] = v[l];
+  }
 }
 #else
-inline void expand_tile_body(std::uint32_t (&state)[16][kLanes],
-                             std::uint32_t* const* outs, std::size_t blocks) {
-  std::size_t base = 0;
-  for (std::size_t blk = 0; blk < blocks; ++blk, base += 16) {
-    std::uint32_t x[16][kLanes];
-    std::memcpy(x, state, sizeof(x));
-    const auto qr = [&x](int a, int b, int c, int d) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        x[a][l] += x[b][l]; x[d][l] ^= x[a][l]; x[d][l] = rotl(x[d][l], 16);
-        x[c][l] += x[d][l]; x[b][l] ^= x[c][l]; x[b][l] = rotl(x[b][l], 12);
-        x[a][l] += x[b][l]; x[d][l] ^= x[a][l]; x[d][l] = rotl(x[d][l], 8);
-        x[c][l] += x[d][l]; x[b][l] ^= x[c][l]; x[b][l] = rotl(x[b][l], 7);
-      }
-    };
-    for (int r = 0; r < 10; ++r) {
-      qr(0, 4, 8, 12);
-      qr(1, 5, 9, 13);
-      qr(2, 6, 10, 14);
-      qr(3, 7, 11, 15);
-      qr(0, 5, 10, 15);
-      qr(1, 6, 11, 12);
-      qr(2, 7, 8, 13);
-      qr(3, 4, 9, 14);
-    }
-    for (std::size_t w = 0; w < 16; ++w) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        outs[l][base + w] = x[w][l] + state[w][l];
-      }
-    }
-    for (std::size_t l = 0; l < kLanes; ++l) ++state[12][l];
+inline void expand_tile_body(const std::array<std::uint32_t, 16>& state,
+                             std::uint32_t* out) {
+  for (std::size_t l = 0; l < kTileBlocks; ++l) {
+    std::array<std::uint32_t, 16> in = state;
+    in[12] += static_cast<std::uint32_t>(l);
+    std::array<std::uint32_t, 16> x = in;
+    core_rounds(x);
+    for (std::size_t w = 0; w < 16; ++w) out[16 * l + w] = x[w] + in[w];
   }
 }
 #endif
@@ -156,17 +127,16 @@ namespace detail {
 
 // The tile kernel's two builds.  Not in a header: tests/crypto_test.cpp
 // declares them to check both.
-void expand_tile_portable(std::uint32_t (&state)[16][kLanes],
-                          std::uint32_t* const* outs, std::size_t blocks) {
-  expand_tile_body(state, outs, blocks);
+void expand_tile_portable(const std::array<std::uint32_t, 16>& state,
+                          std::uint32_t* out) {
+  expand_tile_body(state, out);
 }
 
 #ifdef PAPAYA_CHACHA_X86
 // Needs an AVX2 CPU.
 __attribute__((target("avx2"))) void expand_tile_avx2(
-    std::uint32_t (&state)[16][kLanes], std::uint32_t* const* outs,
-    std::size_t blocks) {
-  expand_tile_body(state, outs, blocks);
+    const std::array<std::uint32_t, 16>& state, std::uint32_t* out) {
+  expand_tile_body(state, out);
 }
 #endif
 
@@ -174,12 +144,12 @@ __attribute__((target("avx2"))) void expand_tile_avx2(
 
 namespace {
 
-void expand_tile(std::uint32_t (&state)[16][kLanes],
-                 std::uint32_t* const* outs, std::size_t blocks) {
+void expand_tile(const std::array<std::uint32_t, 16>& state,
+                 std::uint32_t* out) {
 #ifdef PAPAYA_CHACHA_X86
-  if (cpu_has_avx2()) return detail::expand_tile_avx2(state, outs, blocks);
+  if (cpu_has_avx2()) return detail::expand_tile_avx2(state, out);
 #endif
-  detail::expand_tile_portable(state, outs, blocks);
+  detail::expand_tile_portable(state, out);
 }
 
 }  // namespace
@@ -243,25 +213,13 @@ void ChaCha20::keystream_words(std::span<std::uint32_t> out) {
   // Drain any buffered partial block first so the word sequence lines up
   // with repeated next_u32() calls.
   while (i < out.size() && block_pos_ != 64) out[i++] = next_u32();
-  // Eight consecutive blocks per tile call: lane l runs this stream at
-  // counter c + l, so the tile writes blocks c..c+7 side by side.  Word w
-  // of a block is the little-endian load of bytes 4w..4w+3, i.e. exactly
-  // x[w] + state_[w].
-  constexpr std::size_t kTileWords = 16 * kLanes;
-  if (out.size() - i >= kTileWords) {
-    std::uint32_t state[16][kLanes];
-    for (std::size_t w = 0; w < 16; ++w) {
-      for (std::size_t l = 0; l < kLanes; ++l) state[w][l] = state_[w];
-    }
-    std::uint32_t* outs[kLanes];
-    for (; i + kTileWords <= out.size(); i += kTileWords) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        state[12][l] = state_[12] + static_cast<std::uint32_t>(l);
-        outs[l] = out.data() + i + 16 * l;
-      }
-      expand_tile(state, outs, 1);
-      state_[12] += kLanes;
-    }
+  // kTileBlocks consecutive blocks per tile call: lane l runs this stream
+  // at counter c + l.  Word w of a block is the little-endian load of bytes
+  // 4w..4w+3, i.e. exactly x[w] + state_[w].
+  constexpr std::size_t kTileWords = 16 * kTileBlocks;
+  for (; i + kTileWords <= out.size(); i += kTileWords) {
+    expand_tile(state_, out.data() + i);
+    state_[12] += kTileBlocks;
   }
   // Whole blocks straight from the core.
   for (; i + 16 <= out.size(); i += 16) {
@@ -271,53 +229,6 @@ void ChaCha20::keystream_words(std::span<std::uint32_t> out) {
     ++state_[12];
   }
   while (i < out.size()) out[i++] = next_u32();
-}
-
-void ChaCha20::keystream_words_multi(std::span<ChaCha20* const> streams,
-                                     std::span<std::uint32_t* const> outs,
-                                     std::size_t n) {
-  if (streams.size() != outs.size()) {
-    throw std::invalid_argument("ChaCha20: streams/outs size mismatch");
-  }
-  constexpr std::size_t kLanes = kMultiStreamLanes;
-  std::size_t s = 0;
-  for (; s + kLanes <= streams.size(); s += kLanes) {
-    // A stream with buffered partial-block keystream cannot join a lockstep
-    // tile (its block boundary is offset); fall back to the scalar path.
-    bool aligned = true;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      aligned = aligned && streams[s + l]->block_pos_ == 64;
-    }
-    if (!aligned) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        streams[s + l]->keystream_words({outs[s + l], n});
-      }
-      continue;
-    }
-
-    const std::size_t blocks = n / 16;
-    // Stream-major working state: state[w] holds state word w across all
-    // kLanes lanes, so every quarter-round op in the kernel is one
-    // operation on kLanes independent values.
-    std::uint32_t state[16][kLanes];
-    for (std::size_t w = 0; w < 16; ++w) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        state[w][l] = streams[s + l]->state_[w];
-      }
-    }
-    expand_tile(state, outs.data() + s, blocks);
-    const std::size_t base = blocks * 16;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      streams[s + l]->state_[12] = state[12][l];
-      if (const std::size_t tail = n - base; tail > 0) {
-        streams[s + l]->keystream_words({outs[s + l] + base, tail});
-      }
-    }
-  }
-  // Remainder streams (fewer than a full tile): scalar whole-block path.
-  for (; s < streams.size(); ++s) {
-    streams[s]->keystream_words({outs[s], n});
-  }
 }
 
 MaskPrng::MaskPrng(std::span<const std::uint8_t> seed)
@@ -340,11 +251,12 @@ std::vector<std::uint32_t> MaskPrng::words(std::size_t n) {
 void MaskPrng::fill_words_multi(std::span<MaskPrng* const> prngs,
                                 std::span<std::uint32_t* const> outs,
                                 std::size_t n) {
-  std::vector<ChaCha20*> streams(prngs.size());
-  for (std::size_t i = 0; i < prngs.size(); ++i) {
-    streams[i] = &prngs[i]->cipher_;
+  if (prngs.size() != outs.size()) {
+    throw std::invalid_argument("MaskPrng: prngs/outs size mismatch");
   }
-  ChaCha20::keystream_words_multi(streams, outs, n);
+  for (std::size_t i = 0; i < prngs.size(); ++i) {
+    prngs[i]->cipher_.keystream_words({outs[i], n});
+  }
 }
 
 }  // namespace papaya::crypto

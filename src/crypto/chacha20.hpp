@@ -40,20 +40,8 @@ class ChaCha20 {
   /// Fill `out` with keystream words.  Bit-identical to calling next_u32()
   /// out.size() times, but whole blocks are produced straight from the core
   /// without the per-byte buffer bookkeeping, eight consecutive blocks at a
-  /// time through the multi-stream tile kernel (one lane per block).
+  /// time through a SIMD tile kernel (one vector lane per block).
   void keystream_words(std::span<std::uint32_t> out);
-
-  /// Multi-stream keystream: fill outs[s][0..n) for every cipher in
-  /// `streams`, generating blocks for up to kMultiStreamLanes streams in
-  /// lockstep.  The working state is kept stream-major (state word x lane)
-  /// so the quarter-round arithmetic runs across independent lanes — a shape
-  /// the compiler auto-vectorizes — and each tile's state block stays
-  /// cache-resident for the whole expansion.  Per-stream output is
-  /// bit-identical to streams[s]->keystream_words({outs[s], n}).
-  static constexpr std::size_t kMultiStreamLanes = 8;
-  static void keystream_words_multi(std::span<ChaCha20* const> streams,
-                                    std::span<std::uint32_t* const> outs,
-                                    std::size_t n);
 
  private:
   void refill();
@@ -75,9 +63,8 @@ class MaskPrng {
   /// Fill a vector of n mask words.
   std::vector<std::uint32_t> words(std::size_t n);
 
-  /// Batched expansion: outs[i][0..n) receives the words MaskPrng(seed_i)
-  /// would produce, for `prngs.size()` independent PRNGs, via the
-  /// multi-stream ChaCha20 path.
+  /// Batched expansion: outs[i][0..n) receives the next n words of
+  /// prngs[i], one PRNG after another.
   static void fill_words_multi(std::span<MaskPrng* const> prngs,
                                std::span<std::uint32_t* const> outs,
                                std::size_t n);

@@ -64,7 +64,7 @@ class SecureBufferManager {
   /// `goal` is the aggregation goal; each epoch pre-generates enough initial
   /// messages for the goal plus in-flight overshoot.  Reports are buffered
   /// and flushed through BatchedSecureAggregationSession — one TSA boundary
-  /// crossing, multi-stream mask expansion, and one blocked fold per flush —
+  /// crossing, one mask expansion pass, and one blocked fold per flush —
   /// when `batch_size` of them are pending or as soon as the pending ones
   /// could complete the goal.  `batch_size` 1 (or 0) flushes every report
   /// on its own submit.  The accepted set and the unmasked aggregate do not

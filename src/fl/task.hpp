@@ -50,8 +50,8 @@ struct TaskConfig {
   std::size_t aggregator_shards = 1;
 
   /// SecAgg flush size.  Contributions are buffered and flushed to the TSA
-  /// through BatchedSecureAggregationSession (one boundary crossing,
-  /// multi-stream mask expansion, one blocked fold per flush) once this many
+  /// through BatchedSecureAggregationSession (one boundary crossing, one
+  /// mask expansion pass, one blocked fold per flush) once this many
   /// are pending, or sooner when the pending ones could complete the
   /// aggregation goal.  1 (or 0, normalized to 1) hands each contribution
   /// over on its own.  The aggregate is bit-identical at any batch size —

@@ -46,9 +46,8 @@ void accumulate_masks(std::span<const Seed> seeds, GroupVec& sum) {
 
   // Scratch tile: one chunk of keystream per seed, sized so the whole tile
   // plus the matching `sum` block fits comfortably in cache.  Chunks are a
-  // multiple of the 16-word ChaCha20 block so every stream stays
-  // block-aligned across chunks (the lockstep fast path applies to all but
-  // the final partial chunk).
+  // multiple of ChaCha20's eight-block (128-word) keystream tile, so every
+  // chunk but the final partial one expands in whole tiles.
   constexpr std::size_t kChunkWords = 2048;  // 8 KB per stream
   std::vector<std::uint32_t> scratch(seeds.size() * kChunkWords);
   std::vector<std::uint32_t*> outs(seeds.size());

@@ -21,10 +21,7 @@ using Seed = std::array<std::uint8_t, 16>;
 /// Deterministically expand a seed into an l-element mask vector.
 GroupVec expand_mask(const Seed& seed, std::size_t length);
 
-/// Batched expansion: out[i] == expand_mask(seeds[i], length) for every i,
-/// computed with the cache-blocked multi-stream ChaCha20 path (keystream
-/// blocks for up to 8 seeds are generated in lockstep so the per-seed
-/// quarter-round arithmetic vectorizes across streams).
+/// Batched expansion: out[i] == expand_mask(seeds[i], length) for every i.
 std::vector<GroupVec> expand_masks(std::span<const Seed> seeds,
                                    std::size_t length);
 

@@ -5,9 +5,9 @@
 // plaintext update), forwards each client's sealed seed to the TSA, and once
 // the aggregation goal is reached asks the TSA for the unmasking vector and
 // subtracts it.  Contributions arrive as a std::span, so a batch pays the
-// control path once: one TSA boundary crossing, mask expansion with the
-// multi-stream ChaCha20 path, and one cache-blocked fold of all accepted
-// masked updates into the running sum.  A span of one is the per-update
+// control path once: one TSA boundary crossing, one mask expansion pass,
+// and one cache-blocked fold of all accepted masked updates into the running
+// sum.  A span of one is the per-update
 // case.
 //
 // The result does not depend on the split.  Z_{2^32} addition is

@@ -116,8 +116,8 @@ std::vector<TsaAccept> TrustedSecureAggregator::process_contributions(
     verdicts.push_back(verdict);
   }
 
-  // Bulk unmask material: all accepted seeds expand through the
-  // multi-stream ChaCha20 path and fold cache-blocked into the mask sum.
+  // Bulk unmask material: all accepted seeds' masks expand and fold
+  // cache-blocked into the mask sum.
   accumulate_masks(seeds, mask_sum_);
   return verdicts;
 }

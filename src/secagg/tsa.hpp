@@ -86,9 +86,8 @@ class TrustedSecureAggregator {
   /// control path (index bookkeeping, DH key recovery, seed decryption) runs
   /// per contribution in batch order, so a duplicate index is rejected the
   /// same way whether its first use arrived in this batch or an earlier one.
-  /// Then all accepted seeds' masks are expanded with the multi-stream
-  /// ChaCha20 path and folded into the running mask sum in one cache-blocked
-  /// pass; Z_{2^32} addition commutes, so the verdicts and the mask sum do
+  /// Then all accepted seeds' masks are expanded and folded into the
+  /// running mask sum in one cache-blocked pass; Z_{2^32} addition commutes, so the verdicts and the mask sum do
   /// not depend on how contributions are split into batches.  The boundary
   /// meter records one call per batch: the summed input bytes in, one
   /// status byte out per contribution.

@@ -21,15 +21,14 @@
 
 namespace papaya::crypto {
 namespace detail {
-// ChaCha20's multi-stream tile kernel, portable and AVX2 builds
-// (src/crypto/chacha20.cpp); keystream_words_multi takes the AVX2 one on a
-// CPU that has it.
-void expand_tile_portable(
-    std::uint32_t (&state)[16][ChaCha20::kMultiStreamLanes],
-    std::uint32_t* const* outs, std::size_t blocks);
+// ChaCha20's tile kernel, portable and AVX2 builds (src/crypto/chacha20.cpp):
+// eight consecutive blocks of one stream into out[0..128).  keystream_words
+// takes the AVX2 one on a CPU that has it.
+void expand_tile_portable(const std::array<std::uint32_t, 16>& state,
+                          std::uint32_t* out);
 #if defined(__x86_64__)
-void expand_tile_avx2(std::uint32_t (&state)[16][ChaCha20::kMultiStreamLanes],
-                      std::uint32_t* const* outs, std::size_t blocks);
+void expand_tile_avx2(const std::array<std::uint32_t, 16>& state,
+                      std::uint32_t* out);
 #endif
 // SHA-256's compression function over whole blocks, portable and SHA-NI
 // builds (src/crypto/sha256.cpp); Sha256 takes the SHA-NI one on a CPU with
@@ -313,118 +312,6 @@ TEST(ChaCha20, KeystreamWordsMatchesNextU32) {
   }
 }
 
-TEST(ChaCha20, MultiStreamMatchesScalarStreams) {
-  // The lockstep tile path (8 lanes + scalar remainder) must reproduce each
-  // stream's scalar keystream exactly, for stream counts straddling the tile
-  // width and lengths straddling block boundaries.
-  const Bytes nonce(ChaCha20::kNonceSize, 0x00);
-  for (const std::size_t streams : {1UL, 7UL, 8UL, 9UL, 17UL}) {
-    for (const std::size_t n : {0UL, 1UL, 15UL, 16UL, 17UL, 100UL}) {
-      std::vector<ChaCha20> multi, scalar;
-      for (std::size_t s = 0; s < streams; ++s) {
-        Bytes key(ChaCha20::kKeySize, static_cast<std::uint8_t>(s + 1));
-        multi.emplace_back(key, nonce);
-        scalar.emplace_back(key, nonce);
-      }
-      std::vector<std::vector<std::uint32_t>> out(streams,
-                                                  std::vector<std::uint32_t>(n));
-      std::vector<ChaCha20*> stream_ptrs(streams);
-      std::vector<std::uint32_t*> out_ptrs(streams);
-      for (std::size_t s = 0; s < streams; ++s) {
-        stream_ptrs[s] = &multi[s];
-        out_ptrs[s] = out[s].data();
-      }
-      ChaCha20::keystream_words_multi(stream_ptrs, out_ptrs, n);
-      for (std::size_t s = 0; s < streams; ++s) {
-        std::vector<std::uint32_t> expected(n);
-        scalar[s].keystream_words(expected);
-        EXPECT_EQ(out[s], expected) << "streams " << streams << " n " << n
-                                    << " stream " << s;
-      }
-      // The multi path leaves every stream positioned for more keystream.
-      for (std::size_t s = 0; s < streams; ++s) {
-        EXPECT_EQ(multi[s].next_u32(), scalar[s].next_u32()) << "stream " << s;
-      }
-    }
-  }
-}
-
-TEST(ChaCha20, BothTileBuildsMatchPerStreamKeystream) {
-  // Each build of the tile kernel, fed the RFC 8439 state of 8 streams
-  // (one per lane), must reproduce every stream's keystream_words and leave
-  // each lane's block counter advanced by `blocks`, wrapping at 2^32.
-  constexpr std::size_t kLanes = ChaCha20::kMultiStreamLanes;
-  using Tile = void (*)(std::uint32_t(&)[16][kLanes], std::uint32_t* const*,
-                        std::size_t);
-  std::vector<std::pair<const char*, Tile>> builds = {
-      {"portable", detail::expand_tile_portable}};
-#if defined(__x86_64__)
-  if (__builtin_cpu_supports("avx2")) {
-    builds.emplace_back("avx2", detail::expand_tile_avx2);
-  } else {
-    std::printf("[ SKIPPED  ] the AVX2 tile build: this CPU has no AVX2\n");
-  }
-#endif
-  const auto le32 = [](const Bytes& b, std::size_t at) {
-    return static_cast<std::uint32_t>(b[at]) |
-           (static_cast<std::uint32_t>(b[at + 1]) << 8) |
-           (static_cast<std::uint32_t>(b[at + 2]) << 16) |
-           (static_cast<std::uint32_t>(b[at + 3]) << 24);
-  };
-  for (const auto& [name, tile] : builds) {
-    for (const std::size_t blocks : {0UL, 1UL, 3UL, 17UL}) {
-      std::uint32_t state[16][kLanes];
-      std::vector<Bytes> keys, nonces;
-      std::vector<std::uint32_t> counters;
-      std::vector<std::vector<std::uint32_t>> out(
-          kLanes, std::vector<std::uint32_t>(16 * blocks));
-      std::vector<std::uint32_t*> outs(kLanes);
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        Bytes key(ChaCha20::kKeySize), nonce(ChaCha20::kNonceSize);
-        for (std::size_t i = 0; i < key.size(); ++i) {
-          key[i] = static_cast<std::uint8_t>(31 * l + 7 * i + 1);
-        }
-        for (std::size_t i = 0; i < nonce.size(); ++i) {
-          nonce[i] = static_cast<std::uint8_t>(13 * l + 3 * i);
-        }
-        // Lane 5 starts two blocks below the counter's wrap.
-        const std::uint32_t counter =
-            l == 5 ? 0xfffffffeu : static_cast<std::uint32_t>(7 * l);
-        const std::uint32_t constants[4] = {0x61707865u, 0x3320646eu,
-                                            0x79622d32u, 0x6b206574u};
-        for (std::size_t w = 0; w < 4; ++w) state[w][l] = constants[w];
-        for (std::size_t w = 0; w < 8; ++w) state[4 + w][l] = le32(key, 4 * w);
-        state[12][l] = counter;
-        for (std::size_t w = 0; w < 3; ++w) {
-          state[13 + w][l] = le32(nonce, 4 * w);
-        }
-        keys.push_back(key);
-        nonces.push_back(nonce);
-        counters.push_back(counter);
-        outs[l] = out[l].data();
-      }
-      std::uint32_t before[16][kLanes];
-      std::memcpy(before, state, sizeof(state));
-      tile(state, outs.data(), blocks);
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        ChaCha20 scalar(keys[l], nonces[l], counters[l]);
-        std::vector<std::uint32_t> expected(16 * blocks);
-        scalar.keystream_words(expected);
-        EXPECT_EQ(out[l], expected)
-            << name << " blocks " << blocks << " lane " << l;
-        EXPECT_EQ(state[12][l],
-                  static_cast<std::uint32_t>(counters[l] + blocks))
-            << name << " lane " << l;
-        for (std::size_t w = 0; w < 16; ++w) {
-          if (w != 12) {
-            EXPECT_EQ(state[w][l], before[w][l]) << name << " word " << w;
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(ChaCha20, SingleStreamTilesMatchNextU32) {
   // keystream_words produces eight consecutive blocks per tile call, lane l
   // at counter c + l.  Against next_u32: lengths around the 128-word tile,
@@ -450,11 +337,13 @@ TEST(ChaCha20, SingleStreamTilesMatchNextU32) {
       }
     }
   }
+}
 
-  // Each tile build in that layout: one call, eight blocks of one stream.
-  constexpr std::size_t kLanes = ChaCha20::kMultiStreamLanes;
-  using Tile = void (*)(std::uint32_t(&)[16][kLanes], std::uint32_t* const*,
-                        std::size_t);
+TEST(ChaCha20, BothTileBuildsMatchNextU32) {
+  // Each build of the tile kernel, fed a stream's RFC 8439 state, must write
+  // that stream's next eight blocks, for several keys and nonces and for
+  // counters at, below and straddling the 32-bit wrap.
+  using Tile = void (*)(const std::array<std::uint32_t, 16>&, std::uint32_t*);
   std::vector<std::pair<const char*, Tile>> builds = {
       {"portable", detail::expand_tile_portable}};
 #if defined(__x86_64__)
@@ -464,27 +353,35 @@ TEST(ChaCha20, SingleStreamTilesMatchNextU32) {
     std::printf("[ SKIPPED  ] the AVX2 tile build: this CPU has no AVX2\n");
   }
 #endif
+  const auto le32 = [](const Bytes& b, std::size_t at) {
+    return static_cast<std::uint32_t>(b[at]) |
+           (static_cast<std::uint32_t>(b[at + 1]) << 8) |
+           (static_cast<std::uint32_t>(b[at + 2]) << 16) |
+           (static_cast<std::uint32_t>(b[at + 3]) << 24);
+  };
   for (const auto& [name, tile] : builds) {
-    for (const std::uint32_t counter : {0u, 0xfffffff8u, 0xfffffffcu}) {
-      ChaCha20 scalar(key, nonce, counter);
-      std::vector<std::uint32_t> expected(16 * kLanes);
-      for (auto& w : expected) w = scalar.next_u32();
-      // The stream's state as the constructor lays it out, lane l at
-      // counter + l.
-      std::uint32_t state[16][kLanes];
-      const std::uint32_t constants[4] = {0x61707865u, 0x3320646eu,
-                                          0x79622d32u, 0x6b206574u};
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        for (std::size_t w = 0; w < 4; ++w) state[w][l] = constants[w];
-        for (std::size_t w = 0; w < 8; ++w) state[4 + w][l] = 0x5a5a5a5au;
-        state[12][l] = counter + static_cast<std::uint32_t>(l);
-        for (std::size_t w = 0; w < 3; ++w) state[13 + w][l] = 0x27272727u;
+    for (std::size_t k = 0; k < 3; ++k) {
+      Bytes key(ChaCha20::kKeySize), nonce(ChaCha20::kNonceSize);
+      for (std::size_t i = 0; i < key.size(); ++i) {
+        key[i] = static_cast<std::uint8_t>(31 * k + 7 * i + 1);
       }
-      std::vector<std::uint32_t> out(16 * kLanes);
-      std::uint32_t* outs[kLanes];
-      for (std::size_t l = 0; l < kLanes; ++l) outs[l] = out.data() + 16 * l;
-      tile(state, outs, 1);
-      EXPECT_EQ(out, expected) << name << " counter " << counter;
+      for (std::size_t i = 0; i < nonce.size(); ++i) {
+        nonce[i] = static_cast<std::uint8_t>(13 * k + 3 * i);
+      }
+      for (const std::uint32_t counter :
+           {0u, 7u, 0xfffffff8u, 0xfffffffcu, 0xfffffffeu}) {
+        std::array<std::uint32_t, 16> state = {0x61707865u, 0x3320646eu,
+                                               0x79622d32u, 0x6b206574u};
+        for (std::size_t w = 0; w < 8; ++w) state[4 + w] = le32(key, 4 * w);
+        state[12] = counter;
+        for (std::size_t w = 0; w < 3; ++w) state[13 + w] = le32(nonce, 4 * w);
+        ChaCha20 scalar(key, nonce, counter);
+        std::vector<std::uint32_t> expected(128), out(128);
+        for (auto& w : expected) w = scalar.next_u32();
+        tile(state, out.data());
+        EXPECT_EQ(out, expected)
+            << name << " key " << k << " counter " << counter;
+      }
     }
   }
 }

@@ -148,9 +148,9 @@ TEST(Otp, MaskExpansionDeterministic) {
 }
 
 TEST(Otp, ExpandMasksMatchesPerSeedExpansion) {
-  // Property: the multi-stream batch path is bit-identical to per-seed
-  // expansion, across seed counts straddling the 8-lane tile and lengths
-  // straddling ChaCha20 block boundaries.
+  // Property: the batch path is bit-identical to per-seed expansion, across
+  // seed counts and lengths straddling ChaCha20's 16-word block and
+  // 128-word tile.
   util::Rng rng(6);
   for (const std::size_t count : {0UL, 1UL, 5UL, 8UL, 9UL, 17UL}) {
     for (const std::size_t length : {0UL, 1UL, 15UL, 16UL, 100UL, 1000UL}) {
