@@ -96,16 +96,15 @@ void BM_FedAdamStep(benchmark::State& state) {
 }
 BENCHMARK(BM_FedAdamStep)->Arg(65536)->Unit(benchmark::kMicrosecond);
 
-/// One client participation's local-training cost (MLP vs LSTM).
-template <typename Factory>
-void local_training(benchmark::State& state, Factory factory) {
+/// One client participation's local-training cost.
+void BM_LocalTrainingMlp(benchmark::State& state) {
   ml::LmConfig mcfg;
   mcfg.vocab_size = 64;
   mcfg.embed_dim = 12;
   mcfg.hidden_dim = 24;
   mcfg.context = 2;
   util::Rng rng(1);
-  auto model = factory(mcfg, rng);
+  auto model = ml::make_mlp_lm(mcfg, rng);
   const std::vector<float> global(model->params().begin(),
                                   model->params().end());
   ml::CorpusConfig ccfg;
@@ -117,13 +116,6 @@ void local_training(benchmark::State& state, Factory factory) {
     benchmark::DoNotOptimize(executor.train(global, 0, 1, store, train_rng));
   }
 }
-void BM_LocalTrainingMlp(benchmark::State& state) {
-  local_training(state, ml::make_mlp_lm);
-}
-void BM_LocalTrainingLstm(benchmark::State& state) {
-  local_training(state, ml::make_lstm_lm);
-}
 BENCHMARK(BM_LocalTrainingMlp)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LocalTrainingLstm)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -34,7 +34,6 @@ inline sim::SimulationConfig base_config(std::uint64_t seed = 7) {
   cfg.model.embed_dim = 12;
   cfg.model.hidden_dim = 24;
   cfg.model.context = 2;
-  cfg.model_kind = sim::ModelKind::kMlp;
 
   cfg.trainer.learning_rate = 0.3f;
   cfg.trainer.batch_size = 32;

@@ -38,7 +38,6 @@ int main() {
   cfg.model.embed_dim = 12;
   cfg.model.hidden_dim = 24;
   cfg.model.context = 2;
-  cfg.model_kind = sim::ModelKind::kMlp;
 
   // SGD on the client, FedAdam on the server (Sec. 7.1).
   cfg.trainer.learning_rate = 0.3f;

@@ -45,6 +45,11 @@
 #      __builtin_cpu_supports.  No target_clones and no ifunc: an ifunc
 #      resolver runs during relocation, before the sanitizer runtimes start,
 #      and crashed the TSan build when ChaCha20 dispatched that way.
+#  11. No stale micro rows: every row of a committed BENCH_micro_X.json
+#      belongs to a family that bench/bench_micro_X.cpp registers with
+#      BENCHMARK(...).  A row's family is its name without the /args and
+#      without an aggregate suffix (_mean, _median, _stddev, _cv).  A row
+#      whose benchmark was deleted would otherwise linger in the baseline.
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -182,6 +187,29 @@ static with __builtin_cpu_supports, as the MLP kernel, the fold, the chunk CRC, 
 ChaCha20 and SHA-256 do)" \
     "$hits"
 fi
+
+# --- 11. committed micro rows name registered benchmarks -------------------
+for json in BENCH_micro_*.json; do
+  [[ -f "$json" ]] || continue
+  name="${json#BENCH_}"
+  name="${name%.json}"
+  src="bench/bench_$name.cpp"
+  [[ -f "$src" ]] || continue  # rule 4 reports the missing source
+  families=$(grep -oE '"name": *"[^"]*"' "$json" \
+    | sed -E 's/^"name": *"//; s/"$//; s/_(mean|median|stddev|cv)$//; s#/.*##' \
+    | sort -u)
+  hits=""
+  for family in $families; do
+    if ! grep -qE "BENCHMARK(_CAPTURE)?\([[:space:]]*${family}[[:space:]]*[,)]" "$src"; then
+      hits+="$json: $family"$'\n'
+    fi
+  done
+  if [[ -n "$hits" ]]; then
+    fail_with_hits "$json holds rows of benchmarks $src no longer registers \
+(regenerate it: PAPAYA_BENCH_BASE=<parent build> scripts/bench.sh --compare $name)" \
+      "${hits%$'\n'}"
+  fi
+done
 
 if [[ $failures -gt 0 ]]; then
   echo "check_invariants: $failures violation(s)" >&2

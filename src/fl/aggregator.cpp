@@ -6,6 +6,16 @@
 
 namespace papaya::fl {
 
+namespace {
+
+/// Whether an update may enter a weighted mean: its weight must be a
+/// positive finite number.  A report that declares zero examples weighs 0.
+bool usable_weight(double weight) {
+  return weight > 0.0 && std::isfinite(weight);
+}
+
+}  // namespace
+
 Aggregator::Aggregator(std::string id, std::size_t) : id_(std::move(id)) {}
 
 Aggregator::TaskState& Aggregator::state(const std::string& task) {
@@ -40,7 +50,7 @@ void Aggregator::assign_task(const TaskConfig& config,
         "Aggregator: SyncFL aggregation goal cannot exceed concurrency");
   }
   // A zero shard count is normalized here even when registration bypassed
-  // Coordinator placement: 0 must never reach the ring modulo.
+  // Coordinator placement: 0 must never reach shard placement.
   TaskState ts;
   ts.config = config;
   if (ts.config.aggregator_shards == 0) ts.config.aggregator_shards = 1;
@@ -204,18 +214,6 @@ ReportResult Aggregator::client_report(const std::string& task,
     return {ReportOutcome::kDiscardedStale, false, {}};
   }
 
-  if (header.delta_size != ts.config.model_size) {
-    // A delta of the wrong length can never fold.  Refuse it here, as the
-    // secure path refuses a malformed contribution, so it neither counts
-    // toward the goal nor closes a SyncFL round; the slot frees up.
-    ts.active.erase(it);
-    ++ts.stats.updates_discarded;
-    return {ReportOutcome::kRejectedUnknown, false, {}};
-  }
-
-  ts.active.erase(it);
-  if (ts.config.mode == TrainingMode::kSync) ++ts.completed_this_round;
-
   double weight = 1.0;
   if (ts.config.example_weighting) {
     weight *= std::sqrt(static_cast<double>(header.num_examples));
@@ -225,6 +223,22 @@ ReportResult Aggregator::client_report(const std::string& task,
     weight *= staleness_weight(ts.config.staleness_scheme, staleness,
                                ts.config.staleness_params);
   }
+
+  if (header.delta_size != ts.config.model_size || !usable_weight(weight)) {
+    // A delta of the wrong length can never fold.  One that weighs nothing
+    // (its client declares zero examples) adds nothing to the mean, yet
+    // would count toward the goal, and a buffer of such updates would step
+    // the server.  Refuse both here, as the secure path refuses a malformed
+    // contribution, so neither counts toward the goal nor closes a SyncFL
+    // round; the slot frees up.
+    ts.active.erase(it);
+    ++ts.stats.updates_discarded;
+    return {ReportOutcome::kRejectedUnknown, false, {}};
+  }
+
+  ts.active.erase(it);
+  if (ts.config.mode == TrainingMode::kSync) ++ts.completed_this_round;
+
   // The client id keys the stream: all of a client's updates land on the
   // same aggregation shard (consistent-hash placement, Sec. 6.3).
   ts.pipeline->enqueue(header.client_id, serialized_update, weight);
@@ -295,6 +309,13 @@ ReportResult Aggregator::client_report_secure(const std::string& task,
   }
 
   const double weight = secure_update_weight(task, report.num_examples);
+  if (!usable_weight(weight)) {
+    // Refused before the TSA sees it, as client_report refuses a plaintext
+    // update that weighs nothing.
+    ts.active.erase(it);
+    ++ts.stats.updates_discarded;
+    return {ReportOutcome::kRejectedUnknown, false, {}};
+  }
   const SecureSubmitOutcome outcome = ts.secure->submit(report, weight);
   ts.active.erase(it);
   const bool admitted = outcome == SecureSubmitOutcome::kAccepted ||

@@ -77,9 +77,4 @@ double staleness_weight(std::uint64_t staleness) {
   return staleness_weight(StalenessScheme::kInverseSqrt, staleness);
 }
 
-double update_weight(std::size_t num_examples, std::uint64_t staleness) {
-  return std::sqrt(static_cast<double>(num_examples)) *
-         staleness_weight(staleness);
-}
-
 }  // namespace papaya::fl

@@ -2,9 +2,14 @@
 // Client model updates and their weighting (Sec. 3.1, App. E.2).
 //
 // A model update is the difference between the locally trained model and the
-// model the client downloaded.  Updates are weighted by the number of
-// training examples and down-weighted by staleness: w = 1 / sqrt(1 + s),
-// where s = version_at_upload - version_at_download.
+// model the client downloaded.  Updates are weighted by the square root of
+// the number of training examples (linear weighting would let one data-heavy
+// client dominate a small buffer) and down-weighted by staleness:
+// w = 1 / sqrt(1 + s), where s = version_at_upload - version_at_download.
+// The server computes the weight from the header when a report arrives
+// (Aggregator::client_report, and Aggregator::secure_update_weight on the
+// SecAgg path) and refuses an update whose weight is not a positive finite
+// number.
 
 #include <cstdint>
 #include <span>
@@ -75,10 +80,5 @@ double staleness_weight(StalenessScheme scheme, std::uint64_t staleness,
 /// Staleness down-weighting from Nguyen et al. 2021 (App. E.2):
 /// 1 / sqrt(1 + s), the paper's default scheme.
 double staleness_weight(std::uint64_t staleness);
-
-/// Combined FedBuff update weight: example weighting * staleness weighting.
-/// Example weighting is sqrt(n) — unbounded linear weighting would let one
-/// data-heavy client dominate a small buffer.
-double update_weight(std::size_t num_examples, std::uint64_t staleness);
 
 }  // namespace papaya::fl

@@ -27,9 +27,7 @@ VirtualSessionManager::VirtualSessionManager()
 
 VirtualSessionManager::VirtualSessionManager(Options options,
                                              std::uint64_t seed)
-    : options_(options),
-      shard_ring_(options.aggregator_shards),
-      token_stream_(seed | 1) {}
+    : options_(options), token_stream_(seed | 1) {}
 
 std::uint64_t VirtualSessionManager::open(std::uint64_t client_id,
                                           double now) {
@@ -42,9 +40,9 @@ std::uint64_t VirtualSessionManager::open(std::uint64_t client_id,
     info.token = token;
     info.client_id = client_id;
     info.stage = SessionStage::kSelected;
-    // The shard the client's upload stream will hit (same consistent-hash
-    // ring as the ShardedAggregator folding that stream).
-    info.shard = shard_ring_.shard_for(client_id);
+    // The shard the client's upload stream will hit (the same placement as
+    // the ShardedAggregator folding that stream).
+    info.shard = shard_for(client_id, options_.aggregator_shards);
     info.opened_at = now;
     info.last_touched = now;
     sessions_.emplace(token, info);

@@ -59,8 +59,8 @@ class VirtualSessionManager {
 
     /// Aggregation shard count of the task this session table serves
     /// (TaskConfig::aggregator_shards).  Sessions are stamped at open with
-    /// the shard their client's update stream consistent-hashes to, so the
-    /// upload stage can be routed straight to the owning shard's queue.
+    /// the shard fl::shard_for places their client's update stream on, so
+    /// the upload stage can be routed straight to the owning shard's queue.
     std::size_t aggregator_shards = 1;
   };
 
@@ -68,8 +68,9 @@ class VirtualSessionManager {
     std::uint64_t token = 0;
     std::uint64_t client_id = 0;
     SessionStage stage = SessionStage::kSelected;
-    /// Aggregation shard this client's update stream hashes to (same ring
-    /// as ShardedAggregator, so session routing and folding agree).
+    /// Aggregation shard this client's update stream hashes to (the same
+    /// jump consistent hash as ShardedAggregator, so session routing and
+    /// folding agree).
     std::size_t shard = 0;
     double opened_at = 0.0;
     double last_touched = 0.0;
@@ -136,7 +137,6 @@ class VirtualSessionManager {
                             SessionOutcome& outcome) PAPAYA_REQUIRES(mutex_);
 
   Options options_;          ///< immutable after construction
-  ConsistentHashRing shard_ring_;  ///< immutable after construction
 
   /// Independent root lock (see util/sync.hpp): one session table serves
   /// every protocol-facing thread of a task, so token draws and stage

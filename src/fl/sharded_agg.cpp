@@ -5,12 +5,13 @@
 namespace papaya::fl {
 
 ShardedAggregator::ShardedAggregator(const Config& config)
-    : model_size_(config.model_size), ring_(config.num_shards) {
+    : model_size_(config.model_size) {
   if (config.model_size == 0) {
     throw std::invalid_argument("ShardedAggregator: model_size must be > 0");
   }
-  shards_.reserve(ring_.num_shards());
-  for (std::size_t s = 0; s < ring_.num_shards(); ++s) {
+  const std::size_t num_shards = config.num_shards == 0 ? 1 : config.num_shards;
+  shards_.reserve(num_shards);
+  for (std::size_t s = 0; s < num_shards; ++s) {
     shards_.push_back(
         std::make_unique<ParallelAggregator>(model_size_, config.clip_norm));
   }
@@ -29,8 +30,8 @@ AggStatsSnapshot ShardedAggregator::stats_snapshot() const {
 
 void ShardedAggregator::enqueue(std::uint64_t stream_key,
                                 util::Bytes serialized_update, double weight) {
-  shards_[ring_.shard_for(stream_key)]->enqueue(std::move(serialized_update),
-                                                weight);
+  shards_[shard_for(stream_key)]->enqueue(std::move(serialized_update),
+                                          weight);
 }
 
 void ShardedAggregator::drain() {

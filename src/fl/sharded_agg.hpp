@@ -3,14 +3,16 @@
 //
 // A ParallelAggregator is one shard: one queue, one worker thread and one
 // intermediate aggregate.  ShardedAggregator is where the fold goes
-// parallel: it consistent-hashes client update *streams* (keyed by client
-// id) onto N such shards, the hardware-proportional layout Sec. 6.3
-// sketches for hashed intermediates, with the stream rather than the thread
-// choosing the intermediate.  Shards are the only axis of fold parallelism.
+// parallel: it places client update *streams* (keyed by client id) on N
+// such shards by jump consistent hash, the hardware-proportional layout
+// Sec. 6.3 sketches for hashed intermediates, with the stream rather than
+// the thread choosing the intermediate.  Shards are the only axis of fold
+// parallelism.
 //
-// Placement goes through a ConsistentHashRing so (1) a stream's updates
-// always land on the same shard (per-stream FIFO order is preserved), and
-// (2) resharding moves only ~1/(N+1) of the streams.  reduce_and_reset()
+// Placement goes through fl::shard_for (shard_ring.hpp), so (1) a stream's
+// updates always land on the same shard (per-stream FIFO order is
+// preserved), (2) each shard owns 1/N of the streams in expectation, and
+// (3) resharding moves only ~1/(N+1) of the streams.  reduce_and_reset()
 // performs the cross-shard reduce: each shard contributes its raw weighted
 // sum, and the weighted mean is computed once over the global weight, so the
 // result is the same set of folds a single aggregator would have performed.
@@ -26,8 +28,8 @@
 namespace papaya::fl {
 
 // Lock hierarchy (util/sync.hpp): the ShardedAggregator holds no lock of its
-// own — shards are fixed at construction and routing is a pure consistent
-// hash — so every synchronization need delegates to the per-shard
+// own — shards are fixed at construction and routing is a pure jump
+// consistent hash — so every synchronization need delegates to the per-shard
 // ParallelAggregator (queue_mutex_, level 1).
 class ShardedAggregator {
  public:
@@ -45,8 +47,8 @@ class ShardedAggregator {
   ShardedAggregator(const ShardedAggregator&) = delete;
   ShardedAggregator& operator=(const ShardedAggregator&) = delete;
 
-  /// Route one serialized update to the shard owning `stream_key`'s arc of
-  /// the ring.  Updates from the same stream always hit the same shard.
+  /// Route one serialized update to the shard that owns `stream_key`.
+  /// Updates from the same stream always hit the same shard.
   void enqueue(std::uint64_t stream_key, util::Bytes serialized_update,
                double weight);
 
@@ -61,9 +63,8 @@ class ShardedAggregator {
 
   std::size_t num_shards() const { return shards_.size(); }
   std::size_t shard_for(std::uint64_t stream_key) const {
-    return ring_.shard_for(stream_key);
+    return fl::shard_for(stream_key, shards_.size());
   }
-  const ConsistentHashRing& ring() const { return ring_; }
 
   /// Hot-path counters summed over shards.
   AggStatsSnapshot stats_snapshot() const;
@@ -77,7 +78,6 @@ class ShardedAggregator {
 
  private:
   std::size_t model_size_;
-  ConsistentHashRing ring_;
   std::vector<std::unique_ptr<ParallelAggregator>> shards_;
 };
 

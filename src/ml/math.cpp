@@ -68,8 +68,6 @@ float log_sum_exp(std::span<const float> x) {
   return m + std::log(sum);
 }
 
-float sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
 float tanh_derivative_from_output(float tanh_x) { return 1.0f - tanh_x * tanh_x; }
 
 namespace {

@@ -4,6 +4,18 @@
 // Models keep their parameters in one flat float vector (which is exactly
 // the shape FL model updates travel in); these kernels operate on spans into
 // that storage.  Row-major everywhere: W is rows x cols, W[r*cols + c].
+//
+// matvec, matvec_transposed, outer_accumulate, axpy, softmax_in_place,
+// log_sum_exp and tanh_derivative_from_output are the reference, not the
+// hot path: MlpLm's block kernel (model.cpp) runs its own products, and
+// no code in src/ calls them.  The test
+// MlpLm.BlockKernelMatchesPerExampleReferenceBitForBit (tests/ml_test.cpp)
+// runs them one prediction at a time and requires the kernel's bits to
+// match, so the order of their operations must not change (each sum runs
+// in index order from 0.0f).  benchmark/trace_wraps.cpp wraps the first
+// three by their mangled names, so their signatures must not change
+// either.  norm and clip_norm serve the optimizers and the aggregation
+// fold.
 
 #include <cstddef>
 #include <span>
@@ -35,7 +47,7 @@ void softmax_in_place(std::span<float> x);
 /// log(sum(exp(x))) computed stably.
 float log_sum_exp(std::span<const float> x);
 
-float sigmoid(float x);
+/// 1 - t^2: tanh's derivative, given t = tanh(x).
 float tanh_derivative_from_output(float tanh_x);
 
 /// L2 norm.

@@ -22,7 +22,6 @@
 #include <sched.h>
 #endif
 
-#include "ml/math.hpp"
 #include "util/sync.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -1074,217 +1073,11 @@ class MlpLm final : public LanguageModel {
   std::vector<float> params_;
 };
 
-// ---------------------------------------------------------------------------
-// Single-layer LSTM language model with BPTT.
-// Gate order within the 4H block: input, forget, candidate, output.
-// Layout: E[V*De] | Wx[4H*De] | Wh[4H*H] | b[4H] | Wo[V*H] | bo[V].
-// ---------------------------------------------------------------------------
-class LstmLm final : public LanguageModel {
- public:
-  LstmLm(const LmConfig& cfg, util::Rng& rng) : cfg_(cfg) {
-    const std::size_t V = cfg.vocab_size, De = cfg.embed_dim, H = cfg.hidden_dim;
-    offsets_.embed = 0;
-    offsets_.wx = offsets_.embed + V * De;
-    offsets_.wh = offsets_.wx + 4 * H * De;
-    offsets_.b = offsets_.wh + 4 * H * H;
-    offsets_.wo = offsets_.b + 4 * H;
-    offsets_.bo = offsets_.wo + V * H;
-    params_.resize(offsets_.bo + V);
-    init_params(params_, rng);
-    // Forget-gate bias init to 1.0: standard trick for trainable small LSTMs.
-    for (std::size_t i = 0; i < H; ++i) params_[offsets_.b + H + i] = 1.0f;
-  }
-
-  std::size_t num_params() const override { return params_.size(); }
-  std::span<float> params() override { return params_; }
-  std::span<const float> params() const override { return params_; }
-
-  double loss(std::span<const Sequence> batch,
-              std::span<float> grad) const override {
-    if (!grad.empty() && grad.size() != params_.size()) {
-      throw std::invalid_argument("LstmLm::loss: gradient buffer size mismatch");
-    }
-    if (!grad.empty()) std::fill(grad.begin(), grad.end(), 0.0f);
-
-    const std::size_t n_pred = num_predictions(batch);
-    if (n_pred == 0) return 0.0;
-    const float inv_n = 1.0f / static_cast<float>(n_pred);
-
-    double total_loss = 0.0;
-    for (const auto& seq : batch) {
-      if (seq.size() < 2) continue;
-      total_loss += sequence_loss(seq, grad, inv_n);
-    }
-    return total_loss / static_cast<double>(n_pred);
-  }
-
-  std::unique_ptr<LanguageModel> clone() const override {
-    return std::make_unique<LstmLm>(*this);
-  }
-
- private:
-  struct Offsets {
-    std::size_t embed, wx, wh, b, wo, bo;
-  };
-
-  /// Forward + (optional) BPTT for one sequence.  Returns the *summed*
-  /// cross-entropy over the sequence; gradients are scaled by inv_n so the
-  /// batch-level gradient matches the mean loss.
-  double sequence_loss(const Sequence& seq, std::span<float> grad,
-                       float inv_n) const {
-    const std::size_t V = cfg_.vocab_size, De = cfg_.embed_dim,
-                      H = cfg_.hidden_dim;
-    const std::size_t steps = seq.size() - 1;
-
-    const std::span<const float> embed(params_.data() + offsets_.embed, V * De);
-    const std::span<const float> wx(params_.data() + offsets_.wx, 4 * H * De);
-    const std::span<const float> wh(params_.data() + offsets_.wh, 4 * H * H);
-    const std::span<const float> b(params_.data() + offsets_.b, 4 * H);
-    const std::span<const float> wo(params_.data() + offsets_.wo, V * H);
-    const std::span<const float> bo(params_.data() + offsets_.bo, V);
-
-    // Stored activations for BPTT, indexed by step.
-    std::vector<std::vector<float>> xs(steps), gates(steps), cs(steps),
-        hs(steps), tanh_cs(steps), probs(steps);
-    std::vector<float> h_prev(H, 0.0f), c_prev(H, 0.0f);
-    std::vector<float> z(4 * H), logits(V);
-
-    double loss_sum = 0.0;
-    for (std::size_t t = 0; t < steps; ++t) {
-      const std::int32_t tok = seq[t];
-      const std::int32_t target = seq[t + 1];
-      check_token(tok, V);
-      check_token(target, V);
-
-      xs[t].assign(embed.begin() + static_cast<std::ptrdiff_t>(
-                                       static_cast<std::size_t>(tok) * De),
-                   embed.begin() + static_cast<std::ptrdiff_t>(
-                                       (static_cast<std::size_t>(tok) + 1) * De));
-
-      matvec(wx, xs[t], z, 4 * H, De);
-      std::vector<float> zh(4 * H);
-      matvec(wh, h_prev, zh, 4 * H, H);
-      for (std::size_t i = 0; i < 4 * H; ++i) z[i] += zh[i] + b[i];
-
-      gates[t].resize(4 * H);
-      cs[t].resize(H);
-      hs[t].resize(H);
-      tanh_cs[t].resize(H);
-      for (std::size_t i = 0; i < H; ++i) {
-        const float ig = sigmoid(z[i]);
-        const float fg = sigmoid(z[H + i]);
-        const float gg = std::tanh(z[2 * H + i]);
-        const float og = sigmoid(z[3 * H + i]);
-        gates[t][i] = ig;
-        gates[t][H + i] = fg;
-        gates[t][2 * H + i] = gg;
-        gates[t][3 * H + i] = og;
-        cs[t][i] = fg * c_prev[i] + ig * gg;
-        tanh_cs[t][i] = std::tanh(cs[t][i]);
-        hs[t][i] = og * tanh_cs[t][i];
-      }
-
-      matvec(wo, hs[t], logits, V, H);
-      for (std::size_t i = 0; i < V; ++i) logits[i] += bo[i];
-      const float lse = log_sum_exp(logits);
-      loss_sum += lse - logits[static_cast<std::size_t>(target)];
-
-      if (!grad.empty()) {
-        probs[t] = logits;
-        softmax_in_place(probs[t]);
-        probs[t][static_cast<std::size_t>(target)] -= 1.0f;
-        for (auto& v : probs[t]) v *= inv_n;
-      }
-
-      h_prev = hs[t];
-      c_prev = cs[t];
-    }
-
-    if (grad.empty()) return loss_sum;
-
-    const std::span<float> g_embed(grad.data() + offsets_.embed, V * De);
-    const std::span<float> g_wx(grad.data() + offsets_.wx, 4 * H * De);
-    const std::span<float> g_wh(grad.data() + offsets_.wh, 4 * H * H);
-    const std::span<float> g_b(grad.data() + offsets_.b, 4 * H);
-    const std::span<float> g_wo(grad.data() + offsets_.wo, V * H);
-    const std::span<float> g_bo(grad.data() + offsets_.bo, V);
-
-    std::vector<float> dh(H, 0.0f), dc(H, 0.0f), dz(4 * H), dh_tmp(H),
-        dx(De);
-    for (std::size_t t = steps; t-- > 0;) {
-      // Output layer.
-      outer_accumulate(g_wo, probs[t], hs[t], 1.0f, V, H);
-      axpy(g_bo, probs[t], 1.0f);
-      matvec_transposed(wo, probs[t], dh_tmp, V, H);
-      for (std::size_t i = 0; i < H; ++i) dh[i] += dh_tmp[i];
-
-      const std::span<const float> h_before =
-          t == 0 ? std::span<const float>() : std::span<const float>(hs[t - 1]);
-      const std::span<const float> c_before =
-          t == 0 ? std::span<const float>() : std::span<const float>(cs[t - 1]);
-
-      for (std::size_t i = 0; i < H; ++i) {
-        const float ig = gates[t][i];
-        const float fg = gates[t][H + i];
-        const float gg = gates[t][2 * H + i];
-        const float og = gates[t][3 * H + i];
-        const float tc = tanh_cs[t][i];
-
-        const float do_ = dh[i] * tc;
-        dc[i] += dh[i] * og * tanh_derivative_from_output(tc);
-
-        const float c_prev_i = t == 0 ? 0.0f : c_before[i];
-        const float di = dc[i] * gg;
-        const float df = dc[i] * c_prev_i;
-        const float dg = dc[i] * ig;
-
-        dz[i] = di * ig * (1.0f - ig);
-        dz[H + i] = df * fg * (1.0f - fg);
-        dz[2 * H + i] = dg * tanh_derivative_from_output(gg);
-        dz[3 * H + i] = do_ * og * (1.0f - og);
-
-        // Carry cell gradient to t-1 through the forget gate.
-        dc[i] = dc[i] * fg;
-      }
-
-      outer_accumulate(g_wx, dz, xs[t], 1.0f, 4 * H, De);
-      if (t > 0) {
-        outer_accumulate(g_wh, dz, h_before, 1.0f, 4 * H, H);
-      }
-      axpy(g_b, dz, 1.0f);
-
-      // dh for t-1 flows through Wh.
-      std::fill(dh.begin(), dh.end(), 0.0f);
-      if (t > 0) {
-        std::vector<float> dh_prev(H);
-        matvec_transposed(wh, dz, dh_prev, 4 * H, H);
-        for (std::size_t i = 0; i < H; ++i) dh[i] = dh_prev[i];
-      }
-
-      // Embedding gradient.
-      matvec_transposed(wx, dz, dx, 4 * H, De);
-      const auto tok = static_cast<std::size_t>(seq[t]);
-      float* ge = g_embed.data() + tok * De;
-      for (std::size_t d = 0; d < De; ++d) ge[d] += dx[d];
-    }
-    return loss_sum;
-  }
-
-  LmConfig cfg_;
-  Offsets offsets_{};
-  std::vector<float> params_;
-};
-
 }  // namespace
 
 std::unique_ptr<LanguageModel> make_mlp_lm(const LmConfig& config,
                                            util::Rng& rng) {
   return std::make_unique<MlpLm>(config, rng);
-}
-
-std::unique_ptr<LanguageModel> make_lstm_lm(const LmConfig& config,
-                                            util::Rng& rng) {
-  return std::make_unique<LstmLm>(config, rng);
 }
 
 }  // namespace papaya::ml

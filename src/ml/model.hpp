@@ -1,15 +1,16 @@
 #pragma once
-// Language-model interface and configurations.
+// Language-model interface and configuration.
 //
 // The paper trains an LSTM-based next-word-prediction model (Kim et al.
-// 2015).  Two implementations are provided behind one interface:
-//   - LstmLm: embedding -> single-layer LSTM (BPTT) -> tied-size softmax.
-//     Protocol-faithful to the paper's workload.
-//   - MlpLm:  concatenated n-gram embeddings -> tanh hidden -> softmax.
-//     ~10x cheaper per example; used by the large population sweeps where
-//     tens of thousands of simulated clients train.
-// Both keep parameters in one flat float vector, because FL model updates
-// are flat vectors: update = params_after_training - params_received.
+// 2015).  One implementation stands in for it here: an n-gram MLP
+// (concatenated context embeddings -> tanh hidden -> softmax), which every
+// figure bench, example and benchmark workload trains.  It keeps its
+// parameters in one flat float vector, because FL model updates are flat
+// vectors: update = params_after_training - params_received.
+//
+// LanguageModel is the Executor's model-agnostic seam (App. E.5: it stands
+// in for PyTorch Mobile's interpreter), and it keeps the kernel out of this
+// header.
 
 #include <cstdint>
 #include <memory>
@@ -28,7 +29,7 @@ struct LmConfig {
   std::size_t vocab_size = 64;
   std::size_t embed_dim = 16;
   std::size_t hidden_dim = 32;
-  /// MLP only: number of previous tokens in the context window.
+  /// Number of previous tokens in the context window.
   std::size_t context = 3;
 };
 
@@ -56,11 +57,9 @@ class LanguageModel {
   virtual std::unique_ptr<LanguageModel> clone() const = 0;
 };
 
-/// Factory helpers; parameters initialized from `rng` (uniform +-0.08, the
-/// classic small-LSTM init).
+/// The MLP language model; parameters initialized from `rng` (uniform
+/// +-0.08, the classic small-LSTM init).
 std::unique_ptr<LanguageModel> make_mlp_lm(const LmConfig& config,
                                            util::Rng& rng);
-std::unique_ptr<LanguageModel> make_lstm_lm(const LmConfig& config,
-                                            util::Rng& rng);
 
 }  // namespace papaya::ml

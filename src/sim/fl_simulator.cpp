@@ -31,18 +31,6 @@ void advise_huge_pages(void* data, std::size_t bytes) {
 #endif
 }
 
-std::unique_ptr<ml::LanguageModel> build_model(ModelKind kind,
-                                               const ml::LmConfig& cfg,
-                                               util::Rng& rng) {
-  switch (kind) {
-    case ModelKind::kMlp:
-      return ml::make_mlp_lm(cfg, rng);
-    case ModelKind::kLstm:
-      return ml::make_lstm_lm(cfg, rng);
-  }
-  throw std::logic_error("unknown model kind");
-}
-
 /// Closed-loop scheduling takes its arrival process from the pipelined
 /// runtime's stage timings: force that runtime on before anything reads the
 /// config.
@@ -72,7 +60,7 @@ FlSimulator::FlSimulator(SimulationConfig config)
   // Build the initial global model deterministically from the seed.
   // sim-streams-exempt: runs once before the event loop; draw order is fixed.
   util::Rng init_rng(config_.seed ^ 0x0de1ULL);
-  auto initial_model = build_model(config_.model_kind, config_.model, init_rng);
+  auto initial_model = ml::make_mlp_lm(config_.model, init_rng);
   const std::size_t model_size = initial_model->num_params();
   config_.task.model_size = model_size;
   model_bytes_ = model_size * sizeof(float);
@@ -187,7 +175,7 @@ std::unique_ptr<ml::LanguageModel> FlSimulator::make_model_with_params(
     std::span<const float> params) const {
   // sim-streams-exempt: mirrors the construction-time init draw exactly.
   util::Rng init_rng(config_.seed ^ 0x0de1ULL);
-  auto model = build_model(config_.model_kind, config_.model, init_rng);
+  auto model = ml::make_mlp_lm(config_.model, init_rng);
   if (params.size() != model->num_params()) {
     throw std::invalid_argument("make_model_with_params: size mismatch");
   }

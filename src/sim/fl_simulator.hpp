@@ -39,7 +39,9 @@
 
 namespace papaya::sim {
 
-enum class ModelKind { kMlp, kLstm };
+/// The one model kind: the MLP that stands in for the paper's LSTM
+/// (ml/model.hpp).  See SimulationConfig::model_kind.
+enum class ModelKind { kMlp };
 
 struct SimulationConfig {
   /// Task knobs, including `task.aggregator_shards`: scenarios that set it
@@ -50,6 +52,8 @@ struct SimulationConfig {
   PopulationConfig population;
   ml::CorpusConfig corpus;
   ml::LmConfig model;
+  /// Read by nothing in src/: the simulator always trains ml::make_mlp_lm.
+  /// The field remains only because benchmark/workloads.cpp assigns it.
   ModelKind model_kind = ModelKind::kMlp;
   fl::TrainerConfig trainer;
   ml::ServerOptimizerConfig server_opt;

@@ -604,7 +604,7 @@ TEST(ShardedFold, ShardedReduceEqualsOneShardReduce) {
 // ------------------------------------------------ Registration validation --
 
 TEST(AggregatorRegistration, NormalizesZeroShards) {
-  // 0 must never reach the ring modulo, even when assign_task is called
+  // 0 must never reach shard placement, even when assign_task is called
   // directly (bypassing Coordinator placement).
   Aggregator agg("a1");
   TaskConfig config;

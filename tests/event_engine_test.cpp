@@ -274,7 +274,6 @@ SimulationConfig fig9_like_config() {
   cfg.model.embed_dim = 12;
   cfg.model.hidden_dim = 24;
   cfg.model.context = 2;
-  cfg.model_kind = ModelKind::kMlp;
   cfg.trainer.learning_rate = 0.3f;
   cfg.trainer.batch_size = 32;
   cfg.server_opt.lr = 0.05f;

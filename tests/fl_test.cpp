@@ -76,11 +76,6 @@ TEST(ModelUpdate, StalenessWeightFollowsPaperFormula) {
   EXPECT_NEAR(staleness_weight(99), 0.1, 1e-12);
 }
 
-TEST(ModelUpdate, WeightMonotonicInExamplesAndStaleness) {
-  EXPECT_GT(update_weight(100, 0), update_weight(10, 0));
-  EXPECT_GT(update_weight(10, 0), update_weight(10, 5));
-}
-
 // ----------------------------------------------------- Parallel aggregator --
 
 util::Bytes make_update(std::uint64_t client, std::size_t size, float value,
@@ -186,39 +181,68 @@ TEST(ParallelAggregator, EnqueueConcurrentWithReduceConservesUpdates) {
   EXPECT_EQ(folded_mass, static_cast<float>(kTotal));
 }
 
-// ------------------------------------------------------ Consistent hashing --
+// --------------------------------------------------------- Shard placement --
 
-TEST(ConsistentHashRing, DeterministicAndCoversAllShards) {
-  const ConsistentHashRing ring(4);
-  const ConsistentHashRing same(4);
+TEST(ShardPlacement, DeterministicAndCoversAllShards) {
   std::vector<std::size_t> load(4, 0);
   for (std::uint64_t key = 0; key < 512; ++key) {
-    const std::size_t shard = ring.shard_for(key);
+    const std::size_t shard = shard_for(key, 4);
     ASSERT_LT(shard, 4u);
-    EXPECT_EQ(shard, same.shard_for(key));  // placement is seedless/stable
     ++load[shard];
   }
   // Every shard owns a material share of sequential client-id streams.
-  // (Regression: vnode points and stream keys once shared a hash domain,
-  // pinning keys 0..63 onto shard 0's own vnode points.)
   for (std::size_t shard = 0; shard < 4; ++shard) {
     EXPECT_GT(load[shard], 512u / 16) << "shard " << shard << " starved";
   }
+  // Placement is seedless, so it is the same in every process and run:
+  // these are the owners of keys 0-7 on 8 shards.
+  const std::array<std::size_t, 8> pinned = {7, 3, 0, 4, 7, 3, 5, 7};
+  for (std::uint64_t key = 0; key < pinned.size(); ++key) {
+    EXPECT_EQ(shard_for(key, 8), pinned[key]) << "key " << key;
+  }
+  // 0 shards counts as 1.
+  EXPECT_EQ(shard_for(12345, 0), 0u);
+  EXPECT_EQ(shard_for(12345, 1), 0u);
 }
 
-TEST(ConsistentHashRing, ReshardingMovesFewStreams) {
+TEST(ShardPlacement, EachShardOwnsItsShareOfTheKeys) {
+  // With one fold thread per shard, the busiest shard sets how long the
+  // cross-shard reduce waits, so each of N shards must own 1/N of the keys.
+  util::Rng rng(26);
+  std::vector<std::uint64_t> keys(100000);
+  for (auto& key : keys) key = rng.next();
+  for (const std::size_t shards : {2, 4, 8}) {
+    std::vector<std::size_t> load(shards, 0);
+    for (const std::uint64_t key : keys) ++load[shard_for(key, shards)];
+    for (std::size_t shard = 0; shard < shards; ++shard) {
+      EXPECT_NEAR(static_cast<double>(load[shard]) / keys.size(),
+                  1.0 / static_cast<double>(shards), 0.01)
+          << "shard " << shard << " of " << shards;
+    }
+  }
+  // Sequential client ids: 256 each would be even.
+  std::size_t on_first = 0;
+  for (std::uint64_t key = 0; key < 512; ++key) {
+    on_first += shard_for(key, 2) == 0;
+  }
+  EXPECT_LE(std::max(on_first, 512 - on_first), 280u);
+}
+
+TEST(ShardPlacement, ReshardingMovesFewStreams) {
   // The consistency property: growing 4 -> 5 shards must not reshuffle the
-  // world.  With vnode rings the expected churn is ~1/5 of streams; assert
+  // world.  Only keys that land on the new shard move, ~1/5 of them; assert
   // a loose upper bound (well under a full reshuffle's ~4/5).
-  const ConsistentHashRing before(4);
-  const ConsistentHashRing after(5);
   constexpr std::uint64_t kStreams = 2000;
   std::uint64_t moved = 0;
   for (std::uint64_t key = 0; key < kStreams; ++key) {
-    moved += before.shard_for(key) != after.shard_for(key);
+    const std::size_t after = shard_for(key, 5);
+    if (shard_for(key, 4) != after) {
+      ++moved;
+      EXPECT_EQ(after, 4u) << "key " << key << " moved between old shards";
+    }
   }
   EXPECT_LT(moved, kStreams / 2);
-  EXPECT_GT(moved, 0u);  // the new shard did take over some arcs
+  EXPECT_GT(moved, 0u);  // the new shard did take over some streams
 }
 
 // ------------------------------------------------------ Sharded aggregator --
@@ -281,7 +305,7 @@ TEST(ShardedAggregator, MalformedUpdatesDroppedPerShard) {
 TEST(ShardedAggregator, StreamsStickToTheirShard) {
   const ShardedAggregator sharded(sharded_config(4, 4));
   for (std::uint64_t client = 0; client < 64; ++client) {
-    EXPECT_EQ(sharded.shard_for(client), sharded.ring().shard_for(client));
+    EXPECT_EQ(sharded.shard_for(client), shard_for(client, 4));
     EXPECT_EQ(sharded.shard_for(client), sharded.shard_for(client));
   }
 }
@@ -447,6 +471,62 @@ void expect_all_accounted(const TaskStats& stats) {
             stats.updates_applied + stats.updates_discarded);
 }
 
+TEST(Aggregator, ReportThatWeighsNothingIsRefusedAndNeverSteps) {
+  // The server weights an update by sqrt(num_examples), which the client
+  // declares.  Reports that declare 0 examples (here with a delta of 1e30)
+  // weigh nothing; accepted, two would fill a goal of 2 and step the server
+  // on a mean of nothing: the version would move, aging every client in
+  // flight, and FedAdam's momentum would move the model.
+  {
+    SCOPED_TRACE("async, after one honest step");
+    Aggregator agg("a");
+    agg.assign_task(async_task(10, 2), std::vector<float>(4, 0.0f),
+                    {.lr = 0.1f});
+    for (std::uint64_t c = 1; c <= 4; ++c) {
+      ASSERT_TRUE(agg.client_join("lm", c, 0.0).accepted);
+    }
+    (void)agg.client_report("lm", update_from(1, 0), 1.0);
+    ASSERT_TRUE(agg.client_report("lm", update_from(2, 0), 1.0).server_stepped);
+    const std::vector<float> stepped = agg.model("lm");
+    for (std::uint64_t c = 3; c <= 4; ++c) {
+      const ReportResult r =
+          agg.client_report("lm", make_update(c, 4, 1e30f, 0), 2.0);
+      EXPECT_EQ(r.outcome, ReportOutcome::kRejectedUnknown);
+      EXPECT_FALSE(r.server_stepped);
+    }
+    EXPECT_EQ(agg.model_version("lm"), 1u);
+    EXPECT_EQ(agg.model("lm"), stepped);
+    const TaskStats& stats = agg.stats("lm");
+    EXPECT_EQ(stats.server_steps, 1u);
+    EXPECT_EQ(stats.updates_applied, 2u);
+    EXPECT_EQ(stats.updates_discarded, 2u);
+    expect_all_accounted(stats);
+    EXPECT_EQ(agg.active_clients("lm"), 0u);
+  }
+  {
+    SCOPED_TRACE("sync: refused before the round counts them");
+    Aggregator agg("a");
+    agg.assign_task(sync_task(2, 1.0), std::vector<float>(4, 0.0f),
+                    {.lr = 0.1f});
+    for (std::uint64_t c = 1; c <= 4; ++c) {
+      ASSERT_TRUE(agg.client_join("lm", c, 0.0).accepted);
+    }
+    for (std::uint64_t c = 1; c <= 2; ++c) {
+      const ReportResult r =
+          agg.client_report("lm", make_update(c, 4, 1e30f, 0), 1.0);
+      EXPECT_EQ(r.outcome, ReportOutcome::kRejectedUnknown);
+      EXPECT_FALSE(r.server_stepped);
+    }
+    // Both slots are free for replacements; the round is still open.
+    EXPECT_EQ(agg.client_demand("lm"), 2);
+    (void)agg.client_report("lm", update_from(3, 0), 2.0);
+    EXPECT_TRUE(agg.client_report("lm", update_from(4, 0), 2.0).server_stepped);
+    EXPECT_EQ(agg.stats("lm").updates_applied, 2u);
+    EXPECT_EQ(agg.stats("lm").updates_discarded, 2u);
+    for (float v : agg.model("lm")) EXPECT_GT(v, 0.0f);
+  }
+}
+
 TEST(Aggregator, AsyncBufferTheFoldDropsEntirelyIsDiscardedNotStepped) {
   // Goal 2, concurrency 3: both updates of the first buffer are all NaN, so
   // the fold keeps neither.  No step is reported or applied, both count as
@@ -522,10 +602,12 @@ TEST(Aggregator, NonFiniteCrossShardMeanIsDiscardedNotStepped) {
   // not reach the optimizer.
   TaskConfig cfg = async_task(10, 2);
   cfg.aggregator_shards = 4;
-  const ConsistentHashRing ring(cfg.aggregator_shards);
   const std::uint64_t a = 1;
   std::uint64_t b = a + 1;
-  while (ring.shard_for(b) == ring.shard_for(a)) ++b;
+  while (shard_for(b, cfg.aggregator_shards) ==
+         shard_for(a, cfg.aggregator_shards)) {
+    ++b;
+  }
   Aggregator agg("a");
   agg.assign_task(cfg, std::vector<float>(4, 0.0f), {.lr = 0.1f});
   ASSERT_TRUE(agg.client_join("lm", a, 0.0).accepted);
@@ -1475,6 +1557,48 @@ TEST(SecureBuffer, MalformedLengthIsRefusedWithoutWedgingTheEpoch) {
     // submit() returned both refusals; none is left to claim.
     EXPECT_EQ(manager.take_rejected(), 0u);
   }
+}
+
+TEST(SecureBuffer, ReportThatWeighsNothingIsRefusedAndNeverSteps) {
+  // The secure path weights a client by sqrt(num_examples) as well.  After
+  // one honest step, two reports that declare zero examples must neither
+  // reach the TSA nor fill the goal and step the server on a zero weight.
+  Aggregator agg("a");
+  auto cfg = async_task(10, 2, 4);
+  cfg.secagg_enabled = true;
+  agg.assign_task(cfg, std::vector<float>(4, 0.0f), {.lr = 0.1f});
+  for (std::uint64_t c = 1; c <= 4; ++c) {
+    ASSERT_TRUE(agg.client_join("lm", c, 0.0).accepted);
+  }
+  const auto report_from = [&](std::uint64_t c, std::size_t examples,
+                               float value) {
+    const auto upload = agg.secure_upload_config("lm");
+    EXPECT_TRUE(upload.has_value());
+    auto report = SecureBufferManager::prepare_report(
+        agg.secure_platform("lm"), *upload, c, 0, examples,
+        agg.secure_update_weight("lm", examples),
+        std::vector<float>(4, value), c);
+    EXPECT_TRUE(report.has_value());
+    return *report;
+  };
+  (void)agg.client_report_secure("lm", report_from(1, 10, 0.5f), 1.0);
+  ASSERT_TRUE(agg.client_report_secure("lm", report_from(2, 10, 0.5f), 1.0)
+                  .server_stepped);
+  const std::vector<float> stepped = agg.model("lm");
+  for (std::uint64_t c = 3; c <= 4; ++c) {
+    const ReportResult r =
+        agg.client_report_secure("lm", report_from(c, 0, 1e30f), 2.0);
+    EXPECT_EQ(r.outcome, ReportOutcome::kRejectedUnknown);
+    EXPECT_FALSE(r.server_stepped);
+  }
+  EXPECT_EQ(agg.model_version("lm"), 1u);
+  EXPECT_EQ(agg.model("lm"), stepped);
+  const TaskStats& stats = agg.stats("lm");
+  EXPECT_EQ(stats.server_steps, 1u);
+  EXPECT_EQ(stats.updates_applied, 2u);
+  EXPECT_EQ(stats.updates_discarded, 2u);
+  expect_all_accounted(stats);
+  EXPECT_EQ(agg.active_clients("lm"), 0u);
 }
 
 TEST(SecureBuffer, BatchedRejectionFreesSyncRoundSlot) {

@@ -38,7 +38,6 @@ sim::SimulationConfig small_config(fl::TrainingMode mode) {
   cfg.model.embed_dim = 8;
   cfg.model.hidden_dim = 12;
   cfg.model.context = 2;
-  cfg.model_kind = sim::ModelKind::kMlp;
 
   cfg.trainer.learning_rate = 0.3f;
   cfg.server_opt.lr = 0.05f;
@@ -294,22 +293,6 @@ TEST(Integration, FailoverPreservesModelVersionAndCheckpoint) {
   ASSERT_TRUE(other.has_task("t"));
   EXPECT_EQ(other.model_version("t"), 3u);  // version survived
   EXPECT_FLOAT_EQ(other.model("t")[0], model_before);
-}
-
-TEST(Integration, LstmModelTrainsInSimulator) {
-  auto cfg = small_config(fl::TrainingMode::kAsync);
-  cfg.model_kind = sim::ModelKind::kLstm;
-  cfg.model.embed_dim = 6;
-  cfg.model.hidden_dim = 8;
-  cfg.task.concurrency = 8;
-  cfg.task.aggregation_goal = 4;
-  cfg.population.num_devices = 60;
-  cfg.max_server_steps = 15;
-  cfg.eval_every_steps = 5;
-  cfg.eval_set_size = 40;
-  sim::FlSimulator simulator(cfg);
-  const sim::SimulationResult result = simulator.run();
-  EXPECT_LT(result.final_eval_loss, result.loss_curve.values.front());
 }
 
 TEST(Integration, OverSelectionBiasesParticipantDistribution) {

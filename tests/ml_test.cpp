@@ -1,5 +1,5 @@
 // Tests for the ML substrate: kernel correctness, finite-difference gradient
-// checks for both model architectures, optimizer behaviour, dataset
+// checks for the MLP language model, optimizer behaviour, dataset
 // properties, and end-to-end trainability.
 
 #include <gtest/gtest.h>
@@ -528,27 +528,14 @@ TEST(MlpLm, KernelPoolHonoursTheCgroupCpuQuota) {
   EXPECT_LE(detail::mlp_pool_threads(), 4u);
 }
 
-TEST(LstmLm, GradientsMatchFiniteDifferences) {
-  LmConfig cfg;
-  cfg.vocab_size = 8;
-  cfg.embed_dim = 4;
-  cfg.hidden_dim = 5;
-  util::Rng rng(12);
-  auto model = make_lstm_lm(cfg, rng);
-  const auto batch = tiny_batch();
-  check_gradients(*model, batch, 2e-2);
-}
-
 TEST(LanguageModel, LossIsLogVocabAtInit) {
   // With near-zero init, predictions are near-uniform: loss ~ log(V).
   LmConfig cfg;
   cfg.vocab_size = 32;
   util::Rng rng(13);
-  for (auto factory : {&make_mlp_lm, &make_lstm_lm}) {
-    auto model = factory(cfg, rng);
-    const auto batch = std::vector<Sequence>{{1, 2, 3, 4, 5, 6, 7, 8}};
-    EXPECT_NEAR(model->loss(batch, {}), std::log(32.0), 0.2);
-  }
+  auto model = make_mlp_lm(cfg, rng);
+  const auto batch = std::vector<Sequence>{{1, 2, 3, 4, 5, 6, 7, 8}};
+  EXPECT_NEAR(model->loss(batch, {}), std::log(32.0), 0.2);
 }
 
 TEST(LanguageModel, PerplexityIsExpOfLoss) {
@@ -583,15 +570,15 @@ TEST(LanguageModel, CloneIsIndependentDeepCopy) {
   LmConfig cfg;
   cfg.vocab_size = 8;
   util::Rng rng(17);
-  auto model = make_lstm_lm(cfg, rng);
+  auto model = make_mlp_lm(cfg, rng);
   auto copy = model->clone();
   copy->params()[0] += 1.0f;
   EXPECT_NE(model->params()[0], copy->params()[0]);
 }
 
 TEST(LanguageModel, TrainingReducesLossOnFixedBatch) {
-  // Overfit check for both architectures: SGD on one batch must drive the
-  // loss well below the uniform baseline.
+  // Overfit check: SGD on one batch must drive the loss well below the
+  // uniform baseline.
   LmConfig cfg;
   cfg.vocab_size = 12;
   cfg.embed_dim = 8;
@@ -599,18 +586,16 @@ TEST(LanguageModel, TrainingReducesLossOnFixedBatch) {
   util::Rng rng(18);
   const std::vector<Sequence> batch{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
                                     {11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}};
-  for (auto factory : {&make_mlp_lm, &make_lstm_lm}) {
-    auto model = factory(cfg, rng);
-    const double initial = model->loss(batch, {});
-    std::vector<float> grad(model->num_params());
-    Adam adam(model->num_params(), {.lr = 0.05f});
-    for (int step = 0; step < 400; ++step) {
-      model->loss(batch, grad);
-      adam.step(model->params(), grad);
-    }
-    const double final_loss = model->loss(batch, {});
-    EXPECT_LT(final_loss, initial * 0.5);
+  auto model = make_mlp_lm(cfg, rng);
+  const double initial = model->loss(batch, {});
+  std::vector<float> grad(model->num_params());
+  Adam adam(model->num_params(), {.lr = 0.05f});
+  for (int step = 0; step < 400; ++step) {
+    model->loss(batch, grad);
+    adam.step(model->params(), grad);
   }
+  const double final_loss = model->loss(batch, {});
+  EXPECT_LT(final_loss, initial * 0.5);
 }
 
 // -------------------------------------------------------------- Optimizers --

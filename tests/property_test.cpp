@@ -4,21 +4,27 @@
 //   - fixed-point homomorphism across scales and widths
 //   - SecAgg end-to-end correctness across (vector length, K, threshold)
 //   - OTP masking uniformity
-//   - model-gradient checks across architectures and shapes
+//   - model-gradient checks across MLP shapes
 //   - FedBuff weighting invariants
 //   - serialization round-trips under random payloads
 //   - chunked-upload reassembly under reordering, duplication, corruption
 //     and cross-session interleaving (bit-identical or clean rejection)
+//   - the update and chunk wire parsers under random, truncated, flipped
+//     and miscounted bytes (return or throw std::out_of_range, and agree)
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <exception>
+#include <stdexcept>
 #include <tuple>
 
 #include "crypto/bigint.hpp"
 #include "fl/chunking.hpp"
 #include "fl/model_update.hpp"
+#include "fl/parallel_agg.hpp"
 #include "ml/model.hpp"
 #include "secagg/fixed_point.hpp"
 #include "secagg/otp.hpp"
@@ -196,7 +202,6 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------------------ Model gradient sweep ----
 
 struct ModelCase {
-  bool lstm;
   std::size_t vocab;
   std::size_t embed;
   std::size_t hidden;
@@ -213,7 +218,7 @@ TEST_P(GradientSweep, AnalyticGradientMatchesNumeric) {
   cfg.hidden_dim = c.hidden;
   cfg.context = c.context;
   util::Rng rng(c.vocab * 31 + c.hidden);
-  auto model = c.lstm ? ml::make_lstm_lm(cfg, rng) : ml::make_mlp_lm(cfg, rng);
+  auto model = ml::make_mlp_lm(cfg, rng);
 
   // Random batch within the vocabulary.
   std::vector<ml::Sequence> batch;
@@ -240,13 +245,9 @@ TEST_P(GradientSweep, AnalyticGradientMatchesNumeric) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Architectures, GradientSweep,
-    ::testing::Values(ModelCase{false, 4, 2, 3, 1},
-                      ModelCase{false, 16, 8, 8, 3},
-                      ModelCase{false, 9, 3, 5, 4},
-                      ModelCase{true, 4, 2, 3, 0},
-                      ModelCase{true, 16, 6, 8, 0},
-                      ModelCase{true, 7, 5, 2, 0}));
+    MlpShapes, GradientSweep,
+    ::testing::Values(ModelCase{4, 2, 3, 1}, ModelCase{16, 8, 8, 3},
+                      ModelCase{9, 3, 5, 4}));
 
 // ------------------------------------------- FedBuff weighting invariants --
 
@@ -430,6 +431,216 @@ TEST_P(ChunkAssemblerFuzz, MissingChunksRejectCleanlyInsteadOfGuessing) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChunkAssemblerFuzz,
                          ::testing::Values(101, 202, 303, 404, 505));
+
+// ---------------------------------------------------- Wire parser fuzz ----
+//
+// Seeded hostile bytes at every parser an update or an upload frame meets on
+// the server: UpdateHeader::read, ModelUpdate::deserialize, UpdateView::parse,
+// UploadChunk::deserialize and ByteReader's length-prefixed reads.  Each call
+// returns or throws std::out_of_range, and the update parsers agree on what
+// they accept.  Runs in every sanitizer leg.
+
+class WireParserFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// Runs `parse`, which must return or throw std::out_of_range; true if it
+/// returned.  Any other exception fails the test: a std::length_error or
+/// std::bad_alloc means a hostile length prefix reached an allocation.
+template <class Parse>
+bool parses(Parse&& parse) {
+  try {
+    parse();
+    return true;
+  } catch (const std::out_of_range&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "escaped the parser: " << e.what();
+    return false;
+  }
+}
+
+void put_u64(util::Bytes& bytes, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+/// Every update parser on `bytes`.  ModelUpdate::deserialize succeeds exactly
+/// when UpdateHeader::read does, with the same fields, and
+/// UpdateView::parse(bytes, n) accepts exactly when the header reads with
+/// delta_size == n, pointing at the same floats: Aggregator::client_report
+/// admits an update by its header, and the fold drops what UpdateView
+/// refuses, so the two must never disagree.
+void check_update_parsers(const util::Bytes& bytes) {
+  fl::UpdateHeader header;
+  const bool read = parses([&] { header = fl::UpdateHeader::read(bytes); });
+  fl::ModelUpdate update;
+  const bool decoded =
+      parses([&] { update = fl::ModelUpdate::deserialize(bytes); });
+  EXPECT_EQ(decoded, read);
+  if (read && decoded) {
+    EXPECT_EQ(update.client_id, header.client_id);
+    EXPECT_EQ(update.initial_version, header.initial_version);
+    EXPECT_EQ(update.num_examples, header.num_examples);
+    EXPECT_EQ(update.delta.size(), header.delta_size);
+  }
+  // The count the bytes declare, its neighbours, and two fixed sizes.
+  std::uint64_t declared = 0;
+  if (bytes.size() >= fl::UpdateHeader::kBytes) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      declared |= static_cast<std::uint64_t>(bytes[24 + i]) << (8 * i);
+    }
+  }
+  for (const std::uint64_t n : {declared, declared - 1, declared + 1,
+                                std::uint64_t{0}, std::uint64_t{64}}) {
+    const auto view = fl::UpdateView::parse(bytes, n);
+    EXPECT_EQ(view.has_value(), read && header.delta_size == n)
+        << "expect " << n << " of " << bytes.size() << " bytes";
+    if (!view || !decoded || update.delta.size() != view->count) continue;
+    for (std::size_t i = 0; i < view->count; ++i) {
+      EXPECT_EQ(view->bits(i), std::bit_cast<std::uint32_t>(update.delta[i]));
+    }
+  }
+}
+
+/// Each length-prefixed ByteReader read on `bytes`, from a fresh reader.
+void check_reader(const util::Bytes& bytes) {
+  (void)parses([&] { (void)util::ByteReader(bytes).bytes(); });
+  (void)parses([&] { (void)util::ByteReader(bytes).str(); });
+  (void)parses([&] { (void)util::ByteReader(bytes).floats(); });
+}
+
+TEST_P(WireParserFuzz, RandomBytesReturnOrThrowOutOfRange) {
+  util::Rng rng(GetParam());
+  for (int trial = 0; trial < 400; ++trial) {
+    util::Bytes bytes = random_bytes(rng, rng.uniform_int(257));
+    // Half the time declare a count near what the bytes hold, so the
+    // parsers accept some buffers as well as refuse them.
+    if (bytes.size() >= fl::UpdateHeader::kBytes && rng.bernoulli(0.5)) {
+      const std::size_t room = (bytes.size() - fl::UpdateHeader::kBytes) / 4;
+      put_u64(bytes, 24, rng.uniform_int(room + 2));
+    }
+    check_update_parsers(bytes);
+    (void)parses([&] { (void)fl::UploadChunk::deserialize(bytes); });
+    check_reader(bytes);
+  }
+}
+
+TEST_P(WireParserFuzz, TruncatedFlippedAndMiscountedUpdatesParseConsistently) {
+  util::Rng rng(GetParam() ^ 0x5eed);
+  std::vector<std::size_t> sizes{0, 1, 64};
+  for (int i = 0; i < 5; ++i) sizes.push_back(rng.uniform_int(65));
+  for (const std::size_t n : sizes) {
+    fl::ModelUpdate u;
+    u.client_id = rng.next();
+    u.initial_version = rng.next();
+    u.num_examples = rng.uniform_int(1000);
+    u.delta.resize(n);
+    for (auto& v : u.delta) {
+      v = std::bit_cast<float>(static_cast<std::uint32_t>(rng.next()));
+    }
+    const util::Bytes wire = u.serialize();
+    check_update_parsers(wire);
+    const fl::ModelUpdate back = fl::ModelUpdate::deserialize(wire);
+    ASSERT_EQ(back.delta.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(back.delta[i]),
+                std::bit_cast<std::uint32_t>(u.delta[i]));
+    }
+
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      const util::Bytes cut(wire.begin(),
+                            wire.begin() + static_cast<std::ptrdiff_t>(len));
+      EXPECT_FALSE(parses([&] { (void)fl::UpdateHeader::read(cut); }))
+          << "truncated to " << len;
+      check_update_parsers(cut);
+    }
+    for (std::size_t bit = 0; bit < wire.size() * 8; ++bit) {
+      util::Bytes flipped = wire;
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      check_update_parsers(flipped);
+    }
+    // A count the payload cannot hold, up to ones no allocation could.
+    for (const std::uint64_t count :
+         {std::uint64_t{0}, std::uint64_t{n} - 1, std::uint64_t{n} + 1,
+          std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+      util::Bytes miscounted = wire;
+      put_u64(miscounted, 24, count);
+      check_update_parsers(miscounted);
+      if (count > n) {
+        EXPECT_FALSE(parses(
+            [&] { (void)fl::ModelUpdate::deserialize(miscounted); }))
+            << "count " << count << " over " << n << " floats";
+      }
+    }
+  }
+}
+
+TEST_P(WireParserFuzz, TruncatedOrInflatedChunkFramesThrowOutOfRange) {
+  util::Rng rng(GetParam() ^ 0xc4a2c);
+  for (int trial = 0; trial < 20; ++trial) {
+    const util::Bytes payload = random_bytes(rng, rng.uniform_int(300));
+    const auto chunks =
+        fl::chunk_upload(rng.next(), payload, 1 + rng.uniform_int(128));
+    const fl::UploadChunk& chunk = chunks[rng.uniform_int(chunks.size())];
+    const util::Bytes wire = chunk.serialize();
+    const fl::UploadChunk back = fl::UploadChunk::deserialize(wire);
+    EXPECT_EQ(back.session_id, chunk.session_id);
+    EXPECT_EQ(back.index, chunk.index);
+    EXPECT_EQ(back.total, chunk.total);
+    EXPECT_EQ(back.payload, chunk.payload);
+    EXPECT_EQ(back.crc, chunk.crc);
+    // The frame ends with its CRC, so every proper prefix is short.
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      const util::Bytes cut(wire.begin(),
+                            wire.begin() + static_cast<std::ptrdiff_t>(len));
+      EXPECT_FALSE(parses([&] { (void)fl::UploadChunk::deserialize(cut); }))
+          << "truncated to " << len;
+    }
+    // The payload's length prefix, at byte 16, claiming more than follows.
+    for (const std::uint64_t claim :
+         {std::uint64_t{chunk.payload.size()} + 5, std::uint64_t{1} << 62,
+          ~std::uint64_t{0}}) {
+      util::Bytes inflated = wire;
+      put_u64(inflated, 16, claim);
+      EXPECT_FALSE(
+          parses([&] { (void)fl::UploadChunk::deserialize(inflated); }))
+          << "claims " << claim;
+    }
+  }
+}
+
+TEST_P(WireParserFuzz, ByteReaderLengthPrefixesAreBoundsChecked) {
+  util::Rng rng(GetParam() ^ 0xb17e5);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t len = rng.uniform_int(65);
+    // A byte string and a float vector of `len` elements each.
+    util::ByteWriter w;
+    w.bytes(random_bytes(rng, len));
+    util::Bytes strings = std::move(w).take();
+    util::ByteWriter fw;
+    fw.floats(std::vector<float>(len, 0.5f));
+    util::Bytes floats = std::move(fw).take();
+    util::ByteReader r(strings);
+    EXPECT_EQ(r.bytes().size(), len);
+    EXPECT_TRUE(r.done());
+    EXPECT_EQ(util::ByteReader(strings).str().size(), len);
+    EXPECT_EQ(util::ByteReader(floats).floats().size(), len);
+    check_reader(strings);
+    check_reader(floats);
+    for (const std::uint64_t claim : {std::uint64_t{len} + 1,
+                                      std::uint64_t{1} << 62,
+                                      ~std::uint64_t{0}}) {
+      put_u64(strings, 0, claim);
+      put_u64(floats, 0, claim);
+      EXPECT_FALSE(parses([&] { (void)util::ByteReader(strings).bytes(); }));
+      EXPECT_FALSE(parses([&] { (void)util::ByteReader(strings).str(); }));
+      EXPECT_FALSE(parses([&] { (void)util::ByteReader(floats).floats(); }));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WireParserFuzz,
+                         ::testing::Values(101, 202, 303));
 
 }  // namespace
 }  // namespace papaya

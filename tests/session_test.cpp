@@ -30,19 +30,18 @@ TEST(VirtualSession, OpensInSelectedStage) {
   EXPECT_EQ(mgr.active_sessions(), 1u);
 }
 
-TEST(VirtualSession, StampsStreamShardFromTaskRing) {
+TEST(VirtualSession, StampsStreamShardFromTaskPlacement) {
   // A session records the aggregation shard its client's update stream
-  // consistent-hashes to — the same ring the ShardedAggregator uses — so
-  // the upload stage can route straight to the owning shard's queue.
+  // hashes to — the same placement the ShardedAggregator uses — so the
+  // upload stage can route straight to the owning shard's queue.
   VirtualSessionManager::Options opts;
   opts.aggregator_shards = 4;
   VirtualSessionManager mgr(opts);
-  const ConsistentHashRing ring(4);
   std::set<std::size_t> shards_seen;
   for (std::uint64_t client = 0; client < 64; ++client) {
     const auto info = mgr.lookup(mgr.open(client, 0.0));
     ASSERT_TRUE(info.has_value());
-    EXPECT_EQ(info->shard, ring.shard_for(client));
+    EXPECT_EQ(info->shard, shard_for(client, 4));
     shards_seen.insert(info->shard);
   }
   EXPECT_EQ(shards_seen.size(), 4u);
