@@ -11,10 +11,8 @@
 //     AsyncSecAgg's O(1) per-client overhead),
 //   - server-side wall time per released aggregate.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "crypto/dh.hpp"
@@ -110,74 +108,6 @@ AsyncNumbers run_async(std::size_t k) {
   return out;
 }
 
-// --------------------------------------------- Batched server-path sweep --
-//
-// Same async protocol, but comparing the server-side accept pipeline at
-// several batch sizes; batch 1 hands each contribution over on its own.
-// Client preparation runs once outside the timers; the timed region is
-// exactly the server/TSA work per released aggregate.
-
-void run_batched_sweep() {
-  constexpr std::size_t kSweepLength = 1 << 18;  // 1 MB masked updates
-  constexpr std::size_t kSweepClients = 32;
-  const crypto::DhParams& dh = crypto::DhParams::simulation256();
-  const secagg::SimulatedEnclavePlatform platform(1);
-  const crypto::Digest binary = crypto::Sha256::hash(std::string("tsa"));
-  crypto::VerifiableLog log;
-  log.append(binary);
-
-  secagg::SecAggParams params;
-  params.vector_length = kSweepLength;
-  params.threshold = kSweepClients;
-  const auto fp = secagg::FixedPointParams::for_budget(1.0, kSweepClients);
-  const secagg::QuoteExpectations expectations{params.hash(dh),
-                                               log.snapshot()};
-  const auto proof = log.prove_inclusion(0);
-  const std::uint64_t tsa_seed = 7;
-  const auto make_tsa = [&] {
-    return std::make_unique<secagg::TrustedSecureAggregator>(
-        dh, params, kSweepClients, platform, binary, tsa_seed);
-  };
-
-  std::vector<secagg::ClientContribution> contributions;
-  {
-    const auto reference_tsa = make_tsa();
-    const std::vector<float> update(kSweepLength, 0.01f);
-    for (std::size_t c = 0; c < kSweepClients; ++c) {
-      secagg::SecAggClient client(dh, fp, c);
-      auto contribution = client.prepare_contribution(
-          platform, expectations, reference_tsa->initial_messages().at(c),
-          proof, update);
-      contributions.push_back(std::move(*contribution));
-    }
-  }
-
-  std::printf(
-      "\nBatched SecAgg server pipeline (l = %zu words, K = %zu clients; "
-      "server-side accept+finalize only):\n",
-      kSweepLength, kSweepClients);
-  std::printf("%-12s | %-12s %-14s %-10s | %s\n", "batch", "wall ms",
-              "ns/update", "speedup", "TSA crossings");
-
-  double batch_one_ms = 0.0;
-  for (const std::size_t batch : {1UL, 8UL, 32UL}) {
-    const auto tsa = make_tsa();
-    const auto start = Clock::now();
-    secagg::BatchedSecureAggregationSession session(*tsa, kSweepLength,
-                                                    kSweepClients);
-    for (std::size_t base = 0; base < contributions.size(); base += batch) {
-      const std::size_t n = std::min(batch, contributions.size() - base);
-      session.accept_batch({contributions.data() + base, n});
-    }
-    (void)session.finalize();
-    const double wall = ms_since(start);
-    if (batch == 1) batch_one_ms = wall;
-    std::printf("%-12zu | %-12.1f %-14.0f %-10.2f | %llu\n", batch, wall,
-                wall * 1e6 / kSweepClients, batch_one_ms / wall,
-                static_cast<unsigned long long>(tsa->boundary().calls()));
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -218,7 +148,5 @@ int main() {
       "                client can contribute the moment it finishes "
       "training.\n",
       smpc::SmpcTraffic::kSynchronousLegs);
-
-  run_batched_sweep();
   return 0;
 }

@@ -68,8 +68,7 @@ void Aggregator::assign_task(const TaskConfig& config,
   if (config.secagg_enabled) {
     ts.secure = std::make_unique<SecureBufferManager>(
         config.model_size, config.aggregation_goal,
-        std::hash<std::string>{}(config.name) ^ 0x5ecULL,
-        config.aggregation_batch_size);
+        std::hash<std::string>{}(config.name) ^ 0x5ecULL);
   }
   tasks_.insert_or_assign(config.name, std::move(ts));
 }
@@ -124,8 +123,8 @@ bool Aggregator::server_step(TaskState& ts) {
   ts.stats.updates_discarded += discarded;
   if (applied == 0) {
     // The buffer starts over.  A SyncFL round frees the discarded updates'
-    // slots, as client_report_secure does for late TSA rejections, so
-    // replacements can be selected.
+    // slots, as it frees a refused report's, so replacements can be
+    // selected.
     ts.buffered = 0;
     if (ts.config.mode == TrainingMode::kSync) {
       ts.completed_this_round -= std::min(ts.completed_this_round, discarded);
@@ -180,6 +179,35 @@ std::vector<std::uint64_t> Aggregator::abort_after_step(TaskState& ts) {
   return aborted;
 }
 
+ReportOutcome Aggregator::admit_report(TaskState& ts, std::uint64_t client_id,
+                                       std::uint64_t initial_version,
+                                       double now) {
+  ++ts.stats.updates_received;
+  const auto it = ts.active.find(client_id);
+  if (it == ts.active.end()) {
+    // Not active: previously aborted (over-selection / staleness) or never
+    // joined.  SyncFL over-selected stragglers land here after round close.
+    ++ts.stats.updates_discarded;
+    return ReportOutcome::kRejectedUnknown;
+  }
+  const double deadline = it->second.deadline;
+  ts.active.erase(it);
+  if (now > deadline) {
+    ++ts.stats.updates_discarded;
+    ++ts.stats.clients_failed;
+    return ReportOutcome::kRejectedTimeout;
+  }
+  // The version metadata is public even when the update is masked, so the
+  // staleness bound applies on both paths (App. E.2).
+  if (ts.config.mode == TrainingMode::kAsync &&
+      ts.version - initial_version > ts.config.max_staleness) {
+    ++ts.stats.updates_discarded;
+    ++ts.stats.clients_aborted;
+    return ReportOutcome::kDiscardedStale;
+  }
+  return ReportOutcome::kAccepted;
+}
+
 ReportResult Aggregator::client_report(const std::string& task,
                                        const util::Bytes& serialized_update,
                                        double now) {
@@ -188,31 +216,12 @@ ReportResult Aggregator::client_report(const std::string& task,
   // is read before any counter moves, so a malformed report that throws
   // leaves the task's stats and active set as they were.
   const UpdateHeader header = UpdateHeader::read(serialized_update);
-  ++ts.stats.updates_received;
-
-  const auto it = ts.active.find(header.client_id);
-  if (it == ts.active.end()) {
-    // Not active: previously aborted (over-selection / staleness) or never
-    // joined.  SyncFL over-selected stragglers land here after round close.
-    ++ts.stats.updates_discarded;
-    return {ReportOutcome::kRejectedUnknown, false, {}};
+  if (const ReportOutcome admitted =
+          admit_report(ts, header.client_id, header.initial_version, now);
+      admitted != ReportOutcome::kAccepted) {
+    return {admitted, false, {}};
   }
-  if (now > it->second.deadline) {
-    ts.active.erase(it);
-    ++ts.stats.updates_discarded;
-    ++ts.stats.clients_failed;
-    return {ReportOutcome::kRejectedTimeout, false, {}};
-  }
-
   const std::uint64_t staleness = ts.version - header.initial_version;
-
-  if (ts.config.mode == TrainingMode::kAsync &&
-      staleness > ts.config.max_staleness) {
-    ts.active.erase(it);
-    ++ts.stats.updates_discarded;
-    ++ts.stats.clients_aborted;
-    return {ReportOutcome::kDiscardedStale, false, {}};
-  }
 
   double weight = 1.0;
   if (ts.config.example_weighting) {
@@ -231,12 +240,10 @@ ReportResult Aggregator::client_report(const std::string& task,
     // the server.  Refuse both here, as the secure path refuses a malformed
     // contribution, so neither counts toward the goal nor closes a SyncFL
     // round; the slot frees up.
-    ts.active.erase(it);
     ++ts.stats.updates_discarded;
     return {ReportOutcome::kRejectedUnknown, false, {}};
   }
 
-  ts.active.erase(it);
   if (ts.config.mode == TrainingMode::kSync) ++ts.completed_this_round;
 
   // The client id keys the stream: all of a client's updates land on the
@@ -283,65 +290,24 @@ ReportResult Aggregator::client_report_secure(const std::string& task,
   if (!ts.secure) {
     throw std::logic_error("Aggregator: SecAgg not enabled for task " + task);
   }
-  ++ts.stats.updates_received;
-
-  const auto it = ts.active.find(report.client_id);
-  if (it == ts.active.end()) {
-    ++ts.stats.updates_discarded;
-    return {ReportOutcome::kRejectedUnknown, false, {}};
+  if (const ReportOutcome admitted =
+          admit_report(ts, report.client_id, report.initial_version, now);
+      admitted != ReportOutcome::kAccepted) {
+    return {admitted, false, {}};
   }
-  if (now > it->second.deadline) {
-    ts.active.erase(it);
-    ++ts.stats.updates_discarded;
-    ++ts.stats.clients_failed;
-    return {ReportOutcome::kRejectedTimeout, false, {}};
-  }
-
-  // Staleness bounds still apply: the version metadata is public even
-  // though the update is masked (App. E.2).
-  const std::uint64_t staleness = ts.version - report.initial_version;
-  if (ts.config.mode == TrainingMode::kAsync &&
-      staleness > ts.config.max_staleness) {
-    ts.active.erase(it);
-    ++ts.stats.updates_discarded;
-    ++ts.stats.clients_aborted;
-    return {ReportOutcome::kDiscardedStale, false, {}};
-  }
-
+  // A report that weighs nothing is refused before the TSA sees it, as
+  // client_report refuses a plaintext update that weighs nothing.  submit
+  // refuses a tampered, replayed, malformed or epoch-expired contribution.
+  // Either way the update is dropped and the client's slot is free for a
+  // replacement.
   const double weight = secure_update_weight(task, report.num_examples);
-  if (!usable_weight(weight)) {
-    // Refused before the TSA sees it, as client_report refuses a plaintext
-    // update that weighs nothing.
-    ts.active.erase(it);
+  if (!usable_weight(weight) || ts.secure->submit(report, weight) !=
+                                    SecureSubmitOutcome::kAccepted) {
     ++ts.stats.updates_discarded;
     return {ReportOutcome::kRejectedUnknown, false, {}};
   }
-  const SecureSubmitOutcome outcome = ts.secure->submit(report, weight);
-  ts.active.erase(it);
-  const bool admitted = outcome == SecureSubmitOutcome::kAccepted ||
-                        outcome == SecureSubmitOutcome::kBuffered;
-  if (admitted) {
-    if (ts.config.mode == TrainingMode::kSync) ++ts.completed_this_round;
-    ++ts.buffered;
-  } else {
-    // Tampered/replayed/malformed/epoch-expired contributions are dropped;
-    // the client slot is freed so a replacement can be selected.
-    ++ts.stats.updates_discarded;
-  }
-
-  // This submit may have flushed earlier reports, which were counted as
-  // buffered when they returned kBuffered and whose TSA rejections only
-  // surface now.  Un-count them the way a returned kTsaRejected never
-  // counted: as discarded, not buffered, and not completing a SyncFL slot —
-  // so the round's demand frees up and a replacement client can be selected.
-  if (const std::size_t rejected = ts.secure->take_rejected(); rejected > 0) {
-    ts.stats.updates_discarded += rejected;
-    ts.buffered -= std::min(ts.buffered, rejected);
-    if (ts.config.mode == TrainingMode::kSync) {
-      ts.completed_this_round -= std::min(ts.completed_this_round, rejected);
-    }
-  }
-  if (!admitted) return {ReportOutcome::kRejectedUnknown, false, {}};
+  if (ts.config.mode == TrainingMode::kSync) ++ts.completed_this_round;
+  ++ts.buffered;
 
   ReportResult result{ReportOutcome::kAccepted, false, {}};
   if (ts.secure->goal_reached()) {

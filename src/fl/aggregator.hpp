@@ -204,6 +204,14 @@ class Aggregator {
   /// Post-step abort pass; returns aborted client ids.
   std::vector<std::uint64_t> abort_after_step(TaskState& ts);
 
+  /// The admission check both report paths share.  Counts the report as
+  /// received and ends the client's participation (its active-set entry
+  /// goes, so the slot can be refilled).  Returns kAccepted when the client
+  /// was active, within its deadline and, under AsyncFL, within the
+  /// staleness bound; otherwise the refusal, counted as discarded.
+  ReportOutcome admit_report(TaskState& ts, std::uint64_t client_id,
+                             std::uint64_t initial_version, double now);
+
   std::string id_;
   std::map<std::string, TaskState> tasks_;
   std::uint64_t report_sequence_ = 0;

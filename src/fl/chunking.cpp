@@ -161,6 +161,9 @@ UploadChunk UploadChunk::deserialize(const util::Bytes& bytes) {
   chunk.total = r.u32();
   chunk.payload = r.bytes();
   chunk.crc = r.u32();
+  // The frame ends with its CRC; anything after it would let two byte
+  // strings decode to one chunk.
+  if (!r.done()) throw std::out_of_range("UploadChunk: trailing bytes");
   return chunk;
 }
 

@@ -38,6 +38,7 @@ struct UploadChunk {
   std::uint32_t crc = 0;
 
   util::Bytes serialize() const;
+  /// Throws std::out_of_range unless `bytes` is exactly one frame.
   static UploadChunk deserialize(const util::Bytes& bytes);
 };
 

@@ -38,6 +38,10 @@ UpdateHeader UpdateHeader::read(std::span<const std::uint8_t> bytes) {
   if (header.delta_size > r.remaining() / 4) {
     throw std::out_of_range("ModelUpdate: truncated delta");
   }
+  // The update ends with its last float, so one byte string is one update.
+  if (r.remaining() != header.delta_size * 4) {
+    throw std::out_of_range("ModelUpdate: trailing bytes");
+  }
   return header;
 }
 

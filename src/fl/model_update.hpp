@@ -47,8 +47,9 @@ struct UpdateHeader {
 
   /// Reads a serialized update's header without decoding its delta.  Throws
   /// std::out_of_range when the bytes end before the header or before the
-  /// `delta_size` floats it declares, the check ModelUpdate::deserialize
-  /// applies, so a header that reads cleanly heads a decodable update.
+  /// `delta_size` floats it declares, or go on past them: the check
+  /// ModelUpdate::deserialize applies, so a header that reads cleanly heads
+  /// a decodable update.
   static UpdateHeader read(std::span<const std::uint8_t> bytes);
 };
 

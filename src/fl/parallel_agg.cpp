@@ -23,8 +23,10 @@ std::optional<UpdateView> UpdateView::parse(const util::Bytes& bytes,
     count |= static_cast<std::uint64_t>(bytes[24 + i]) << (8 * i);
   }
   if (count != expect) return std::nullopt;
+  // The payload must be exactly `count` floats: none short, none left over.
   // Division form so a hostile count cannot overflow the byte math.
-  if (count > (bytes.size() - kHeader) / 4) return std::nullopt;
+  const std::size_t payload = bytes.size() - kHeader;
+  if (payload % 4 != 0 || count != payload / 4) return std::nullopt;
   UpdateView view;
   view.payload = bytes.data() + kHeader;
   view.count = static_cast<std::size_t>(count);

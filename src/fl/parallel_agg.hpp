@@ -108,9 +108,9 @@ struct UpdateView {
   const std::uint8_t* payload = nullptr;  ///< count * 4 bytes of LE f32 bits
   std::size_t count = 0;
 
-  /// Parses `bytes`; returns nullopt unless the update is well-formed AND
-  /// carries exactly `expect` parameters (malformed updates are dropped, as
-  /// in ModelUpdate-based folding).
+  /// Parses `bytes`; returns nullopt unless the update is well-formed (its
+  /// bytes end with its last float) AND carries exactly `expect` parameters
+  /// (malformed updates are dropped, as in ModelUpdate-based folding).
   static std::optional<UpdateView> parse(const util::Bytes& bytes,
                                          std::size_t expect);
 

@@ -14,12 +14,10 @@ std::size_t messages_per_epoch(std::size_t goal) { return 2 * goal + 4; }
 }  // namespace
 
 SecureBufferManager::SecureBufferManager(std::size_t model_size,
-                                         std::size_t goal, std::uint64_t seed,
-                                         std::size_t batch_size)
+                                         std::size_t goal, std::uint64_t seed)
     : model_size_(model_size),
       goal_(goal),
       seed_(seed),
-      batch_size_(batch_size == 0 ? 1 : batch_size),
       platform_(seed ^ 0x5ec9ULL),
       binary_measurement_(
           crypto::Sha256::hash(std::string("papaya-tsa-trusted-binary-v1"))) {
@@ -94,47 +92,20 @@ SecureSubmitOutcome SecureBufferManager::submit(const SecureReport& report,
     ++wrong_epoch_total_;
     return SecureSubmitOutcome::kWrongEpoch;
   }
-  // accept_batch throws on a wrong length, which would strand every report
-  // pending beside this one; refuse it before it is buffered.
+  // accept_batch throws on a wrong length; refuse it before the TSA.
   if (report.contribution.masked_update.size() != model_size_) {
     ++rejected_total_;
     return SecureSubmitOutcome::kMalformed;
   }
-  pending_.push_back(report.contribution);
-  pending_weights_.push_back(weight);
-  // Flush when the batch is full or when the flush could complete the
-  // aggregation goal.  The goal condition makes forward progress independent
-  // of the batch size: the epoch finalizes after the same accepted
-  // contribution at any batch size, and the aggregate is bit-identical.
-  if (pending_.size() < batch_size_ && accepted_ + pending_.size() < goal_) {
-    return SecureSubmitOutcome::kBuffered;
+  if (session_->accept_batch({&report.contribution, 1}).front() !=
+      secagg::TsaAccept::kAccepted) {
+    ++rejected_total_;
+    return SecureSubmitOutcome::kTsaRejected;
   }
-  const std::vector<secagg::TsaAccept> verdicts =
-      session_->accept_batch(pending_);
-  for (std::size_t i = 0; i < verdicts.size(); ++i) {
-    if (verdicts[i] == secagg::TsaAccept::kAccepted) {
-      ++accepted_;
-      ++accepted_total_;
-      weight_sum_ += pending_weights_[i];
-    } else {
-      ++rejected_total_;
-      // The last verdict is this report's and is returned below; earlier
-      // reports already returned kBuffered and learn theirs here.
-      if (i + 1 < verdicts.size()) ++rejected_unclaimed_;
-    }
-  }
-  pending_.clear();
-  pending_weights_.clear();
-  return verdicts.back() == secagg::TsaAccept::kAccepted
-             ? SecureSubmitOutcome::kAccepted
-             : SecureSubmitOutcome::kTsaRejected;
-}
-
-std::size_t SecureBufferManager::take_rejected() {
-  util::LockGuard lock(mutex_);
-  const std::size_t out = rejected_unclaimed_;
-  rejected_unclaimed_ = 0;
-  return out;
+  ++accepted_;
+  ++accepted_total_;
+  weight_sum_ += weight;
+  return SecureSubmitOutcome::kAccepted;
 }
 
 std::optional<std::vector<float>> SecureBufferManager::finalize_mean() {
@@ -158,12 +129,9 @@ SecureBufferManager::Accounting SecureBufferManager::accounting() const {
   out.accepted = accepted_total_;
   out.rejected = rejected_total_;
   out.wrong_epoch = wrong_epoch_total_;
-  out.pending = pending_.size();
-  out.pending_weight_slots = pending_weights_.size();
   out.configs_handed = configs_handed_;
   out.epochs_released = epochs_released_;
   out.epoch = epoch_;
-  out.accepted_this_epoch = accepted_;
   out.weight_sum_this_epoch = weight_sum_;
   return out;
 }

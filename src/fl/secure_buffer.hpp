@@ -52,9 +52,8 @@ struct SecureReport {
 
 enum class SecureSubmitOutcome {
   kAccepted,
-  kBuffered,       ///< admitted, TSA verdict lands at a later flush
   kWrongEpoch,     ///< prepared against an already-released masking epoch
-  kMalformed,      ///< masked update of the wrong length; never buffered
+  kMalformed,      ///< masked update of the wrong length; never reaches the TSA
   kTsaRejected,    ///< TSA refused (tampered/replayed/bad key)
 };
 
@@ -62,15 +61,12 @@ enum class SecureSubmitOutcome {
 class SecureBufferManager {
  public:
   /// `goal` is the aggregation goal; each epoch pre-generates enough initial
-  /// messages for the goal plus in-flight overshoot.  Reports are buffered
-  /// and flushed through BatchedSecureAggregationSession — one TSA boundary
-  /// crossing, one mask expansion pass, and one blocked fold per flush —
-  /// when `batch_size` of them are pending or as soon as the pending ones
-  /// could complete the goal.  `batch_size` 1 (or 0) flushes every report
-  /// on its own submit.  The accepted set and the unmasked aggregate do not
-  /// depend on `batch_size`; only when verdicts surface does.
+  /// messages for the goal plus in-flight overshoot.  Each submitted report
+  /// crosses to the TSA on its own, through
+  /// BatchedSecureAggregationSession::accept_batch with a span of one, as it
+  /// arrives (Fig. 16 step 5).
   SecureBufferManager(std::size_t model_size, std::size_t goal,
-                      std::uint64_t seed, std::size_t batch_size = 1);
+                      std::uint64_t seed);
 
   /// Server -> client: upload configuration for the current epoch.  Each
   /// call consumes one initial message (they are single-use).  Returns
@@ -78,25 +74,15 @@ class SecureBufferManager {
   /// epoch).
   std::optional<SecureUploadConfig> next_upload_config();
 
-  /// Client -> server: submit a secure report.  A report that triggers a
-  /// flush returns its own TSA verdict (kAccepted or kTsaRejected); one that
-  /// stays pending returns kBuffered, and its verdict is decided by a later
-  /// submit's flush.  A wrong-length masked update is refused up front
-  /// (kMalformed), so it can never reach, and wedge, a flush.
+  /// Client -> server: submit a secure report and return the TSA's verdict
+  /// on it (kAccepted or kTsaRejected), final when the call returns.  A
+  /// wrong-length masked update is refused before the TSA sees it
+  /// (kMalformed): accept_batch would throw on it.
   SecureSubmitOutcome submit(const SecureReport& report, double weight);
-
-  /// Earlier reports that a later submit's flush rejected, since the last
-  /// call (the deferred analogue of a returned kTsaRejected).  Resets on
-  /// read.
-  std::size_t take_rejected();
 
   std::size_t accepted_count() const {
     util::LockGuard lock(mutex_);
     return accepted_;
-  }
-  std::size_t pending_count() const {
-    util::LockGuard lock(mutex_);
-    return pending_.size();
   }
   bool goal_reached() const {
     util::LockGuard lock(mutex_);
@@ -109,30 +95,23 @@ class SecureBufferManager {
 
   /// Cumulative accounting across every epoch this manager has run, taken
   /// in one lock hold (test hook: the FSM harness and the SecAgg flood
-  /// suite assert conservation on it).  Invariants it is built to carry:
-  ///   submitted == accepted + rejected + wrong_epoch + pending   (always)
-  ///   pending   == pending_weight_slots                          (always)
-  /// so a sustained malformed flood can neither drift the accepted set nor
-  /// leak buffered slots.
+  /// suite assert conservation on it).  The invariant it is built to carry:
+  ///   submitted == accepted + rejected + wrong_epoch   (always)
+  /// so a sustained malformed flood cannot drift the accepted set.
   struct Accounting {
     std::uint64_t submitted = 0;    ///< every submit() call
-    std::uint64_t accepted = 0;     ///< TSA-accepted at a flush
-    std::uint64_t rejected = 0;     ///< TSA-rejected at a flush, or malformed
+    std::uint64_t accepted = 0;     ///< TSA-accepted
+    std::uint64_t rejected = 0;     ///< TSA-rejected, or malformed
     std::uint64_t wrong_epoch = 0;  ///< bounced at the epoch check
-    std::uint64_t pending = 0;      ///< buffered, verdict not yet decided
-    std::uint64_t pending_weight_slots = 0;  ///< must equal `pending`
     std::uint64_t configs_handed = 0;   ///< next_upload_config() successes
     std::uint64_t epochs_released = 0;  ///< successful finalize_mean() calls
     std::uint64_t epoch = 0;
-    std::uint64_t accepted_this_epoch = 0;
     double weight_sum_this_epoch = 0.0;
   };
   Accounting accounting() const;
 
   /// Unmask, decode, divide by the accumulated weight sum, rotate to a new
-  /// epoch.  Returns nullopt if the TSA refuses (below goal).  Nothing is
-  /// flushed here: reports stay pending only while they cannot complete the
-  /// goal, so a flush could not turn a refusal into a release.
+  /// epoch.  Returns nullopt if the TSA refuses (below goal).
   std::optional<std::vector<float>> finalize_mean();
 
   /// Client-side helper: scale by `weight`, verify the attestation against
@@ -162,7 +141,6 @@ class SecureBufferManager {
   std::size_t model_size_;
   std::size_t goal_;
   std::uint64_t seed_;
-  std::size_t batch_size_;
 
   secagg::SimulatedEnclavePlatform platform_;
   crypto::Digest binary_measurement_{};
@@ -180,19 +158,10 @@ class SecureBufferManager {
       PAPAYA_GUARDED_BY(mutex_);
   std::unique_ptr<secagg::BatchedSecureAggregationSession> session_
       PAPAYA_GUARDED_BY(mutex_);
-  /// Admitted contributions awaiting a flush (contiguous, so a flush hands
-  /// the whole pending run to accept_batch as one span), with their weights
-  /// alongside.  Empty whenever the epoch rotates: a release needs the goal,
-  /// and reports that could complete the goal are flushed at once.
-  std::vector<secagg::ClientContribution> pending_ PAPAYA_GUARDED_BY(mutex_);
-  std::vector<double> pending_weights_ PAPAYA_GUARDED_BY(mutex_);
-  std::size_t rejected_unclaimed_ PAPAYA_GUARDED_BY(mutex_) = 0;
   std::size_t next_message_ PAPAYA_GUARDED_BY(mutex_) = 0;
   std::size_t accepted_ PAPAYA_GUARDED_BY(mutex_) = 0;
   double weight_sum_ PAPAYA_GUARDED_BY(mutex_) = 0.0;
   /// Cumulative accounting (never reset by epoch rotation; see Accounting).
-  /// rejected_total_ is separate from rejected_unclaimed_, which resets on
-  /// take_rejected() and counts only deferred verdicts.
   std::uint64_t submitted_total_ PAPAYA_GUARDED_BY(mutex_) = 0;
   std::uint64_t accepted_total_ PAPAYA_GUARDED_BY(mutex_) = 0;
   std::uint64_t rejected_total_ PAPAYA_GUARDED_BY(mutex_) = 0;

@@ -49,14 +49,10 @@ struct TaskConfig {
   /// parallelism.  1 (or 0, normalized to 1) keeps a single shard.
   std::size_t aggregator_shards = 1;
 
-  /// SecAgg flush size.  Contributions are buffered and flushed to the TSA
-  /// through BatchedSecureAggregationSession (one boundary crossing, one
-  /// mask expansion pass, one blocked fold per flush) once this many
-  /// are pending, or sooner when the pending ones could complete the
-  /// aggregation goal.  1 (or 0, normalized to 1) hands each contribution
-  /// over on its own.  The aggregate is bit-identical at any batch size —
-  /// Z_{2^32} sums are unchanged; only the amortization, and when a deferred
-  /// TSA verdict surfaces, change.  The plaintext path does not read it.
+  /// Read by nothing in src/: each SecAgg contribution crosses to the TSA
+  /// on its own as it arrives, and the plaintext path folds each update as
+  /// it arrives.  It remains because benchmark/workloads.cpp still assigns
+  /// it.
   std::size_t aggregation_batch_size = 1;
 
   /// Pipelined client runtime (Sec. 6.1): overlap local training,
@@ -76,7 +72,7 @@ struct TaskConfig {
   /// the last chunk's upload finishes under the overlapped schedule
   /// (PipelinedClientSession::finish_time), instead of at the open-loop
   /// sequential charge (download + train + upload).  With the knob on,
-  /// aggregation-goal waits, SecAgg buffer flushes, and round cadence
+  /// aggregation-goal waits, SecAgg epoch releases, and round cadence
   /// respond to real client latency — updates arrive *earlier* when the
   /// pipeline overlaps stages, so the simulated clock is honest about what
   /// the protocol would actually observe.  Changes *when* updates

@@ -17,7 +17,7 @@
 // therefore byte-identical across runs of the same seed, and any failure
 // replays from the printed `--seed=S --steps=K --workload=W` repro line
 // (fsm/repro.hpp).  Shared-state *outcomes* (which session expired first,
-// which flush a contribution landed in) still vary across runs — that is
+// which epoch a contribution landed in) still vary across runs — that is
 // the point — but invariants must hold on every schedule.
 
 #include <atomic>

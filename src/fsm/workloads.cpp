@@ -597,17 +597,14 @@ SecAggFloodWorkload::SecAggFloodWorkload(std::size_t actors)
     : SecAggFloodWorkload(actors, Config()) {}
 
 SecAggFloodWorkload::SecAggFloodWorkload(std::size_t actors, Config config)
-    : manager_(config.model_size, config.goal, config.seed, config.batch_size),
-      model_size_(config.model_size),
-      goal_(config.goal) {
+    : manager_(config.model_size, config.goal, config.seed),
+      model_size_(config.model_size) {
   (void)actors;
 }
 
 std::vector<StateDef> SecAggFloodWorkload::states() {
-  const auto transitions = menu({{"contribute", 5.0},
-                                 {"finalize", 1.5},
-                                 {"claim", 1.0},
-                                 {"probe", 1.0}});
+  const auto transitions =
+      menu({{"contribute", 5.0}, {"finalize", 1.5}, {"probe", 1.0}});
   std::vector<StateDef> states;
 
   states.push_back(
@@ -630,7 +627,7 @@ std::vector<StateDef> SecAggFloodWorkload::states() {
          // Malformed contributions alternate by step: on even steps a
          // corrupt sealed seed, which the TSA's authenticated decryption
          // must refuse; on odd steps a masked update one word short or
-         // long, which submit() must refuse before it is buffered.
+         // long, which submit() must refuse before the TSA sees it.
          const bool wrong_length = byzantine && ctx.step % 2 == 1;
          if (wrong_length) {
            report->contribution.masked_update.resize(
@@ -666,23 +663,14 @@ std::vector<StateDef> SecAggFloodWorkload::states() {
                     },
                     transitions});
 
-  states.push_back({"claim",
-                    [this](StepContext& ctx) {
-                      (void)ctx;
-                      manager_.take_rejected();
-                    },
-                    transitions});
-
   states.push_back(
       {"probe",
        [this](StepContext& ctx) {
          const auto acct = manager_.accounting();
-         ctx.check(acct.submitted == acct.accepted + acct.rejected +
-                                         acct.wrong_epoch + acct.pending,
+         ctx.check(acct.submitted ==
+                       acct.accepted + acct.rejected + acct.wrong_epoch,
                    "SecAgg accounting leak: submitted != accepted + rejected "
-                   "+ wrong_epoch + pending");
-         ctx.check(acct.pending == acct.pending_weight_slots,
-                   "buffered contribution/weight slots out of step");
+                   "+ wrong_epoch");
        },
        transitions});
 
@@ -692,18 +680,13 @@ std::vector<StateDef> SecAggFloodWorkload::states() {
 void SecAggFloodWorkload::check_quiesce(std::uint64_t step,
                                         InvariantCollector& invariants) {
   const auto acct = manager_.accounting();
-  if (acct.submitted !=
-      acct.accepted + acct.rejected + acct.wrong_epoch + acct.pending) {
+  if (acct.submitted != acct.accepted + acct.rejected + acct.wrong_epoch) {
     invariants.fail(name(), 0, step,
                     "SecAgg accounting leak at quiesce: submitted " +
                         std::to_string(acct.submitted) + " != " +
                         std::to_string(acct.accepted) + " accepted + " +
                         std::to_string(acct.rejected) + " rejected + " +
-                        std::to_string(acct.wrong_epoch) + " wrong-epoch + " +
-                        std::to_string(acct.pending) + " pending");
-  }
-  if (acct.pending != acct.pending_weight_slots) {
-    invariants.fail(name(), 0, step, "buffered-slot leak at quiesce");
+                        std::to_string(acct.wrong_epoch) + " wrong-epoch");
   }
   if (acct.submitted != submitted_.load(std::memory_order_relaxed)) {
     invariants.fail(name(), 0, step, "manager lost track of submissions");
@@ -713,13 +696,6 @@ void SecAggFloodWorkload::check_quiesce(std::uint64_t step,
         name(), 0, step,
         "accepted count exceeds valid submissions: a malformed contribution "
         "was accepted (accepted-set drift)");
-  }
-  // Reports stay pending only while they cannot complete the goal; that is
-  // what lets finalize_mean() release without flushing.
-  if (acct.pending > 0 && acct.accepted_this_epoch + acct.pending >= goal_) {
-    invariants.fail(name(), 0, step,
-                    "pending reports could complete the goal but were not "
-                    "flushed");
   }
 }
 

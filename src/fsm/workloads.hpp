@@ -152,18 +152,16 @@ class ShardedAggWorkload final : public Workload {
   std::atomic<std::uint64_t> reduced_weight_units_{0};
 };
 
-/// Contribute/finalize/claim/probe churn against one SecureBufferManager,
-/// with the scenario flipping contributions malformed (tampered sealed
-/// seeds, or masked updates of the wrong length).  Invariants, via
-/// accounting(): every submission is accepted, rejected, wrong-epoch, or
-/// pending (no drift); pending slots always pair with weight slots (no
-/// leak); malformed contributions are never accepted.
+/// Contribute/finalize/probe churn against one SecureBufferManager, with
+/// the scenario flipping contributions malformed (tampered sealed seeds, or
+/// masked updates of the wrong length).  Invariants, via accounting():
+/// every submission is accepted, rejected or wrong-epoch (no drift), and
+/// malformed contributions are never accepted.
 class SecAggFloodWorkload final : public Workload {
  public:
   struct Config {
     std::size_t model_size = 8;
     std::size_t goal = 6;
-    std::size_t batch_size = 3;
     std::uint64_t seed = 0x5ecf100dULL;
   };
 
@@ -185,7 +183,6 @@ class SecAggFloodWorkload final : public Workload {
  private:
   fl::SecureBufferManager manager_;
   std::size_t model_size_;
-  std::size_t goal_;
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> valid_{0};
   std::atomic<std::uint64_t> malformed_{0};

@@ -7,8 +7,9 @@
 // subtracts it.  Contributions arrive as a std::span, so a batch pays the
 // control path once: one TSA boundary crossing, one mask expansion pass,
 // and one cache-blocked fold of all accepted masked updates into the running
-// sum.  A span of one is the per-update
-// case.
+// sum.  The serving layer (fl::SecureBufferManager) hands over a span of
+// one per report as it arrives, so each report learns its own verdict at
+// once; longer spans remain for tests and micro benchmarks.
 //
 // The result does not depend on the split.  Z_{2^32} addition is
 // associative and commutative, so any split of the same contribution stream
@@ -27,8 +28,8 @@ namespace papaya::secagg {
 
 /// One secure-aggregation session on the untrusted server, bound to a TSA
 /// instance.  Incremental: contributions arrive whenever clients finish,
-/// with no inter-client coordination, in batches whose size the serving
-/// layer chooses (TaskConfig::aggregation_batch_size).
+/// with no inter-client coordination, in spans whose length the caller
+/// chooses.
 class BatchedSecureAggregationSession {
  public:
   BatchedSecureAggregationSession(TrustedSecureAggregator& tsa,

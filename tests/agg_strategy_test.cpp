@@ -165,6 +165,16 @@ TEST(UpdateView, RejectsSizeMismatchAndTruncation) {
   EXPECT_FALSE(UpdateView::parse(truncated, 8).has_value());
   util::Bytes header_only(bytes.begin(), bytes.begin() + 16);
   EXPECT_FALSE(UpdateView::parse(header_only, 8).has_value());
+  // Bytes past the last float, whole floats or not, are refused too.
+  for (std::size_t extra = 1; extra <= 7; ++extra) {
+    util::Bytes padded = bytes;
+    padded.resize(bytes.size() + extra, 0);
+    EXPECT_FALSE(UpdateView::parse(padded, 8).has_value()) << extra;
+  }
+  // A count of 7 over 8 floats leaves 4 bytes over.
+  util::Bytes undercounted = bytes;
+  undercounted[24] = 7;
+  EXPECT_FALSE(UpdateView::parse(undercounted, 7).has_value());
 }
 
 using FoldFinite = bool (*)(float*, const float*, const UpdateView&, float);

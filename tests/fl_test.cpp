@@ -64,6 +64,18 @@ TEST(ModelUpdate, HeaderReadMatchesDeserializeAndRejectsTruncation) {
     EXPECT_THROW(UpdateHeader::read(prefix), std::out_of_range) << cut;
     EXPECT_THROW(ModelUpdate::deserialize(prefix), std::out_of_range) << cut;
   }
+  // Wherever the bytes go on past the last float, both readers refuse them.
+  for (std::size_t extra = 1; extra <= 7; ++extra) {
+    util::Bytes padded = bytes;
+    padded.resize(bytes.size() + extra, 0);
+    EXPECT_THROW(UpdateHeader::read(padded), std::out_of_range) << extra;
+    EXPECT_THROW(ModelUpdate::deserialize(padded), std::out_of_range) << extra;
+  }
+  // So does a count of n - 1 over n floats, which leaves 4 bytes over.
+  util::Bytes undercounted = bytes;
+  undercounted[24] = 2;
+  EXPECT_THROW(UpdateHeader::read(undercounted), std::out_of_range);
+  EXPECT_THROW(ModelUpdate::deserialize(undercounted), std::out_of_range);
   // A count no payload could hold is refused without overflowing.
   for (std::size_t b = 24; b < 32; ++b) bytes[b] = 0xff;
   EXPECT_THROW(UpdateHeader::read(bytes), std::out_of_range);
@@ -1434,129 +1446,51 @@ TEST(SecureBuffer, TamperedContributionRejectedAndSlotFreed) {
   }
 }
 
-TEST(SecureBuffer, BatchedModeMatchesPerUpdateBitForBit) {
-  // Two managers with the same seed have identical TSAs and platforms; the
-  // same reports through the per-update and the batched pipeline must yield
-  // the same accepted set and a bit-identical unmasked mean.
-  constexpr std::size_t kModelSize = 6, kGoal = 4;
-  SecureBufferManager per_update(kModelSize, kGoal, 1234, /*batch_size=*/1);
-  SecureBufferManager batched(kModelSize, kGoal, 1234, /*batch_size=*/3);
-
-  using Outcome = SecureSubmitOutcome;
-  // Five reports: four good, the third tampered (TSA-rejected).  At batch 3
-  // the third report's submit flushes the first three and returns its own
-  // verdict; the fifth flushes the last two because they reach the goal.
-  const std::vector<Outcome> per_update_outcomes{
-      Outcome::kAccepted, Outcome::kAccepted, Outcome::kTsaRejected,
-      Outcome::kAccepted, Outcome::kAccepted};
-  const std::vector<Outcome> batched_outcomes{
-      Outcome::kBuffered, Outcome::kBuffered, Outcome::kTsaRejected,
-      Outcome::kBuffered, Outcome::kAccepted};
-  std::optional<std::vector<float>> per_update_mean, batched_mean;
-  for (auto* manager : {&per_update, &batched}) {
-    const bool is_batched = manager == &batched;
-    std::vector<Outcome> outcomes;
-    for (std::uint64_t id = 1; id <= 5; ++id) {
-      const auto upload = manager->next_upload_config();
-      ASSERT_TRUE(upload.has_value());
-      std::vector<float> delta(kModelSize,
-                               0.1f * static_cast<float>(id) - 0.3f);
-      auto report = SecureBufferManager::prepare_report(
-          manager->platform(), *upload, id, 0, 5, /*weight=*/1.0, delta, id);
-      ASSERT_TRUE(report.has_value());
-      if (id == 3) report->contribution.sealed_seed.ciphertext[4] ^= 1;
-      outcomes.push_back(manager->submit(*report, 1.0));
-      if (manager->goal_reached()) break;
-    }
-    EXPECT_EQ(outcomes, is_batched ? batched_outcomes : per_update_outcomes);
-    EXPECT_EQ(manager->accepted_count(), kGoal);
-    // The rejected report learned its verdict from its own submit.
-    EXPECT_EQ(manager->take_rejected(), 0u);
-    (is_batched ? batched_mean : per_update_mean) = manager->finalize_mean();
-  }
-  ASSERT_TRUE(per_update_mean.has_value());
-  ASSERT_TRUE(batched_mean.has_value());
-  EXPECT_EQ(*per_update_mean, *batched_mean);
-}
-
-TEST(SecureBuffer, BatchedFlushTriggersAtGoalRegardlessOfBatchSize) {
-  // Batch size larger than the goal: the goal-could-complete condition must
-  // flush early so the epoch finalizes after the same contributions as
-  // per-update mode would.  The submit that flushes returns its own verdict.
-  constexpr std::size_t kModelSize = 4, kGoal = 2;
-  SecureBufferManager manager(kModelSize, kGoal, 55, /*batch_size=*/16);
-  for (std::uint64_t id = 1; id <= kGoal; ++id) {
+TEST(SecureBuffer, MalformedLengthIsRefusedWithoutWedgingTheEpoch) {
+  // accept_batch throws on a masked update of the wrong length, so submit()
+  // refuses one before the TSA sees it and counts it as rejected; the epoch
+  // still releases on the honest reports.
+  constexpr std::size_t kModelSize = 6, kGoal = 3;
+  SecureBufferManager manager(kModelSize, kGoal, 4321);
+  std::uint64_t id = 0;
+  const auto next_report = [&] {
     const auto upload = manager.next_upload_config();
-    ASSERT_TRUE(upload.has_value());
-    const auto report = SecureBufferManager::prepare_report(
+    EXPECT_TRUE(upload.has_value());
+    ++id;
+    auto report = SecureBufferManager::prepare_report(
         manager.platform(), *upload, id, 0, 5, 1.0,
         std::vector<float>(kModelSize, 0.5f), id);
-    ASSERT_TRUE(report.has_value());
-    EXPECT_EQ(manager.submit(*report, 1.0),
-              id < kGoal ? SecureSubmitOutcome::kBuffered
-                         : SecureSubmitOutcome::kAccepted);
+    EXPECT_TRUE(report.has_value());
+    return *report;
+  };
+
+  // One honest report first, so the malformed ones arrive after a report
+  // the epoch has already accepted.
+  EXPECT_EQ(manager.submit(next_report(), 1.0),
+            SecureSubmitOutcome::kAccepted);
+  for (const std::size_t length : {kModelSize - 1, kModelSize + 1}) {
+    SecureReport bad = next_report();
+    bad.contribution.masked_update.resize(length);
+    EXPECT_EQ(manager.submit(bad, 1.0), SecureSubmitOutcome::kMalformed)
+        << "length " << length;
   }
-  EXPECT_EQ(manager.pending_count(), 0u);  // flushed by the goal condition
-  EXPECT_TRUE(manager.goal_reached());
+  // The honest reports still reach the goal and release their mean.
+  for (std::size_t i = 1; i < kGoal; ++i) {
+    EXPECT_EQ(manager.submit(next_report(), 1.0),
+              SecureSubmitOutcome::kAccepted);
+  }
+  ASSERT_TRUE(manager.goal_reached());
   const auto mean = manager.finalize_mean();
   ASSERT_TRUE(mean.has_value());
   for (const float v : *mean) EXPECT_NEAR(v, 0.5f, 1e-3f);
-}
 
-TEST(SecureBuffer, MalformedLengthIsRefusedWithoutWedgingTheEpoch) {
-  // accept_batch throws on a masked update of the wrong length.  Buffered,
-  // one would make every later flush throw and the epoch would never
-  // release; so submit() refuses it up front, at every batch size, and
-  // counts it as rejected.
-  constexpr std::size_t kModelSize = 6, kGoal = 3;
-  for (const std::size_t batch_size : {1UL, 4UL}) {
-    SecureBufferManager manager(kModelSize, kGoal, 4321, batch_size);
-    std::uint64_t id = 0;
-    const auto next_report = [&] {
-      const auto upload = manager.next_upload_config();
-      EXPECT_TRUE(upload.has_value());
-      ++id;
-      auto report = SecureBufferManager::prepare_report(
-          manager.platform(), *upload, id, 0, 5, 1.0,
-          std::vector<float>(kModelSize, 0.5f), id);
-      EXPECT_TRUE(report.has_value());
-      return *report;
-    };
-
-    // One honest report first, so at batch 4 the malformed ones arrive
-    // while a report is pending beside them.
-    EXPECT_EQ(manager.submit(next_report(), 1.0),
-              batch_size == 1 ? SecureSubmitOutcome::kAccepted
-                              : SecureSubmitOutcome::kBuffered)
-        << "batch " << batch_size;
-    for (const std::size_t length : {kModelSize - 1, kModelSize + 1}) {
-      SecureReport bad = next_report();
-      bad.contribution.masked_update.resize(length);
-      EXPECT_EQ(manager.submit(bad, 1.0), SecureSubmitOutcome::kMalformed)
-          << "batch " << batch_size << ", length " << length;
-    }
-    // The honest reports still reach the goal and release their mean.
-    for (std::size_t i = 1; i < kGoal; ++i) {
-      const SecureSubmitOutcome outcome = manager.submit(next_report(), 1.0);
-      EXPECT_NE(outcome, SecureSubmitOutcome::kTsaRejected);
-      EXPECT_NE(outcome, SecureSubmitOutcome::kMalformed);
-    }
-    ASSERT_TRUE(manager.goal_reached()) << "batch " << batch_size;
-    const auto mean = manager.finalize_mean();
-    ASSERT_TRUE(mean.has_value()) << "batch " << batch_size;
-    for (const float v : *mean) EXPECT_NEAR(v, 0.5f, 1e-3f);
-
-    const auto acct = manager.accounting();
-    EXPECT_EQ(acct.submitted, kGoal + 2);
-    EXPECT_EQ(acct.accepted, kGoal);
-    EXPECT_EQ(acct.rejected, 2u);
-    EXPECT_EQ(acct.pending, 0u);
-    EXPECT_EQ(acct.submitted,
-              acct.accepted + acct.rejected + acct.wrong_epoch + acct.pending);
-    EXPECT_EQ(acct.epochs_released, 1u);
-    // submit() returned both refusals; none is left to claim.
-    EXPECT_EQ(manager.take_rejected(), 0u);
-  }
+  const auto acct = manager.accounting();
+  EXPECT_EQ(acct.submitted, kGoal + 2);
+  EXPECT_EQ(acct.accepted, kGoal);
+  EXPECT_EQ(acct.rejected, 2u);
+  EXPECT_EQ(acct.submitted,
+            acct.accepted + acct.rejected + acct.wrong_epoch);
+  EXPECT_EQ(acct.epochs_released, 1u);
 }
 
 TEST(SecureBuffer, ReportThatWeighsNothingIsRefusedAndNeverSteps) {
@@ -1602,10 +1536,9 @@ TEST(SecureBuffer, ReportThatWeighsNothingIsRefusedAndNeverSteps) {
 }
 
 TEST(SecureBuffer, BatchedRejectionFreesSyncRoundSlot) {
-  // Regression: in batched mode a buffered report is optimistically counted
-  // as completing its SyncFL slot; when the flush later rejects it, the
-  // completion (and buffered count) must be un-counted so round demand
-  // frees up for a replacement — exactly as per-update rejection behaves.
+  // A report the TSA rejects never completes its SyncFL slot, so round
+  // demand frees up for a replacement.  aggregation_batch_size is read by
+  // nothing; at 2 the rejection still lands at its own report.
   Aggregator agg("a");
   TaskConfig cfg;
   cfg.name = "lm";
@@ -1631,9 +1564,9 @@ TEST(SecureBuffer, BatchedRejectionFreesSyncRoundSlot) {
     if (c == 2) report->contribution.sealed_seed.ciphertext[7] ^= 1;
     agg.client_report_secure("lm", *report, 1.0);
   }
-  // The tampered report was flushed and rejected: one completion stands,
-  // demand = concurrency - completed - active = 4 - 1 - 0 = 3, and the
-  // rejection is visible as a discarded update.
+  // The tampered report was rejected: one completion stands, demand =
+  // concurrency - completed - active = 4 - 1 - 0 = 3, and the rejection is
+  // visible as a discarded update.
   EXPECT_EQ(agg.stats("lm").updates_discarded, 1u);
   EXPECT_EQ(agg.client_demand("lm"), 3);
   EXPECT_EQ(agg.model_version("lm"), 0u);  // goal not yet reached
@@ -1650,11 +1583,11 @@ TEST(SecureBuffer, BatchedRejectionFreesSyncRoundSlot) {
   EXPECT_EQ(agg.model_version("lm"), 1u);
 }
 
-TEST(SecureBuffer, FlushRejectingItsSubmitterUncountsEarlierRejections) {
-  // A flush can reject the report whose submit triggered it and earlier
-  // buffered reports at once.  The submitter learns its verdict directly;
-  // the earlier ones must be un-counted in the same call, not left for the
-  // next submit, so the round's demand frees up for both replacements.
+TEST(SecureBuffer, EachReportReturnsItsOwnTsaVerdict) {
+  // The TSA's verdict on a report is final when client_report_secure
+  // returns: a refused contribution is never reported accepted, and it
+  // frees its SyncFL slot at that same call.  aggregation_batch_size is read
+  // by nothing; setting it to 3 pins that no setting defers a verdict.
   Aggregator agg("a");
   TaskConfig cfg;
   cfg.name = "lm";
@@ -1670,8 +1603,16 @@ TEST(SecureBuffer, FlushRejectingItsSubmitterUncountsEarlierRejections) {
   for (std::uint64_t c = 1; c <= 3; ++c) {
     ASSERT_TRUE(agg.client_join("lm", c, 0.0).accepted);
   }
-  // Reports 1 and 3 are tampered; report 3's submit flushes all three.
-  std::vector<ReportOutcome> outcomes;
+  // demand = concurrency - completed - active = 4 - 0 - 3 = 1.
+  ASSERT_EQ(agg.client_demand("lm"), 1);
+  // Reports 1 and 3 are tampered.  A refused report leaves the active set
+  // without completing a slot, so demand rises by one at its own call; an
+  // accepted one moves from active to completed, so demand holds.
+  const std::vector<ReportOutcome> expected_outcomes{
+      ReportOutcome::kRejectedUnknown, ReportOutcome::kAccepted,
+      ReportOutcome::kRejectedUnknown};
+  const std::vector<std::int64_t> expected_demand{2, 2, 3};
+  const std::vector<std::uint64_t> expected_discarded{1, 1, 2};
   for (std::uint64_t c = 1; c <= 3; ++c) {
     const auto upload = agg.secure_upload_config("lm");
     ASSERT_TRUE(upload.has_value());
@@ -1680,21 +1621,20 @@ TEST(SecureBuffer, FlushRejectingItsSubmitterUncountsEarlierRejections) {
         std::vector<float>(4, 0.25f), c);
     ASSERT_TRUE(report.has_value());
     if (c != 2) report->contribution.sealed_seed.ciphertext[7] ^= 1;
-    outcomes.push_back(agg.client_report_secure("lm", *report, 1.0).outcome);
+    EXPECT_EQ(agg.client_report_secure("lm", *report, 1.0).outcome,
+              expected_outcomes[c - 1])
+        << "report " << c;
+    EXPECT_EQ(agg.client_demand("lm"), expected_demand[c - 1])
+        << "report " << c;
+    EXPECT_EQ(agg.stats("lm").updates_discarded, expected_discarded[c - 1])
+        << "report " << c;
   }
-  EXPECT_EQ(outcomes, (std::vector<ReportOutcome>{
-                          ReportOutcome::kAccepted, ReportOutcome::kAccepted,
-                          ReportOutcome::kRejectedUnknown}));
-  // Both rejections are discarded now; one completion stands, so demand is
-  // concurrency - completed - active = 4 - 1 - 0 = 3.
-  EXPECT_EQ(agg.stats("lm").updates_discarded, 2u);
-  EXPECT_EQ(agg.client_demand("lm"), 3);
-  EXPECT_EQ(agg.model_version("lm"), 0u);
+  EXPECT_EQ(agg.model_version("lm"), 0u);  // one of four accepted
 }
 
 TEST(SecureBuffer, BatchedEndToEndThroughAggregator) {
-  // The Aggregator path with TaskConfig::aggregation_batch_size > 1: same
-  // admission protocol, deferred TSA verdicts, and the server still steps
+  // The Aggregator path at an aggregation_batch_size above 1, which nothing
+  // reads: every report is accepted at its own call, and the server steps
   // when the goal's worth of verified contributions lands.
   Aggregator agg("a");
   auto cfg = async_task(10, 3, 4);

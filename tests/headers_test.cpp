@@ -26,7 +26,6 @@
 #include "fl/secure_buffer.hpp"
 #include "fl/selector.hpp"
 #include "fl/session.hpp"
-#include "fl/smpc_round.hpp"
 #include "fl/task.hpp"
 #include "ml/dataset.hpp"
 #include "ml/math.hpp"

@@ -566,7 +566,8 @@ TEST_P(WireParserFuzz, TruncatedFlippedAndMiscountedUpdatesParseConsistently) {
       util::Bytes miscounted = wire;
       put_u64(miscounted, 24, count);
       check_update_parsers(miscounted);
-      if (count > n) {
+      // Too many floats for the bytes, or bytes left over after them.
+      if (count != n) {
         EXPECT_FALSE(parses(
             [&] { (void)fl::ModelUpdate::deserialize(miscounted); }))
             << "count " << count << " over " << n << " floats";
@@ -595,6 +596,13 @@ TEST_P(WireParserFuzz, TruncatedOrInflatedChunkFramesThrowOutOfRange) {
                             wire.begin() + static_cast<std::ptrdiff_t>(len));
       EXPECT_FALSE(parses([&] { (void)fl::UploadChunk::deserialize(cut); }))
           << "truncated to " << len;
+    }
+    // Nor may anything follow the CRC.
+    for (std::size_t extra = 1; extra <= 7; ++extra) {
+      util::Bytes padded = wire;
+      padded.resize(wire.size() + extra, 0);
+      EXPECT_FALSE(parses([&] { (void)fl::UploadChunk::deserialize(padded); }))
+          << "padded by " << extra;
     }
     // The payload's length prefix, at byte 16, claiming more than follows.
     for (const std::uint64_t claim :

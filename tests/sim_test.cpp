@@ -764,28 +764,6 @@ TEST(Simulator, ShardedRunIsDeterministicPerShardCount) {
   EXPECT_EQ(first.run().final_model, second.run().final_model);
 }
 
-// ------------------------------------------------------- Batched pipelines --
-
-TEST(Simulator, BatchedSecAggModeMatchesPerUpdateMode) {
-  // The batched SecAgg pipeline (TaskConfig::aggregation_batch_size > 1)
-  // accepts the same contributions into the same epochs and folds in
-  // Z_{2^32}, so a whole simulated deployment must train to a bit-identical
-  // model in batched and per-update mode.
-  SimulationConfig cfg = store_config();
-  cfg.task.secagg_enabled = true;
-  cfg.task.aggregation_goal = 4;
-  cfg.max_server_steps = 6;
-  FlSimulator per_update(cfg);
-  cfg.task.aggregation_batch_size = 3;
-  FlSimulator batched(cfg);
-
-  const auto a = per_update.run();
-  const auto b = batched.run();
-  EXPECT_EQ(a.server_steps, b.server_steps);
-  EXPECT_EQ(a.task_stats.updates_applied, b.task_stats.updates_applied);
-  EXPECT_EQ(a.final_model, b.final_model);
-}
-
 // ------------------------------------------------ Pipelined client runtime --
 
 TEST(Simulator, PipelinedModeMatchesSequentialBitForBit) {
@@ -938,18 +916,6 @@ TEST(Simulator, SyncTrajectoryMatchesPinnedFingerprint) {
   ASSERT_EQ(r.participations.size(), 81u);
   EXPECT_DOUBLE_EQ(exec_time_sum(r), 5006.9542912525239);
   EXPECT_EQ(fnv1a_floats(r.final_model), 0x57196e54404989dcULL);
-}
-
-TEST(Simulator, BatchedPlaintextDrainMatchesPerUpdateDrain) {
-  // On the plaintext path the batch size only changes queue-lock
-  // amortization: single-worker shards fold in FIFO order either way, so
-  // the simulation is bit-identical.
-  SimulationConfig cfg = store_config();
-  cfg.max_server_steps = 8;
-  FlSimulator per_update(cfg);
-  cfg.task.aggregation_batch_size = 8;
-  FlSimulator batched(cfg);
-  EXPECT_EQ(per_update.run().final_model, batched.run().final_model);
 }
 
 }  // namespace

@@ -11,8 +11,6 @@
 #include <tuple>
 
 #include "crypto/dh.hpp"
-#include "fl/smpc_round.hpp"
-#include "ml/optimizer.hpp"
 #include "secagg/fixed_point.hpp"
 #include "smpc/protocol.hpp"
 #include "smpc/shamir.hpp"
@@ -579,171 +577,6 @@ TEST(SmpcIntegration, DropoutsAverageOverSurvivorsOnly) {
   const double expected = 0.1 + 0.3 + 0.4 + 0.5;  // survivors only
   // Tolerance: 4 roundings at 1/scale plus float32 representation error.
   for (float v : sum) EXPECT_NEAR(v, expected, 4.0 / fp.scale + 1e-6);
-}
-
-// ------------------------------------------- SmpcSyncRound (GFL baseline) ---
-
-fl::SmpcSyncRound::Config round_config(std::size_t model_size,
-                                       std::size_t cohort,
-                                       std::size_t threshold) {
-  fl::SmpcSyncRound::Config c;
-  c.model_size = model_size;
-  c.cohort_size = cohort;
-  c.threshold = threshold;
-  c.fixed_point = secagg::FixedPointParams::for_budget(32.0, cohort);
-  c.seed = 77;
-  return c;
-}
-
-TEST(SmpcSyncRound, WeightedMeanMatchesPlaintext) {
-  constexpr std::size_t kLen = 12;
-  fl::SmpcSyncRound round(round_config(kLen, 4, 3));
-
-  util::Rng rng(5);
-  std::vector<std::vector<float>> deltas(4);
-  std::vector<double> weights{1.0, 4.0, 9.0, 16.0};
-  std::vector<double> expected(kLen, 0.0);
-  double weight_sum = 0.0;
-  for (std::size_t c = 0; c < 4; ++c) {
-    deltas[c].resize(kLen);
-    for (auto& v : deltas[c]) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    for (std::size_t i = 0; i < kLen; ++i) {
-      expected[i] += deltas[c][i] * weights[c];
-    }
-    weight_sum += weights[c];
-    round.submit(c, deltas[c], weights[c]);
-  }
-  for (auto& v : expected) v /= weight_sum;
-
-  const auto result = round.finalize();
-  EXPECT_EQ(result.contributions, 4u);
-  EXPECT_DOUBLE_EQ(result.weight_sum, weight_sum);
-  for (std::size_t i = 0; i < kLen; ++i) {
-    EXPECT_NEAR(result.mean_delta[i], expected[i], 1e-4);
-  }
-}
-
-TEST(SmpcSyncRound, NonSubmittersAreDropoutsAndExcluded) {
-  constexpr std::size_t kLen = 6;
-  fl::SmpcSyncRound round(round_config(kLen, 5, 3));
-  const std::vector<float> one(kLen, 1.0f);
-  const std::vector<float> ten(kLen, 10.0f);
-  round.submit(0, one, 1.0);
-  round.submit(2, ten, 1.0);
-  round.submit(4, one, 2.0);
-  // Members 1 and 3 never submit: the protocol reconstructs their pairwise
-  // masks and the mean covers exactly the three submitters.
-  const auto result = round.finalize();
-  EXPECT_EQ(result.contributions, 3u);
-  // (1*1 + 10*1 + 1*2) / 4 = 3.25
-  for (float v : result.mean_delta) EXPECT_NEAR(v, 3.25f, 1e-4);
-}
-
-TEST(SmpcSyncRound, BelowThresholdRefusesRelease) {
-  fl::SmpcSyncRound round(round_config(4, 5, 3));
-  round.submit(0, std::vector<float>(4, 1.0f), 1.0);
-  round.submit(1, std::vector<float>(4, 1.0f), 1.0);
-  EXPECT_THROW(round.finalize(), std::runtime_error);
-}
-
-TEST(SmpcSyncRound, RejectsMalformedSubmissions) {
-  fl::SmpcSyncRound round(round_config(4, 3, 2));
-  const std::vector<float> ok(4, 1.0f);
-  EXPECT_THROW(round.submit(7, ok, 1.0), std::invalid_argument);
-  EXPECT_THROW(round.submit(0, std::vector<float>(3, 1.0f), 1.0),
-               std::invalid_argument);
-  EXPECT_THROW(round.submit(0, ok, 0.0), std::invalid_argument);
-  round.submit(0, ok, 1.0);
-  EXPECT_THROW(round.submit(0, ok, 1.0), std::invalid_argument);
-}
-
-TEST(SmpcSyncRound, RejectsBadConfig) {
-  EXPECT_THROW(fl::SmpcSyncRound(round_config(0, 3, 2)),
-               std::invalid_argument);
-  EXPECT_THROW(fl::SmpcSyncRound(round_config(4, 0, 2)),
-               std::invalid_argument);
-  EXPECT_THROW(fl::SmpcSyncRound(round_config(4, 3, 4)),
-               std::invalid_argument);
-}
-
-TEST(SmpcSyncRound, UseAfterFinalizeRejected) {
-  fl::SmpcSyncRound round(round_config(4, 2, 2));
-  round.submit(0, std::vector<float>(4, 1.0f), 1.0);
-  round.submit(1, std::vector<float>(4, 1.0f), 1.0);
-  (void)round.finalize();
-  EXPECT_THROW(round.submit(0, std::vector<float>(4, 1.0f), 1.0),
-               std::logic_error);
-  EXPECT_THROW(round.finalize(), std::logic_error);
-}
-
-/// Property sweep over (cohort, threshold, dropouts): the round always
-/// yields the weighted mean over exactly the submitters, or refuses when
-/// submitters fall below the threshold.
-class SmpcSyncRoundSweep
-    : public ::testing::TestWithParam<
-          std::tuple<std::size_t, std::size_t, std::size_t>> {};
-
-TEST_P(SmpcSyncRoundSweep, WeightedMeanOverSubmittersOrRefusal) {
-  const auto [cohort, threshold, dropouts] = GetParam();
-  if (dropouts >= cohort) GTEST_SKIP() << "need at least one submitter";
-  constexpr std::size_t kLen = 8;
-  fl::SmpcSyncRound round(round_config(kLen, cohort, threshold));
-
-  util::Rng rng(cohort * 31 + threshold * 7 + dropouts);
-  std::vector<double> expected(kLen, 0.0);
-  double weight_sum = 0.0;
-  const std::size_t submitters = cohort - dropouts;
-  for (std::size_t c = 0; c < submitters; ++c) {
-    std::vector<float> delta(kLen);
-    for (auto& v : delta) v = static_cast<float>(rng.uniform(-2.0, 2.0));
-    const double weight = 1.0 + rng.uniform_int(9);
-    for (std::size_t i = 0; i < kLen; ++i) expected[i] += delta[i] * weight;
-    weight_sum += weight;
-    round.submit(c, delta, weight);
-  }
-
-  if (submitters < threshold) {
-    EXPECT_THROW(round.finalize(), std::runtime_error);
-    return;
-  }
-  const auto result = round.finalize();
-  EXPECT_EQ(result.contributions, submitters);
-  for (std::size_t i = 0; i < kLen; ++i) {
-    EXPECT_NEAR(result.mean_delta[i], expected[i] / weight_sum, 1e-3);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, SmpcSyncRoundSweep,
-    ::testing::Combine(::testing::Values<std::size_t>(3, 5, 8),
-                       ::testing::Values<std::size_t>(2, 3),
-                       ::testing::Values<std::size_t>(0, 1, 2)));
-
-TEST(SmpcSyncRound, DrivesServerOptimizerLikePlaintextRound) {
-  // End-to-end shape: the decoded mean feeds a server step exactly as a
-  // plaintext SyncFL round would, to within fixed-point resolution.
-  constexpr std::size_t kLen = 8;
-  fl::SmpcSyncRound round(round_config(kLen, 3, 2));
-  std::vector<std::vector<float>> deltas(3, std::vector<float>(kLen));
-  for (std::size_t c = 0; c < 3; ++c) {
-    for (std::size_t i = 0; i < kLen; ++i) {
-      deltas[c][i] = 0.1f * static_cast<float>(c + 1);
-    }
-    round.submit(c, deltas[c], 1.0);
-  }
-  const auto result = round.finalize();
-
-  ml::ServerOptimizer secure_opt(
-      kLen, {.kind = ml::ServerOptimizerKind::kFedSgd, .lr = 1.0f});
-  ml::ServerOptimizer plain_opt(
-      kLen, {.kind = ml::ServerOptimizerKind::kFedSgd, .lr = 1.0f});
-  std::vector<float> secure_model(kLen, 0.0f), plain_model(kLen, 0.0f);
-  secure_opt.step(secure_model, result.mean_delta);
-  const std::vector<float> plain_mean(kLen, 0.2f);  // mean of 0.1/0.2/0.3
-  plain_opt.step(plain_model, plain_mean);
-  for (std::size_t i = 0; i < kLen; ++i) {
-    EXPECT_NEAR(secure_model[i], plain_model[i], 1e-4);
-  }
 }
 
 }  // namespace
